@@ -67,13 +67,40 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _ints(tokens: list[str], lineno: int) -> list[int]:
-    values = []
-    for tok in tokens:
-        try:
-            values.append(int(tok))
-        except ValueError:
-            raise MatrixFormatError(f"expected an integer, got {tok!r}", lineno)
-    return values
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                raise MatrixFormatError(f"expected an integer, got {tok!r}", lineno)
+        raise
+
+
+def _checked_grid(
+    rows: list[list[int]], linenos: list[int], p: int, n: int
+) -> np.ndarray:
+    """The leading rows of an explicit matrix as an int64 grid, after the
+    range and diagonal checks in one numpy pass.  The first faulty row is
+    reported, an out-of-range entry before a nonzero diagonal."""
+    try:
+        grid = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    except OverflowError:  # saturate: such entries are out of range anyway
+        big = np.iinfo(np.int64)
+        grid = np.array(
+            [[min(max(v, big.min), big.max) for v in row] for row in rows],
+            dtype=np.int64,
+        )
+    out_of_range = (grid < 0) | (grid >= p)
+    bad = out_of_range.any(axis=1) | (np.diagonal(grid) != 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if out_of_range[i].any():
+            v = rows[i][int(np.argmax(out_of_range[i]))]
+            raise MatrixFormatError(f"entry {v} out of range [0, {p})", linenos[i])
+        raise MatrixFormatError("diagonal entry must be zero", linenos[i])
+    return grid
 
 
 def parse_matrix_file(text: str) -> ParsedMatrixFile:
@@ -122,20 +149,24 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
             f"expected {n} matrix rows, got {len(body)}",
             body[-1][0] if body else header_line,
         )
-    rows = []
-    for i, (lineno, line) in enumerate(body):
-        row = _ints(line.split(), lineno)
-        if len(row) != n:
-            raise MatrixFormatError(
-                f"row has {len(row)} entries, expected {n}", lineno
-            )
-        for v in row:
-            if not 0 <= v < p:
-                raise MatrixFormatError(f"entry {v} out of range [0, {p})", lineno)
-        if row[i] != 0:
-            raise MatrixFormatError("diagonal entry must be zero", lineno)
+    # Rows are read up to the first one that fails to parse or has the
+    # wrong length; a range or diagonal fault in an earlier row wins.
+    rows: list[list[int]] = []
+    short: MatrixFormatError | None = None
+    for lineno, line in body:
+        try:
+            row = _ints(line.split(), lineno)
+            if len(row) != n:
+                raise MatrixFormatError(
+                    f"row has {len(row)} entries, expected {n}", lineno
+                )
+        except MatrixFormatError as exc:
+            short = exc
+            break
         rows.append(row)
-    entries = np.array(rows, dtype=np.int64)
+    entries = _checked_grid(rows, [lineno for lineno, _ in body], p, n)
+    if short is not None:
+        raise short
     bad = np.nonzero((entries + entries.T) % p)
     if bad[0].size:
         i = int(bad[0][0])

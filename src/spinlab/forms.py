@@ -34,11 +34,14 @@ class CommutationMatrix:
     ``pattern`` records the banded (Toeplitz) source when the matrix was
     materialized from one: pattern[k-1] is the entry at separation k on
     the upper triangle, the lower triangle carrying the negated mirror.
+    ``lower`` is the strict lower triangle L of ``entries`` (the matrix
+    of q_form), computed once and frozen like ``entries``.
     """
 
     p: int
     entries: np.ndarray
     pattern: tuple[int, ...] | None = None
+    lower: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         gf.validate_prime(self.p)
@@ -55,6 +58,9 @@ class CommutationMatrix:
             raise ValueError("matrix must satisfy c_ji = -c_ij mod p")
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
+        lower = np.tril(ent, -1)
+        lower.flags.writeable = False
+        object.__setattr__(self, "lower", lower)
 
     @property
     def n(self) -> int:
@@ -162,7 +168,7 @@ def q_form(mat: CommutationMatrix, x, y) -> int:
     """The word-reordering form x^T L y mod p, L the strict lower
     triangle of C.  Satisfies omega(x,y) = q_form(x,y) - q_form(y,x)."""
     x, y = _check_length(mat, x, y)
-    return int(x @ np.tril(mat.entries, -1) @ y % mat.p)
+    return int(x @ mat.lower @ y % mat.p)
 
 
 def form_kernel(mat: CommutationMatrix) -> list[np.ndarray]:
@@ -205,45 +211,55 @@ class SymplecticBasis:
 
 
 def _pair_up(
-    mat: CommutationMatrix, comp: list[np.ndarray]
+    mat: CommutationMatrix, b: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Greedy hyperbolic pairing inside span(comp).
+    """Greedy hyperbolic pairing inside the row span of the k x n array b.
 
-    Requires omega restricted to span(comp) to be nondegenerate; each
-    round takes the first basis vector as e, solves for a partner f with
-    omega(e, f) = 1 (free variables zero), and restricts the basis to
-    the symplectic complement of the new pair.  Terminates with comp
-    empty because the restricted form stays nondegenerate.
+    Symplectic Gram-Schmidt: omega restricted to span(b) must be
+    nondegenerate.  Each round takes the first remaining row as e, the
+    first row b_i with omega(e, b_i) != 0 gives f = b_i / omega(e, b_i),
+    rows 0 and i are dropped, and every other row w is projected onto
+    the symplectic complement of span(e, f) by one rank-2 update
+    w -= omega(w, f) e - omega(w, e) f (mod p).  A round costs O(k n)
+    for k remaining rows, so the pairing is O(n^3) with no elimination.
+    These are the vectors of the rule "solve omega(e, f) = 1 with free
+    variables zero, then keep the kernel basis of the two constraints
+    omega(., e) = omega(., f) = 0": that 2-row system has its pivots at
+    rows 0 and i, and the projection onto the complement is unique.
     """
     p, ent = mat.p, mat.entries
     e_list: list[np.ndarray] = []
     f_list: list[np.ndarray] = []
-    while comp:
-        e = comp[0]
-        b = np.stack(comp, axis=0)
-        row = (b @ ent.T @ e) % p  # row[i] = omega(e, comp[i])
-        t = gf.solve(row.reshape(1, -1), np.array([1]), p)
-        assert t is not None, "partner must exist in a nondegenerate block"
-        f = (t @ b) % p
+    while len(b):
+        e = b[0].copy()
+        w_e = (b @ ((ent @ e) % p)) % p  # omega(b_j, e) = -omega(e, b_j)
+        nz = np.flatnonzero(w_e)
+        assert nz.size, "partner must exist in a nondegenerate block"
+        i = int(nz[0])
+        f = (b[i] * pow(-int(w_e[i]), -1, p)) % p
+        keep = np.ones(len(b), dtype=bool)
+        keep[[0, i]] = False
+        b, w_e = b[keep], w_e[keep]
+        w_f = (b @ ((ent @ f) % p)) % p  # omega(b_j, f)
+        b -= np.outer(w_f, e)
+        b += np.outer(w_e, f)
+        b %= p
         e_list.append(e)
         f_list.append(f)
-        constraints = np.stack([(b @ ent @ e) % p, (b @ ent @ f) % p], axis=0)
-        comp = [(t @ b) % p for t in gf.kernel_basis(constraints, p)]
     return e_list, f_list
 
 
 def symplectic_basis(mat: CommutationMatrix) -> SymplecticBasis:
     """Constructive decomposition GF(p)^n = ker(omega) + hyperbolic pairs.
 
-    The kernel complement is spanned by the standard unit vectors at the
-    pivot columns of the elimination, and pairing proceeds greedily, so
-    the result is deterministic.
+    One elimination of C gives both the kernel basis and its complement,
+    spanned by the standard unit vectors at the pivot columns; pairing
+    then proceeds greedily (``_pair_up``), so the result is deterministic
+    and costs O(n^3) in all.
     """
-    kernel = form_kernel(mat)
-    _, pivots = gf.rref(mat.entries, mat.p)
-    eye = np.eye(mat.n, dtype=np.int64)
-    comp = [eye[j] for j in pivots]
-    e_list, f_list = _pair_up(mat, comp)
+    r, pivots = gf.rref(mat.entries, mat.p)
+    kernel = gf.kernel_from_rref(r, pivots, mat.n, mat.p)
+    e_list, f_list = _pair_up(mat, np.eye(mat.n, dtype=np.int64)[pivots])
     return SymplecticBasis(tuple(e_list), tuple(f_list), tuple(kernel))
 
 
@@ -256,8 +272,11 @@ def extend_symplectic_basis(
     upper-left block.  Relations among zero-padded old pairs evaluate on
     unchanged coordinates, so every old pair stays valid verbatim; the
     new basis keeps them as a prefix of e/f and recomputes the kernel.
+    Three eliminations whatever the size (the kernel, the complement of
+    the old pairs, and one pass that picks the vectors to pair), then
+    ``_pair_up``: O(n^3) in all.
     """
-    n = mat.n
+    n, p = mat.n, mat.p
     old_vecs = list(existing.e) + list(existing.f) + list(existing.kernel)
     n_old = 2 * existing.r + existing.d
     if old_vecs and old_vecs[0].shape != (n_old,):
@@ -269,24 +288,20 @@ def extend_symplectic_basis(
     f_list = [pad(v) for v in existing.f]
 
     kernel = form_kernel(mat)
-    # Symplectic complement T of the span of the old pairs, which contains
-    # the new kernel; pairing happens in a complement of the kernel inside T.
-    if e_list:
-        constraints = np.stack(
-            [(mat.entries @ v) % mat.p for v in e_list + f_list], axis=0
-        )
-        t_basis = gf.kernel_basis(constraints, mat.p)
-    else:
-        t_basis = [np.eye(n, dtype=np.int64)[j] for j in range(n)]
-    comp: list[np.ndarray] = []
-    span = list(kernel)
-    span_rank = len(kernel)
-    for v in t_basis:
-        if gf.rank(np.stack(span + [v], axis=0), mat.p) > span_rank:
-            span.append(v)
-            span_rank += 1
-            comp.append(v)
-    new_e, new_f = _pair_up(mat, comp)
+    # Symplectic complement T of the span of the old pairs (all of GF(p)^n
+    # when there are none), which contains the new kernel; pairing happens
+    # in a complement of the kernel inside T.
+    constraints = np.array(
+        [(mat.entries @ v) % p for v in e_list + f_list], dtype=np.int64
+    ).reshape(-1, n)
+    t_basis = np.array(gf.kernel_basis(constraints, p), dtype=np.int64).reshape(-1, n)
+    # Eliminate the columns [kernel | T]: the kernel vectors are
+    # independent, so the pivots past the first d are the vectors of T
+    # outside the span of the kernel and the earlier vectors of T.
+    d = len(kernel)
+    cols = np.concatenate([np.array(kernel, dtype=np.int64).reshape(d, n), t_basis])
+    _, pivots = gf.rref(cols.T, p)
+    new_e, new_f = _pair_up(mat, t_basis[[j - d for j in pivots[d:]]])
     return SymplecticBasis(
         tuple(e_list + new_e), tuple(f_list + new_f), tuple(kernel)
     )

@@ -5,6 +5,9 @@ All pivoting is deterministic (first nonzero entry scanning top-left), so
 every routine returns the same answer on every run; golden tests rely on
 this.  Columns and rows are 0-indexed.
 
+Every routine here is built on ``rref``, the single elimination kernel:
+O(m n rank) arithmetic, with one vectorised rank-1 update per pivot.
+
 Primes are restricted to 2 <= p <= 251 so that all intermediate products
 fit comfortably in int64.
 """
@@ -36,7 +39,12 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     Returns (R, pivot_cols) where R is the RREF of ``mat`` and
     pivot_cols is the strictly increasing list of pivot column indices
-    (its length is the rank).
+    (its length is the rank).  Each pivot costs one numpy update: the
+    pivot row is scaled, then the pivot column is cleared in the other
+    rows where it is nonzero by a single outer product restricted to
+    columns col: (earlier columns of the pivot row are already zero), so
+    an m x n matrix of rank k takes O(m n k) arithmetic and k Python
+    iterations.
     """
     r = as_gf_array(mat, p).copy()
     m, n = r.shape
@@ -45,17 +53,20 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for col in range(n):
         if row == m:
             break
-        nz = np.nonzero(r[row:, col])[0]
+        nz = np.flatnonzero(r[row:, col])
         if nz.size == 0:
             continue
         pivot = row + int(nz[0])
         if pivot != row:
             r[[row, pivot]] = r[[pivot, row]]
         inv = pow(int(r[row, col]), -1, p)
-        r[row] = (r[row] * inv) % p
-        for other in range(m):
-            if other != row and r[other, col]:
-                r[other] = (r[other] - r[other, col] * r[row]) % p
+        r[row, col:] = (r[row, col:] * inv) % p
+        others = np.flatnonzero(r[:, col])
+        others = others[others != row]
+        block = r[others, col:]
+        block -= np.outer(block[:, 0], r[row, col:])
+        block %= p
+        r[others, col:] = block
         pivot_cols.append(col)
         row += 1
     return r, pivot_cols
@@ -67,27 +78,32 @@ def rank(mat: np.ndarray, p: int) -> int:
     return len(pivots)
 
 
+def kernel_from_rref(
+    r: np.ndarray, pivots: list[int], n: int, p: int
+) -> list[np.ndarray]:
+    """Right null space basis read off an RREF (as returned by ``rref``).
+
+    One basis vector per free column, taken in increasing column order;
+    the free coordinate is 1 and the pivot coordinates are the negated
+    entries of that column of R.  Each vector is its own array.
+    """
+    is_free = np.ones(n, dtype=bool)
+    is_free[pivots] = False
+    free = np.flatnonzero(is_free)
+    k = np.zeros((free.size, n), dtype=np.int64)
+    k[np.arange(free.size), free] = 1
+    k[:, pivots] = (-r[: len(pivots), free].T) % p
+    return [v.copy() for v in k]
+
+
 def kernel_basis(mat: np.ndarray, p: int) -> list[np.ndarray]:
     """Deterministic basis of the right null space {v : mat v = 0}.
 
-    One basis vector per free column, taken in increasing column order;
-    the free coordinate is set to 1 and pivot coordinates are filled by
-    back substitution.
+    One elimination followed by ``kernel_from_rref``.
     """
     mat = as_gf_array(mat, p)
-    n = mat.shape[1]
     r, pivots = rref(mat, p)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = np.zeros(n, dtype=np.int64)
-        v[free] = 1
-        for row, col in enumerate(pivots):
-            v[col] = (-r[row, free]) % p
-        basis.append(v)
-    return basis
+    return kernel_from_rref(r, pivots, mat.shape[1], p)
 
 
 def solve(mat: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

@@ -44,6 +44,8 @@ def golden(name):
         ("grow_band.txt", ["grow", FIXTURES / "band.txt", "--n-max", 6]),
         ("grow_band.json", ["grow", FIXTURES / "band.txt", "--n-max", 6, "--json"]),
         ("classify_pauli.json", ["classify", FIXTURES / "pauli.txt"]),
+        ("basis_random_p3_seed7.json", ["basis", FIXTURES / "random9_p3_seed7.txt"]),
+        ("basis_planted_p5.json", ["basis", FIXTURES / "planted_p5.txt"]),
     ],
 )
 def test_golden_outputs(capsys, name, argv):

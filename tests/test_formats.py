@@ -60,6 +60,27 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
+# Each row of these files is checked in the order length, range, diagonal,
+# and the first faulty row is reported.
+@pytest.mark.parametrize(
+    "text,line,message",
+    [
+        ("2 3\n0 1 0\n1 0 7\n0 1 1 1\n", 3, "entry 7 out of range"),
+        ("2 3\n0 1 0\n1 0 0 0\n0 7 0\n", 3, "row has 4 entries"),
+        ("2 3\n0 1 0\n1 0 0 7\n0 0 0\n", 3, "row has 4 entries"),
+        ("2 3\n0 1 0\n1 1 7\n0 0 0\n", 3, "entry 7 out of range"),
+        ("2 3\n0 1 0\n1 1 0\n0 -1 0\n", 3, "diagonal entry must be zero"),
+        ("2 3\n0 1 0\n1 1 0\n0 x 0\n", 3, "diagonal entry must be zero"),
+        ("2 3\n0 1 0\n1 0 x\n0 9 0\n", 3, "expected an integer, got 'x'"),
+        ("2 3\n0 1 0\n1 0 0\n0 1 99999999999999999999\n", 4, "entry 99999999999999999999 out"),
+    ],
+)
+def test_parse_reports_first_row_fault_in_order(text, line, message):
+    with pytest.raises(MatrixFormatError, match=message) as err:
+        formats.parse_matrix_file(text)
+    assert err.value.line == line
+
+
 def test_parse_basis_file():
     vectors = formats.parse_basis_file("# basis\n1 0 1\n0 1 1\n", 2, 3)
     assert [v.tolist() for v in vectors] == [[1, 0, 1], [0, 1, 1]]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 import spinlab as sl
+from spinlab import gf
 
 from conftest import (
     brute_kernel_set,
@@ -42,6 +43,13 @@ def test_rejects_out_of_range_entries():
 def test_entries_frozen():
     with pytest.raises(ValueError):
         PAULI.entries[0, 1] = 0
+
+
+def test_lower_triangle_cached_and_frozen():
+    mat = sl.random_alternating(5, 6, seed=1)
+    assert np.array_equal(mat.lower, np.tril(mat.entries, -1))
+    with pytest.raises(ValueError):
+        mat.lower[1, 0] = 0
 
 
 def test_clifford_examples():
@@ -265,6 +273,44 @@ def test_extend_matches_from_scratch_dimensions(mat):
     scratch = sl.symplectic_basis(mat)
     assert (grown.r, grown.d) == (scratch.r, scratch.d)
     check_symplectic_relations(mat, grown)
+
+
+def _count_rref(monkeypatch):
+    calls = []
+    real = gf.rref
+
+    def counting(mat, p):
+        calls.append(np.shape(mat))
+        return real(mat, p)
+
+    monkeypatch.setattr(gf, "rref", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 16, 48, 96])
+def test_symplectic_basis_eliminates_once(monkeypatch, n):
+    mat = sl.random_alternating(3, n, seed=n)
+    calls = _count_rref(monkeypatch)
+    basis = sl.symplectic_basis(mat)
+    assert len(calls) == 1
+    assert 2 * basis.r + basis.d == n
+
+
+@pytest.mark.parametrize("from_empty", [True, False])
+def test_extend_elimination_count_does_not_grow(monkeypatch, from_empty):
+    counts = []
+    for n in (9, 24, 64):
+        mat = sl.random_alternating(5, n, seed=n)
+        if from_empty:
+            existing = sl.SymplecticBasis((), (), ())
+        else:
+            existing = sl.symplectic_basis(mat.prefix(n // 2 + 1))
+        calls = _count_rref(monkeypatch)
+        grown = sl.extend_symplectic_basis(mat, existing)
+        monkeypatch.undo()
+        check_symplectic_relations(mat, grown)
+        counts.append(len(calls))
+    assert counts == [3, 3, 3]
 
 
 # --- congruence and generation -------------------------------------------

@@ -148,6 +148,24 @@ def test_kernel_vectors_annihilate(params):
         assert not ((mat @ v) % p).any()
 
 
+@settings(deadline=None, max_examples=60)
+@given(small_matrices)
+def test_kernel_from_rref_matches_oracle(params):
+    p, m, n, seed = params
+    mat = _random_matrix(p, m, n, seed)
+    r, pivots = gf.rref(mat, p)
+    basis = gf.kernel_from_rref(r, pivots, n, p)
+    assert len(basis) == n - brute_rank(mat, p)
+    assert span_set(basis, p, n) == brute_kernel_set(mat, p)
+    # one vector per free column, in order: 1 there, 0 at the other free columns
+    free = [j for j in range(n) if j not in pivots]
+    for v, j in zip(basis, free):
+        assert v.shape == (n,) and v[free].tolist() == [int(k == j) for k in free]
+    # every vector is its own array
+    for i, a in enumerate(basis):
+        assert all(not np.shares_memory(a, b) for b in basis[i + 1 :])
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2 ** 32 - 1)))
 def test_rank_matches_brute_force_gf2(params):
