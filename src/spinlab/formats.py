@@ -25,6 +25,7 @@ import numpy as np
 from ._version import __version__
 from .errors import MatrixFormatError
 from .forms import CommutationMatrix, SymplecticBasis, commutation_matrix, toeplitz_matrix
+from .gf import validate_prime
 from .reps import MonomialMatrix, Representation, StructureReport
 from .words import StandardInvariant
 
@@ -78,6 +79,14 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
         raise
 
 
+def _modulus(token: str, lineno: int) -> int:
+    """The header modulus, validated before any int64 arithmetic uses it."""
+    try:
+        return validate_prime(_ints([token], lineno)[0])
+    except ValueError as exc:
+        raise MatrixFormatError(str(exc), lineno)
+
+
 def _checked_grid(
     rows: list[list[int]], linenos: list[int], p: int, n: int
 ) -> np.ndarray:
@@ -111,7 +120,7 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
     header_line, header = lines[0]
     tokens = header.split()
     if len(tokens) == 3 and tokens[1] == "toeplitz":
-        p = _ints([tokens[0]], header_line)[0]
+        p = _modulus(tokens[0], header_line)
         m = _ints([tokens[2]], header_line)[0]
         if m < 0:
             raise MatrixFormatError("pattern length must be nonnegative", header_line)
@@ -131,16 +140,13 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
             raise MatrixFormatError(
                 f"expected {m} pattern values, got {len(values)}", header_line
             )
-        try:
-            toeplitz_matrix(p, values, max(2, m + 1))
-        except ValueError as exc:
-            raise MatrixFormatError(str(exc), header_line)
         return ParsedMatrixFile(p, "toeplitz", None, tuple(values))
     if len(tokens) != 2:
         raise MatrixFormatError(
             "header must be 'p n' or 'p toeplitz m'", header_line
         )
-    p, n = _ints(tokens, header_line)
+    p = _modulus(tokens[0], header_line)
+    n = _ints([tokens[1]], header_line)[0]
     if n < 1:
         raise MatrixFormatError("matrix size must be at least 1", header_line)
     body = lines[1:]
@@ -272,11 +278,11 @@ def representation_from_dict(
             )
             for g in doc["generators"]
         )
+        if len(gens) != mat.n:
+            raise MatrixFormatError("wrong number of generators")
+        return Representation(mat, gens, kind)
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFormatError(f"bad representation document: {exc}")
-    if len(gens) != mat.n:
-        raise MatrixFormatError("wrong number of generators")
-    return Representation(mat, gens, kind)
 
 
 def report_to_dict(report: StructureReport) -> dict:
@@ -327,8 +333,3 @@ def grow_to_dict(mat: CommutationMatrix, report: StructureReport) -> dict:
         ],
         "infinite_rank_conjectured": report.infinite_rank_conjectured,
     }
-
-
-def dense_matrix_to_json(m: np.ndarray) -> list[list[list[float]]]:
-    """Row-major export of a dense complex matrix as [re, im] pairs."""
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]

@@ -3,10 +3,11 @@
 Generators, words, and all relation checks live on monomial matrices:
 one nonzero entry per row and column, each a p^2-th root of unity kept
 as an integer exponent.  Products, tensor products, and powers are
-therefore integer-exact, so the generator relations, orders, and kernel
-scalars are verified with zero tolerance.  Dense complex matrices enter
-only where sums are unavoidable: spectral projections (matrix units)
-and the commutant solve.
+therefore integer-exact, so the generator relations, orders, kernel
+scalars and the commutant dimension (an orbit count over index pairs)
+are verified with zero tolerance.  Dense complex matrices enter only
+where sums are unavoidable: the spectral projections of the matrix
+units.
 
 Two constructions are provided:
 
@@ -25,16 +26,17 @@ import numpy as np
 
 from . import gf
 from .errors import InvariantError, SizeBoundError
-from .forms import CommutationMatrix, form_kernel, form_rank, symplectic_basis
+from .forms import CommutationMatrix, form_kernel, form_rank
 from .words import (
     StandardInvariant,
     count_classes,
+    pair_coordinates,
     phase_shift_invariant,
     realize_invariant,
 )
 
 DEFAULT_MAX_DIM = 1 << 20
-COMMUTANT_MAX_DIM = 256
+COMMUTANT_MAX_DIM = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +152,12 @@ class Representation:
     kind: str  # "prop11" | "irreducible" | "loaded"
     invariant: StandardInvariant | None = None
 
+    def __post_init__(self):
+        if any(
+            g.p != self.mat.p or g.dim != self.dim for g in self.generators
+        ):
+            raise ValueError("generators must share the modulus and dimension")
+
     @property
     def dim(self) -> int:
         return self.generators[0].dim if self.generators else 1
@@ -184,15 +192,25 @@ def prop11_rep(mat: CommutationMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Repres
 
 
 def word_matrix(rep: Representation, x) -> MonomialMatrix:
-    """Ordered product of generator powers U_1^{x_1} ... U_n^{x_n}."""
-    x = gf.as_gf_array(x, rep.mat.p)
+    """Ordered product of generator powers U_1^{x_1} ... U_n^{x_n}.
+
+    The raw perm/phases arrays are composed factor by factor with the
+    rule of ``mono_mul`` (perm a.perm[b.perm], phases
+    b.phases + a.phases[b.perm]); only the product is built, and
+    validated, as a MonomialMatrix.
+    """
+    p = rep.mat.p
+    x = gf.as_gf_array(x, p)
     if x.shape != (rep.mat.n,):
         raise ValueError(f"vector length {x.shape} != n={rep.mat.n}")
-    acc = mono_identity(rep.dim, rep.mat.p)
-    for k in range(rep.mat.n):
+    perm = np.arange(rep.dim)
+    phases = np.zeros(rep.dim, dtype=np.int64)
+    for k in np.flatnonzero(x):
+        g = rep.generators[k]
         for _ in range(int(x[k])):
-            acc = mono_mul(acc, rep.generators[k])
-    return acc
+            phases = g.phases + phases[g.perm]
+            perm = perm[g.perm]
+    return MonomialMatrix(p, perm, phases)
 
 
 def extract_invariant(rep: Representation) -> StandardInvariant:
@@ -237,35 +255,22 @@ def irreducible_rep(
     match the computed kernel basis.
     """
     p = mat.p
-    basis = symplectic_basis(mat)
-    r = basis.r
+    pc = pair_coordinates(mat)
+    r = pc.basis.r
     _check_dim(p ** r, max_dim, "irreducible representation")
-    tinv = gf.inverse(basis.column_matrix(), p)
     s, v = shift(p), clock(p)
     gens = []
-    for j in range(mat.n):
-        coords = tinv[:, j]
-        alpha = coords[0 : 2 * r : 2]
-        beta = coords[1 : 2 * r : 2]
+    for alpha, beta, mu in zip(pc.alpha, pc.beta, pc.mu):
         g = mono_identity(1, p)
         for i in range(r):
             slot = mono_mul(mono_pow(s, int(alpha[i])), mono_pow(v, int(beta[i])))
             g = mono_tensor(g, slot)
-        mu = int(alpha @ beta) % 2 if p == 2 else 0
-        gens.append(mono_scale(g, mu))
+        gens.append(mono_scale(g, int(mu)))
     rep = Representation(mat, tuple(gens), "irreducible")
     achieved = extract_invariant(rep)
     rep = Representation(mat, rep.generators, "irreducible", achieved)
     if p != 2:
-        if invariant is not None and not (
-            invariant.mat == mat
-            and invariant.values == achieved.values
-            and len(invariant.kernel_basis) == len(achieved.kernel_basis)
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(invariant.kernel_basis, achieved.kernel_basis)
-            )
-        ):
+        if invariant is not None and invariant != achieved:
             raise InvariantError(
                 "retargeting is defined for p = 2 only; for odd p only the "
                 "achieved invariant is accepted"
@@ -331,40 +336,84 @@ def verify_relations(rep: Representation) -> RelationReport:
 
 
 def commutant_dim(rep: Representation, max_dim: int = COMMUTANT_MAX_DIM) -> int:
-    """Dimension of {X : X U_k = U_k X for all k}.
+    """Dimension of {X : X U_k = U_k X for all k}, exactly in integers.
 
-    Computed from the stacked linear system over complex doubles:
-    candidate null directions come from the eigendecomposition of the
-    normal matrix sum_k A_k^* A_k, and each candidate's true stacked
-    singular value is then measured as a direct residual norm (the
-    normal equations alone would square the threshold into the noise
-    floor).  Singular values below 1e-8 * dim count as zero.  Equals 1
-    iff the generators form an irreducible set.  Memory is O(dim^4);
-    intended for dims well inside the 256 cap.
+    Conjugation by a monomial U sends the matrix unit E_ab to
+    zeta^(phi_a - phi_b) E_{perm a, perm b} (zeta = e^{2 pi i / p^2}), so
+    X commutes with U iff X[perm a, perm b] = zeta^(phi_a - phi_b) X[a, b]
+    for all a, b.  These equations link the dim^2 index pairs into
+    orbits.  An orbit contributes one free entry when every cycle of
+    links closes with total phase 0 mod p^2, and forces X to vanish on
+    it otherwise; the count of free orbits is the dimension (the orbit
+    form of <chi, chi> = sum m_i^2, Serre, Linear Representations of
+    Finite Groups, 2.3).  It equals 1 iff the generators form an
+    irreducible set.
+
+    The orbits come from a union-find with phase offsets mod p^2
+    (``_link``), one generator at a time, in O(dim^2) memory; the size
+    bound is checked before anything of that size is allocated.
     """
-    n_dim = rep.dim
-    _check_dim(n_dim, max_dim, "commutant computation")
-    dense = [to_dense(g) for g in rep.generators]
-    eye = np.eye(n_dim)
-    s = np.zeros((n_dim * n_dim, n_dim * n_dim), dtype=np.complex128)
-    for u in dense:
-        a = np.kron(u, eye) - np.kron(eye, u.T)
-        s += a.conj().T @ a
-    lam, vecs = np.linalg.eigh(s)
-    tau = 1e-8 * n_dim
-    # eigh of the normal equations squares the singular values, halving
-    # precision near zero; take every eigendirection below the noise
-    # floor as a candidate and measure its true stacked-system residual.
-    cut = max(tau * tau, 64 * np.finfo(float).eps * float(lam[-1]))
-    count = 0
-    for idx in np.nonzero(lam < cut)[0]:
-        x = vecs[:, idx].reshape(n_dim, n_dim)
-        residual_sq = sum(
-            np.linalg.norm(u @ x - x @ u, "fro") ** 2 for u in dense
-        )
-        if np.sqrt(residual_sq) < tau:
-            count += 1
-    return count
+    dim = rep.dim
+    _check_dim(dim, max_dim, "commutant computation")
+    p2 = rep.mat.p ** 2
+    nodes = dim * dim
+    parent = np.arange(nodes)
+    pot = np.zeros(nodes, dtype=np.int64)  # X[u] = zeta^pot[u] X[parent[u]]
+    broken = np.zeros(nodes, dtype=bool)  # marks a node of each broken orbit
+    for g in rep.generators:
+        target = (g.perm[:, None] * dim + g.perm[None, :]).reshape(-1)
+        offset = (g.phases[:, None] - g.phases[None, :]).reshape(-1)
+        parent, pot = _link(parent, pot, target, offset, p2)
+        broken[parent[(pot + offset - pot[target]) % p2 != 0]] = True
+    free = parent == np.arange(nodes)
+    free[parent[broken]] = False
+    return int(np.count_nonzero(free))
+
+
+def _link(
+    parent: np.ndarray,
+    pot: np.ndarray,
+    target: np.ndarray,
+    offset: np.ndarray,
+    p2: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Join the class of every node u with that of target[u], under the
+    link X[target u] = zeta^offset[u] X[u].
+
+    On entry and exit every node points straight at the root of its
+    class (parent[parent] == parent) and pot[u] is its phase relative
+    to that root.  Each round hooks roots in vectorised steps: every
+    root with a linked root of smaller index hooks under the smallest
+    one, with the phase that satisfies one such link; pointer doubling
+    then flattens the trees again.  Links whose ends already share a
+    root are left for the caller's consistency check.
+    """
+    nodes = parent.size
+    while True:
+        root_of_target = parent[target]
+        u = np.flatnonzero(parent != root_of_target)
+        if not u.size:
+            return parent, pot
+        a, b = parent[u], root_of_target[u]
+        # X[b] = zeta^d X[a]; hook the larger root under the smaller one.
+        d = pot[u] + offset[u] - pot[target[u]]
+        hi, lo = np.maximum(a, b), np.minimum(a, b)
+        d = np.where(b > a, d, -d) % p2  # X[hi] = zeta^d X[lo]
+        best = np.full(nodes, nodes)
+        np.minimum.at(best, hi, lo)
+        cand = np.flatnonzero(lo == best[hi])
+        # One link per hooked root, so that its parent and phase agree.
+        pick = np.empty(nodes, dtype=np.int64)
+        pick[hi[cand]] = cand
+        win = cand[pick[hi[cand]] == cand]
+        parent[hi[win]] = lo[win]
+        pot[hi[win]] = d[win]
+        while True:
+            up = parent[parent]
+            if np.array_equal(up, parent):
+                break
+            pot = (pot + pot[parent]) % p2
+            parent = up
 
 
 def matrix_units(v: MonomialMatrix, w: MonomialMatrix) -> list[np.ndarray]:

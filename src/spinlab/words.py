@@ -21,12 +21,14 @@ defined for p = 2 only and refuse other moduli.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gf
 from .errors import InvariantError, SizeBoundError
-from .forms import CommutationMatrix, form_kernel, omega, q_form, symplectic_basis
+from .forms import CommutationMatrix, SymplecticBasis, omega, q_form, symplectic_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,17 +62,28 @@ class Word:
         return self.phase == 0 and not self.x.any()
 
 
+def _reduced_word(phase: int, x: np.ndarray, mat: CommutationMatrix) -> Word:
+    """A Word from a phase already in [0, p^2) and a fresh length-n
+    int64 vector already reduced mod p, skipping the coercion and
+    checks of ``Word.__post_init__``."""
+    w = object.__new__(Word)
+    x.flags.writeable = False
+    w.__dict__.update(phase=phase, x=x, mat=mat)
+    return w
+
+
 def identity_word(mat: CommutationMatrix) -> Word:
     return Word(0, np.zeros(mat.n, dtype=np.int64), mat)
 
 
 def word_mul(a: Word, b: Word) -> Word:
     """Product of two words; associative and exact."""
-    if a.mat is not b.mat and a.mat != b.mat:
+    mat = a.mat
+    if mat is not b.mat and mat != b.mat:
         raise ValueError("words belong to different commutation matrices")
-    p = a.mat.p
-    phase = (a.phase + b.phase + p * q_form(a.mat, a.x, b.x)) % (p * p)
-    return Word(phase, (a.x + b.x) % p, a.mat)
+    p = mat.p
+    q = int(a.x @ mat.lower @ b.x) % p  # q_form on vectors Word keeps reduced
+    return _reduced_word((a.phase + b.phase + p * q) % (p * p), (a.x + b.x) % p, mat)
 
 
 def word_pow(w: Word, k: int) -> Word:
@@ -137,9 +150,9 @@ class StandardInvariant:
     def d(self) -> int:
         return len(self.kernel_basis)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StandardInvariant):
-            return NotImplemented
+    def same_basis(self, other: "StandardInvariant") -> bool:
+        """True iff both invariants are stored on the same matrix and the
+        same ordered kernel basis; ``==`` adds equal values."""
         return (
             self.mat == other.mat
             and len(self.kernel_basis) == len(other.kernel_basis)
@@ -147,29 +160,69 @@ class StandardInvariant:
                 np.array_equal(a, b)
                 for a, b in zip(self.kernel_basis, other.kernel_basis)
             )
-            and self.values == other.values
         )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, StandardInvariant):
+            return NotImplemented
+        return self.same_basis(other) and self.values == other.values
+
+    @cached_property
+    def _tables(self) -> "_KernelTables":
+        """Built on first use (``enumerate_invariants`` makes 2^d
+        invariants and evaluates none), then kept on the instance."""
+        return _kernel_tables(self)
+
+
+class _KernelTables(NamedTuple):
+    """What kernel_coordinates and evaluate_invariant need of one
+    invariant.  Only the basis vectors outside the span of the earlier
+    ones are in use (all of them when the basis is independent); as with
+    ``gf.solve``, the others get coordinate 0."""
+
+    basis: np.ndarray  # K: the stored basis, one vector per row
+    used: np.ndarray  # indices of the vectors in use
+    pivots: np.ndarray  # pivot columns of K[used]
+    inverse: np.ndarray  # inverse of the pivot minor K[used][:, pivots]
+    gram_upper: np.ndarray  # strict upper triangle of G = K L K^T mod p
+    gram_diag: np.ndarray  # diagonal of G
+    values: np.ndarray  # the stored values
+
+
+def _kernel_tables(f: StandardInvariant) -> _KernelTables:
+    p = f.mat.p
+    k = np.array(f.kernel_basis, dtype=np.int64).reshape(f.d, f.mat.n)
+    _, used = gf.rref(k.T, p)
+    _, pivots = gf.rref(k[used], p)
+    gram = k @ f.mat.lower @ k.T % p
+    return _KernelTables(
+        basis=k,
+        used=np.array(used, dtype=np.int64),
+        pivots=np.array(pivots, dtype=np.int64),
+        inverse=gf.inverse(k[used][:, pivots], p),
+        gram_upper=np.triu(gram, 1),
+        gram_diag=np.diagonal(gram).copy(),
+        values=np.array(f.values, dtype=np.int64),
+    )
 
 
 def _same_kernel_basis(f: StandardInvariant, g: StandardInvariant) -> None:
-    if f.mat != g.mat or len(f.kernel_basis) != len(g.kernel_basis) or not all(
-        np.array_equal(a, b) for a, b in zip(f.kernel_basis, g.kernel_basis)
-    ):
+    if not f.same_basis(g):
         raise InvariantError("invariants are stored on different kernel bases")
 
 
 def kernel_coordinates(f: StandardInvariant, x) -> np.ndarray:
     """Coordinates of x in the stored kernel basis; raises if x is not
-    in the kernel span."""
+    in the kernel span.  A dependent basis gives 0 to every vector in the
+    span of the earlier ones."""
+    t = f._tables
     p = f.mat.p
     x = gf.as_gf_array(x, p)
-    if not f.kernel_basis:
-        if x.any():
-            raise InvariantError("vector is not in ker(omega)")
-        return np.zeros(0, dtype=np.int64)
-    cols = np.stack(f.kernel_basis, axis=1)
-    coords = gf.solve(cols, x, p)
-    if coords is None:
+    if x.shape != (f.mat.n,):
+        raise ValueError(f"vector length {x.shape} != n={f.mat.n}")
+    coords = np.zeros(f.d, dtype=np.int64)
+    coords[t.used] = x[t.pivots] @ t.inverse % p
+    if not np.array_equal(coords @ t.basis % p, x):
         raise InvariantError("vector is not in ker(omega)")
     return coords
 
@@ -177,23 +230,24 @@ def kernel_coordinates(f: StandardInvariant, x) -> np.ndarray:
 def evaluate_invariant(f: StandardInvariant, x) -> int:
     """Value of f at a kernel vector, as an exponent mod p^2.
 
-    Expands x in the stored basis, multiplies the corresponding plain
-    words in fixed basis order to pick up the exact reordering phase
-    zeta^E, and combines with the stored values: the scalar of
-    W_x = zeta^{-E} prod_i W_{k_i}^{a_i} is sum_i a_i f(k_i) - p E.
-    The result satisfies f(x)f(y) = zeta^{Q(x,y)} f(x+y) for all kernel
-    pairs, and f(0) = 1.
+    Expands x = sum_i a_i k_i in the stored basis and combines the stored
+    values with the exact reordering phase zeta^E of the plain-word
+    product prod_i W_{k_i}^{a_i} in fixed basis order: the scalar of
+    W_x = zeta^{-E} prod_i W_{k_i}^{a_i} is sum_i a_i f(k_i) - p E.  The
+    word product rule gives E in closed form from the Gram matrix
+    G_ij = Q(k_i, k_j) of the basis,
+
+        E = sum_{i<j} a_i a_j G_ij + sum_i C(a_i, 2) G_ii  (mod p),
+
+    so a call costs a few small matrix-vector products once the
+    invariant's tables exist.  The result satisfies
+    f(x)f(y) = zeta^{Q(x,y)} f(x+y) for all kernel pairs, and f(0) = 1.
     """
-    coords = kernel_coordinates(f, x)
+    a = kernel_coordinates(f, x)
+    t = f._tables
     p = f.mat.p
-    acc = identity_word(f.mat)
-    stored = 0
-    for a_i, k_i, v_i in zip(coords, f.kernel_basis, f.values):
-        stored += int(a_i) * v_i
-        for _ in range(int(a_i)):
-            acc = word_mul(acc, Word(0, k_i, f.mat))
-    assert np.array_equal(acc.x, gf.as_gf_array(x, p))
-    return (stored - acc.phase) % (p * p)
+    e = a @ t.gram_upper @ a + (a * (a - 1) // 2) @ t.gram_diag
+    return int(a @ t.values - p * e) % (p * p)
 
 
 def _require_char2(mat: CommutationMatrix, what: str) -> None:
@@ -279,6 +333,34 @@ def count_classes(d: int) -> int:
     return 2 ** d
 
 
+class PairCoordinates(NamedTuple):
+    """Generator j of a commutation matrix written in its hyperbolic-pair
+    basis: u_j = sum_i alpha[j, i] e_i + beta[j, i] f_i + (kernel part),
+    with the canonical normalizing phase exponent mu[j] (mod p^2) of the
+    modelled generator: alpha_j . beta_j mod 2 for p = 2, 0 for odd p."""
+
+    basis: SymplecticBasis
+    alpha: np.ndarray  # n x r
+    beta: np.ndarray  # n x r
+    mu: np.ndarray  # n
+
+
+def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
+    """Pair coordinates of every generator, from the inverse of the basis
+    column matrix; shared by reference_invariant and irreducible_rep."""
+    p = mat.p
+    basis = symplectic_basis(mat)
+    r = basis.r
+    coords = gf.inverse(basis.column_matrix(), p).T  # row j: coordinates of u_j
+    alpha = coords[:, 0 : 2 * r : 2]
+    beta = coords[:, 1 : 2 * r : 2]
+    if p == 2:
+        mu = (alpha * beta).sum(axis=1) % 2
+    else:
+        mu = np.zeros(mat.n, dtype=np.int64)
+    return PairCoordinates(basis, alpha, beta, mu)
+
+
 def reference_invariant(mat: CommutationMatrix) -> StandardInvariant:
     """The invariant achieved by the canonical irreducible construction.
 
@@ -292,33 +374,22 @@ def reference_invariant(mat: CommutationMatrix) -> StandardInvariant:
     """
     p = mat.p
     p2 = p * p
-    basis = symplectic_basis(mat)
-    r = basis.r
-    tinv = gf.inverse(basis.column_matrix(), p)
-    alphas = []
-    betas = []
-    mus = []
-    for j in range(mat.n):
-        coords = tinv[:, j]
-        alpha = coords[0 : 2 * r : 2]
-        beta = coords[1 : 2 * r : 2]
-        alphas.append(alpha)
-        betas.append(beta)
-        mus.append(int(alpha @ beta) % 2 if p == 2 else 0)
+    pc = pair_coordinates(mat)
+    r = pc.basis.r
     values = []
-    for k in basis.kernel:
+    for k in pc.basis.kernel:
         phase = 0
         acc_a = np.zeros(r, dtype=np.int64)
         acc_b = np.zeros(r, dtype=np.int64)
         for j in range(mat.n):
             for _ in range(int(k[j])):
-                merge = (-(acc_b @ alphas[j])) % p
-                phase = (phase + mus[j] + p * merge) % p2
-                acc_a = (acc_a + alphas[j]) % p
-                acc_b = (acc_b + betas[j]) % p
+                merge = (-(acc_b @ pc.alpha[j])) % p
+                phase = (phase + int(pc.mu[j]) + p * merge) % p2
+                acc_a = (acc_a + pc.alpha[j]) % p
+                acc_b = (acc_b + pc.beta[j]) % p
         assert not acc_a.any() and not acc_b.any()
         values.append(phase)
-    return StandardInvariant(mat, basis.kernel, tuple(values))
+    return StandardInvariant(mat, pc.basis.kernel, tuple(values))
 
 
 def enumerate_invariants(

@@ -117,3 +117,64 @@ def check_symplectic_relations(mat, basis):
             assert sl.omega(mat, a, b) == 0
     for k in basis.kernel:
         assert not ((mat.entries @ k) % mat.p).any()
+
+
+def dense_commutant_dim(rep):
+    """Commutant dimension from the stacked complex linear system, for
+    tiny dims only (memory O(dim^4), time O(dim^6)).
+
+    Candidate null directions come from the eigendecomposition of the
+    normal matrix sum_k A_k^* A_k; each candidate's true stacked
+    singular value is then measured as a direct residual norm (the
+    normal equations alone would square the threshold into the noise
+    floor).  Singular values below 1e-8 * dim count as zero.
+    """
+    n_dim = rep.dim
+    dense = [sl.to_dense(g) for g in rep.generators]
+    eye = np.eye(n_dim)
+    s = np.zeros((n_dim * n_dim, n_dim * n_dim), dtype=np.complex128)
+    for u in dense:
+        a = np.kron(u, eye) - np.kron(eye, u.T)
+        s += a.conj().T @ a
+    lam, vecs = np.linalg.eigh(s)
+    tau = 1e-8 * n_dim
+    cut = max(tau * tau, 64 * np.finfo(float).eps * float(lam[-1]))
+    count = 0
+    for idx in np.nonzero(lam < cut)[0]:
+        x = vecs[:, idx].reshape(n_dim, n_dim)
+        residual_sq = sum(
+            np.linalg.norm(u @ x - x @ u, "fro") ** 2 for u in dense
+        )
+        if np.sqrt(residual_sq) < tau:
+            count += 1
+    return count
+
+
+def word_matrix_fold(rep, x):
+    """U_1^{x_1} ... U_n^{x_n} as a fold of mono_mul, one factor at a time."""
+    acc = sl.mono_identity(rep.dim, rep.mat.p)
+    for k, e in enumerate(np.asarray(x) % rep.mat.p):
+        for _ in range(int(e)):
+            acc = sl.mono_mul(acc, rep.generators[k])
+    return acc
+
+
+def evaluate_invariant_loop(f, x):
+    """f(x) by solving for the kernel coordinates and multiplying the plain
+    basis words one at a time, picking up the reordering phase."""
+    p = f.mat.p
+    x = np.asarray(x, dtype=np.int64) % p
+    if f.d:
+        coords = sl.gf.solve(np.stack(f.kernel_basis, axis=1), x, p)
+    else:
+        coords = None if x.any() else np.zeros(0, dtype=np.int64)
+    if coords is None:
+        return None
+    acc = sl.identity_word(f.mat)
+    stored = 0
+    for a_i, k_i, v_i in zip(coords, f.kernel_basis, f.values):
+        stored += int(a_i) * v_i
+        for _ in range(int(a_i)):
+            acc = sl.word_mul(acc, sl.Word(0, k_i, f.mat))
+    assert np.array_equal(acc.x, x)
+    return (stored - acc.phase) % (p * p)

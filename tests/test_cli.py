@@ -129,6 +129,14 @@ def test_exit_code_2_on_bad_file(capsys, tmp_path):
     assert "line" in err
 
 
+def test_exit_code_2_on_modulus_beyond_int64(capsys, tmp_path):
+    bad = tmp_path / "huge_p.txt"
+    bad.write_text("1000000000000000000000000000000 2\n0 1\n1 0\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", bad)
+    assert code == 2 and out == ""
+    assert err.startswith("error: line 1: modulus must be a prime")
+
+
 def test_exit_code_2_on_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "does-not-exist.txt")
     assert code == 2

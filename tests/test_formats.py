@@ -1,6 +1,5 @@
 """Matrix file parsing/formatting and JSON document round trips."""
 
-import numpy as np
 import pytest
 
 import spinlab as sl
@@ -112,6 +111,9 @@ def test_representation_dict_mismatch():
     doc = formats.representation_to_dict(sl.irreducible_rep(CLIFF3))
     with pytest.raises(MatrixFormatError):
         formats.representation_from_dict(doc, PAULI)
+    doc["generators"][1] = {"perm": [0], "phase_exps": [0]}
+    with pytest.raises(MatrixFormatError, match="dimension"):
+        formats.representation_from_dict(doc, CLIFF3)
 
 
 def test_report_dict_fields():
@@ -127,6 +129,19 @@ def test_report_dict_fields():
     assert band["prefix_ranks"] == [0, 2, 2, 4, 4, 6]
 
 
-def test_dense_matrix_export():
-    out = formats.dense_matrix_to_json(np.array([[1 + 2j, 0], [0, -1j]]))
-    assert out == [[[1.0, 2.0], [0.0, 0.0]], [[0.0, 0.0], [-0.0, -1.0]]]
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1000000000000000000000000000000 2\n0 1\n1 0\n",
+        "-1000000000000000000000000000000 2\n0 1\n1 0\n",
+        "1000000000000000000000000000000 toeplitz 1\n1\n",
+        "4 2\n0 1\n3 0\n",
+        "4 toeplitz 1\n1\n",
+        "0 2\n0 1\n1 0\n",
+    ],
+)
+def test_parse_rejects_bad_modulus_on_header(text):
+    # the header modulus is checked before the body's int64 arithmetic
+    with pytest.raises(MatrixFormatError, match="modulus") as err:
+        formats.parse_matrix_file(text)
+    assert err.value.line == 1

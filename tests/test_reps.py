@@ -11,7 +11,12 @@ import spinlab as sl
 from spinlab.errors import InvariantError, SizeBoundError
 from spinlab.reps import mono_mul, mono_pow, mono_scale, mono_tensor, to_dense
 
-from conftest import commutation_matrices, enum_vectors
+from conftest import (
+    commutation_matrices,
+    dense_commutant_dim,
+    enum_vectors,
+    word_matrix_fold,
+)
 
 PAULI = sl.commutation_matrix(2, [[0, 1], [1, 0]])
 CLIFF3 = sl.clifford_matrix(2, 3)
@@ -149,6 +154,45 @@ def test_word_matrix_weyl_transport(mat, seed):
             (mat.p * sl.q_form(mat, x, y)) % p2,
         )
         assert lhs == rhs
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    commutation_matrices(max_n=5),
+    st.booleans(),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_word_matrix_matches_mono_mul_fold(mat, irreducible, seed):
+    if mat.p ** mat.n > 512:
+        irreducible = True
+    rep = sl.irreducible_rep(mat) if irreducible else sl.prop11_rep(mat)
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        x = rng.integers(0, mat.p, size=mat.n)
+        assert sl.word_matrix(rep, x) == word_matrix_fold(rep, x)
+
+
+def test_word_matrix_builds_one_monomial_matrix(monkeypatch):
+    rep = sl.prop11_rep(sl.random_alternating(3, 4, seed=2))
+    built = []
+    post_init = sl.MonomialMatrix.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(sl.MonomialMatrix, "__post_init__", counting)
+    for x in ([2, 1, 2, 2], [0, 0, 0, 0], [1, 0, 0, 2]):
+        built.clear()
+        sl.word_matrix(rep, x)
+        assert len(built) == 1
+
+
+def test_representation_rejects_mixed_generators():
+    with pytest.raises(ValueError, match="dimension"):
+        sl.Representation(PAULI, (sl.shift(2), sl.mono_identity(4, 2)), "loaded")
+    with pytest.raises(ValueError, match="modulus"):
+        sl.Representation(PAULI, (sl.shift(2), sl.mono_identity(2, 3)), "loaded")
 
 
 # --- irreducible construction -----------------------------------------------
@@ -346,6 +390,73 @@ def test_commutant_size_bound():
     rep = sl.prop11_rep(sl.clifford_matrix(2, 4))
     with pytest.raises(SizeBoundError):
         sl.commutant_dim(rep, max_dim=8)
+    big = sl.mono_identity(sl.reps.COMMUTANT_MAX_DIM + 1, 2)
+    with pytest.raises(SizeBoundError):
+        sl.commutant_dim(sl.Representation(sl.commutation_matrix(2, [[0]]), (big,), "loaded"))
+
+
+@st.composite
+def small_representations(draw):
+    """Representations of dim <= 32: prop11 (mostly reducible),
+    irreducible, and arbitrary monomial generator sets."""
+    kind = draw(st.sampled_from(["prop11", "irreducible", "monomial"]))
+    if kind == "prop11":
+        p = draw(st.sampled_from([2, 3]))
+        mat = draw(commutation_matrices(primes=(p,), max_n=4 if p == 2 else 2))
+        return sl.prop11_rep(mat)
+    if kind == "irreducible":
+        return sl.irreducible_rep(draw(commutation_matrices(primes=(2, 3), max_n=6)))
+    p = draw(st.sampled_from([2, 3]))
+    dim = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gens = []
+    for _ in range(k):
+        perm = rng.permutation(dim) if draw(st.booleans()) else np.arange(dim)
+        phases = rng.integers(0, p * p, size=dim) * draw(st.sampled_from([0, 1]))
+        gens.append(sl.MonomialMatrix(p, perm, phases))
+    mat = sl.commutation_matrix(p, np.zeros((k, k), dtype=int))
+    return sl.Representation(mat, tuple(gens), "loaded")
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_representations())
+def test_commutant_matches_dense_oracle(rep):
+    assert rep.dim <= 32  # the dense oracle is O(dim^4) in memory
+    assert sl.commutant_dim(rep) == dense_commutant_dim(rep)
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        sl.random_alternating(2, 5, seed=4),
+        sl.commutation_matrix(2, np.zeros((5, 5), dtype=int)),
+        sl.random_alternating(3, 3, seed=1),
+    ],
+)
+def test_commutant_matches_dense_oracle_prop11_dim_27_32(mat):
+    rep = sl.prop11_rep(mat)
+    assert sl.commutant_dim(rep) == dense_commutant_dim(rep)
+
+
+@pytest.mark.parametrize(
+    "mat,expected",
+    [
+        # abelian: p^n distinct characters, each once
+        (sl.commutation_matrix(2, np.zeros((8, 8), dtype=int)), 256),
+        (sl.commutation_matrix(3, np.zeros((5, 5), dtype=int)), 243),
+        # full rank 2r = 8: 2^4 copies of the one 16-dim irreducible class
+        (sl.standard_form(2, 4), 16 ** 2),
+    ],
+)
+def test_commutant_prop11_beyond_float_range(mat, expected):
+    assert sl.commutant_dim(sl.prop11_rep(mat)) == expected
+
+
+def test_commutant_irreducible_dim_256():
+    rep = sl.irreducible_rep(sl.random_alternating(2, 17, seed=1))
+    assert rep.dim == 256
+    assert sl.commutant_dim(rep) == 1
 
 
 # --- matrix units ------------------------------------------------------------

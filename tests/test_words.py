@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 import spinlab as sl
 from spinlab.errors import InvariantError, SizeBoundError
 
-from conftest import commutation_matrices, enum_vectors, matrices_with_vectors
+from conftest import (
+    commutation_matrices,
+    enum_vectors,
+    evaluate_invariant_loop,
+    matrices_with_vectors,
+)
 
 PAULI = sl.commutation_matrix(2, [[0, 1], [1, 0]])
 CLIFF3 = sl.clifford_matrix(2, 3)
@@ -42,6 +47,14 @@ def test_word_square_is_sign():
         sq = sl.word_mul(plain(x, CLIFF3), plain(x, CLIFF3))
         assert not sq.x.any()
         assert sq.phase == (2 * sl.q_form(CLIFF3, x, x)) % 4
+
+
+def test_word_mul_result_is_a_frozen_reduced_word():
+    mat = sl.random_alternating(5, 4, seed=1)
+    out = sl.word_mul(sl.Word(7, [4, 3, 0, 1], mat), sl.Word(20, [3, 3, 2, 4], mat))
+    again = sl.Word(out.phase, out.x, mat)
+    assert out == again and 0 <= out.phase < 25
+    assert out.x.dtype == np.int64 and not out.x.flags.writeable
 
 
 def test_word_mul_context_mismatch():
@@ -154,6 +167,85 @@ def test_evaluate_invariant_satisfies_functional_equation():
                 2 * sl.q_form(mat, x, y) + sl.evaluate_invariant(f, (x + y) % 2)
             ) % 4
             assert lhs == rhs
+
+
+@st.composite
+def invariants_with_vectors(draw):
+    """An invariant with arbitrary values on the computed kernel basis,
+    sometimes padded with dependent vectors, and a vector that is in the
+    span of that basis or arbitrary."""
+    mat = draw(commutation_matrices(max_n=6))
+    p = mat.p
+    basis = list(sl.form_kernel(mat))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if basis and draw(st.booleans()):
+        basis.insert(1, (2 * basis[0]) % p)
+        basis.append(rng.integers(0, p, size=len(basis)) @ np.array(basis) % p)
+    values = tuple(int(v) for v in rng.integers(0, p * p, size=len(basis)))
+    f = sl.StandardInvariant(mat, tuple(basis), values)
+    if basis and draw(st.booleans()):
+        x = rng.integers(0, p, size=len(basis)) @ np.array(basis) % p
+    else:
+        x = rng.integers(0, p, size=mat.n)
+    return f, x
+
+
+@settings(deadline=None, max_examples=80)
+@given(invariants_with_vectors())
+def test_evaluate_invariant_matches_word_mul_loop(case):
+    f, x = case
+    expected = evaluate_invariant_loop(f, x)
+    if expected is None:
+        with pytest.raises(InvariantError, match="not in ker"):
+            sl.evaluate_invariant(f, x)
+        return
+    assert sl.evaluate_invariant(f, x) == expected
+    coords = sl.words.kernel_coordinates(f, x)
+    if f.d:
+        solved = sl.gf.solve(np.stack(f.kernel_basis, axis=1), x, f.mat.p)
+        assert coords.tolist() == solved.tolist()
+    else:
+        assert coords.shape == (0,)
+
+
+def test_evaluate_invariant_reuses_its_tables(monkeypatch):
+    mat = sl.random_alternating(3, 8, seed=0)
+    f = sl.StandardInvariant(mat, tuple(sl.form_kernel(mat)), (1,) * len(sl.form_kernel(mat)))
+    assert f.d >= 1
+    calls = []
+    rref = sl.gf.rref
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return rref(*args, **kwargs)
+
+    monkeypatch.setattr(sl.gf, "rref", counting)
+    k = f.kernel_basis[0]
+    sl.evaluate_invariant(f, k)
+    assert calls  # the tables are built on first use
+    calls.clear()
+    for a in range(3):
+        sl.evaluate_invariant(f, (a * k) % 3)
+        sl.words.kernel_coordinates(f, (a * k) % 3)
+    with pytest.raises(InvariantError):
+        sl.evaluate_invariant(f, np.eye(8, dtype=int)[0] + k)
+    assert calls == []
+
+
+def test_pair_coordinates_rebuild_the_generators():
+    for mat in (CLIFF3, sl.random_alternating(3, 7, seed=2), sl.random_alternating(2, 9, seed=5)):
+        pc = sl.words.pair_coordinates(mat)
+        p, r = mat.p, pc.basis.r
+        t = pc.basis.column_matrix()
+        for j in range(mat.n):
+            pairs = sum(
+                pc.alpha[j, i] * pc.basis.e[i] + pc.beta[j, i] * pc.basis.f[i] for i in range(r)
+            )
+            kernel_part = (np.eye(mat.n, dtype=np.int64)[j] - pairs) % p
+            # what is left of u_j lies in the kernel span
+            assert sl.gf.solve(t[:, 2 * r :], kernel_part, p) is not None or not kernel_part.any()
+            expected_mu = int(pc.alpha[j] @ pc.beta[j]) % 2 if p == 2 else 0
+            assert pc.mu[j] == expected_mu
 
 
 def test_square_check():
