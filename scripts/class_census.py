@@ -10,36 +10,27 @@ representation and confirming commutant dimension 1.
 
 import argparse
 from collections import Counter
-from dataclasses import dataclass
 
 from spinlab import commutant_dim, form_kernel, irreducible_rep, random_alternating
 
 
-@dataclass
-class CensusConfig:
-    n: int = 8
-    samples: int = 200
-    seed: int = 0
-    check_reps: bool = False
-
-
-def run(cfg: CensusConfig) -> None:
+def run(args: argparse.Namespace) -> None:
     kernel_dims = Counter()
-    for i in range(cfg.samples):
-        mat = random_alternating(2, cfg.n, seed=cfg.seed + i)
+    for i in range(args.samples):
+        mat = random_alternating(2, args.n, seed=args.seed + i)
         d = len(form_kernel(mat))
         kernel_dims[d] += 1
-        if cfg.check_reps:
+        if args.check_reps:
             rep = irreducible_rep(mat)
             assert commutant_dim(rep) == 1, f"sample {i} not irreducible"
-    print(f"# {cfg.samples} random alternating {cfg.n}x{cfg.n} matrices over GF(2)")
+    print(f"# {args.samples} random alternating {args.n}x{args.n} matrices over GF(2)")
     print("  d  classes  count  frequency")
     for d in sorted(kernel_dims):
         count = kernel_dims[d]
-        print(f"{d:>3}  {2 ** d:>7}  {count:>5}  {count / cfg.samples:>9.3f}")
+        print(f"{d:>3}  {2 ** d:>7}  {count:>5}  {count / args.samples:>9.3f}")
     simple = kernel_dims.get(0, 0)
-    print(f"simple (nondegenerate) fraction: {simple / cfg.samples:.3f}")
-    if cfg.check_reps:
+    print(f"simple (nondegenerate) fraction: {simple / args.samples:.3f}")
+    if args.check_reps:
         print("all sampled irreducible representations verified (commutant = 1)")
 
 
@@ -53,7 +44,7 @@ def main() -> None:
         help="also build each irreducible representation and verify it",
     )
     args = parser.parse_args()
-    run(CensusConfig(args.n, args.samples, args.seed, args.check_reps))
+    run(args)
 
 
 if __name__ == "__main__":

@@ -10,21 +10,12 @@ same heuristic the `spinlab grow` command reports.
 
 import argparse
 import itertools
-from dataclasses import dataclass
 
 from spinlab import structure_report, toeplitz_matrix
 
 
-@dataclass
-class SweepConfig:
-    p: int = 2
-    bandwidth: int = 3
-    n_max: int = 12
-    pattern: tuple[int, ...] | None = None  # overrides the sweep
-
-
-def run_pattern(cfg: SweepConfig, pattern: tuple[int, ...]) -> None:
-    mat = toeplitz_matrix(cfg.p, pattern, cfg.n_max)
+def run_pattern(args: argparse.Namespace, pattern: tuple[int, ...]) -> None:
+    mat = toeplitz_matrix(args.p, pattern, args.n_max)
     report = structure_report(mat)
     flag = "growing" if report.infinite_rank_conjectured else "stalled"
     ranks = " ".join(f"{r:>2}" for r in report.prefix_ranks)
@@ -41,21 +32,15 @@ def main() -> None:
         help="single pattern to examine instead of sweeping",
     )
     args = parser.parse_args()
-    cfg = SweepConfig(
-        p=args.p,
-        bandwidth=args.bandwidth,
-        n_max=args.n_max,
-        pattern=tuple(args.pattern) if args.pattern else None,
-    )
-    if cfg.pattern is not None:
-        run_pattern(cfg, cfg.pattern)
+    if args.pattern:
+        run_pattern(args, tuple(args.pattern))
         return
-    print(f"# all bandwidth-{cfg.bandwidth} patterns over GF({cfg.p}), "
-          f"prefixes up to n = {cfg.n_max}")
-    for pattern in itertools.product(range(cfg.p), repeat=cfg.bandwidth):
+    print(f"# all bandwidth-{args.bandwidth} patterns over GF({args.p}), "
+          f"prefixes up to n = {args.n_max}")
+    for pattern in itertools.product(range(args.p), repeat=args.bandwidth):
         if not any(pattern):
             continue
-        run_pattern(cfg, pattern)
+        run_pattern(args, pattern)
 
 
 if __name__ == "__main__":

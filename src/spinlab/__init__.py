@@ -20,7 +20,6 @@ from .forms import (
     extend_symplectic_basis,
     form_kernel,
     form_rank,
-    grow_basis,
     matrix_from_basis,
     omega,
     q_form,

@@ -272,17 +272,27 @@ def extend_symplectic_basis(
     upper-left block.  Relations among zero-padded old pairs evaluate on
     unchanged coordinates, so every old pair stays valid verbatim; the
     new basis keeps them as a prefix of e/f and recomputes the kernel.
-    Three eliminations whatever the size (the kernel, the complement of
-    the old pairs, and one pass that picks the vectors to pair), then
+    Raises ValueError unless the old vectors, under that block, have the
+    Gram matrix ``standard_form(p, r, d)``; for a genuine basis of the old
+    matrix this holds exactly when the block is the old matrix.  Three
+    eliminations whatever the size (the kernel, the complement of the
+    old pairs, and one pass that picks the vectors to pair), then
     ``_pair_up``: O(n^3) in all.
     """
     n, p = mat.n, mat.p
-    old_vecs = list(existing.e) + list(existing.f) + list(existing.kernel)
     n_old = 2 * existing.r + existing.d
-    if old_vecs and old_vecs[0].shape != (n_old,):
+    t = existing.column_matrix() if n_old else np.zeros((0, 0), dtype=np.int64)
+    if t.shape != (n_old, n_old):
         raise ValueError("existing basis is inconsistent")
     if n < n_old:
         raise ValueError(f"matrix size {n} smaller than existing basis {n_old}")
+    gram = t.T @ mat.entries[:n_old, :n_old] @ t % p
+    if n_old and not np.array_equal(
+        gram, standard_form(p, existing.r, existing.d).entries
+    ):
+        raise ValueError(
+            "existing basis is not a symplectic basis of the upper-left block"
+        )
     pad = lambda v: np.concatenate([v, np.zeros(n - n_old, dtype=np.int64)])
     e_list = [pad(v) for v in existing.e]
     f_list = [pad(v) for v in existing.f]
@@ -305,23 +315,6 @@ def extend_symplectic_basis(
     return SymplecticBasis(
         tuple(e_list + new_e), tuple(f_list + new_f), tuple(kernel)
     )
-
-
-def _prefix_match(big: CommutationMatrix, small: CommutationMatrix) -> None:
-    if big.p != small.p:
-        raise ValueError(f"modulus mismatch: {big.p} vs {small.p}")
-    if big.n < small.n:
-        raise ValueError(f"prefix larger than matrix: {small.n} > {big.n}")
-    if not np.array_equal(big.entries[: small.n, : small.n], small.entries):
-        raise ValueError("upper-left block does not match the existing prefix")
-
-
-def grow_basis(
-    big: CommutationMatrix, small: CommutationMatrix, existing: SymplecticBasis
-) -> SymplecticBasis:
-    """extend_symplectic_basis with an explicit prefix-matrix check."""
-    _prefix_match(big, small)
-    return extend_symplectic_basis(big, existing)
 
 
 def congruence_to_standard(mat: CommutationMatrix) -> np.ndarray:

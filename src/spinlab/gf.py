@@ -145,10 +145,9 @@ def extend_functional(
     """Extend a linear functional from a subspace to all of GF(p)^n.
 
     Given independent vectors k_1..k_m and target values t_1..t_m, returns
-    gamma with gamma . k_i = t_i for every i.  The subspace basis is
-    completed with standard unit vectors at its non-pivot columns and the
-    functional is set to zero there, so the output is deterministic and
-    vanishes outside the completed basis.
+    gamma with gamma . k_i = t_i for every i: the ``solve`` solution,
+    whose free variables are zero, so the output is deterministic and
+    vanishes off the pivot columns of the k_i.
 
     Raises ValueError if the basis vectors are linearly dependent or the
     value list has the wrong length.
@@ -160,15 +159,6 @@ def extend_functional(
     rows = np.array([as_gf_array(k, p) for k in basis], dtype=np.int64)
     if rows.shape[1] != n:
         raise ValueError("basis vectors must have length n")
-    _, pivots = rref(rows, p)
-    if len(pivots) != len(basis):
+    if rank(rows, p) != len(basis):
         raise ValueError("basis vectors are linearly dependent")
-    pivot_set = set(pivots)
-    fill = [j for j in range(n) if j not in pivot_set]
-    full = np.vstack([rows] + [np.eye(n, dtype=np.int64)[j] for j in fill])
-    rhs = np.concatenate(
-        [as_gf_array(values, p), np.zeros(len(fill), dtype=np.int64)]
-    )
-    gamma = solve(full, rhs, p)
-    assert gamma is not None  # full rows form a basis by construction
-    return gamma
+    return solve(rows, as_gf_array(values, p), p)

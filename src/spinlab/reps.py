@@ -9,13 +9,17 @@ are verified with zero tolerance.  Dense complex matrices enter only
 where sums are unavoidable: the spectral projections of the matrix
 units.
 
-Two constructions are provided:
+Both constructions are one Weyl-generator builder with different
+exponent tables: generator j acts on tensor slot i as S^alpha[j,i]
+V^beta[j,i] (shift S, clock V), times the p^2-th root of unity with
+exponent mu[j]:
 
 * ``prop11_rep``: the tensor-ladder solution on p^n dimensions, which
   realizes any commutation matrix (usually reducibly);
 * ``irreducible_rep``: the minimal p^r-dimensional irreducible model
   built from a hyperbolic-pair basis, one clock/shift slot per pair,
-  with a prescribed standard invariant (p = 2).
+  with a prescribed standard invariant (p = 2).  The invariant it
+  achieves is the closed form of ``words.pair_coordinates``.
 """
 
 from __future__ import annotations
@@ -168,6 +172,36 @@ def _check_dim(dim: int, max_dim: int, what: str) -> None:
         raise SizeBoundError(f"{what} needs dimension {dim} > bound {max_dim}")
 
 
+def _weyl_generators(
+    mat: CommutationMatrix, alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray
+) -> tuple[MonomialMatrix, ...]:
+    """Generator j = zeta^mu[j] (x)_i S^alpha[j,i] V^beta[j,i], with
+    zeta = e^{2 pi i / p^2} and slot 0 the most significant tensor factor.
+
+    S^a V^b has perm (t - a) mod p and phases p b t at column t, and the
+    slots are folded on raw arrays with the rule of ``mono_tensor``; a
+    generator's trailing identity slots are folded in one step.  Each
+    generator is built, and validated, once as a MonomialMatrix.
+    """
+    p = mat.p
+    t = np.arange(p)
+    slots = alpha.shape[1]
+    gens = []
+    for a_j, b_j, mu_j in zip(alpha, beta, mu):
+        active = np.flatnonzero(a_j | b_j)
+        last = int(active[-1]) + 1 if active.size else 0
+        perm = np.zeros(1, dtype=np.int64)
+        phases = np.zeros(1, dtype=np.int64)
+        for a, b in zip(a_j[:last], b_j[:last]):
+            perm = (perm[:, None] * p + (t - a) % p).reshape(-1)
+            phases = (phases[:, None] + p * b * t).reshape(-1)
+        rest = p ** (slots - last)
+        perm = (perm[:, None] * rest + np.arange(rest)).reshape(-1)
+        phases = np.repeat(phases, rest)
+        gens.append(MonomialMatrix(p, perm, phases + int(mu_j)))
+    return tuple(gens)
+
+
 def prop11_rep(mat: CommutationMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Representation:
     """Tensor-ladder generators on p^n dimensions.
 
@@ -178,17 +212,9 @@ def prop11_rep(mat: CommutationMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Repres
     """
     p, n = mat.p, mat.n
     _check_dim(p ** n, max_dim, "prop11 representation")
-    s, v = shift(p), clock(p)
-    gens = []
-    for k in range(n):
-        g = mono_identity(1, p)
-        for i in range(k):
-            g = mono_tensor(g, mono_pow(v, int(mat.entries[i, k])))
-        g = mono_tensor(g, s)
-        if n - k - 1:
-            g = mono_tensor(g, mono_identity(p ** (n - k - 1), p))
-        gens.append(g)
-    return Representation(mat, tuple(gens), "prop11")
+    eye, zero = np.eye(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    gens = _weyl_generators(mat, eye, np.triu(mat.entries, 1).T, zero)
+    return Representation(mat, gens, "prop11")
 
 
 def word_matrix(rep: Representation, x) -> MonomialMatrix:
@@ -244,11 +270,13 @@ def irreducible_rep(
     hyperbolic-pair basis; pair i acts on tensor slot i with the shift
     standing for e_i and the clock for f_i, so the pair relations come
     out with omega(e_i, f_j) = delta_ij.  A canonical per-generator
-    phase makes every generator order p; for p = 2 the result is then
-    sign-shifted onto the requested invariant (any valid invariant is
-    reachable this way).  For odd p no retargeting is defined and only
-    ``invariant=None`` is accepted; the achieved invariant is recorded
-    on the result.
+    phase makes every generator order p, and the invariant this achieves
+    is the closed form of ``pair_coordinates``; for p = 2 generator k is
+    then multiplied by (-1)^{gamma_k}, with gamma from
+    ``realize_invariant``, onto the requested invariant (any valid
+    invariant is reachable this way).  For odd p no retargeting is
+    defined and only the achieved invariant is accepted.  The invariant
+    of the result is recorded on it.
 
     Raises SizeBoundError past ``max_dim`` and InvariantError when the
     requested invariant violates the square law or its basis does not
@@ -256,29 +284,19 @@ def irreducible_rep(
     """
     p = mat.p
     pc = pair_coordinates(mat)
-    r = pc.basis.r
-    _check_dim(p ** r, max_dim, "irreducible representation")
-    s, v = shift(p), clock(p)
-    gens = []
-    for alpha, beta, mu in zip(pc.alpha, pc.beta, pc.mu):
-        g = mono_identity(1, p)
-        for i in range(r):
-            slot = mono_mul(mono_pow(s, int(alpha[i])), mono_pow(v, int(beta[i])))
-            g = mono_tensor(g, slot)
-        gens.append(mono_scale(g, int(mu)))
-    rep = Representation(mat, tuple(gens), "irreducible")
-    achieved = extract_invariant(rep)
-    rep = Representation(mat, rep.generators, "irreducible", achieved)
-    if p != 2:
-        if invariant is not None and invariant != achieved:
-            raise InvariantError(
-                "retargeting is defined for p = 2 only; for odd p only the "
-                "achieved invariant is accepted"
-            )
-        return rep
-    target = invariant if invariant is not None else achieved
-    gamma = realize_invariant(target, achieved)
-    return phase_shift_rep(rep, gamma)
+    _check_dim(p ** pc.basis.r, max_dim, "irreducible representation")
+    achieved, mu = pc.invariant, pc.mu
+    if invariant is not None and p == 2:
+        gamma = realize_invariant(invariant, achieved)
+        mu = mu + 2 * gamma
+        achieved = phase_shift_invariant(achieved, gamma)
+    elif invariant is not None and invariant != achieved:
+        raise InvariantError(
+            "retargeting is defined for p = 2 only; for odd p only the "
+            "achieved invariant is accepted"
+        )
+    gens = _weyl_generators(mat, pc.alpha, pc.beta, mu)
+    return Representation(mat, gens, "irreducible", achieved)
 
 
 def phase_shift_rep(rep: Representation, gamma) -> Representation:

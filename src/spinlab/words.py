@@ -227,26 +227,35 @@ def kernel_coordinates(f: StandardInvariant, x) -> np.ndarray:
     return coords
 
 
+def _reordering_exponent(a: np.ndarray, upper: np.ndarray, diag: np.ndarray, p: int):
+    """E(a; G) = sum_{i<j} a_i a_j G_ij + sum_i C(a_i, 2) G_ii mod p, for a
+    vector a or for each row of a matrix a, given upper = triu(G, 1) and
+    diag = diag(G).
+
+    When factors merge with a bilinear phase, F_x F_y = zeta^{B(x,y)}
+    F_{x+y}, the ordered product prod_i F_{v_i}^{a_i} is zeta^{E(a; G)}
+    F_{sum_i a_i v_i} with G_ij = B(v_i, v_j).
+    """
+    return (((a @ upper) * a).sum(axis=-1) + (a * (a - 1) // 2) @ diag) % p
+
+
 def evaluate_invariant(f: StandardInvariant, x) -> int:
     """Value of f at a kernel vector, as an exponent mod p^2.
 
     Expands x = sum_i a_i k_i in the stored basis and combines the stored
     values with the exact reordering phase zeta^E of the plain-word
     product prod_i W_{k_i}^{a_i} in fixed basis order: the scalar of
-    W_x = zeta^{-E} prod_i W_{k_i}^{a_i} is sum_i a_i f(k_i) - p E.  The
-    word product rule gives E in closed form from the Gram matrix
-    G_ij = Q(k_i, k_j) of the basis,
-
-        E = sum_{i<j} a_i a_j G_ij + sum_i C(a_i, 2) G_ii  (mod p),
-
-    so a call costs a few small matrix-vector products once the
-    invariant's tables exist.  The result satisfies
-    f(x)f(y) = zeta^{Q(x,y)} f(x+y) for all kernel pairs, and f(0) = 1.
+    W_x = zeta^{-E} prod_i W_{k_i}^{a_i} is sum_i a_i f(k_i) - p E, with
+    E = E(a; G) (``_reordering_exponent``) on the Gram matrix
+    G_ij = Q(k_i, k_j) of the basis, so a call costs a few small
+    matrix-vector products once the invariant's tables exist.  The result
+    satisfies f(x)f(y) = zeta^{Q(x,y)} f(x+y) for all kernel pairs, and
+    f(0) = 1.
     """
     a = kernel_coordinates(f, x)
     t = f._tables
     p = f.mat.p
-    e = a @ t.gram_upper @ a + (a * (a - 1) // 2) @ t.gram_diag
+    e = _reordering_exponent(a, t.gram_upper, t.gram_diag, p)
     return int(a @ t.values - p * e) % (p * p)
 
 
@@ -337,17 +346,25 @@ class PairCoordinates(NamedTuple):
     """Generator j of a commutation matrix written in its hyperbolic-pair
     basis: u_j = sum_i alpha[j, i] e_i + beta[j, i] f_i + (kernel part),
     with the canonical normalizing phase exponent mu[j] (mod p^2) of the
-    modelled generator: alpha_j . beta_j mod 2 for p = 2, 0 for odd p."""
+    modelled generator (alpha_j . beta_j mod 2 for p = 2, 0 for odd p),
+    and the standard invariant that these modelled generators achieve."""
 
     basis: SymplecticBasis
     alpha: np.ndarray  # n x r
     beta: np.ndarray  # n x r
     mu: np.ndarray  # n
+    invariant: StandardInvariant
 
 
 def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
     """Pair coordinates of every generator, from the inverse of the basis
-    column matrix; shared by reference_invariant and irreducible_rep."""
+    column matrix, and the invariant of the canonical model.
+
+    Model j is zeta'^{mu_j} (x)_i S^{alpha_ji} V^{beta_ji}, zeta' =
+    e^{2 pi i / p^2}.  Slot parts merge with the phase zeta^{-beta . alpha'},
+    so the ordered product over a kernel vector k is the scalar with
+    exponent k . mu - p E(k; beta alpha^T) mod p^2 (``_reordering_exponent``).
+    """
     p = mat.p
     basis = symplectic_basis(mat)
     r = basis.r
@@ -358,38 +375,19 @@ def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
         mu = (alpha * beta).sum(axis=1) % 2
     else:
         mu = np.zeros(mat.n, dtype=np.int64)
-    return PairCoordinates(basis, alpha, beta, mu)
+    k = np.array(basis.kernel, dtype=np.int64).reshape(basis.d, mat.n)
+    g = beta @ alpha.T % p
+    e = _reordering_exponent(k, np.triu(g, 1), np.diagonal(g), p)
+    values = (k @ mu - p * e) % (p * p)
+    invariant = StandardInvariant(mat, basis.kernel, tuple(values))
+    return PairCoordinates(basis, alpha, beta, mu, invariant)
 
 
 def reference_invariant(mat: CommutationMatrix) -> StandardInvariant:
-    """The invariant achieved by the canonical irreducible construction.
-
-    Each generator coordinate vector splits as kernel part plus a
-    combination of hyperbolic pairs; the generator is modelled on the
-    pair coordinates with a canonical normalizing phase (i^{alpha.beta}
-    for p = 2, trivial for odd p).  The value on a kernel basis vector
-    is the exact scalar of the corresponding ordered generator product,
-    tracked symbolically in pair coordinates where the merge phase of
-    two factors is -beta . alpha'.
-    """
-    p = mat.p
-    p2 = p * p
-    pc = pair_coordinates(mat)
-    r = pc.basis.r
-    values = []
-    for k in pc.basis.kernel:
-        phase = 0
-        acc_a = np.zeros(r, dtype=np.int64)
-        acc_b = np.zeros(r, dtype=np.int64)
-        for j in range(mat.n):
-            for _ in range(int(k[j])):
-                merge = (-(acc_b @ pc.alpha[j])) % p
-                phase = (phase + int(pc.mu[j]) + p * merge) % p2
-                acc_a = (acc_a + pc.alpha[j]) % p
-                acc_b = (acc_b + pc.beta[j]) % p
-        assert not acc_a.any() and not acc_b.any()
-        values.append(phase)
-    return StandardInvariant(mat, pc.basis.kernel, tuple(values))
+    """The invariant achieved by the canonical irreducible construction:
+    the exact scalars of the ordered generator products over the kernel
+    basis, in the closed form of ``pair_coordinates``."""
+    return pair_coordinates(mat).invariant
 
 
 def enumerate_invariants(

@@ -178,3 +178,38 @@ def evaluate_invariant_loop(f, x):
             acc = sl.word_mul(acc, sl.Word(0, k_i, f.mat))
     assert np.array_equal(acc.x, x)
     return (stored - acc.phase) % (p * p)
+
+
+def weyl_generators_fold(p, alpha, beta, mu):
+    """Generator j = zeta^mu[j] (x)_i S^alpha[j,i] V^beta[j,i] as a fold of
+    mono_pow, mono_mul and mono_tensor over the slots, one at a time."""
+    s, v = sl.shift(p), sl.clock(p)
+    gens = []
+    for a_j, b_j, mu_j in zip(alpha, beta, mu):
+        g = sl.mono_identity(1, p)
+        for a, b in zip(a_j, b_j):
+            slot = sl.mono_mul(sl.mono_pow(s, int(a)), sl.mono_pow(v, int(b)))
+            g = sl.mono_tensor(g, slot)
+        gens.append(sl.mono_scale(g, int(mu_j)))
+    return gens
+
+
+def reference_invariant_loop(mat):
+    """Values of the canonical invariant by multiplying the modelled
+    generators one factor at a time in pair coordinates: merging the
+    accumulated (a, b) with a factor (alpha', beta') costs zeta^{-b.alpha'}."""
+    p = mat.p
+    pc = sl.words.pair_coordinates(mat)
+    values = []
+    for k in pc.basis.kernel:
+        phase = 0
+        acc_a = np.zeros(pc.basis.r, dtype=np.int64)
+        acc_b = np.zeros(pc.basis.r, dtype=np.int64)
+        for j in range(mat.n):
+            for _ in range(int(k[j])):
+                phase += int(pc.mu[j]) - p * int(acc_b @ pc.alpha[j])
+                acc_a = (acc_a + pc.alpha[j]) % p
+                acc_b = (acc_b + pc.beta[j]) % p
+        assert not acc_a.any() and not acc_b.any()
+        values.append(phase % (p * p))
+    return tuple(values)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinlab as sl
 from spinlab import gf
@@ -232,14 +233,14 @@ def test_symplectic_basis_properties(mat):
 def test_extend_zero_2_to_3():
     small = sl.commutation_matrix(2, np.zeros((2, 2), dtype=int))
     big = sl.commutation_matrix(2, np.zeros((3, 3), dtype=int))
-    grown = sl.grow_basis(big, small, sl.symplectic_basis(small))
+    grown = sl.extend_symplectic_basis(big, sl.symplectic_basis(small))
     assert grown.r == 0 and grown.d == 3
 
 
 def test_extend_clifford_2_to_3():
     small = sl.clifford_matrix(2, 2)
     existing = sl.symplectic_basis(small)
-    grown = sl.grow_basis(CLIFF3, small, existing)
+    grown = sl.extend_symplectic_basis(CLIFF3, existing)
     assert grown.r == 1 and grown.d == 1
     # old pair preserved verbatim (zero-padded)
     assert grown.e[0].tolist() == existing.e[0].tolist() + [0]
@@ -251,15 +252,37 @@ def test_extend_clifford_2_to_3():
 def test_extend_clifford_3_to_4():
     existing = sl.symplectic_basis(CLIFF3)
     big = sl.clifford_matrix(2, 4)
-    grown = sl.grow_basis(big, CLIFF3, existing)
+    grown = sl.extend_symplectic_basis(big, existing)
     assert grown.r == 2 and grown.d == 0
     check_symplectic_relations(big, grown)
 
 
 def test_extend_prefix_mismatch_raises():
+    # the old pair (e, f) has omega(e, f) = 0 under the zero block
     other = sl.commutation_matrix(2, np.zeros((3, 3), dtype=int))
     with pytest.raises(ValueError, match="block"):
-        sl.grow_basis(other, sl.clifford_matrix(2, 2), sl.symplectic_basis(sl.clifford_matrix(2, 2)))
+        sl.extend_symplectic_basis(other, sl.symplectic_basis(sl.clifford_matrix(2, 2)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(commutation_matrices(max_n=5), st.booleans(), st.integers(0, 2 ** 16))
+def test_extend_accepts_exactly_the_matching_prefix(mat, prefix, seed):
+    # a genuine basis of the old matrix passes the Gram check iff the
+    # upper-left block of mat is that old matrix
+    if mat.n < 2:
+        return
+    k = mat.n - 1
+    upper = np.triu(np.random.default_rng(seed).integers(0, mat.p, size=(k, k)), 1)
+    old = mat.entries[:k, :k] if prefix else (upper - upper.T) % mat.p
+    small = sl.commutation_matrix(mat.p, old)
+    matches = np.array_equal(small.entries, mat.entries[:k, :k])
+    try:
+        grown = sl.extend_symplectic_basis(mat, sl.symplectic_basis(small))
+    except ValueError as exc:
+        assert not matches and "block" in str(exc)
+    else:
+        assert matches
+        check_symplectic_relations(mat, grown)
 
 
 @settings(deadline=None, max_examples=40)

@@ -215,3 +215,19 @@ def test_extend_functional_reproduces_values(params):
     gamma = gf.extend_functional(basis, values, n, p)
     for k, val in zip(basis, values):
         assert int(gamma @ k) % p == val
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_extend_functional_vanishes_off_the_pivot_columns(p, n, seed):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, p, size=(int(rng.integers(1, n + 2)), n))
+    values = [int(v) for v in rng.integers(0, p, size=len(rows))]
+    _, pivots = gf.rref(rows, p)
+    if len(pivots) < len(rows):
+        with pytest.raises(ValueError, match="dependent"):
+            gf.extend_functional(list(rows), values, n, p)
+        return
+    gamma = gf.extend_functional(list(rows), values, n, p)
+    assert ((rows @ gamma) % p).tolist() == values
+    assert not np.delete(gamma, pivots).any()

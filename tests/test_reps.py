@@ -15,6 +15,8 @@ from conftest import (
     commutation_matrices,
     dense_commutant_dim,
     enum_vectors,
+    reference_invariant_loop,
+    weyl_generators_fold,
     word_matrix_fold,
 )
 
@@ -128,6 +130,48 @@ def test_prop11_faithfulness_small():
 def test_prop11_size_bound():
     with pytest.raises(SizeBoundError):
         sl.prop11_rep(sl.clifford_matrix(2, 8), max_dim=100)
+
+
+def _ladder_tables(mat):
+    """Exponent tables of the tensor ladder, slot by slot: generator k has
+    the clock to the power c_ik in slot i < k and the shift in slot k."""
+    n = mat.n
+    alpha = np.zeros((n, n), dtype=np.int64)
+    beta = np.zeros((n, n), dtype=np.int64)
+    for k in range(n):
+        alpha[k, k] = 1
+        for i in range(k):
+            beta[k, i] = mat.entries[i, k]
+    return alpha, beta, np.zeros(n, dtype=np.int64)
+
+
+@settings(deadline=None, max_examples=60)
+@given(commutation_matrices(max_n=5))
+def test_prop11_matches_mono_tensor_fold(mat):
+    if mat.p ** mat.n > 729:
+        return
+    expected = weyl_generators_fold(mat.p, *_ladder_tables(mat))
+    assert list(sl.prop11_rep(mat).generators) == expected
+
+
+@pytest.mark.parametrize(
+    "build",
+    [sl.prop11_rep, sl.irreducible_rep],
+    ids=["prop11", "irreducible"],
+)
+@pytest.mark.parametrize("p,n", [(2, 7), (3, 4), (5, 3)])
+def test_constructors_build_one_monomial_matrix_per_generator(monkeypatch, build, p, n):
+    mat = sl.random_alternating(p, n, seed=n)
+    built = []
+    post_init = sl.MonomialMatrix.__post_init__
+
+    def counting(self):
+        built.append(1)
+        post_init(self)
+
+    monkeypatch.setattr(sl.MonomialMatrix, "__post_init__", counting)
+    build(mat)
+    assert len(built) == n
 
 
 # --- word matrices ----------------------------------------------------------
@@ -294,6 +338,55 @@ def test_irreducible_odd_p_no_retargeting():
 def test_irreducible_size_bound():
     with pytest.raises(SizeBoundError):
         sl.irreducible_rep(sl.clifford_matrix(2, 10), max_dim=8)
+
+
+@settings(deadline=None, max_examples=60)
+@given(commutation_matrices(max_n=6), st.integers(0, 2 ** 32 - 1))
+def test_irreducible_matches_mono_tensor_fold(mat, seed):
+    pc = sl.words.pair_coordinates(mat)
+    target, mu = None, pc.mu
+    if mat.p == 2:
+        gamma = np.random.default_rng(seed).integers(0, 2, size=mat.n)
+        target = sl.phase_shift_invariant(pc.invariant, gamma)
+        mu = pc.mu + 2 * sl.realize_invariant(target, pc.invariant)
+    rep = sl.irreducible_rep(mat, target)
+    assert list(rep.generators) == weyl_generators_fold(mat.p, pc.alpha, pc.beta, mu)
+
+
+@settings(deadline=None, max_examples=80)
+@given(commutation_matrices(max_n=6), st.integers(0, 2 ** 32 - 1))
+def test_irreducible_invariant_is_the_closed_form(mat, seed):
+    rep = sl.irreducible_rep(mat)
+    f0 = sl.reference_invariant(mat)
+    assert rep.invariant == f0
+    assert sl.extract_invariant(rep) == f0
+    assert f0.values == reference_invariant_loop(mat)
+    if mat.p == 2:
+        # a random sign flip of the canonical class comes back exactly
+        flip = np.random.default_rng(seed).integers(0, 2, size=f0.d)
+        target = sl.StandardInvariant(
+            mat, f0.kernel_basis,
+            tuple((v + 2 * int(b)) % 4 for v, b in zip(f0.values, flip)),
+        )
+        shifted = sl.irreducible_rep(mat, target)
+        assert shifted.invariant == target
+        assert sl.extract_invariant(shifted) == target
+
+
+def test_irreducible_rep_eliminates_no_kernel(monkeypatch):
+    calls = []
+    real = sl.gf.kernel_basis
+
+    def counting(mat, p):
+        calls.append(1)
+        return real(mat, p)
+
+    monkeypatch.setattr(sl.gf, "kernel_basis", counting)
+    for p, n in ((2, 9), (3, 6), (5, 4)):
+        mat = sl.random_alternating(p, n, seed=n)
+        target = sl.reference_invariant(mat) if p == 2 else None
+        sl.irreducible_rep(mat, target)
+    assert calls == []
 
 
 # --- extract / phase shift ---------------------------------------------------
