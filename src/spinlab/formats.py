@@ -221,6 +221,21 @@ def _vec(v: np.ndarray) -> list[int]:
     return [int(t) for t in v]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _int_list(values, what: str) -> np.ndarray:
+    """A document's list of integers as an int64 array.  Floats, strings,
+    booleans and integers beyond int64 are rejected, not truncated."""
+    if not isinstance(values, (list, tuple)) or not all(map(_is_int, values)):
+        raise MatrixFormatError(f"{what} must be a list of integers")
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise MatrixFormatError(f"{what} has an integer beyond 64 bits")
+
+
 def invariant_to_dict(f: StandardInvariant) -> dict:
     return {
         "kernel_basis": [_vec(k) for k in f.kernel_basis],
@@ -230,11 +245,11 @@ def invariant_to_dict(f: StandardInvariant) -> dict:
 
 def invariant_from_dict(doc: dict, mat: CommutationMatrix) -> StandardInvariant:
     try:
-        basis = [np.array(k, dtype=np.int64) for k in doc["kernel_basis"]]
-        values = [int(v) for v in doc["values_exp_mod_p2"]]
+        basis = [_int_list(k, "kernel basis vector") for k in doc["kernel_basis"]]
+        values = _int_list(doc["values_exp_mod_p2"], "values_exp_mod_p2")
+        return StandardInvariant(mat, tuple(basis), tuple(values.tolist()))
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFormatError(f"bad invariant document: {exc}")
-    return StandardInvariant(mat, tuple(basis), tuple(values))
 
 
 def basis_to_dict(mat: CommutationMatrix, basis: SymplecticBasis) -> dict:
@@ -266,15 +281,17 @@ def representation_from_dict(
     doc: dict, mat: CommutationMatrix, kind: str = "loaded"
 ) -> Representation:
     try:
-        if int(doc["p"]) != mat.p or int(doc["n"]) != mat.n:
+        if not (_is_int(doc["p"]) and _is_int(doc["n"])):
+            raise MatrixFormatError("representation p and n must be integers")
+        if doc["p"] != mat.p or doc["n"] != mat.n:
             raise MatrixFormatError(
                 "representation document does not match the matrix (p or n differ)"
             )
         gens = tuple(
             MonomialMatrix(
                 mat.p,
-                np.array(g["perm"], dtype=np.int64),
-                np.array(g["phase_exps"], dtype=np.int64),
+                _int_list(g["perm"], "perm"),
+                _int_list(g["phase_exps"], "phase_exps"),
             )
             for g in doc["generators"]
         )

@@ -9,6 +9,14 @@ are verified with zero tolerance.  Dense complex matrices enter only
 where sums are unavoidable: the spectral projections of the matrix
 units.
 
+Word products U_1^{x_1} ... U_n^{x_n} are composed from a word table
+cached on the representation: the products of every exponent pattern
+on a few chunks of consecutive generators, so one product takes one
+table row per chunk.  Products, powers, tensor products and word
+products are built from validated matrices without re-running the
+permutation check; every matrix that comes from outside (direct
+construction, documents, the generator builder) is checked in full.
+
 Both constructions are one Weyl-generator builder with different
 exponent tables: generator j acts on tensor slot i as S^alpha[j,i]
 V^beta[j,i] (shift S, clock V), times the p^2-th root of unity with
@@ -25,6 +33,8 @@ exponent mu[j]:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +51,9 @@ from .words import (
 
 DEFAULT_MAX_DIM = 1 << 20
 COMMUTANT_MAX_DIM = 1024
+# (perm, phase) entries in one representation's word table: two int64
+# arrays of 2^14 entries are 256 KB.
+WORD_TABLE_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +69,10 @@ class MonomialMatrix:
         phases = np.asarray(self.phases, dtype=np.int64) % (self.p ** 2)
         if perm.ndim != 1 or phases.shape != perm.shape:
             raise ValueError("perm and phases must be 1-d of equal length")
-        check = np.zeros(perm.shape[0], dtype=bool)
+        dim = perm.shape[0]
+        if dim and (perm.min() < 0 or perm.max() >= dim):
+            raise ValueError(f"perm entries out of range [0, {dim})")
+        check = np.zeros(dim, dtype=bool)
         check[perm] = True
         if not check.all():
             raise ValueError("perm is not a permutation")
@@ -79,6 +95,20 @@ class MonomialMatrix:
         )
 
 
+def _composed(p: int, perm: np.ndarray, phases: np.ndarray) -> MonomialMatrix:
+    """A MonomialMatrix composed from validated ones: ``perm`` is a fresh
+    (or frozen) int64 array and ``phases`` an int64 array.  The phases
+    are reduced mod p^2 and both arrays frozen, but the permutation
+    check of ``MonomialMatrix.__post_init__`` is skipped: products,
+    tensor products and inverses of permutations are permutations."""
+    m = object.__new__(MonomialMatrix)
+    phases = phases % (p * p)
+    perm.flags.writeable = False
+    phases.flags.writeable = False
+    m.__dict__.update(p=p, perm=perm, phases=phases)
+    return m
+
+
 def mono_identity(dim: int, p: int) -> MonomialMatrix:
     return MonomialMatrix(p, np.arange(dim), np.zeros(dim, dtype=np.int64))
 
@@ -99,7 +129,7 @@ def shift(p: int) -> MonomialMatrix:
 def mono_mul(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
     if a.p != b.p or a.dim != b.dim:
         raise ValueError("dimension or modulus mismatch")
-    return MonomialMatrix(a.p, a.perm[b.perm], b.phases + a.phases[b.perm])
+    return _composed(a.p, a.perm[b.perm], b.phases + a.phases[b.perm])
 
 
 def mono_tensor(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
@@ -108,12 +138,12 @@ def mono_tensor(a: MonomialMatrix, b: MonomialMatrix) -> MonomialMatrix:
     nb = b.dim
     perm = (a.perm[:, None] * nb + b.perm[None, :]).reshape(-1)
     phases = (a.phases[:, None] + b.phases[None, :]).reshape(-1)
-    return MonomialMatrix(a.p, perm, phases)
+    return _composed(a.p, perm, phases)
 
 
 def mono_inverse(a: MonomialMatrix) -> MonomialMatrix:
     inv = np.argsort(a.perm)
-    return MonomialMatrix(a.p, inv, -a.phases[inv])
+    return _composed(a.p, inv, -a.phases[inv])
 
 
 def mono_pow(a: MonomialMatrix, k: int) -> MonomialMatrix:
@@ -127,7 +157,7 @@ def mono_pow(a: MonomialMatrix, k: int) -> MonomialMatrix:
 
 def mono_scale(a: MonomialMatrix, exp: int) -> MonomialMatrix:
     """Multiply by the p^2-th root of unity with the given exponent."""
-    return MonomialMatrix(a.p, a.perm, a.phases + exp)
+    return _composed(a.p, a.perm, a.phases + exp)
 
 
 def is_scalar(a: MonomialMatrix) -> int | None:
@@ -165,6 +195,70 @@ class Representation:
     @property
     def dim(self) -> int:
         return self.generators[0].dim if self.generators else 1
+
+    @cached_property
+    def _word_table(self) -> "_WordTable | None":
+        """Built on the first ``word_matrix`` call, then kept on the
+        instance; None when not even one-generator chunks fit."""
+        return _word_table(self)
+
+
+class _WordTable(NamedTuple):
+    """Products of the generators in consecutive chunks: the row of
+    exponents e in the chunk of width b starting at generator c holds
+    U_c^{e_0} ... U_{c+b-1}^{e_{b-1}}, at row offsets[chunk] + the
+    radix-p number e_0 e_1 ... e_{b-1} (e_0 most significant)."""
+
+    weights: np.ndarray  # n x chunks: the radix weight of x_k in its chunk
+    offsets: np.ndarray  # the first row of each chunk
+    perm: np.ndarray  # rows x dim
+    phases: np.ndarray  # rows x dim, reduced mod p^2
+
+
+def _chunk_widths(n: int, p: int, dim: int) -> list[int]:
+    """Widths of the fewest chunks of the n generators whose tables hold
+    at most WORD_TABLE_ENTRIES (perm, phase) entries in all; [] when not
+    even one-generator chunks fit.  For a given number of chunks, widths
+    that differ by at most one need the fewest rows (p^b is convex in b).
+    """
+    for k in range(1, n + 1):
+        b, wide = divmod(n, k)
+        if (wide * p ** (b + 1) + (k - wide) * p ** b) * dim <= WORD_TABLE_ENTRIES:
+            return [b + 1] * wide + [b] * (k - wide)
+    return []
+
+
+def _word_table(rep: Representation) -> _WordTable | None:
+    """Chunk tables composed from the generators' own arrays, one
+    generator at a time and vectorised over the rows built so far (so
+    they hold for loaded generators of any order, not only of order p)."""
+    p, n, dim = rep.mat.p, rep.mat.n, rep.dim
+    widths = _chunk_widths(n, p, dim)
+    if not widths:
+        return None
+    starts = np.cumsum([0] + widths)
+    weights = np.zeros((n, len(widths)), dtype=np.int64)
+    perms, phases = [], []
+    for c, (start, b) in enumerate(zip(starts, widths)):
+        weights[start:start + b, c] = p ** np.arange(b)[::-1]
+        perm = np.arange(dim)[None, :]
+        ph = np.zeros((1, dim), dtype=np.int64)
+        for g in rep.generators[start:start + b]:
+            # g^0 ... g^(p-1), then every row times each power.
+            g_perm, g_ph = [np.arange(dim)], [np.zeros(dim, dtype=np.int64)]
+            for _ in range(p - 1):
+                g_ph.append(g.phases + g_ph[-1][g.perm])
+                g_perm.append(g_perm[-1][g.perm])
+            g_perm, g_ph = np.array(g_perm), np.array(g_ph)
+            ph = ((g_ph + ph[:, g_perm]) % (p * p)).reshape(-1, dim)
+            perm = perm[:, g_perm].reshape(-1, dim)
+        perms.append(perm)
+        phases.append(ph)
+    offsets = np.cumsum([0] + [len(t) for t in perms[:-1]])
+    table = _WordTable(weights, offsets, np.concatenate(perms), np.concatenate(phases))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 def _check_dim(dim: int, max_dim: int, what: str) -> None:
@@ -218,25 +312,40 @@ def prop11_rep(mat: CommutationMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Repres
 
 
 def word_matrix(rep: Representation, x) -> MonomialMatrix:
-    """Ordered product of generator powers U_1^{x_1} ... U_n^{x_n}.
+    """Ordered product of generator powers U_1^{x_1} ... U_n^{x_n}, with
+    x reduced mod p.
 
-    The raw perm/phases arrays are composed factor by factor with the
-    rule of ``mono_mul`` (perm a.perm[b.perm], phases
-    b.phases + a.phases[b.perm]); only the product is built, and
-    validated, as a MonomialMatrix.
+    The product is composed from one row per chunk of the
+    representation's cached word table (the products of all exponent
+    patterns on chunks of consecutive generators, as few chunks as keep
+    the whole table within WORD_TABLE_ENTRIES), with the rule of
+    ``mono_mul`` (perm a.perm[b.perm], phases b.phases + a.phases[b.perm]).
+    When the representation is too large for even one-generator chunks
+    (n p dim > WORD_TABLE_ENTRIES), no table is built and the generator
+    factors are composed one at a time instead.  Only the product is
+    built as a MonomialMatrix, and it is not re-validated.
     """
     p = rep.mat.p
     x = gf.as_gf_array(x, p)
     if x.shape != (rep.mat.n,):
         raise ValueError(f"vector length {x.shape} != n={rep.mat.n}")
-    perm = np.arange(rep.dim)
-    phases = np.zeros(rep.dim, dtype=np.int64)
-    for k in np.flatnonzero(x):
-        g = rep.generators[k]
-        for _ in range(int(x[k])):
-            phases = g.phases + phases[g.perm]
-            perm = perm[g.perm]
-    return MonomialMatrix(p, perm, phases)
+    table = rep._word_table
+    if table is None:
+        perm = np.arange(rep.dim)
+        phases = np.zeros(rep.dim, dtype=np.int64)
+        for k in np.flatnonzero(x):
+            g = rep.generators[k]
+            for _ in range(int(x[k])):
+                phases = g.phases + phases[g.perm]
+                perm = perm[g.perm]
+        return _composed(p, perm, phases)
+    rows = x @ table.weights + table.offsets
+    perms, phase_rows = table.perm[rows], table.phases[rows]
+    perm, phases = perms[0], phase_rows[0]
+    for q, f in zip(perms[1:], phase_rows[1:]):
+        phases = f + phases[q]
+        perm = perm[q]
+    return _composed(p, perm, phases)
 
 
 def extract_invariant(rep: Representation) -> StandardInvariant:

@@ -137,6 +137,22 @@ def test_exit_code_2_on_modulus_beyond_int64(capsys, tmp_path):
     assert err.startswith("error: line 1: modulus must be a prime")
 
 
+@pytest.mark.parametrize("entry", ["100000000000000000000000000000", "1.7"])
+def test_exit_code_2_on_non_int64_invariant_entry(capsys, tmp_path, entry):
+    inv_file = tmp_path / "inv.json"
+    inv_file.write_text(
+        f'{{"kernel_basis": [[1, 1, {entry}]], "values_exp_mod_p2": [3]}}',
+        encoding="utf-8",
+    )
+    code, out, err = run(
+        capsys,
+        "represent", FIXTURES / "clifford3.txt", "--kind", "irr",
+        "--invariant", inv_file,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_exit_code_2_on_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "does-not-exist.txt")
     assert code == 2

@@ -1,6 +1,9 @@
 """Matrix file parsing/formatting and JSON document round trips."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spinlab as sl
 from spinlab import formats
@@ -114,6 +117,94 @@ def test_representation_dict_mismatch():
     doc["generators"][1] = {"perm": [0], "phase_exps": [0]}
     with pytest.raises(MatrixFormatError, match="dimension"):
         formats.representation_from_dict(doc, CLIFF3)
+
+
+@pytest.mark.parametrize(
+    "perm", [[-1, 0], [0, 5], [0.9, 1.2], [0, 2 ** 70], [True, 0], "01"]
+)
+def test_representation_dict_rejects_bad_perm(perm):
+    doc = formats.representation_to_dict(sl.irreducible_rep(CLIFF3))
+    doc["generators"][0]["perm"] = perm
+    with pytest.raises(MatrixFormatError):
+        formats.representation_from_dict(doc, CLIFF3)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("kernel_basis", [[1, 1, 10 ** 29]]),
+        ("kernel_basis", [[1, 1, -(10 ** 29)]]),
+        ("kernel_basis", [[1, 1.7, 1]]),
+        ("kernel_basis", [[1, "1", 1]]),
+        ("kernel_basis", [[1, 1]]),
+        ("values_exp_mod_p2", [2 ** 64]),
+        ("values_exp_mod_p2", [3.0]),
+        ("values_exp_mod_p2", [3, 1]),
+    ],
+)
+def test_invariant_dict_rejects_non_integers(field, value):
+    doc = {"kernel_basis": [[1, 1, 1]], "values_exp_mod_p2": [3]}
+    doc[field] = value
+    with pytest.raises(MatrixFormatError):
+        formats.invariant_from_dict(doc, CLIFF3)
+
+
+# JSON-shaped values: what json.loads can return, with unbounded integers.
+_json = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=20,
+)
+_int_lists = st.lists(st.integers(-3, 3) | st.integers(), max_size=5)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    _json
+    | st.fixed_dictionaries(
+        {
+            "kernel_basis": st.lists(_int_lists | _json, max_size=3) | _json,
+            "values_exp_mod_p2": _int_lists | _json,
+        }
+    )
+)
+def test_invariant_from_dict_fuzz(doc):
+    try:
+        f = formats.invariant_from_dict(doc, CLIFF3)
+    except MatrixFormatError:
+        return
+    assert isinstance(f, sl.StandardInvariant)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    _json
+    | st.fixed_dictionaries(
+        {
+            "p": st.just(2) | _json,
+            "n": st.just(2) | _json,
+            "generators": st.lists(
+                st.fixed_dictionaries({"perm": _int_lists, "phase_exps": _int_lists})
+                | _json,
+                max_size=3,
+            )
+            | _json,
+        }
+    )
+)
+def test_representation_from_dict_fuzz(doc):
+    try:
+        rep = formats.representation_from_dict(doc, PAULI)
+    except MatrixFormatError:
+        return
+    assert isinstance(rep, sl.Representation)
+    for g in rep.generators:
+        assert np.array_equal(np.sort(g.perm), np.arange(rep.dim))
 
 
 def test_report_dict_fields():

@@ -67,6 +67,50 @@ def test_mono_ops_match_dense(p, dim, seed):
     )
 
 
+def _revalidated(m):
+    """m rebuilt through the full MonomialMatrix check."""
+    return sl.MonomialMatrix(m.p, np.array(m.perm), np.array(m.phases))
+
+
+def _check_composed(m):
+    """A composed result is frozen, int64, reduced mod p^2, and equal to
+    itself rebuilt with the full check."""
+    assert m.perm.dtype == m.phases.dtype == np.int64
+    assert not m.perm.flags.writeable and not m.phases.flags.writeable
+    assert ((0 <= m.phases) & (m.phases < m.p ** 2)).all()
+    assert _revalidated(m) == m
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 6),
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(-100, 100),
+)
+def test_composed_results_pass_full_validation(p, dim, seed, exp):
+    rng = np.random.default_rng(seed)
+    a = _random_monomial(p, dim, rng)
+    b = _random_monomial(p, dim, rng)
+    for m in (
+        mono_mul(a, b),
+        mono_scale(a, exp),
+        mono_tensor(a, b),
+        sl.mono_inverse(a),
+        mono_pow(a, 3),
+    ):
+        _check_composed(m)
+
+
+@pytest.mark.parametrize(
+    "perm,match",
+    [([-1, 0], "range"), ([0, 5], "range"), ([1, 1], "permutation")],
+)
+def test_monomial_rejects_non_permutations(perm, match):
+    with pytest.raises(ValueError, match=match):
+        sl.MonomialMatrix(2, perm, [0, 0])
+
+
 def test_is_scalar():
     ident = sl.mono_identity(3, 3)
     assert sl.is_scalar(ident) == 0
@@ -200,36 +244,98 @@ def test_word_matrix_weyl_transport(mat, seed):
         assert lhs == rhs
 
 
-@settings(deadline=None, max_examples=40)
+@st.composite
+def word_representations(draw):
+    """prop11 and irreducible representations, and loaded monomial
+    generator sets of up to 8 generators whose orders need not be p."""
+    kind = draw(st.sampled_from(["prop11", "irreducible", "loaded"]))
+    if kind != "loaded":
+        mat = draw(commutation_matrices(max_n=6))
+        if kind == "prop11" and mat.p ** mat.n <= 729:
+            return sl.prop11_rep(mat)
+        return sl.irreducible_rep(mat)
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 8))
+    dim = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    gens = tuple(_random_monomial(p, dim, rng) for _ in range(n))
+    mat = sl.commutation_matrix(p, np.zeros((n, n), dtype=int))
+    return sl.Representation(mat, gens, "loaded")
+
+
+@settings(deadline=None, max_examples=80)
 @given(
-    commutation_matrices(max_n=5),
-    st.booleans(),
+    word_representations(),
+    st.sampled_from([1, 64, 1024, sl.reps.WORD_TABLE_ENTRIES]),
     st.integers(0, 2 ** 32 - 1),
 )
-def test_word_matrix_matches_mono_mul_fold(mat, irreducible, seed):
-    if mat.p ** mat.n > 512:
-        irreducible = True
-    rep = sl.irreducible_rep(mat) if irreducible else sl.prop11_rep(mat)
+def test_word_matrix_matches_mono_mul_fold(rep, budget, seed):
+    # Budget 1 leaves no table (the direct fold); the others give from
+    # one chunk per generator up to one chunk of all n.
     rng = np.random.default_rng(seed)
-    for _ in range(5):
-        x = rng.integers(0, mat.p, size=mat.n)
-        assert sl.word_matrix(rep, x) == word_matrix_fold(rep, x)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sl.reps, "WORD_TABLE_ENTRIES", budget)
+        for _ in range(5):
+            x = rng.integers(0, 3 * rep.mat.p, size=rep.mat.n)  # reduced mod p
+            w = sl.word_matrix(rep, x)
+            assert w == word_matrix_fold(rep, x)
+            _check_composed(w)
+
+
+@pytest.mark.parametrize(
+    "n,p,dim,widths",
+    [
+        (14, 2, 16, [7, 7]),
+        (9, 3, 9, [5, 4]),
+        (3, 2, 2, [3]),
+        (10, 2, 16, [10]),
+        (13, 2, 256, [5, 4, 4]),
+        (10, 2, 1024, []),
+    ],
+)
+def test_word_table_stays_within_budget(n, p, dim, widths):
+    # The fewest chunks whose whole table fits, and no table at all when
+    # even one-generator chunks (n p dim entries) do not.
+    assert sl.reps._chunk_widths(n, p, dim) == widths
+    rng = np.random.default_rng(n)
+    gens = tuple(_random_monomial(p, dim, rng) for _ in range(n))
+    mat = sl.commutation_matrix(p, np.zeros((n, n), dtype=int))
+    table = sl.Representation(mat, gens, "loaded")._word_table
+    if not widths:
+        assert table is None
+        return
+    assert table.perm.shape == table.phases.shape
+    assert table.perm.size <= sl.reps.WORD_TABLE_ENTRIES
+    assert table.perm.nbytes + table.phases.nbytes <= 256 * 1024
+    assert table.weights.shape == (n, len(widths))
 
 
 def test_word_matrix_builds_one_monomial_matrix(monkeypatch):
+    # Counts validated constructions and composed results alike, with the
+    # word table and without it.
     rep = sl.prop11_rep(sl.random_alternating(3, 4, seed=2))
     built = []
     post_init = sl.MonomialMatrix.__post_init__
+    composed = sl.reps._composed
 
     def counting(self):
         built.append(1)
         post_init(self)
 
+    def counting_composed(*args):
+        built.append(1)
+        return composed(*args)
+
     monkeypatch.setattr(sl.MonomialMatrix, "__post_init__", counting)
-    for x in ([2, 1, 2, 2], [0, 0, 0, 0], [1, 0, 0, 2]):
-        built.clear()
-        sl.word_matrix(rep, x)
-        assert len(built) == 1
+    monkeypatch.setattr(sl.reps, "_composed", counting_composed)
+    for budget in (sl.reps.WORD_TABLE_ENTRIES, 1):
+        monkeypatch.setattr(sl.reps, "WORD_TABLE_ENTRIES", budget)
+        fresh = sl.Representation(rep.mat, rep.generators, rep.kind)
+        for x in ([2, 1, 2, 2], [0, 0, 0, 0], [1, 0, 0, 2]):
+            built.clear()
+            sl.word_matrix(fresh, x)
+            assert len(built) == 1
+        assert (fresh._word_table is None) == (budget == 1)
 
 
 def test_representation_rejects_mixed_generators():

@@ -1,4 +1,4 @@
-"""Smoke tests of the experiment scripts, run as programs."""
+"""Smoke tests of the experiment scripts and of `python -m spinlab`, run as programs."""
 
 import os
 import subprocess
@@ -8,14 +8,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(script, *args):
+def _env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    return env
+
+
+def _run(script, *args):
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_env(), timeout=120,
     )
 
 
@@ -38,3 +42,13 @@ def test_class_census_with_rep_checks():
         "simple (nondegenerate) fraction: 0.400",
         "all sampled irreducible representations verified (commutant = 1)",
     ]
+
+
+def test_python_dash_m_runs_the_cli():
+    out = subprocess.run(
+        [sys.executable, "-m", "spinlab", "generate", "--clifford", "3"],
+        capture_output=True, env=_env(), timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    golden = ROOT / "tests" / "golden" / "generate_clifford3.txt"
+    assert out.stdout == golden.read_bytes()
