@@ -38,22 +38,25 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ParsedMatrixFile:
-    """Parsed header and body of a matrix file, before materialization."""
+    """Parsed header and body of a matrix file.  An explicit file holds
+    its validated matrix; a banded one holds the pattern, materialized
+    on request."""
 
     p: int
     kind: str  # "explicit" | "toeplitz"
-    entries: np.ndarray | None
+    matrix: CommutationMatrix | None
     pattern: tuple[int, ...] | None
 
     def materialize(self, n: int | None = None) -> CommutationMatrix:
-        """Build the commutation matrix.
+        """The commutation matrix.
 
-        Explicit files ignore ``n``.  Banded files materialize their
-        n x n prefix; when ``n`` is omitted the default is twice the
-        pattern length (at least 2), enough to show the full band.
+        Explicit files return their matrix and ignore ``n``.  Banded
+        files materialize their n x n prefix; when ``n`` is omitted the
+        default is twice the pattern length (at least 2), enough to show
+        the full band.
         """
         if self.kind == "explicit":
-            return commutation_matrix(self.p, self.entries)
+            return self.matrix
         size = n if n is not None else max(2, 2 * len(self.pattern))
         return toeplitz_matrix(self.p, self.pattern, size)
 
@@ -181,10 +184,10 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
             body[i][0],
         )
     try:
-        commutation_matrix(p, entries)
+        mat = commutation_matrix(p, entries)
     except ValueError as exc:
         raise MatrixFormatError(str(exc), header_line)
-    return ParsedMatrixFile(p, "explicit", entries, None)
+    return ParsedMatrixFile(p, "explicit", mat, None)
 
 
 def format_matrix_file(mat: CommutationMatrix) -> str:

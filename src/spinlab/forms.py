@@ -25,6 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gf
+from .errors import SizeBoundError
+
+# Largest n that toeplitz_matrix materializes: the n x n matrix, its
+# private copy and its lower triangle take 3 x 32 MB at n = 2048.
+MAX_TOEPLITZ_N = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +50,7 @@ class CommutationMatrix:
 
     def __post_init__(self):
         gf.validate_prime(self.p)
-        ent = np.array(self.entries, dtype=np.int64)  # private copy, frozen below
+        ent = np.array(gf.as_int_array(self.entries))  # private copy, frozen below
         if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
             raise ValueError(f"entries must be square, got shape {ent.shape}")
         if ent.shape[0] == 0:
@@ -84,7 +89,7 @@ class CommutationMatrix:
 
 def commutation_matrix(p: int, entries) -> CommutationMatrix:
     """Validate and wrap an explicit entry grid."""
-    return CommutationMatrix(p, np.asarray(entries, dtype=np.int64))
+    return CommutationMatrix(p, entries)
 
 
 def toeplitz_matrix(p: int, pattern, n: int) -> CommutationMatrix:
@@ -92,20 +97,26 @@ def toeplitz_matrix(p: int, pattern, n: int) -> CommutationMatrix:
 
     ``pattern`` lists the values at separations 1..m; separations beyond
     the pattern are zero.  The upper triangle takes the pattern value,
-    the lower triangle its negation mod p.
+    the lower triangle its negation mod p.  Raises SizeBoundError for
+    n > MAX_TOEPLITZ_N before allocating anything of size n^2.
     """
     gf.validate_prime(p)
-    pat = [int(v) for v in pattern]
-    if any(v < 0 or v >= p for v in pat):
+    pat = gf.as_int_array(pattern)
+    if pat.ndim != 1 or ((pat < 0) | (pat >= p)).any():
         raise ValueError(f"pattern values must lie in [0, {p})")
-    ent = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sep = j - i
-            if sep <= len(pat):
-                ent[i, j] = pat[sep - 1]
-                ent[j, i] = (-pat[sep - 1]) % p
-    return CommutationMatrix(p, ent, pattern=tuple(pat))
+    if n > MAX_TOEPLITZ_N:
+        raise SizeBoundError(f"banded matrix size {n} > bound {MAX_TOEPLITZ_N}")
+    if n < 1:
+        raise ValueError(f"matrix size must be at least 1, got {n}")
+    # band[n - 1 + s] is the entry at separation s = j - i, so row i is
+    # the window band[n - 1 - i : 2n - 1 - i]; the constructor copies the
+    # strided view of those windows into the matrix.
+    k = min(pat.size, n - 1)
+    band = np.zeros(2 * n - 1, dtype=np.int64)
+    band[n : n + k] = pat[:k]
+    band[n - 1 - k : n - 1] = (-pat[:k][::-1]) % p
+    rows = np.lib.stride_tricks.sliding_window_view(band, n)[::-1]
+    return CommutationMatrix(p, rows, pattern=tuple(pat.tolist()))
 
 
 def clifford_matrix(p: int, n: int) -> CommutationMatrix:
@@ -220,18 +231,22 @@ def _pair_up(
     first row b_i with omega(e, b_i) != 0 gives f = b_i / omega(e, b_i),
     rows 0 and i are dropped, and every other row w is projected onto
     the symplectic complement of span(e, f) by one rank-2 update
-    w -= omega(w, f) e - omega(w, e) f (mod p).  A round costs O(k n)
-    for k remaining rows, so the pairing is O(n^3) with no elimination.
+    w -= omega(w, f) e - omega(w, e) f.  A round costs O(k n) for k
+    remaining rows, so the pairing is O(n^3) with no elimination.
     These are the vectors of the rule "solve omega(e, f) = 1 with free
     variables zero, then keep the kernel basis of the two constraints
     omega(., e) = omega(., f) = 0": that 2-row system has its pivots at
     rows 0 and i, and the projection onto the complement is unique.
+    The rows are kept unreduced: e and f are reduced when picked, and so
+    are C e and C f, so every omega value is exact.  An update moves an
+    entry by at most (p-1)^2, so |b| <= 1 + n (p-1)^2 and a row product
+    stays below n^2 (p-1)^3 < 2^63 for n < 7 * 10^5.
     """
     p, ent = mat.p, mat.entries
     e_list: list[np.ndarray] = []
     f_list: list[np.ndarray] = []
     while len(b):
-        e = b[0].copy()
+        e = b[0] % p
         w_e = (b @ ((ent @ e) % p)) % p  # omega(b_j, e) = -omega(e, b_j)
         nz = np.flatnonzero(w_e)
         assert nz.size, "partner must exist in a nondegenerate block"
@@ -243,7 +258,6 @@ def _pair_up(
         w_f = (b @ ((ent @ f) % p)) % p  # omega(b_j, f)
         b -= np.outer(w_f, e)
         b += np.outer(w_e, f)
-        b %= p
         e_list.append(e)
         f_list.append(f)
     return e_list, f_list

@@ -7,9 +7,13 @@ this.  Columns and rows are 0-indexed.
 
 Every routine here is built on ``rref``, the single elimination kernel:
 O(m n rank) arithmetic, with one vectorised rank-1 update per pivot.
+Reduction mod p is deferred: the working array is reduced only where a
+value is read (the pivot column and the pivot row) and once at the end.
 
-Primes are restricted to 2 <= p <= 251 so that all intermediate products
-fit comfortably in int64.
+Primes are restricted to 2 <= p <= 251 so that the unreduced
+intermediate values stay far inside int64 (see ``rref`` for the bound).
+Input must be integer-typed: floats, complex numbers and non-integer
+objects raise ValueError rather than being truncated.
 """
 
 from __future__ import annotations
@@ -29,9 +33,27 @@ def validate_prime(p: int) -> int:
     return p
 
 
+def as_int_array(a) -> np.ndarray:
+    """Coerce integer input to an int64 array (not a copy if ``a`` already
+    is one).  Booleans and integer dtypes are accepted; floats, complex
+    numbers, strings, objects and integers beyond int64 raise ValueError
+    instead of being truncated or wrapped.  An empty input of any dtype
+    is an empty int64 array."""
+    arr = np.asarray(a)
+    if arr.dtype == np.int64:
+        return arr
+    kind = arr.dtype.kind
+    if arr.size and (
+        kind not in "biu" or (kind == "u" and arr.max() > np.iinfo(np.int64).max)
+    ):
+        raise ValueError(f"expected integer input within int64, got {arr.dtype} values")
+    return arr.astype(np.int64)
+
+
 def as_gf_array(a, p: int) -> np.ndarray:
-    """Coerce to an int64 array reduced mod p."""
-    return np.asarray(a, dtype=np.int64) % p
+    """Coerce integer input (see ``as_int_array``) to a new int64 array
+    reduced mod p."""
+    return as_int_array(a) % p
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
@@ -39,36 +61,41 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 
     Returns (R, pivot_cols) where R is the RREF of ``mat`` and
     pivot_cols is the strictly increasing list of pivot column indices
-    (its length is the rank).  Each pivot costs one numpy update: the
-    pivot row is scaled, then the pivot column is cleared in the other
-    rows where it is nonzero by a single outer product restricted to
-    columns col: (earlier columns of the pivot row are already zero), so
-    an m x n matrix of rank k takes O(m n k) arithmetic and k Python
-    iterations.
+    (its length is the rank).  One vectorised rank-1 update per pivot,
+    with deferred reduction: a pivot reduces only the column it reads
+    (the pivot search and the multipliers, 0 at the pivot row) and the
+    pivot row from ``col`` on, scaled by the pivot's inverse; then
+    R[rows, col:] -= outer(mult[rows], prow) over the rows with a nonzero
+    multiplier clears the column mod p with no ``%`` (on sparse or banded
+    input those are few), and R is reduced once at the end.  After t
+    pivots every |entry| < p + t (p-1)^2 < 2^63 for any matrix numpy can
+    hold.  An m x n matrix of rank k takes O(m n k) arithmetic and k
+    Python iterations; the RREF is unique, so reduction order cannot
+    change it.
     """
-    r = as_gf_array(mat, p).copy()
+    r = as_gf_array(mat, p)  # a new array, so mat is never written
     m, n = r.shape
     pivot_cols: list[int] = []
     row = 0
     for col in range(n):
         if row == m:
             break
-        nz = np.flatnonzero(r[row:, col])
+        mult = r[:, col] % p
+        nz = np.flatnonzero(mult[row:])
         if nz.size == 0:
             continue
         pivot = row + int(nz[0])
         if pivot != row:
             r[[row, pivot]] = r[[pivot, row]]
-        inv = pow(int(r[row, col]), -1, p)
-        r[row, col:] = (r[row, col:] * inv) % p
-        others = np.flatnonzero(r[:, col])
-        others = others[others != row]
-        block = r[others, col:]
-        block -= np.outer(block[:, 0], r[row, col:])
-        block %= p
-        r[others, col:] = block
+            mult[[row, pivot]] = mult[[pivot, row]]
+        prow = r[row, col:] * pow(int(mult[row]), -1, p) % p
+        mult[row] = 0
+        others = np.flatnonzero(mult)
+        r[others, col:] -= np.outer(mult[others], prow)
+        r[row, col:] = prow
         pivot_cols.append(col)
         row += 1
+    r %= p
     return r, pivot_cols
 
 

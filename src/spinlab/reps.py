@@ -65,8 +65,8 @@ class MonomialMatrix:
     phases: np.ndarray
 
     def __post_init__(self):
-        perm = np.array(self.perm, dtype=np.int64)  # private copy, frozen below
-        phases = np.asarray(self.phases, dtype=np.int64) % (self.p ** 2)
+        perm = np.array(gf.as_int_array(self.perm))  # private copy, frozen below
+        phases = gf.as_int_array(self.phases) % (self.p ** 2)
         if perm.ndim != 1 or phases.shape != perm.shape:
             raise ValueError("perm and phases must be 1-d of equal length")
         dim = perm.shape[0]

@@ -20,6 +20,7 @@ defined for p = 2 only and refuse other moduli.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -41,7 +42,11 @@ class Word:
 
     def __post_init__(self):
         p2 = self.mat.p ** 2
-        object.__setattr__(self, "phase", int(self.phase) % p2)
+        try:
+            phase = operator.index(self.phase)  # refuses floats, unlike int()
+        except TypeError:
+            raise ValueError(f"phase must be an integer, got {self.phase!r}")
+        object.__setattr__(self, "phase", phase % p2)
         x = gf.as_gf_array(self.x, self.mat.p)
         if x.shape != (self.mat.n,):
             raise ValueError(f"exponent vector length {x.shape} != n={self.mat.n}")

@@ -213,3 +213,55 @@ def reference_invariant_loop(mat):
         assert not acc_a.any() and not acc_b.any()
         values.append(phase % (p * p))
     return tuple(values)
+
+
+def rref_stepwise(mat, p):
+    """RREF over GF(p) reducing the whole working block after every pivot:
+    the pivot row is scaled, then the pivot column is cleared only in the
+    rows where it is nonzero, gathered and scattered by index.  The oracle
+    for the deferred-reduction ``gf.rref``."""
+    r = np.asarray(mat, dtype=np.int64) % p
+    m, n = r.shape
+    pivot_cols = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        nz = np.flatnonzero(r[row:, col])
+        if nz.size == 0:
+            continue
+        pivot = row + int(nz[0])
+        if pivot != row:
+            r[[row, pivot]] = r[[pivot, row]]
+        inv = pow(int(r[row, col]), -1, p)
+        r[row, col:] = (r[row, col:] * inv) % p
+        others = np.flatnonzero(r[:, col])
+        others = others[others != row]
+        block = r[others, col:]
+        block -= np.outer(block[:, 0], r[row, col:])
+        block %= p
+        r[others, col:] = block
+        pivot_cols.append(col)
+        row += 1
+    return r, pivot_cols
+
+
+def pair_up_stepwise(mat, b):
+    """Symplectic Gram-Schmidt on the rows of b, reducing every row mod p
+    after every round.  The oracle for ``forms._pair_up``, which keeps
+    its rows unreduced."""
+    p, ent = mat.p, mat.entries
+    e_list, f_list = [], []
+    while len(b):
+        e = b[0].copy()
+        w_e = (b @ ((ent @ e) % p)) % p
+        i = int(np.flatnonzero(w_e)[0])
+        f = (b[i] * pow(-int(w_e[i]), -1, p)) % p
+        keep = np.ones(len(b), dtype=bool)
+        keep[[0, i]] = False
+        b, w_e = b[keep], w_e[keep]
+        w_f = (b @ ((ent @ f) % p)) % p
+        b = (b - np.outer(w_f, e) + np.outer(w_e, f)) % p
+        e_list.append(e)
+        f_list.append(f)
+    return e_list, f_list

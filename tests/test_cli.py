@@ -6,7 +6,7 @@ import pathlib
 import pytest
 
 import spinlab as sl
-from spinlab import formats
+from spinlab import formats, forms
 from spinlab.cli import main
 
 HERE = pathlib.Path(__file__).parent
@@ -163,6 +163,16 @@ def test_exit_code_3_on_size_bound(capsys, monkeypatch):
     monkeypatch.setenv("SPINLAB_MAX_DIM", "4")
     code, _, err = run(capsys, "represent", FIXTURES / "clifford3.txt", "--kind", "prop11")
     assert code == 3
+    assert "bound" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "basis", "grow"])
+def test_exit_code_3_on_banded_size_bound(capsys, command):
+    # the bound is checked before the n x n matrix is allocated
+    code, out, err = run(
+        capsys, command, FIXTURES / "band.txt", "--n-max", forms.MAX_TOEPLITZ_N + 1
+    )
+    assert code == 3 and out == ""
     assert "bound" in err
 
 

@@ -1,12 +1,14 @@
 """Matrix file parsing/formatting and JSON document round trips."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinlab as sl
-from spinlab import formats
+from spinlab import formats, forms
 from spinlab.errors import MatrixFormatError
 
 PAULI = sl.commutation_matrix(2, [[0, 1], [1, 0]])
@@ -19,6 +21,18 @@ def test_parse_explicit_round_trip():
         parsed = formats.parse_matrix_file(text)
         assert parsed.kind == "explicit"
         assert parsed.materialize() == mat
+
+
+def test_parse_builds_the_explicit_matrix_once():
+    text = formats.format_matrix_file(sl.random_alternating(3, 6, seed=1))
+    real = forms.CommutationMatrix.__post_init__
+    with mock.patch.object(
+        forms.CommutationMatrix, "__post_init__", autospec=True, side_effect=real
+    ) as built:
+        parsed = formats.parse_matrix_file(text)
+        assert parsed.materialize() is parsed.matrix
+        assert parsed.materialize(4) is parsed.matrix  # explicit files ignore n
+    assert built.call_count == 1
 
 
 def test_parse_allows_comments_and_blanks():
@@ -81,6 +95,91 @@ def test_parse_reports_first_row_fault_in_order(text, line, message):
     with pytest.raises(MatrixFormatError, match=message) as err:
         formats.parse_matrix_file(text)
     assert err.value.line == line
+
+
+# Near-valid matrix and basis files: a well-formed file (a valid header
+# and an alternating body, or a banded pattern) with a few tokens or lines
+# replaced, dropped, duplicated or commented out.  Tokens include
+# out-of-range, negative, beyond-int64 and non-numeric values.
+_token = st.integers(-3, 8).map(str) | st.sampled_from(
+    [
+        "251",
+        "1000000000000000000000000000000",
+        "-9223372036854775809",
+        "9223372036854775807",
+        "x",
+        "1.5",
+        "0x1",
+        "1e3",
+        "1_0",
+        "toeplitz",
+        "",
+        "#",
+    ]
+)
+
+
+@st.composite
+def _near_valid_lines(draw):
+    p = draw(st.sampled_from([2, 3, 5, 251]))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 4))
+        upper = np.triu(
+            np.random.default_rng(draw(st.integers(0, 2 ** 16))).integers(0, p, (n, n)), 1
+        )
+        body = (upper - upper.T) % p
+        if draw(st.booleans()):  # a skew (or, at n = 1, diagonal) fault
+            body[0, -1] = draw(st.integers(0, p - 1))
+        lines = [[str(p), str(n)]] + [[str(v) for v in row] for row in body.tolist()]
+    else:
+        pattern = draw(st.lists(st.integers(0, p - 1), max_size=5))
+        lines = [[str(p), "toeplitz", str(len(pattern))], [str(v) for v in pattern]]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["replace", "drop", "insert", "drop_line", "dup_line", "comment"]))
+        row = lines[i]
+        j = draw(st.integers(0, len(row)))
+        if op == "replace" and row:
+            row[min(j, len(row) - 1)] = draw(_token)
+        elif op == "drop" and row:
+            del row[min(j, len(row) - 1)]
+        elif op == "insert":
+            row.insert(j, draw(_token))
+        elif op == "drop_line":
+            del lines[i]
+            if not lines:
+                break
+        elif op == "dup_line":
+            lines.insert(i, list(row))
+        else:
+            row.insert(j, "#")
+    return "\n".join(" ".join(row) for row in lines) + "\n"
+
+
+@settings(deadline=None, max_examples=500)
+@given(_near_valid_lines())
+def test_parse_matrix_file_fuzz(text):
+    try:
+        parsed = formats.parse_matrix_file(text)
+    except MatrixFormatError:
+        return
+    mat = parsed.materialize()
+    assert isinstance(mat, sl.CommutationMatrix)
+    assert mat.p == parsed.p
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.lists(st.integers(0, 2).map(str) | _token, max_size=4), max_size=4)
+    .map(lambda rows: "\n".join(" ".join(r) for r in rows))
+)
+def test_parse_basis_file_fuzz(text):
+    try:
+        vectors = formats.parse_basis_file(text, 3, 3)
+    except MatrixFormatError:
+        return
+    assert vectors and all(v.shape == (3,) and v.dtype == np.int64 for v in vectors)
+    assert all(((v >= 0) & (v < 3)).all() for v in vectors)
 
 
 def test_parse_basis_file():

@@ -1,12 +1,15 @@
 """Commutation matrices, bilinear forms, and symplectic bases."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinlab as sl
-from spinlab import gf
+from spinlab import forms, gf
+from spinlab.errors import SizeBoundError
 
 from conftest import (
     brute_kernel_set,
@@ -15,7 +18,9 @@ from conftest import (
     enum_vectors,
     matrices_with_vectors,
     omega_sum_oracle,
+    pair_up_stepwise,
     q_sum_oracle,
+    rref_stepwise,
     span_set,
 )
 
@@ -78,6 +83,51 @@ def test_toeplitz_clifford_pattern():
     assert np.array_equal(
         sl.toeplitz_matrix(2, [1] * 5, 6).entries, sl.clifford_matrix(2, 6).entries
     )
+
+
+def _toeplitz_loop(p, pattern, n):
+    ent = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, min(n, i + 1 + len(pattern))):
+            ent[i, j] = pattern[j - i - 1]
+            ent[j, i] = (-pattern[j - i - 1]) % p
+    return ent
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.sampled_from([2, 3, 5, 251]),
+    st.lists(st.integers(0, 250), max_size=12),
+    st.integers(1, 16),
+)
+def test_toeplitz_matches_double_loop(p, pattern, n):
+    pattern = [v % p for v in pattern]
+    mat = sl.toeplitz_matrix(p, pattern, n)
+    assert np.array_equal(mat.entries, _toeplitz_loop(p, pattern, n))
+    assert mat.entries.flags.c_contiguous and mat.pattern == tuple(pattern)
+
+
+def test_toeplitz_size_bound_checked_first():
+    # raises before anything of size n^2 is allocated
+    with pytest.raises(SizeBoundError, match="bound"):
+        sl.toeplitz_matrix(2, [1], forms.MAX_TOEPLITZ_N + 1)
+    with pytest.raises(ValueError, match="at least 1"):
+        sl.toeplitz_matrix(2, [1], 0)
+    with pytest.raises(ValueError, match=r"\[0, 3\)"):
+        sl.toeplitz_matrix(3, [1, 3], 4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: sl.commutation_matrix(2, [[0, 0.5], [0.5, 0]]),
+        lambda: sl.commutation_matrix(3, np.zeros((2, 2))),
+        lambda: sl.toeplitz_matrix(2, [1.5], 3),
+    ],
+)
+def test_matrices_reject_non_integers(build):
+    with pytest.raises(ValueError, match="integer"):
+        build()
 
 
 def test_random_alternating_deterministic():
@@ -334,6 +384,44 @@ def test_extend_elimination_count_does_not_grow(monkeypatch, from_empty):
         check_symplectic_relations(mat, grown)
         counts.append(len(calls))
     assert counts == [3, 3, 3]
+
+
+def _same_basis(a, b):
+    return all(
+        len(x) == len(y) and all(np.array_equal(u, v) for u, v in zip(x, y))
+        for x, y in [(a.e, b.e), (a.f, b.f), (a.kernel, b.kernel)]
+    )
+
+
+def _bases(mat, k):
+    """A fresh basis of mat, and one extended from its k x k prefix."""
+    old = sl.symplectic_basis(mat.prefix(k)) if k else sl.SymplecticBasis((), (), ())
+    return sl.symplectic_basis(mat), sl.extend_symplectic_basis(mat, old)
+
+
+def _stepwise_bases(mat, k):
+    with mock.patch.object(gf, "rref", rref_stepwise), mock.patch.object(
+        forms, "_pair_up", pair_up_stepwise
+    ):
+        return _bases(mat, k)
+
+
+@settings(deadline=None, max_examples=80)
+@given(commutation_matrices(primes=(2, 3, 5, 7, 251), max_n=14), st.integers(0, 14))
+def test_bases_match_stepwise_oracles(mat, k):
+    k = min(k, mat.n)
+    got = _bases(mat, k)
+    want = _stepwise_bases(mat, k)
+    assert all(_same_basis(g, w) for g, w in zip(got, want))
+
+
+def test_bases_match_stepwise_oracles_p251_large():
+    # 150 pairing rounds at p = 251 let the unreduced rows grow to ~10^7
+    mat = sl.random_alternating(251, 301, seed=251)
+    got = _bases(mat, 120)
+    want = _stepwise_bases(mat, 120)
+    assert got[0].r == 150 and got[0].d == 1
+    assert all(_same_basis(g, w) for g, w in zip(got, want))
 
 
 # --- congruence and generation -------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spinlab import gf
 
-from conftest import brute_kernel_set, brute_rank, enum_vectors, span_set
+from conftest import brute_kernel_set, brute_rank, enum_vectors, rref_stepwise, span_set
 
 
 def test_rref_zero_matrix():
@@ -231,3 +231,87 @@ def test_extend_functional_vanishes_off_the_pivot_columns(p, n, seed):
     gamma = gf.extend_functional(list(rows), values, n, p)
     assert ((rows @ gamma) % p).tolist() == values
     assert not np.delete(gamma, pivots).any()
+
+
+# --- deferred reduction against the reduce-every-step oracle --------------
+
+
+@st.composite
+def gf_matrices(draw):
+    """(matrix, p) with m, n <= 40: uniform, zero, rank-deficient (a
+    product through k < min(m, n) columns), or uniform but unreduced
+    (negative and >= p entries).  Empty shapes are included."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    m, n = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["uniform", "zero", "deficient", "unreduced"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.integers(0, p, size=(m, n))
+    if kind == "zero":
+        a[:] = 0
+    elif kind == "deficient":
+        k = int(rng.integers(0, max(1, min(m, n))))
+        a = rng.integers(0, p, size=(m, k)) @ rng.integers(0, p, size=(k, n))
+    elif kind == "unreduced":
+        a += p * rng.integers(-3, 4, size=(m, n))
+    return a, p
+
+
+@settings(deadline=None, max_examples=300)
+@given(gf_matrices())
+def test_rref_matches_stepwise_oracle(case):
+    a, p = case
+    before = a.copy()
+    r, pivots = gf.rref(a, p)
+    r_ref, pivots_ref = rref_stepwise(a, p)
+    assert np.array_equal(a, before)  # the input is not written
+    assert pivots == pivots_ref
+    assert r.dtype == np.int64 and np.array_equal(r, r_ref)
+
+
+@pytest.mark.parametrize("shape", [(300, 300), (280, 320)])
+def test_rref_matches_stepwise_oracle_p251_large(shape):
+    # ~300 pivots at p = 251 let the unreduced entries grow to ~10^7
+    a = np.random.default_rng(251).integers(0, 251, size=shape)
+    a[-20:] = (a[:20] * 7 + a[20:40]) % 251  # rank-deficient tail
+    r, pivots = gf.rref(a, 251)
+    r_ref, pivots_ref = rref_stepwise(a, 251)
+    assert pivots == pivots_ref and len(pivots) == shape[0] - 20
+    assert np.array_equal(r, r_ref)
+
+
+# --- integer input only -----------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [0.9, 1.2],
+        np.array([1.0, 2.0]),
+        [1 + 2j, 0],
+        np.array(["1", "2"]),
+        np.array([1, 1.5], dtype=object),
+        np.array([1, "2"], dtype=object),
+        np.array([7, np.int32(-1)], dtype=object),
+        [2**63],
+        [2**70],
+        np.array([5, 2**64 - 1], dtype=np.uint64),
+    ],
+)
+def test_as_gf_array_rejects_non_integers(value):
+    with pytest.raises(ValueError, match="integer"):
+        gf.as_gf_array(value, 5)
+
+
+def test_as_gf_array_accepts_integer_types():
+    assert gf.as_gf_array([True, False], 3).tolist() == [1, 0]
+    assert gf.as_gf_array(np.array([7, 9], dtype=np.uint8), 5).tolist() == [2, 4]
+    assert gf.as_gf_array(np.array([7, 2**63 - 1], dtype=np.uint64), 5).tolist() == [2, 2]
+    assert gf.as_gf_array([], 5).shape == (0,)
+    assert gf.as_gf_array([], 5).dtype == np.int64
+
+
+def test_kernels_reject_float_matrices():
+    with pytest.raises(ValueError, match="integer"):
+        gf.rref(np.eye(2), 3)
+    with pytest.raises(ValueError, match="integer"):
+        gf.solve(np.eye(2, dtype=int), [0.5, 1], 3)

@@ -111,6 +111,22 @@ def test_monomial_rejects_non_permutations(perm, match):
         sl.MonomialMatrix(2, perm, [0, 0])
 
 
+@pytest.mark.parametrize(
+    "perm,phases",
+    [([0.9, 1.2], [0.5, 3.7]), ([0, 1], [0.5, 3.7]), ([1.0, 0.0], [0, 0]), ([0, 1], [1j, 0])],
+)
+def test_monomial_rejects_non_integers(perm, phases):
+    # int64 coercion would truncate these to a valid matrix
+    with pytest.raises(ValueError, match="integer"):
+        sl.MonomialMatrix(2, perm, phases)
+
+
+def test_word_matrix_rejects_non_integer_exponents():
+    rep = sl.prop11_rep(sl.clifford_matrix(2, 3))
+    with pytest.raises(ValueError, match="integer"):
+        sl.word_matrix(rep, [0.5, 1.7, 2.2])
+
+
 def test_is_scalar():
     ident = sl.mono_identity(3, 3)
     assert sl.is_scalar(ident) == 0

@@ -26,6 +26,19 @@ def plain(x, mat):
     return sl.Word(0, np.asarray(x), mat)
 
 
+@pytest.mark.parametrize(
+    "phase,x", [(0, [1.9, 0.2, 0]), (0, np.array([1.0, 0.0, 0.0])), (0.5, [1, 0, 0])]
+)
+def test_word_rejects_non_integers(phase, x):
+    # int() and int64 coercion would truncate these to a valid word
+    with pytest.raises(ValueError, match="integer"):
+        sl.Word(phase, x, CLIFF3)
+
+
+def test_word_accepts_numpy_integer_phase():
+    assert sl.Word(np.int64(5), [1, 0, 1], CLIFF3).phase == 1
+
+
 # --- products -------------------------------------------------------------
 
 
