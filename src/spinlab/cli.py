@@ -1,14 +1,17 @@
 """Command-line surface: spinlab <analyze|basis|represent|classify|generate|grow>.
 
-Exit codes: 0 success, 2 parse/validation failure, 3 size bound
-exceeded, 4 invariant constraint violation.  The environment variable
-SPINLAB_MAX_DIM overrides the default p^n dimension bound for the
-representation commands.
+Exit codes: 0 success, 2 parse/validation failure of a file or an
+option value, 3 size bound exceeded, 4 invariant constraint violation.
+Validation errors are turned into MatrixFormatError where input enters
+the library; any other exception is a fault and propagates (exit 1).
+The environment variable SPINLAB_MAX_DIM overrides the default p^n
+dimension bound for the representation commands.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,6 +26,7 @@ from .formats import (
     grow_to_dict,
     invariant_from_dict,
     invariant_to_dict,
+    json_text,
     parse_basis_file,
     parse_matrix_file,
     report_to_dict,
@@ -40,6 +44,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise MatrixFormatError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"cannot read {path}: not UTF-8 ({exc})")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -51,7 +57,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    _emit(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", out)
+    _emit(json_text(doc) + "\n", out)
 
 
 def _load_matrix(path: str, n_max: int | None) -> forms.CommutationMatrix:
@@ -141,7 +147,7 @@ def _cmd_represent(args) -> int:
         if args.invariant:
             try:
                 doc = json.loads(_read(args.invariant))
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # also too many digits, too deep
                 raise MatrixFormatError(f"bad invariant JSON: {exc}")
             invariant = invariant_from_dict(doc, mat)
         rep = reps.irreducible_rep(mat, invariant, max_dim=max_dim)
@@ -156,13 +162,22 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _from_options(build, *args) -> forms.CommutationMatrix:
+    """A matrix built from option values; the constructor's ValueError
+    is a bad option, reported as such (exit 2)."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise MatrixFormatError(str(exc))
+
+
 def _cmd_generate(args) -> int:
     if args.clifford is not None:
-        mat = forms.clifford_matrix(2, args.clifford)
+        mat = _from_options(forms.clifford_matrix, 2, args.clifford)
     elif args.random is not None:
         if args.seed is None:
             raise MatrixFormatError("--random requires --seed for reproducibility")
-        mat = forms.random_alternating(args.prime, args.random, args.seed)
+        mat = _from_options(forms.random_alternating, args.prime, args.random, args.seed)
     else:
         ref_path, basis_path = args.from_basis
         ref = _load_matrix(ref_path, None)
@@ -185,6 +200,7 @@ def _cmd_grow(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spinlab",
@@ -251,9 +267,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except SizeBoundError as exc:

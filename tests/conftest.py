@@ -82,6 +82,22 @@ def alternating_from_upper(p, n, upper):
     return sl.commutation_matrix(p, ent)
 
 
+def random_alternating_loop(p, n, seed):
+    """The strict upper triangle from one ``randrange(p)`` per entry in
+    row-major order, mirrored with negation, written entry by entry: the
+    oracle of ``random_alternating``."""
+    import random
+
+    rng = random.Random(seed)
+    ent = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            c = rng.randrange(p)
+            ent[i, j] = c
+            ent[j, i] = (-c) % p
+    return ent
+
+
 @st.composite
 def commutation_matrices(draw, primes=(2, 3, 5), min_n=1, max_n=5):
     p = draw(st.sampled_from(primes))

@@ -46,12 +46,37 @@ def golden(name):
         ("classify_pauli.json", ["classify", FIXTURES / "pauli.txt"]),
         ("basis_random_p3_seed7.json", ["basis", FIXTURES / "random9_p3_seed7.txt"]),
         ("basis_planted_p5.json", ["basis", FIXTURES / "planted_p5.txt"]),
+        (
+            "represent_prop11_planted_p2_d2.json",
+            ["represent", FIXTURES / "planted_p2_d2.txt", "--kind", "prop11"],
+        ),
+        (
+            "represent_irr_planted_p2_d2.json",
+            ["represent", FIXTURES / "planted_p2_d2.txt", "--kind", "irr"],
+        ),
+        ("classify_planted_p2_d2.json", ["classify", FIXTURES / "planted_p2_d2.txt"]),
     ],
 )
 def test_golden_outputs(capsys, name, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == golden(name)
+
+
+def test_golden_outputs_repeat_in_one_process(capsys):
+    # the argument parser is built once per process and reused
+    argvs = [
+        ["analyze", FIXTURES / "band.txt", "--n-max", 6, "--json"],
+        ["generate", "--random", 4, "--seed", 7, "--prime", 3],
+        ["basis", FIXTURES / "planted_p5.txt"],
+    ]
+    first = [run(capsys, *argv) for argv in argvs]
+    assert [run(capsys, *argv) for argv in argvs] == first
+    assert [out for _, out, _ in first] == [
+        golden("analyze_band.json"),
+        golden("generate_random_p3_seed7.txt"),
+        golden("basis_planted_p5.json"),
+    ]
 
 
 def test_generate_round_trips(capsys, tmp_path):
@@ -151,6 +176,68 @@ def test_exit_code_2_on_non_int64_invariant_entry(capsys, tmp_path, entry):
     )
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["matrix", "basis", "invariant"])
+def test_exit_code_2_on_file_not_utf8(capsys, tmp_path, which):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"2 2\n0 1\n1 0\n\xff\n")
+    argv = {
+        "matrix": ["analyze", bad],
+        "basis": ["generate", "--from-basis", FIXTURES / "pauli.txt", bad],
+        "invariant": [
+            "represent", FIXTURES / "clifford3.txt", "--kind", "irr", "--invariant", bad,
+        ],
+    }[which]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot read {bad}: not UTF-8 (")
+
+
+@pytest.mark.parametrize("text", ['{"kernel_basis": [[1, 1, ' + "1" * 5000 + "]]}", "[" * 100000])
+def test_exit_code_2_on_unreadable_invariant_json(capsys, tmp_path, text):
+    # an integer beyond the str-to-int digit limit, and nesting beyond the
+    # recursion limit: neither raises JSONDecodeError
+    inv_file = tmp_path / "inv.json"
+    inv_file.write_text(text, encoding="utf-8")
+    code, out, err = run(
+        capsys,
+        "represent", FIXTURES / "clifford3.txt", "--kind", "irr",
+        "--invariant", inv_file,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad invariant JSON: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["generate", "--random", 3, "--seed", 1, "--prime", 4], "modulus must be prime, got 4"),
+        (["generate", "--clifford", 0], "empty commutation matrix"),
+        (["generate", "--random", 0, "--seed", 1], "empty commutation matrix"),
+        (
+            ["basis", FIXTURES / "band.txt", "--n-max", 0],
+            "matrix size must be at least 1, got 0",
+        ),
+        (
+            ["grow", FIXTURES / "band.txt", "--n-max", -2],
+            "matrix size must be at least 1, got -2",
+        ),
+    ],
+)
+def test_exit_code_2_on_bad_option_values(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_internal_value_error_is_not_a_format_error(capsys, monkeypatch):
+    def broken(mat):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(forms, "symplectic_basis", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["basis", str(FIXTURES / "pauli.txt")])
 
 
 def test_exit_code_2_on_missing_file(capsys):

@@ -1,5 +1,6 @@
 """Matrix file parsing/formatting and JSON document round trips."""
 
+import json
 from unittest import mock
 
 import numpy as np
@@ -95,6 +96,45 @@ def test_parse_reports_first_row_fault_in_order(text, line, message):
     with pytest.raises(MatrixFormatError, match=message) as err:
         formats.parse_matrix_file(text)
     assert err.value.line == line
+
+
+# Explicit files with tokens that are not the canonical decimal of a
+# value in [0, p), each with the matrix or the error message that the
+# row-by-row int() reading of earlier versions gives.
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("13 3\n0 +1 0\n12 0 0\n0 0 0\n", [[0, 1, 0], [12, 0, 0], [0, 0, 0]]),
+        ("13 3\n0 01 0\n12 0 0\n0 0 0\n", [[0, 1, 0], [12, 0, 0], [0, 0, 0]]),
+        ("13 3\n0 1_0 0\n3 0 0\n0 0 0\n", [[0, 10, 0], [3, 0, 0], [0, 0, 0]]),
+        ("13 3\n0 \u0663 0\n10 0 0\n0 0 0\n", [[0, 3, 0], [10, 0, 0], [0, 0, 0]]),
+        ("13 3\n-0 1 0\n12 +0 0\n0 0 00\n", [[0, 1, 0], [12, 0, 0], [0, 0, 0]]),
+        ("5 2\n0 \u0661\n\u0664 0\n", [[0, 1], [4, 0]]),
+        ("5 2\n+0 1\n4 -0\n", [[0, 1], [4, 0]]),
+        ("5 3\n0 1_0 0\n4 0 0\n0 0 0\n", "line 2: entry 10 out of range [0, 5)"),
+        ("5 3\n0 +1 0\n4 \u0663 0\n0 0 0\n", "line 3: diagonal entry must be zero"),
+        (
+            "5 3\n0 01 0\n1 0 0\n0 0 0\n",
+            "line 2: entry (0, 1) breaks skew-symmetry c_ji = -c_ij",
+        ),
+        ("5 3\n0 1 0\n4 0 0x1\n0 0 0\n", "line 3: expected an integer, got '0x1'"),
+        ("5 3\n0 1 0\n4 0 0\n0 -1 0\n", "line 4: entry -1 out of range [0, 5)"),
+        ("5 3\n0 1 0\n4 0 1_0\nx 0 0\n", "line 3: entry 10 out of range [0, 5)"),
+        ("5 3\n0 1 0\n4 +0\n0 0 0\n", "line 3: row has 2 entries, expected 3"),
+        (
+            "5 2\n0 +100000000000000000000000\n4 0\n",
+            "line 2: entry 100000000000000000000000 out of range [0, 5)",
+        ),
+        ("5 2\n0 1\n\uff15 0\n", "line 3: entry 5 out of range [0, 5)"),
+    ],
+)
+def test_parse_non_canonical_tokens(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(MatrixFormatError) as err:
+            formats.parse_matrix_file(text)
+        assert str(err.value) == expected
+    else:
+        assert formats.parse_matrix_file(text).materialize().entries.tolist() == expected
 
 
 # Near-valid matrix and basis files: a well-formed file (a valid header
@@ -304,6 +344,35 @@ def test_representation_from_dict_fuzz(doc):
     assert isinstance(rep, sl.Representation)
     for g in rep.generators:
         assert np.array_equal(np.sort(g.perm), np.arange(rep.dim))
+
+
+_json_strings = st.text() | st.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f", "\u2028", "é☃", "\ud800", "\U0001f600"]
+)
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2 ** 70), 2 ** 70)
+    | st.floats()
+    | _json_strings
+)
+_json_int_lists = st.lists(st.integers(-3, 1100)) | st.lists(
+    st.integers(-(2 ** 70), 2 ** 70) | st.booleans() | st.none(), max_size=6
+)
+_json_docs = st.recursive(
+    _json_scalars | _json_int_lists,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_json_strings, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None, max_examples=500)
+@given(_json_docs)
+def test_json_text_matches_json_dumps(doc):
+    assert formats.json_text(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
 
 
 def test_report_dict_fields():

@@ -20,6 +20,7 @@ from conftest import (
     omega_sum_oracle,
     pair_up_stepwise,
     q_sum_oracle,
+    random_alternating_loop,
     rref_stepwise,
     span_set,
 )
@@ -135,6 +136,21 @@ def test_random_alternating_deterministic():
     b = sl.random_alternating(5, 6, seed=42)
     assert a == b
     assert a != sl.random_alternating(5, 6, seed=43)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 251])
+@pytest.mark.parametrize("n", [1, 2, 9, 64])
+def test_random_alternating_matches_randrange_loop(p, n):
+    for seed in (0, 1, 7, 123, 2 ** 40 + 5):
+        mat = sl.random_alternating(p, n, seed)
+        assert mat.p == p
+        assert np.array_equal(mat.entries, random_alternating_loop(p, n, seed))
+
+
+def test_random_alternating_rejects_bad_modulus():
+    for p in (0, 4, 257):
+        with pytest.raises(ValueError, match="modulus"):
+            sl.random_alternating(p, 3, 1)
 
 
 # --- omega and q ----------------------------------------------------------
