@@ -1,7 +1,8 @@
 """Command-line surface: spinlab <analyze|basis|represent|classify|generate|grow>.
 
 Exit codes: 0 success, 2 parse/validation failure of a file or an
-option value, 3 size bound exceeded, 4 invariant constraint violation.
+option value, or a file that cannot be read or written, 3 size bound
+exceeded, 4 invariant constraint violation.
 Validation errors are turned into MatrixFormatError where input enters
 the library; any other exception is a fault and propagates (exit 1).
 The environment variable SPINLAB_MAX_DIM overrides the default p^n
@@ -26,7 +27,6 @@ from .formats import (
     grow_to_dict,
     invariant_from_dict,
     invariant_to_dict,
-    json_text,
     parse_basis_file,
     parse_matrix_file,
     report_to_dict,
@@ -50,14 +50,18 @@ def _read(path: str) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise MatrixFormatError(f"cannot write {out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    _emit(json_text(doc) + "\n", out)
+    # the one-shot C encoder; json.dump to a file runs the Python one
+    _emit(json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n", out)
 
 
 def _load_matrix(path: str, n_max: int | None) -> forms.CommutationMatrix:

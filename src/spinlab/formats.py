@@ -11,17 +11,16 @@ Matrix files are UTF-8, newline-delimited, with '#' comments:
     <m integers in [0, p)>
 
 Parse and validation failures raise MatrixFormatError carrying the
-offending 1-based line number.  JSON documents are written by
-``json_text`` (the standard library encoder's bytes at indent 2, with
-non-ASCII text kept) with a fixed field order, and never contain
-floats: phases are always integer exponents mod p^2.  The report,
-basis, classification and grow documents carry ``"schema":
+offending 1-based line number.  The CLI writes each JSON document as
+one line of compact JSON (the standard library encoder with separators
+"," and ":", non-ASCII text kept) with a fixed field order.  Documents
+never contain floats: phases are always integer exponents mod p^2.  The
+report, basis, classification and grow documents carry ``"schema":
 SCHEMA_VERSION``; the invariant and representation documents do not.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,61 +231,6 @@ def parse_basis_file(text: str, p: int, n: int) -> list[np.ndarray]:
 # JSON documents
 
 
-def json_text(doc) -> str:
-    """The text the standard library's ``json`` module writes for ``doc``
-    with ``indent=2`` and ``ensure_ascii=False``, byte for byte, for a
-    document of dicts with string keys, lists, tuples and scalars.
-    A list of exact ints, the bulk of every array document, is written
-    with one join instead of the encoder's per-item Python loop."""
-    out: list[str] = []
-    _json_parts(doc, "\n", out)
-    return "".join(out)
-
-
-# the encoder json.dumps(x, ensure_ascii=False) builds, made once
-_SCALAR = json.JSONEncoder(ensure_ascii=False).encode
-# decimal text of the small ints that fill array documents: every value
-# of GF(p), the phase exponents mod p^2 for p <= 31, permutations of
-# dim <= 1024.  A lookup returns a shared string where str() builds one;
-# that makes the dense-basis benchmark about 7% faster.
-_DECIMAL = {v: str(v) for v in range(1024)}
-
-
-def _json_parts(obj, newline: str, out: list[str]) -> None:
-    """Append the indent-2 text of ``obj``; ``newline`` is a newline
-    followed by the indentation of the line ``obj`` starts on."""
-    inner = newline + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        sep = "{" + inner
-        for key, value in obj.items():
-            out.append(sep + _SCALAR(key) + ": ")
-            _json_parts(value, inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-        elif set(map(type, obj)) == {int}:  # bools and int subclasses fall through
-            sep = "," + inner
-            try:
-                body = sep.join(map(_DECIMAL.__getitem__, obj))
-            except KeyError:  # a value outside the table
-                body = sep.join(map(str, obj))
-            out.append("[" + inner + body + newline + "]")
-        else:
-            sep = "[" + inner
-            for value in obj:
-                out.append(sep)
-                _json_parts(value, inner, out)
-                sep = "," + inner
-            out.append(newline + "]")
-    else:
-        out.append(_SCALAR(obj))
-
-
 def _vec(v: np.ndarray) -> list[int]:
     return np.asarray(v).tolist()
 
@@ -347,9 +291,7 @@ def representation_to_dict(rep: Representation) -> dict:
     }
 
 
-def representation_from_dict(
-    doc: dict, mat: CommutationMatrix, kind: str = "loaded"
-) -> Representation:
+def representation_from_dict(doc: dict, mat: CommutationMatrix) -> Representation:
     try:
         if not (_is_int(doc["p"]) and _is_int(doc["n"])):
             raise MatrixFormatError("representation p and n must be integers")
@@ -367,7 +309,7 @@ def representation_from_dict(
         )
         if len(gens) != mat.n:
             raise MatrixFormatError("wrong number of generators")
-        return Representation(mat, gens, kind)
+        return Representation(mat, gens, "loaded")
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFormatError(f"bad representation document: {exc}")
 

@@ -187,6 +187,10 @@ class Representation:
     invariant: StandardInvariant | None = None
 
     def __post_init__(self):
+        if len(self.generators) != self.mat.n:
+            raise ValueError(
+                f"expected {self.mat.n} generators, got {len(self.generators)}"
+            )
         if any(
             g.p != self.mat.p or g.dim != self.dim for g in self.generators
         ):
@@ -194,7 +198,7 @@ class Representation:
 
     @property
     def dim(self) -> int:
-        return self.generators[0].dim if self.generators else 1
+        return self.generators[0].dim
 
     @cached_property
     def _word_table(self) -> "_WordTable | None":

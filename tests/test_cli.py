@@ -1,6 +1,8 @@
 """CLI conformance: golden files, round trips, exit codes."""
 
+import errno
 import json
+import os
 import pathlib
 
 import pytest
@@ -24,43 +26,54 @@ def golden(name):
     return (GOLDEN / name).read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize(
-    "name,argv",
-    [
-        ("analyze_pauli.txt", ["analyze", FIXTURES / "pauli.txt"]),
-        ("analyze_pauli.json", ["analyze", FIXTURES / "pauli.txt", "--json"]),
-        ("analyze_zero3.txt", ["analyze", FIXTURES / "zero3.txt"]),
-        ("analyze_clifford3.txt", ["analyze", FIXTURES / "clifford3.txt"]),
-        ("analyze_clifford3.json", ["analyze", FIXTURES / "clifford3.txt", "--json"]),
-        (
-            "analyze_band.json",
-            ["analyze", FIXTURES / "band.txt", "--n-max", 6, "--json"],
-        ),
-        ("generate_clifford3.txt", ["generate", "--clifford", 3]),
-        (
-            "generate_random_p3_seed7.txt",
-            ["generate", "--random", 4, "--seed", 7, "--prime", 3],
-        ),
-        ("grow_band.txt", ["grow", FIXTURES / "band.txt", "--n-max", 6]),
-        ("grow_band.json", ["grow", FIXTURES / "band.txt", "--n-max", 6, "--json"]),
-        ("classify_pauli.json", ["classify", FIXTURES / "pauli.txt"]),
-        ("basis_random_p3_seed7.json", ["basis", FIXTURES / "random9_p3_seed7.txt"]),
-        ("basis_planted_p5.json", ["basis", FIXTURES / "planted_p5.txt"]),
-        (
-            "represent_prop11_planted_p2_d2.json",
-            ["represent", FIXTURES / "planted_p2_d2.txt", "--kind", "prop11"],
-        ),
-        (
-            "represent_irr_planted_p2_d2.json",
-            ["represent", FIXTURES / "planted_p2_d2.txt", "--kind", "irr"],
-        ),
-        ("classify_planted_p2_d2.json", ["classify", FIXTURES / "planted_p2_d2.txt"]),
-    ],
-)
+GOLDEN_CASES = [
+    ("analyze_pauli.txt", ["analyze", FIXTURES / "pauli.txt"]),
+    ("analyze_pauli.json", ["analyze", FIXTURES / "pauli.txt", "--json"]),
+    ("analyze_zero3.txt", ["analyze", FIXTURES / "zero3.txt"]),
+    ("analyze_clifford3.txt", ["analyze", FIXTURES / "clifford3.txt"]),
+    ("analyze_clifford3.json", ["analyze", FIXTURES / "clifford3.txt", "--json"]),
+    (
+        "analyze_band.json",
+        ["analyze", FIXTURES / "band.txt", "--n-max", 6, "--json"],
+    ),
+    ("generate_clifford3.txt", ["generate", "--clifford", 3]),
+    (
+        "generate_random_p3_seed7.txt",
+        ["generate", "--random", 4, "--seed", 7, "--prime", 3],
+    ),
+    ("grow_band.txt", ["grow", FIXTURES / "band.txt", "--n-max", 6]),
+    ("grow_band.json", ["grow", FIXTURES / "band.txt", "--n-max", 6, "--json"]),
+    ("classify_pauli.json", ["classify", FIXTURES / "pauli.txt"]),
+    ("basis_random_p3_seed7.json", ["basis", FIXTURES / "random9_p3_seed7.txt"]),
+    ("basis_planted_p5.json", ["basis", FIXTURES / "planted_p5.txt"]),
+    (
+        "represent_prop11_planted_p2_d2.json",
+        ["represent", FIXTURES / "planted_p2_d2.txt", "--kind", "prop11"],
+    ),
+    (
+        "represent_irr_planted_p2_d2.json",
+        ["represent", FIXTURES / "planted_p2_d2.txt", "--kind", "irr"],
+    ),
+    ("classify_planted_p2_d2.json", ["classify", FIXTURES / "planted_p2_d2.txt"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES)
 def test_golden_outputs(capsys, name, argv):
     code, out, err = run(capsys, *argv)
     assert code == 0 and err == ""
     assert out == golden(name)
+
+
+@pytest.mark.parametrize(
+    "name,argv", [case for case in GOLDEN_CASES if case[0].endswith(".json")]
+)
+def test_json_documents_are_compact(capsys, name, argv):
+    # one line in the canonical compact form, non-ASCII text unescaped
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    canonical = json.dumps(json.loads(out), ensure_ascii=False, separators=(",", ":"))
+    assert out == canonical + "\n"
 
 
 def test_golden_outputs_repeat_in_one_process(capsys):
@@ -244,6 +257,17 @@ def test_exit_code_2_on_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "does-not-exist.txt")
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "target,errno_",
+    [("missing-dir/x.txt", errno.ENOENT), (".", errno.EISDIR)],
+)
+def test_exit_code_2_on_unwritable_out(capsys, tmp_path, target, errno_):
+    out = tmp_path / target
+    code, stdout, err = run(capsys, "analyze", FIXTURES / "pauli.txt", "--out", out)
+    assert code == 2 and stdout == ""
+    assert err == f"error: cannot write {out}: {os.strerror(errno_)}\n"
 
 
 def test_exit_code_3_on_size_bound(capsys, monkeypatch):

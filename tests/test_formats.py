@@ -1,6 +1,5 @@
 """Matrix file parsing/formatting and JSON document round trips."""
 
-import json
 from unittest import mock
 
 import numpy as np
@@ -344,35 +343,6 @@ def test_representation_from_dict_fuzz(doc):
     assert isinstance(rep, sl.Representation)
     for g in rep.generators:
         assert np.array_equal(np.sort(g.perm), np.arange(rep.dim))
-
-
-_json_strings = st.text() | st.sampled_from(
-    ['"', "\\", "\n\t\x00\x1f", "\u2028", "é☃", "\ud800", "\U0001f600"]
-)
-_json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(-(2 ** 70), 2 ** 70)
-    | st.floats()
-    | _json_strings
-)
-_json_int_lists = st.lists(st.integers(-3, 1100)) | st.lists(
-    st.integers(-(2 ** 70), 2 ** 70) | st.booleans() | st.none(), max_size=6
-)
-_json_docs = st.recursive(
-    _json_scalars | _json_int_lists,
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=3).map(tuple)
-    | st.dictionaries(_json_strings, children, max_size=4),
-    max_leaves=20,
-)
-
-
-@settings(deadline=None, max_examples=500)
-@given(_json_docs)
-def test_json_text_matches_json_dumps(doc):
-    assert formats.json_text(doc) == json.dumps(doc, indent=2, ensure_ascii=False)
 
 
 def test_report_dict_fields():

@@ -361,6 +361,14 @@ def test_representation_rejects_mixed_generators():
         sl.Representation(PAULI, (sl.shift(2), sl.mono_identity(2, 3)), "loaded")
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_representation_rejects_wrong_generator_count(count):
+    # PAULI has n = 2: one generator per qudit, no fewer and no more
+    gens = (sl.shift(2),) * count
+    with pytest.raises(ValueError, match=f"expected 2 generators, got {count}"):
+        sl.Representation(PAULI, gens, "loaded")
+
+
 # --- irreducible construction -----------------------------------------------
 
 
