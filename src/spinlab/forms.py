@@ -14,8 +14,8 @@ u_i u_j = zeta^{c_ij} u_j u_i exactly for every prime, including odd p
 where transposition flips signs.
 
 The constructive basis algorithm splits GF(p)^n into ker(omega) plus
-hyperbolic pairs (e_i, f_i) with omega(e_i, f_j) = delta_ij, choosing
-every pivot deterministically.
+hyperbolic pairs (e_i, f_i) with omega(e_i, f_j) = delta_ij, in one
+deterministic pass over the coordinates in order.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class CommutationMatrix:
     lower: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        gf.validate_prime(self.p)
+        object.__setattr__(self, "p", gf.validate_prime(self.p))
         ent = np.array(gf.as_int_array(self.entries))  # private copy, frozen below
         if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
             raise ValueError(f"entries must be square, got shape {ent.shape}")
@@ -221,60 +221,75 @@ class SymplecticBasis:
         return np.stack(cols, axis=1)
 
 
-def _pair_up(
-    mat: CommutationMatrix, b: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Greedy hyperbolic pairing inside the row span of the k x n array b.
+def _symplectic_pass(
+    mat: CommutationMatrix, e, f, u
+) -> tuple[SymplecticBasis, list[int]]:
+    """Symplectic Gram-Schmidt over the unit vectors in coordinate order.
 
-    Symplectic Gram-Schmidt: omega restricted to span(b) must be
-    nondegenerate.  Each round takes the first remaining row as e, the
-    first row b_i with omega(e, b_i) != 0 gives f = b_i / omega(e, b_i),
-    rows 0 and i are dropped, and every other row w is projected onto
-    the symplectic complement of span(e, f) by one rank-2 update
-    w -= omega(w, f) e - omega(w, e) f.  A round costs O(k n) for k
-    remaining rows, so the pairing is O(n^3) with no elimination.
-    These are the vectors of the rule "solve omega(e, f) = 1 with free
-    variables zero, then keep the kernel basis of the two constraints
-    omega(., e) = omega(., f) = 0": that 2-row system has its pivots at
-    rows 0 and i, and the projection onto the complement is unique.
-    The rows are kept unreduced: e and f are reduced when picked, and so
-    are C e and C f, so every omega value is exact.  An update moves an
-    entry by at most (p-1)^2, so |b| <= 1 + n (p-1)^2 and a row product
-    stays below n^2 (p-1)^3 < 2^63 for n < 7 * 10^5.
+    The state is a symplectic basis of the leading k x k block, k =
+    2 len(e) + len(u): pairs (e_i, f_i) and a basis u of its radical,
+    stored as columns with C times each beside them.  Step k projects e_k
+    to v = e_k - sum omega(e_k, f_i) e_i + sum omega(e_k, e_i) f_i; then
+    w_j = omega(u_j, v) = -(C u_j)_k.  The first u_j with w_j != 0 pairs
+    with v / w_j and each other u_i loses (w_i / w_j) u_j; with none, v
+    joins u.  Each O(n^2) step keeps the given pairs and yields the rank
+    of the leading k + 1 block.  The radical comes back as the reduced
+    echelon form of u with its columns reversed, which is ``form_kernel``:
+    column j of C is free exactly when some kernel vector has its last
+    nonzero entry at j.  Sums of r <= n/2 products of int32 entries in
+    [0, p) stay below r (p-1)^2 + p < 2^31: n < 68,720 at p = 251.
     """
-    p, ent = mat.p, mat.entries
-    e_list: list[np.ndarray] = []
-    f_list: list[np.ndarray] = []
-    while len(b):
-        e = b[0] % p
-        w_e = (b @ ((ent @ e) % p)) % p  # omega(b_j, e) = -omega(e, b_j)
-        nz = np.flatnonzero(w_e)
-        assert nz.size, "partner must exist in a nondegenerate block"
-        i = int(nz[0])
-        f = (b[i] * pow(-int(w_e[i]), -1, p)) % p
-        keep = np.ones(len(b), dtype=bool)
-        keep[[0, i]] = False
-        b, w_e = b[keep], w_e[keep]
-        w_f = (b @ ((ent @ f) % p)) % p  # omega(b_j, f)
-        b -= np.outer(w_f, e)
-        b += np.outer(w_e, f)
-        e_list.append(e)
-        f_list.append(f)
-    return e_list, f_list
+    n, p = mat.n, mat.p
+    if n // 2 * (p - 1) ** 2 + p >= 2 ** 31:
+        raise SizeBoundError(f"matrix size {n} too large for the int32 pass at p={p}")
+    r = len(e)
+    start = [x for pair in zip(e, f) for x in pair] + list(u)
+    w = np.zeros((n, n), dtype=np.int32)
+    cw = np.zeros((n, n), dtype=np.int32)
+    w[:, : len(start)] = np.array(start, dtype=np.int64).reshape(-1, n).T
+    cw[:, : len(start)] = mat.entries @ w[:, : len(start)] % p
+    ranks = []
+    for k in range(len(start), n):
+        pairs = 2 * r
+        c = cw[k, :pairs].reshape(r, 2)[:, ::-1].flatten()
+        c[0::2] *= -1  # the coefficients of v on (e_1, f_1, ...)
+        v = w[: k + 1, :pairs] @ c
+        v[k] += 1
+        cv = cw[:, :pairs] @ c + mat.entries[:, k]
+        wu = -cw[k, pairs:k] % p
+        nz = np.flatnonzero(wu)
+        if nz.size:
+            i = int(nz[0])
+            inv = pow(int(wu[i]), -1, p)
+            t = np.delete(wu * inv % p, i)
+            rest = np.delete(np.arange(pairs, k), i)
+            u_new = (w[:k, rest] - np.outer(w[:k, pairs + i], t)) % p
+            cu_new = (cw[:, rest] - np.outer(cw[:, pairs + i], t)) % p
+            w[:k, pairs], cw[:, pairs] = w[:k, pairs + i], cw[:, pairs + i]
+            w[: k + 1, pairs + 1], cw[:, pairs + 1] = v % p * inv % p, cv % p * inv % p
+            w[:k, pairs + 2 : k + 1], cw[:, pairs + 2 : k + 1] = u_new, cu_new
+            r += 1
+        else:
+            w[: k + 1, k], cw[:, k] = v % p, cv % p
+        ranks.append(2 * r)
+    del cw  # freed before the copies below
+    rows, pivots = gf.rref(w[:, 2 * r :].T[:, ::-1], p)
+    if len(pivots) != n - 2 * r:
+        raise ValueError("existing basis is inconsistent")
+    kernel = tuple(v[::-1].copy() for v in rows[::-1])
+    pairs = w[:, : 2 * r].T.astype(np.int64)
+    return SymplecticBasis(tuple(pairs[0::2]), tuple(pairs[1::2]), kernel), ranks
 
 
 def symplectic_basis(mat: CommutationMatrix) -> SymplecticBasis:
-    """Constructive decomposition GF(p)^n = ker(omega) + hyperbolic pairs.
+    """Constructive decomposition GF(p)^n = ker(omega) + hyperbolic pairs,
+    by ``_symplectic_pass`` from the empty state: deterministic, O(n^3)."""
+    return _symplectic_pass(mat, (), (), ())[0]
 
-    One elimination of C gives both the kernel basis and its complement,
-    spanned by the standard unit vectors at the pivot columns; pairing
-    then proceeds greedily (``_pair_up``), so the result is deterministic
-    and costs O(n^3) in all.
-    """
-    r, pivots = gf.rref(mat.entries, mat.p)
-    kernel = gf.kernel_from_rref(r, pivots, mat.n, mat.p)
-    e_list, f_list = _pair_up(mat, np.eye(mat.n, dtype=np.int64)[pivots])
-    return SymplecticBasis(tuple(e_list), tuple(f_list), tuple(kernel))
+
+def prefix_ranks(mat: CommutationMatrix) -> list[int]:
+    """Form rank of every leading k x k block, k = 1..n, from one pass."""
+    return _symplectic_pass(mat, (), (), ())[1]
 
 
 def extend_symplectic_basis(
@@ -283,15 +298,11 @@ def extend_symplectic_basis(
     """Grow a basis to a larger matrix that extends the old one.
 
     ``mat`` must have the same modulus and contain the old matrix as its
-    upper-left block.  Relations among zero-padded old pairs evaluate on
-    unchanged coordinates, so every old pair stays valid verbatim; the
-    new basis keeps them as a prefix of e/f and recomputes the kernel.
+    upper-left block.  ``_symplectic_pass`` resumes from the zero-padded
+    old vectors, so the old pairs stay verbatim as a prefix of e/f.
     Raises ValueError unless the old vectors, under that block, have the
     Gram matrix ``standard_form(p, r, d)``; for a genuine basis of the old
-    matrix this holds exactly when the block is the old matrix.  Three
-    eliminations whatever the size (the kernel, the complement of the
-    old pairs, and one pass that picks the vectors to pair), then
-    ``_pair_up``: O(n^3) in all.
+    matrix this holds exactly when the block is the old matrix.
     """
     n, p = mat.n, mat.p
     n_old = 2 * existing.r + existing.d
@@ -307,28 +318,8 @@ def extend_symplectic_basis(
         raise ValueError(
             "existing basis is not a symplectic basis of the upper-left block"
         )
-    pad = lambda v: np.concatenate([v, np.zeros(n - n_old, dtype=np.int64)])
-    e_list = [pad(v) for v in existing.e]
-    f_list = [pad(v) for v in existing.f]
-
-    kernel = form_kernel(mat)
-    # Symplectic complement T of the span of the old pairs (all of GF(p)^n
-    # when there are none), which contains the new kernel; pairing happens
-    # in a complement of the kernel inside T.
-    constraints = np.array(
-        [(mat.entries @ v) % p for v in e_list + f_list], dtype=np.int64
-    ).reshape(-1, n)
-    t_basis = np.array(gf.kernel_basis(constraints, p), dtype=np.int64).reshape(-1, n)
-    # Eliminate the columns [kernel | T]: the kernel vectors are
-    # independent, so the pivots past the first d are the vectors of T
-    # outside the span of the kernel and the earlier vectors of T.
-    d = len(kernel)
-    cols = np.concatenate([np.array(kernel, dtype=np.int64).reshape(d, n), t_basis])
-    _, pivots = gf.rref(cols.T, p)
-    new_e, new_f = _pair_up(mat, t_basis[[j - d for j in pivots[d:]]])
-    return SymplecticBasis(
-        tuple(e_list + new_e), tuple(f_list + new_f), tuple(kernel)
-    )
+    pad = lambda vs: [np.pad(gf.as_gf_array(v, p), (0, n - n_old)) for v in vs]
+    return _symplectic_pass(mat, pad(existing.e), pad(existing.f), pad(existing.kernel))[0]
 
 
 def congruence_to_standard(mat: CommutationMatrix) -> np.ndarray:

@@ -18,14 +18,20 @@ objects raise ValueError rather than being truncated.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MAX_PRIME = 251
 
 
 def validate_prime(p: int) -> int:
-    """Check that p is a supported prime modulus and return it."""
-    p = int(p)
+    """Check that p is a supported prime modulus (an exact integer) and
+    return it as an int."""
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise ValueError(f"modulus must be an integer, got {p!r}") from None
     if p < 2 or p > _MAX_PRIME:
         raise ValueError(f"modulus must be a prime in [2, {_MAX_PRIME}], got {p}")
     if any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):

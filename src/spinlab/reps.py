@@ -40,7 +40,7 @@ import numpy as np
 
 from . import gf
 from .errors import InvariantError, SizeBoundError
-from .forms import CommutationMatrix, form_kernel, form_rank
+from .forms import CommutationMatrix, form_kernel, prefix_ranks
 from .words import (
     StandardInvariant,
     count_classes,
@@ -65,6 +65,7 @@ class MonomialMatrix:
     phases: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "p", gf.validate_prime(self.p))
         perm = np.array(gf.as_int_array(self.perm))  # private copy, frozen below
         phases = gf.as_int_array(self.phases) % (self.p ** 2)
         if perm.ndim != 1 or phases.shape != perm.shape:
@@ -399,6 +400,8 @@ def irreducible_rep(
     pc = pair_coordinates(mat)
     _check_dim(p ** pc.basis.r, max_dim, "irreducible representation")
     achieved, mu = pc.invariant, pc.mu
+    if invariant is not None and not invariant.same_basis(achieved):
+        raise InvariantError("invariants are stored on different kernel bases")
     if invariant is not None and p == 2:
         gamma = realize_invariant(invariant, achieved)
         mu = mu + 2 * gamma
@@ -616,12 +619,11 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
         descriptor_parts.append(f"C(X_{mat.p ** d})")
     if r > 0:
         descriptor_parts.append(f"M_{mat.p ** r}")
-    prefix_ranks = None
-    conjectured = None
+    ranks = conjectured = None
     if mat.pattern is not None:
-        prefix_ranks = tuple(form_rank(mat.prefix(k)) for k in range(1, mat.n + 1))
-        tail = prefix_ranks[-3] if len(prefix_ranks) >= 3 else prefix_ranks[0]
-        conjectured = prefix_ranks[-1] > tail
+        ranks = tuple(prefix_ranks(mat))
+        tail = ranks[-3] if len(ranks) >= 3 else ranks[0]
+        conjectured = ranks[-1] > tail
     return StructureReport(
         p=mat.p,
         n=mat.n,
@@ -634,6 +636,6 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
         simple=d == 0,
         class_count=count_classes(d) if mat.p == 2 else None,
         pattern=mat.pattern,
-        prefix_ranks=prefix_ranks,
+        prefix_ranks=ranks,
         infinite_rank_conjectured=conjectured,
     )

@@ -362,8 +362,9 @@ class PairCoordinates(NamedTuple):
 
 
 def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
-    """Pair coordinates of every generator, from the inverse of the basis
-    column matrix, and the invariant of the canonical model.
+    """Pair coordinates of every generator, alpha_ji = omega(u_j, f_i) and
+    beta_ji = -omega(u_j, e_i) (as omega(e_i, f_j) = delta_ij), and the
+    invariant of the canonical model.
 
     Model j is zeta'^{mu_j} (x)_i S^{alpha_ji} V^{beta_ji}, zeta' =
     e^{2 pi i / p^2}.  Slot parts merge with the phase zeta^{-beta . alpha'},
@@ -373,9 +374,8 @@ def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
     p = mat.p
     basis = symplectic_basis(mat)
     r = basis.r
-    coords = gf.inverse(basis.column_matrix(), p).T  # row j: coordinates of u_j
-    alpha = coords[:, 0 : 2 * r : 2]
-    beta = coords[:, 1 : 2 * r : 2]
+    alpha = mat.entries @ np.array(basis.f, dtype=np.int64).reshape(r, mat.n).T % p
+    beta = -mat.entries @ np.array(basis.e, dtype=np.int64).reshape(r, mat.n).T % p
     if p == 2:
         mu = (alpha * beta).sum(axis=1) % 2
     else:

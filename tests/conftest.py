@@ -262,22 +262,7 @@ def rref_stepwise(mat, p):
     return r, pivot_cols
 
 
-def pair_up_stepwise(mat, b):
-    """Symplectic Gram-Schmidt on the rows of b, reducing every row mod p
-    after every round.  The oracle for ``forms._pair_up``, which keeps
-    its rows unreduced."""
-    p, ent = mat.p, mat.entries
-    e_list, f_list = [], []
-    while len(b):
-        e = b[0].copy()
-        w_e = (b @ ((ent @ e) % p)) % p
-        i = int(np.flatnonzero(w_e)[0])
-        f = (b[i] * pow(-int(w_e[i]), -1, p)) % p
-        keep = np.ones(len(b), dtype=bool)
-        keep[[0, i]] = False
-        b, w_e = b[keep], w_e[keep]
-        w_f = (b @ ((ent @ f) % p)) % p
-        b = (b - np.outer(w_f, e) + np.outer(w_e, f)) % p
-        e_list.append(e)
-        f_list.append(f)
-    return e_list, f_list
+def prefix_ranks_loop(mat):
+    """Form rank of every leading k x k block, one elimination each: the
+    oracle for ``forms.prefix_ranks``."""
+    return [sl.form_rank(mat.prefix(k)) for k in range(1, mat.n + 1)]

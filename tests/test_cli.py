@@ -308,6 +308,24 @@ def test_exit_code_4_on_bad_invariant(capsys, tmp_path):
     assert "square" in err
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_exit_code_4_on_invariant_basis_mismatch(capsys, tmp_path, p):
+    zero = tmp_path / "zero.txt"
+    zero.write_text(f"{p} 2\n0 0\n0 0\n", encoding="utf-8")
+    ref = sl.reference_invariant(sl.commutation_matrix(p, [[0, 0], [0, 0]]))
+    inv_file = tmp_path / "inv.json"
+    inv_file.write_text(
+        json.dumps({
+            "kernel_basis": [k.tolist() for k in ref.kernel_basis[::-1]],
+            "values_exp_mod_p2": list(ref.values[::-1]),
+        }),
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, "represent", zero, "--kind", "irr", "--invariant", inv_file)
+    assert code == 4
+    assert "different kernel bases" in err
+
+
 def test_exit_code_4_on_odd_p_classify(capsys, tmp_path):
     odd = tmp_path / "odd.txt"
     odd.write_text("3 2\n0 1\n2 0\n", encoding="utf-8")

@@ -1,6 +1,6 @@
 """Commutation matrices, bilinear forms, and symplectic bases."""
 
-from unittest import mock
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,10 +18,9 @@ from conftest import (
     enum_vectors,
     matrices_with_vectors,
     omega_sum_oracle,
-    pair_up_stepwise,
+    prefix_ranks_loop,
     q_sum_oracle,
     random_alternating_loop,
-    rref_stepwise,
     span_set,
 )
 
@@ -399,45 +398,62 @@ def test_extend_elimination_count_does_not_grow(monkeypatch, from_empty):
         monkeypatch.undo()
         check_symplectic_relations(mat, grown)
         counts.append(len(calls))
-    assert counts == [3, 3, 3]
+    assert counts == [1, 1, 1]
+
+
+def _same(xs, ys):
+    return len(xs) == len(ys) and all(np.array_equal(x, y) for x, y in zip(xs, ys))
 
 
 def _same_basis(a, b):
-    return all(
-        len(x) == len(y) and all(np.array_equal(u, v) for u, v in zip(x, y))
-        for x, y in [(a.e, b.e), (a.f, b.f), (a.kernel, b.kernel)]
-    )
-
-
-def _bases(mat, k):
-    """A fresh basis of mat, and one extended from its k x k prefix."""
-    old = sl.symplectic_basis(mat.prefix(k)) if k else sl.SymplecticBasis((), (), ())
-    return sl.symplectic_basis(mat), sl.extend_symplectic_basis(mat, old)
-
-
-def _stepwise_bases(mat, k):
-    with mock.patch.object(gf, "rref", rref_stepwise), mock.patch.object(
-        forms, "_pair_up", pair_up_stepwise
-    ):
-        return _bases(mat, k)
+    return all(_same(x, y) for x, y in [(a.e, b.e), (a.f, b.f), (a.kernel, b.kernel)])
 
 
 @settings(deadline=None, max_examples=80)
 @given(commutation_matrices(primes=(2, 3, 5, 7, 251), max_n=14), st.integers(0, 14))
-def test_bases_match_stepwise_oracles(mat, k):
+def test_symplectic_pass_matches_oracles(mat, k):
     k = min(k, mat.n)
-    got = _bases(mat, k)
-    want = _stepwise_bases(mat, k)
-    assert all(_same_basis(g, w) for g, w in zip(got, want))
+    fresh = sl.symplectic_basis(mat)
+    check_symplectic_relations(mat, fresh)
+    assert forms.prefix_ranks(mat) == prefix_ranks_loop(mat)
+    assert _same(fresh.kernel, sl.form_kernel(mat))
+    empty = sl.SymplecticBasis((), (), ())
+    assert _same_basis(sl.extend_symplectic_basis(mat, empty), fresh)
+    if k:
+        old = sl.symplectic_basis(mat.prefix(k))
+        grown = sl.extend_symplectic_basis(mat, old)
+        check_symplectic_relations(mat, grown)
+        assert _same(grown.kernel, fresh.kernel)
+        for got, want in [*zip(grown.e, old.e), *zip(grown.f, old.f)]:
+            assert np.array_equal(got[:k], want) and not got[k:].any()
+        assert (grown.r, grown.d) == (fresh.r, fresh.d)
 
 
-def test_bases_match_stepwise_oracles_p251_large():
-    # 150 pairing rounds at p = 251 let the unreduced rows grow to ~10^7
+def test_symplectic_pass_p251_large():
+    # with 150 pairs at p = 251 a coefficient sum can reach 150 * 250^2
     mat = sl.random_alternating(251, 301, seed=251)
-    got = _bases(mat, 120)
-    want = _stepwise_bases(mat, 120)
-    assert got[0].r == 150 and got[0].d == 1
-    assert all(_same_basis(g, w) for g, w in zip(got, want))
+    fresh = sl.symplectic_basis(mat)
+    grown = sl.extend_symplectic_basis(mat, sl.symplectic_basis(mat.prefix(120)))
+    for basis in (fresh, grown):
+        assert basis.r == 150 and basis.d == 1
+        # the relations, as one Gram matrix of an invertible T
+        t = basis.column_matrix()
+        assert np.array_equal(t.T @ mat.entries @ t % 251, sl.standard_form(251, 150, 1).entries)
+        assert gf.rank(t, 251) == 301
+
+
+def test_symplectic_pass_checks_int32_bound():
+    # checked before any n x n array is allocated
+    with pytest.raises(SizeBoundError, match="int32"):
+        forms._symplectic_pass(SimpleNamespace(n=68800, p=251), (), (), ())
+
+
+def test_extend_rejects_dependent_kernel():
+    zero = sl.commutation_matrix(3, np.zeros((3, 3), dtype=int))
+    one = np.array([1, 0])
+    existing = sl.SymplecticBasis((), (), (one, one))
+    with pytest.raises(ValueError, match="inconsistent"):
+        sl.extend_symplectic_basis(zero, existing)
 
 
 # --- congruence and generation -------------------------------------------

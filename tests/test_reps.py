@@ -361,6 +361,21 @@ def test_representation_rejects_mixed_generators():
         sl.Representation(PAULI, (sl.shift(2), sl.mono_identity(2, 3)), "loaded")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda p: sl.CommutationMatrix(p, np.zeros((2, 2), dtype=np.int64)),
+        lambda p: sl.MonomialMatrix(p, [1, 0], [5, 7]),
+    ],
+)
+def test_modulus_is_an_exact_prime(build):
+    for bad in (2.5, 3.9, "3", 0, 1, 4, -3):
+        with pytest.raises(ValueError, match="modulus"):
+            build(bad)
+    m = build(np.int64(3))
+    assert type(m.p) is int and m.p == 3
+
+
 @pytest.mark.parametrize("count", [0, 1, 3])
 def test_representation_rejects_wrong_generator_count(count):
     # PAULI has n = 2: one generator per qudit, no fewer and no more

@@ -261,6 +261,17 @@ def test_pair_coordinates_rebuild_the_generators():
             assert pc.mu[j] == expected_mu
 
 
+@settings(deadline=None, max_examples=80)
+@given(commutation_matrices(primes=(2, 3, 5, 7), max_n=8))
+def test_pair_coordinates_match_the_inverse_basis(mat):
+    # row j of T^-1 holds the coordinates of u_j on (e_1, f_1, ..., kernel)
+    pc = sl.words.pair_coordinates(mat)
+    r = pc.basis.r
+    coords = sl.gf.inverse(pc.basis.column_matrix(), mat.p).T
+    assert np.array_equal(pc.alpha, coords[:, 0 : 2 * r : 2])
+    assert np.array_equal(pc.beta, coords[:, 1 : 2 * r : 2])
+
+
 def test_square_check():
     assert sl.invariant_square_check(_invariant(CLIFF3, [1]))  # i^2 = -1 = (-1)^1
     assert sl.invariant_square_check(_invariant(CLIFF3, [3]))
