@@ -236,7 +236,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_rep.add_argument(
         "--invariant", default=None,
-        help="JSON file with the target standard invariant (irr, p = 2)",
+        help="JSON file with the target standard invariant (irr)",
     )
     p_rep.set_defaults(func=_cmd_represent)
 

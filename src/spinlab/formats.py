@@ -101,58 +101,38 @@ def _explicit_matrix(
 ) -> CommutationMatrix:
     """The n x n matrix held by the body lines of an explicit file.
 
-    Each entry is converted once: a token spelled as the canonical
-    decimal of a value in [0, p) maps through a table, and a row with any
-    other token is read by ``_ints``, so only such rows can hold a value
-    out of range.  Rows are read up to the first one that fails to parse
-    or has the wrong length.  The grid is checked once, by the
-    CommutationMatrix constructor; the line of a fault is found only
-    when a check fails.  The first faulty row among those read is
-    reported, an out-of-range entry before a nonzero diagonal, then the
-    parse or length fault, then the first entry in row-major order that
-    breaks skew-symmetry.
+    Every token spelled as the canonical decimal of a value in [0, p)
+    maps through a table, and the grid is checked once, by the
+    CommutationMatrix constructor.  If any step fails, the rows are read
+    again with ``int`` and checked one by one (parse, length, range,
+    diagonal), then skew-symmetry, so that the first fault is reported
+    with its line; other spellings of valid values ("00", "+1") pass.
     """
     table = {str(v): v for v in range(p)}
-    flat: list[int] = []
-    odd: dict[int, list[int]] = {}  # row index -> values read by _ints
-    short: MatrixFormatError | None = None
+    try:
+        rows = [list(map(table.__getitem__, line.split())) for _, line in body]
+        return CommutationMatrix(p, np.array(rows, dtype=np.int64))
+    except (KeyError, ValueError):
+        pass  # located below
+    rows = []
     for i, (lineno, line) in enumerate(body):
-        tokens = line.split()
-        try:
-            row = list(map(table.__getitem__, tokens))
-        except KeyError:
-            try:
-                row = odd[i] = _ints(tokens, lineno)
-            except MatrixFormatError as exc:
-                short = exc
-                break
+        row = _ints(line.split(), lineno)
         if len(row) != n:
-            short = MatrixFormatError(f"row has {len(row)} entries, expected {n}", lineno)
-            break
-        flat += row
-    k = len(flat) // n
-    ranged = [i for i, row in odd.items() if i < k and any(not 0 <= v < p for v in row)]
-    for i in ranged:  # clamp: such entries are out of range anyway
-        flat[i * n : (i + 1) * n] = [min(max(v, -1), p) for v in odd[i]]
-    grid = np.array(flat, dtype=np.int64).reshape(k, n)
-    if short is None:
-        try:
-            return CommutationMatrix(p, grid)
-        except ValueError:
-            pass  # located below
-    faults = ranged[:1] + np.flatnonzero(np.diagonal(grid))[:1].tolist()
-    if faults:
-        i = min(faults)
-        if ranged[:1] == [i]:
-            v = next(v for v in odd[i] if not 0 <= v < p)
-            raise MatrixFormatError(f"entry {v} out of range [0, {p})", body[i][0])
-        raise MatrixFormatError("diagonal entry must be zero", body[i][0])
-    if short is not None:
-        raise short
-    i, j = np.argwhere((grid + grid.T) % p)[0].tolist()
-    raise MatrixFormatError(
-        f"entry ({i}, {j}) breaks skew-symmetry c_ji = -c_ij", body[i][0]
-    )
+            raise MatrixFormatError(f"row has {len(row)} entries, expected {n}", lineno)
+        for v in row:
+            if not 0 <= v < p:
+                raise MatrixFormatError(f"entry {v} out of range [0, {p})", lineno)
+        if row[i]:
+            raise MatrixFormatError("diagonal entry must be zero", lineno)
+        rows.append(row)
+    grid = np.array(rows, dtype=np.int64)
+    bad = np.argwhere((grid + grid.T) % p)
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise MatrixFormatError(
+            f"entry ({i}, {j}) breaks skew-symmetry c_ji = -c_ij", body[i][0]
+        )
+    return CommutationMatrix(p, grid)
 
 
 def parse_matrix_file(text: str) -> ParsedMatrixFile:

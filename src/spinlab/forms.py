@@ -287,9 +287,10 @@ def symplectic_basis(mat: CommutationMatrix) -> SymplecticBasis:
     return _symplectic_pass(mat, (), (), ())[0]
 
 
-def prefix_ranks(mat: CommutationMatrix) -> list[int]:
-    """Form rank of every leading k x k block, k = 1..n, from one pass."""
-    return _symplectic_pass(mat, (), (), ())[1]
+def prefix_ranks(mat: CommutationMatrix) -> tuple[SymplecticBasis, list[int]]:
+    """The symplectic basis and the form rank of every leading k x k
+    block, k = 1..n, from one pass."""
+    return _symplectic_pass(mat, (), (), ())
 
 
 def extend_symplectic_basis(

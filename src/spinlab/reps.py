@@ -26,8 +26,8 @@ exponent mu[j]:
   realizes any commutation matrix (usually reducibly);
 * ``irreducible_rep``: the minimal p^r-dimensional irreducible model
   built from a hyperbolic-pair basis, one clock/shift slot per pair,
-  with a prescribed standard invariant (p = 2).  The invariant it
-  achieves is the closed form of ``words.pair_coordinates``.
+  with any prescribed standard invariant.  The invariant of its
+  canonical phases is the closed form of ``words.pair_coordinates``.
 """
 
 from __future__ import annotations
@@ -385,47 +385,38 @@ def irreducible_rep(
     standing for e_i and the clock for f_i, so the pair relations come
     out with omega(e_i, f_j) = delta_ij.  A canonical per-generator
     phase makes every generator order p, and the invariant this achieves
-    is the closed form of ``pair_coordinates``; for p = 2 generator k is
-    then multiplied by (-1)^{gamma_k}, with gamma from
-    ``realize_invariant``, onto the requested invariant (any valid
-    invariant is reachable this way).  For odd p no retargeting is
-    defined and only the achieved invariant is accepted.  The invariant
-    of the result is recorded on it.
+    is the closed form of ``pair_coordinates``.  Generator k is then
+    multiplied by zeta^{gamma_k}, zeta = e^{2 pi i / p}, with gamma from
+    ``realize_invariant``, onto the requested invariant: any valid
+    invariant is reachable this way, for every prime (at p = 2 these are
+    sign flips).  The invariant of the result is recorded on it.
 
     Raises SizeBoundError past ``max_dim`` and InvariantError when the
-    requested invariant violates the square law or its basis does not
-    match the computed kernel basis.
+    requested invariant violates the p-th power law (the square law at
+    p = 2) or its basis does not match the computed kernel basis.
     """
     p = mat.p
     pc = pair_coordinates(mat)
     _check_dim(p ** pc.basis.r, max_dim, "irreducible representation")
     achieved, mu = pc.invariant, pc.mu
-    if invariant is not None and not invariant.same_basis(achieved):
-        raise InvariantError("invariants are stored on different kernel bases")
-    if invariant is not None and p == 2:
+    if invariant is not None:
         gamma = realize_invariant(invariant, achieved)
-        mu = mu + 2 * gamma
+        mu = mu + p * gamma
         achieved = phase_shift_invariant(achieved, gamma)
-    elif invariant is not None and invariant != achieved:
-        raise InvariantError(
-            "retargeting is defined for p = 2 only; for odd p only the "
-            "achieved invariant is accepted"
-        )
     gens = _weyl_generators(mat, pc.alpha, pc.beta, mu)
     return Representation(mat, gens, "irreducible", achieved)
 
 
 def phase_shift_rep(rep: Representation, gamma) -> Representation:
-    """Flip generator signs: generator k is multiplied by (-1)^{gamma_k}.
-    Relations are preserved and the invariant picks up (-1)^{gamma . x}
-    on kernel vectors.  p = 2."""
-    if rep.mat.p != 2:
-        raise InvariantError("phase shifting is defined for p = 2 only")
-    g = gf.as_gf_array(gamma, 2)
+    """Multiply generator k by zeta^{gamma_k}, zeta = e^{2 pi i / p} (a
+    sign flip at p = 2).  Relations and orders are preserved, and the
+    invariant gains the exponent p (gamma . x) on kernel vectors x."""
+    p = rep.mat.p
+    g = gf.as_gf_array(gamma, p)
     if g.shape != (rep.mat.n,):
         raise ValueError(f"gamma length {g.shape} != n={rep.mat.n}")
     gens = tuple(
-        mono_scale(u, 2 * int(gk)) for u, gk in zip(rep.generators, g)
+        mono_scale(u, p * int(gk)) for u, gk in zip(rep.generators, g)
     )
     inv = (
         phase_shift_invariant(rep.invariant, g)
@@ -469,7 +460,7 @@ def verify_relations(rep: Representation) -> RelationReport:
     return RelationReport(tuple(pair_failures), order_failures)
 
 
-def commutant_dim(rep: Representation, max_dim: int = COMMUTANT_MAX_DIM) -> int:
+def commutant_dim(rep: Representation) -> int:
     """Dimension of {X : X U_k = U_k X for all k}, exactly in integers.
 
     Conjugation by a monomial U sends the matrix unit E_ab to
@@ -485,10 +476,11 @@ def commutant_dim(rep: Representation, max_dim: int = COMMUTANT_MAX_DIM) -> int:
 
     The orbits come from a union-find with phase offsets mod p^2
     (``_link``), one generator at a time, in O(dim^2) memory; the size
-    bound is checked before anything of that size is allocated.
+    bound COMMUTANT_MAX_DIM is checked before anything of that size is
+    allocated.
     """
     dim = rep.dim
-    _check_dim(dim, max_dim, "commutant computation")
+    _check_dim(dim, COMMUTANT_MAX_DIM, "commutant computation")
     p2 = rep.mat.p ** 2
     nodes = dim * dim
     parent = np.arange(nodes)
@@ -608,9 +600,18 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
     p = 2 only.  For a banded source the rank-growth table over all
     prefixes is included, with an explicitly heuristic flag set when the
     rank is still growing at the end of the table (finite prefixes can
-    never prove infinite rank).
+    never prove infinite rank); the kernel then comes from the same
+    symplectic pass as the table, in the normal form of ``form_kernel``,
+    which alone is faster when no table is needed.
     """
-    kernel = form_kernel(mat)
+    ranks = conjectured = None
+    if mat.pattern is None:
+        kernel = form_kernel(mat)
+    else:
+        basis, ranks = prefix_ranks(mat)
+        kernel, ranks = basis.kernel, tuple(ranks)
+        tail = ranks[-3] if len(ranks) >= 3 else ranks[0]
+        conjectured = ranks[-1] > tail
     d = len(kernel)
     rank = mat.n - d
     r = rank // 2
@@ -619,11 +620,6 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
         descriptor_parts.append(f"C(X_{mat.p ** d})")
     if r > 0:
         descriptor_parts.append(f"M_{mat.p ** r}")
-    ranks = conjectured = None
-    if mat.pattern is not None:
-        ranks = tuple(prefix_ranks(mat))
-        tail = ranks[-3] if len(ranks) >= 3 else ranks[0]
-        conjectured = ranks[-1] > tail
     return StructureReport(
         p=mat.p,
         n=mat.n,

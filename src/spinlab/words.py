@@ -13,9 +13,11 @@ arithmetic; no floats appear anywhere.
 
 Standard invariants live on ker(omega): the scalar values taken by
 central words in an irreducible system, stored on an ordered kernel
-basis and extended to the whole kernel through the product rule.  The
-classification operations (square law, gamma shifts, enumeration) are
-defined for p = 2 only and refuse other moduli.
+basis and extended to the whole kernel through the product rule.
+Multiplying generator k by zeta^{gamma_k} adds p (gamma . x) to the
+invariant at every kernel vector x, for every prime; only the
+classification (square law, enumeration, class count) is defined for
+p = 2 and refuses other moduli.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ import numpy as np
 from . import gf
 from .errors import InvariantError, SizeBoundError
 from .forms import CommutationMatrix, SymplecticBasis, omega, q_form, symplectic_basis
+
+# Largest kernel dimension d whose 2^d invariants enumerate_invariants lists.
+MAX_KERNEL_DIM = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,14 +286,16 @@ def invariant_square_check(f: StandardInvariant) -> bool:
 
 
 def phase_shift_invariant(f: StandardInvariant, gamma) -> StandardInvariant:
-    """The invariant of the sign-flipped system: each stored value is
-    multiplied by (-1)^{gamma . k}.  p = 2 only."""
-    _require_char2(f.mat, "phase shifting")
-    g = gf.as_gf_array(gamma, 2)
+    """The invariant of the system whose generator k is multiplied by
+    zeta^{gamma_k}, zeta = e^{2 pi i / p}: each stored value gains the
+    exponent p (gamma . k) mod p^2.  At p = 2 this is the sign flip
+    (-1)^{gamma . k}."""
+    p = f.mat.p
+    g = gf.as_gf_array(gamma, p)
     if g.shape != (f.mat.n,):
         raise ValueError(f"gamma length {g.shape} != n={f.mat.n}")
     values = tuple(
-        (v + 2 * (int(g @ k) % 2)) % 4 for k, v in zip(f.kernel_basis, f.values)
+        v + p * (int(g @ k) % p) for k, v in zip(f.kernel_basis, f.values)
     )
     return StandardInvariant(f.mat, f.kernel_basis, values)
 
@@ -314,27 +321,24 @@ def realize_invariant(
     """A deterministic gamma with phase_shift_invariant(reference, gamma)
     equal to target.
 
-    The ratio target/reference must be +-1 on every basis vector (both
-    sides of the square law); the resulting 0/1 exponents are extended
-    to a linear functional on all of GF(2)^n.  Raises InvariantError if
-    some ratio is not a sign, which happens exactly when target violates
-    the square law relative to a valid reference.
+    target - reference must be p theta_i (mod p^2) on every basis vector
+    k_i; theta is then extended to a linear functional on all of GF(p)^n.
+    Raises InvariantError otherwise, which happens exactly when target
+    violates the p-th power law (the square law at p = 2) relative to a
+    valid reference.
     """
-    _require_char2(target.mat, "gamma realization")
     _same_kernel_basis(target, reference)
+    p = target.mat.p
     theta = []
     for t, r in zip(target.values, reference.values):
-        diff = (t - r) % 4
-        if diff == 0:
-            theta.append(0)
-        elif diff == 2:
-            theta.append(1)
-        else:
+        shift, rest = divmod((t - r) % (p * p), p)
+        if rest:
             raise InvariantError(
-                "target/reference ratio is not a sign on the kernel basis; "
-                "the target violates the square law"
+                "target - reference is not a multiple of p on the kernel "
+                "basis; the target violates the p-th power (square) law"
             )
-    return gf.extend_functional(list(target.kernel_basis), theta, target.mat.n, 2)
+        theta.append(shift)
+    return gf.extend_functional(list(target.kernel_basis), theta, target.mat.n, p)
 
 
 def count_classes(d: int) -> int:
@@ -395,9 +399,7 @@ def reference_invariant(mat: CommutationMatrix) -> StandardInvariant:
     return pair_coordinates(mat).invariant
 
 
-def enumerate_invariants(
-    mat: CommutationMatrix, max_kernel_dim: int = 16
-) -> list[StandardInvariant]:
+def enumerate_invariants(mat: CommutationMatrix) -> list[StandardInvariant]:
     """All 2^d standard invariants of a GF(2) commutation matrix:
     the reference invariant shifted by every linear functional on the
     kernel, in increasing functional order (bit i of the index flips the
@@ -405,9 +407,9 @@ def enumerate_invariants(
     _require_char2(mat, "invariant enumeration")
     f0 = reference_invariant(mat)
     d = f0.d
-    if d > max_kernel_dim:
+    if d > MAX_KERNEL_DIM:
         raise SizeBoundError(
-            f"kernel dimension {d} exceeds the enumeration bound {max_kernel_dim}"
+            f"kernel dimension {d} exceeds the enumeration bound {MAX_KERNEL_DIM}"
         )
     out = []
     for mask in range(2 ** d):

@@ -326,6 +326,30 @@ def test_exit_code_4_on_invariant_basis_mismatch(capsys, tmp_path, p):
     assert "different kernel bases" in err
 
 
+@pytest.mark.parametrize("value,code", [(6, 0), (3, 0), (4, 4)])
+def test_represent_odd_p_invariant(capsys, tmp_path, value, code):
+    # the canonical value here is 3; 6 differs from it by p, 4 does not
+    mat_file = tmp_path / "m.txt"
+    run(capsys, "generate", "--random", 7, "--seed", 10, "--prime", 3, "--out", mat_file)
+    inv_file = tmp_path / "inv.json"
+    inv_file.write_text(
+        json.dumps({
+            "kernel_basis": [[0, 2, 0, 1, 2, 1, 1]], "values_exp_mod_p2": [value],
+        }),
+        encoding="utf-8",
+    )
+    got, out, err = run(
+        capsys, "represent", mat_file, "--kind", "irr", "--invariant", inv_file
+    )
+    assert got == code
+    if code:
+        assert "square" in err and out == ""
+    else:
+        mat = formats.parse_matrix_file(mat_file.read_text()).materialize()
+        rep = formats.representation_from_dict(json.loads(out), mat)
+        assert sl.extract_invariant(rep).values == (value,)
+
+
 def test_exit_code_4_on_odd_p_classify(capsys, tmp_path):
     odd = tmp_path / "odd.txt"
     odd.write_text("3 2\n0 1\n2 0\n", encoding="utf-8")

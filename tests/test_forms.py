@@ -415,7 +415,9 @@ def test_symplectic_pass_matches_oracles(mat, k):
     k = min(k, mat.n)
     fresh = sl.symplectic_basis(mat)
     check_symplectic_relations(mat, fresh)
-    assert forms.prefix_ranks(mat) == prefix_ranks_loop(mat)
+    basis, ranks = forms.prefix_ranks(mat)
+    assert ranks == prefix_ranks_loop(mat)
+    assert _same_basis(basis, fresh)
     assert _same(fresh.kernel, sl.form_kernel(mat))
     empty = sl.SymplecticBasis((), (), ())
     assert _same_basis(sl.extend_symplectic_basis(mat, empty), fresh)

@@ -463,21 +463,36 @@ def test_irreducible_rejects_bad_invariant():
         sl.irreducible_rep(CLIFF3, bad)
 
 
-def test_irreducible_odd_p_no_retargeting():
-    mat = sl.random_alternating(3, 4, seed=1)
-    rep = sl.irreducible_rep(mat)
-    assert sl.verify_relations(rep).ok
-    assert rep.invariant is not None
-    # the achieved invariant is accepted verbatim, anything else refused
-    again = sl.irreducible_rep(mat, rep.invariant)
-    assert all(a == b for a, b in zip(again.generators, rep.generators))
-    other = sl.StandardInvariant(
-        mat, rep.invariant.kernel_basis,
-        tuple((v + 3) % 9 for v in rep.invariant.values),
+@settings(deadline=None, max_examples=60)
+@given(
+    commutation_matrices(primes=(3, 5, 7), max_n=6),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_irreducible_odd_p_retargeting(mat, seed):
+    # any target that differs from the canonical invariant by multiples of
+    # p on the kernel basis is realized exactly; any other is refused
+    p = mat.p
+    f0 = sl.reference_invariant(mat)
+    canonical = sl.irreducible_rep(mat)
+    assert list(sl.irreducible_rep(mat, f0).generators) == list(canonical.generators)
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(0, p, size=f0.d)
+    target = sl.StandardInvariant(
+        mat, f0.kernel_basis, tuple(v + p * int(s) for v, s in zip(f0.values, shift))
     )
-    if other.values != rep.invariant.values:
-        with pytest.raises(InvariantError, match="p = 2"):
-            sl.irreducible_rep(mat, other)
+    rep = sl.irreducible_rep(mat, target)
+    assert rep.invariant == target
+    assert sl.extract_invariant(rep) == target
+    assert sl.verify_relations(rep).ok
+    if rep.dim <= 64:
+        assert sl.commutant_dim(rep) == 1
+    if f0.d:
+        off = rng.integers(1, p)  # not a multiple of p
+        i = int(rng.integers(0, f0.d))
+        values = list(target.values)
+        values[i] += int(off)
+        with pytest.raises(InvariantError, match="square"):
+            sl.irreducible_rep(mat, sl.StandardInvariant(mat, f0.kernel_basis, values))
 
 
 def test_irreducible_size_bound():
@@ -489,11 +504,9 @@ def test_irreducible_size_bound():
 @given(commutation_matrices(max_n=6), st.integers(0, 2 ** 32 - 1))
 def test_irreducible_matches_mono_tensor_fold(mat, seed):
     pc = sl.words.pair_coordinates(mat)
-    target, mu = None, pc.mu
-    if mat.p == 2:
-        gamma = np.random.default_rng(seed).integers(0, 2, size=mat.n)
-        target = sl.phase_shift_invariant(pc.invariant, gamma)
-        mu = pc.mu + 2 * sl.realize_invariant(target, pc.invariant)
+    gamma = np.random.default_rng(seed).integers(0, mat.p, size=mat.n)
+    target = sl.phase_shift_invariant(pc.invariant, gamma)
+    mu = pc.mu + mat.p * sl.realize_invariant(target, pc.invariant)
     rep = sl.irreducible_rep(mat, target)
     assert list(rep.generators) == weyl_generators_fold(mat.p, pc.alpha, pc.beta, mu)
 
@@ -529,8 +542,7 @@ def test_irreducible_rep_eliminates_no_kernel(monkeypatch):
     monkeypatch.setattr(sl.gf, "kernel_basis", counting)
     for p, n in ((2, 9), (3, 6), (5, 4)):
         mat = sl.random_alternating(p, n, seed=n)
-        target = sl.reference_invariant(mat) if p == 2 else None
-        sl.irreducible_rep(mat, target)
+        sl.irreducible_rep(mat, sl.reference_invariant(mat))
     assert calls == []
 
 
@@ -624,13 +636,14 @@ def test_commutant_dims():
     assert sl.commutant_dim(one) == 1
 
 
-def test_commutant_size_bound():
-    rep = sl.prop11_rep(sl.clifford_matrix(2, 4))
-    with pytest.raises(SizeBoundError):
-        sl.commutant_dim(rep, max_dim=8)
+def test_commutant_size_bound(monkeypatch):
     big = sl.mono_identity(sl.reps.COMMUTANT_MAX_DIM + 1, 2)
     with pytest.raises(SizeBoundError):
         sl.commutant_dim(sl.Representation(sl.commutation_matrix(2, [[0]]), (big,), "loaded"))
+    rep = sl.prop11_rep(sl.clifford_matrix(2, 4))
+    monkeypatch.setattr(sl.reps, "COMMUTANT_MAX_DIM", 8)
+    with pytest.raises(SizeBoundError):
+        sl.commutant_dim(rep)
 
 
 @st.composite
@@ -777,3 +790,23 @@ def test_structure_report_toeplitz_growth():
     assert report.infinite_rank_conjectured is True
     flat = sl.toeplitz_matrix(2, [0, 0], 6)
     assert sl.structure_report(flat).infinite_rank_conjectured is False
+
+
+def test_structure_report_banded_eliminates_no_kernel(monkeypatch):
+    # the kernel of a banded source comes from the pass of the rank table
+    mats = [sl.toeplitz_matrix(p, pat, n) for p, pat, n in
+            ((2, [1, 0, 1, 1], 24), (3, [1, 2], 13), (5, [0, 3, 0, 1], 17))]
+    kernels = [sl.form_kernel(mat) for mat in mats]
+    calls = []
+    real = sl.gf.kernel_basis
+
+    def counting(mat, p):
+        calls.append(1)
+        return real(mat, p)
+
+    monkeypatch.setattr(sl.gf, "kernel_basis", counting)
+    for mat, kernel in zip(mats, kernels):
+        report = sl.structure_report(mat)
+        assert len(report.kernel_basis) == len(kernel)
+        assert all(np.array_equal(a, b) for a, b in zip(report.kernel_basis, kernel))
+    assert calls == []

@@ -346,20 +346,22 @@ def test_enumerate_invariants_all_satisfy_square_law():
             assert sl.invariant_square_check(f)
 
 
-def test_enumerate_invariants_bounds_and_parity():
+def test_enumerate_invariants_bounds_and_parity(monkeypatch):
     big = sl.commutation_matrix(2, np.zeros((5, 5), dtype=int))
+    monkeypatch.setattr(sl.words, "MAX_KERNEL_DIM", 4)
     with pytest.raises(SizeBoundError):
-        sl.enumerate_invariants(big, max_kernel_dim=4)
+        sl.enumerate_invariants(big)
     odd = sl.commutation_matrix(3, np.zeros((2, 2), dtype=int))
     with pytest.raises(InvariantError, match="p = 2"):
         sl.enumerate_invariants(odd)
 
 
 @settings(deadline=None, max_examples=30)
-@given(commutation_matrices(primes=(2,), max_n=5), st.integers(0, 2 ** 16))
+@given(commutation_matrices(max_n=5), st.integers(0, 2 ** 16))
 def test_phase_shift_equality_iff_gamma_trivial_on_kernel(mat, seed):
     f = sl.reference_invariant(mat)
-    gamma = np.random.default_rng(seed).integers(0, 2, size=mat.n)
+    gamma = np.random.default_rng(seed).integers(0, mat.p, size=mat.n)
     shifted = sl.phase_shift_invariant(f, gamma)
     same = sl.invariants_equal(shifted, f)
-    assert same == sl.gammas_equivalent(gamma, np.zeros(mat.n, dtype=int), f.kernel_basis)
+    zero = np.zeros(mat.n, dtype=int)
+    assert same == sl.gammas_equivalent(gamma, zero, f.kernel_basis, mat.p)
