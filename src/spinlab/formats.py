@@ -29,7 +29,7 @@ from ._version import __version__
 from .errors import MatrixFormatError
 from .forms import CommutationMatrix, SymplecticBasis, toeplitz_matrix
 from .gf import validate_prime
-from .reps import MonomialMatrix, Representation, StructureReport
+from .reps import Representation, StructureReport
 from .words import StandardInvariant
 
 SCHEMA_VERSION = 1
@@ -265,8 +265,8 @@ def representation_to_dict(rep: Representation) -> dict:
         "n": rep.mat.n,
         "dim": rep.dim,
         "generators": [
-            {"perm": _vec(g.perm), "phase_exps": _vec(g.phases)}
-            for g in rep.generators
+            {"perm": perm, "phase_exps": phases}
+            for perm, phases in zip(rep.perm.tolist(), rep.phases.tolist())
         ],
     }
 
@@ -279,17 +279,14 @@ def representation_from_dict(doc: dict, mat: CommutationMatrix) -> Representatio
             raise MatrixFormatError(
                 "representation document does not match the matrix (p or n differ)"
             )
-        gens = tuple(
-            MonomialMatrix(
-                mat.p,
-                _int_list(g["perm"], "perm"),
-                _int_list(g["phase_exps"], "phase_exps"),
-            )
-            for g in doc["generators"]
-        )
+        gens = doc["generators"]
         if len(gens) != mat.n:
             raise MatrixFormatError("wrong number of generators")
-        return Representation(mat, gens, "loaded")
+        perm = [_int_list(g["perm"], "perm") for g in gens]
+        phases = [_int_list(g["phase_exps"], "phase_exps") for g in gens]
+        if len({a.shape for a in perm + phases}) > 1:
+            raise MatrixFormatError("generators must share one dimension")
+        return Representation.from_stack(mat, np.stack(perm), np.stack(phases), "loaded")
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFormatError(f"bad representation document: {exc}")
 

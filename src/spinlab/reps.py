@@ -9,13 +9,16 @@ are verified with zero tolerance.  Dense complex matrices enter only
 where sums are unavoidable: the spectral projections of the matrix
 units.
 
-Word products U_1^{x_1} ... U_n^{x_n} are composed from a word table
-cached on the representation: the products of every exponent pattern
-on a few chunks of consecutive generators, so one product takes one
-table row per chunk.  Products, powers, tensor products and word
-products are built from validated matrices without re-running the
-permutation check; every matrix that comes from outside (direct
-construction, documents, the generator builder) is checked in full.
+A representation stores its n generators as one (n, dim) perm stack and
+one phase stack, handled whole by the builder, the loader and the
+relation check.  Each stack from outside or from the builder gets one
+permutation check; products, powers and tensor products of validated
+matrices get none.  ``verify_relations`` takes U_i against a block of at
+most max(1, WORD_TABLE_ENTRIES // dim) generators per step, so its
+working set stays a small multiple of one generator.  A word product
+U_1^{x_1} ... U_n^{x_n} takes one row per chunk of a word table cached
+on the representation: the products of every exponent pattern on a few
+chunks of consecutive generators.
 
 Both constructions are one Weyl-generator builder with different
 exponent tables: generator j acts on tensor slot i as S^alpha[j,i]
@@ -65,22 +68,11 @@ class MonomialMatrix:
     phases: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", gf.validate_prime(self.p))
-        perm = np.array(gf.as_int_array(self.perm))  # private copy, frozen below
-        phases = gf.as_int_array(self.phases) % (self.p ** 2)
-        if perm.ndim != 1 or phases.shape != perm.shape:
-            raise ValueError("perm and phases must be 1-d of equal length")
-        dim = perm.shape[0]
-        if dim and (perm.min() < 0 or perm.max() >= dim):
-            raise ValueError(f"perm entries out of range [0, {dim})")
-        check = np.zeros(dim, dtype=bool)
-        check[perm] = True
-        if not check.all():
-            raise ValueError("perm is not a permutation")
-        perm.flags.writeable = False
-        phases.flags.writeable = False
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "phases", phases)
+        p = gf.validate_prime(self.p)
+        perm = np.array(gf.as_int_array(self.perm))  # private copies, frozen below
+        phases = np.array(gf.as_int_array(self.phases))
+        _check_stack(perm[None], phases[None])
+        self.__dict__.update(vars(_composed(p, perm, phases)))
 
     @property
     def dim(self) -> int:
@@ -89,21 +81,34 @@ class MonomialMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialMatrix):
             return NotImplemented
+        # Both arrays are always int64, so equal bytes mean equal entries.
         return (
             self.p == other.p
-            and np.array_equal(self.perm, other.perm)
-            and np.array_equal(self.phases, other.phases)
+            and self.perm.tobytes() == other.perm.tobytes()
+            and self.phases.tobytes() == other.phases.tobytes()
         )
 
 
+def _check_stack(perm: np.ndarray, phases: np.ndarray) -> None:
+    """The one permutation check, run once on every (n, dim) stack of
+    generators from outside or from the generator builder."""
+    if perm.ndim != 2 or phases.shape != perm.shape or not perm.shape[1]:
+        raise ValueError("perm and phases must be rows of one dimension >= 1")
+    n, dim = perm.shape
+    if perm.min() < 0 or perm.max() >= dim:
+        raise ValueError(f"perm entries out of range [0, {dim})")
+    hit = np.zeros((n, dim), dtype=bool)
+    hit[np.arange(n)[:, None], perm] = True
+    if not hit.all():
+        raise ValueError("perm is not a permutation")
+
+
 def _composed(p: int, perm: np.ndarray, phases: np.ndarray) -> MonomialMatrix:
-    """A MonomialMatrix composed from validated ones: ``perm`` is a fresh
-    (or frozen) int64 array and ``phases`` an int64 array.  The phases
-    are reduced mod p^2 and both arrays frozen, but the permutation
-    check of ``MonomialMatrix.__post_init__`` is skipped: products,
-    tensor products and inverses of permutations are permutations."""
+    """A MonomialMatrix composed from validated ones, with no permutation
+    check: ``perm`` is a fresh (or frozen) int64 array, ``phases`` a fresh
+    one, reduced mod p^2 in place; both are frozen."""
     m = object.__new__(MonomialMatrix)
-    phases = phases % (p * p)
+    np.remainder(phases, p * p, out=phases)
     perm.flags.writeable = False
     phases.flags.writeable = False
     m.__dict__.update(p=p, perm=perm, phases=phases)
@@ -148,12 +153,11 @@ def mono_inverse(a: MonomialMatrix) -> MonomialMatrix:
 
 
 def mono_pow(a: MonomialMatrix, k: int) -> MonomialMatrix:
-    if k < 0:
-        return mono_pow(mono_inverse(a), -k)
-    acc = mono_identity(a.dim, a.p)
-    for _ in range(k):
-        acc = mono_mul(acc, a)
-    return acc
+    """a^k by repeated squaring, exact because the product is associative."""
+    if k <= 0:
+        return mono_pow(mono_inverse(a), -k) if k else mono_identity(a.dim, a.p)
+    half = mono_pow(mono_mul(a, a), k // 2)
+    return mono_mul(half, a) if k & 1 else half
 
 
 def mono_scale(a: MonomialMatrix, exp: int) -> MonomialMatrix:
@@ -164,11 +168,11 @@ def mono_scale(a: MonomialMatrix, exp: int) -> MonomialMatrix:
 def is_scalar(a: MonomialMatrix) -> int | None:
     """The common phase exponent if a is a scalar multiple of the
     identity, else None."""
-    if not np.array_equal(a.perm, np.arange(a.dim)):
+    s = a.phases[0]
+    if (a.perm.tobytes() != np.arange(a.dim).tobytes()
+            or a.phases.tobytes() != np.full(a.dim, s).tobytes()):
         return None
-    if not (a.phases == a.phases[0]).all():
-        return None
-    return int(a.phases[0])
+    return int(s)
 
 
 def to_dense(a: MonomialMatrix) -> np.ndarray:
@@ -180,7 +184,9 @@ def to_dense(a: MonomialMatrix) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Representation:
-    """Monomial generators satisfying the commutation matrix exactly."""
+    """Monomial generators satisfying the commutation matrix exactly:
+    ``generators`` are the row views of frozen (n, dim) stacks ``perm``
+    and ``phases``."""
 
     mat: CommutationMatrix
     generators: tuple[MonomialMatrix, ...]
@@ -188,18 +194,29 @@ class Representation:
     invariant: StandardInvariant | None = None
 
     def __post_init__(self):
-        if len(self.generators) != self.mat.n:
-            raise ValueError(
-                f"expected {self.mat.n} generators, got {len(self.generators)}"
-            )
-        if any(
-            g.p != self.mat.p or g.dim != self.dim for g in self.generators
-        ):
+        gens = self.generators
+        if len(gens) != self.mat.n:
+            raise ValueError(f"expected {self.mat.n} generators, got {len(gens)}")
+        if any(g.p != self.mat.p or g.dim != gens[0].dim for g in gens):
             raise ValueError("generators must share the modulus and dimension")
+        stack = np.stack([g.perm for g in gens]), np.stack([g.phases for g in gens])
+        rep = Representation.from_stack(self.mat, *stack, self.kind, self.invariant)
+        self.__dict__.update(vars(rep))
+
+    @classmethod
+    def from_stack(cls, mat, perm, phases, kind, invariant=None) -> "Representation":
+        """Keeps ``perm`` and the fresh ``phases``, reduced mod p^2 in place."""
+        _check_stack(perm, phases)
+        gens = tuple(map(_composed, [mat.p] * len(perm), perm, phases))
+        perm.flags.writeable = phases.flags.writeable = False
+        rep = object.__new__(cls)
+        rep.__dict__.update(mat=mat, generators=gens, kind=kind, invariant=invariant,
+                            perm=perm, phases=phases)
+        return rep
 
     @property
     def dim(self) -> int:
-        return self.generators[0].dim
+        return self.perm.shape[1]
 
     @cached_property
     def _word_table(self) -> "_WordTable | None":
@@ -271,34 +288,26 @@ def _check_dim(dim: int, max_dim: int, what: str) -> None:
         raise SizeBoundError(f"{what} needs dimension {dim} > bound {max_dim}")
 
 
-def _weyl_generators(
-    mat: CommutationMatrix, alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray
-) -> tuple[MonomialMatrix, ...]:
-    """Generator j = zeta^mu[j] (x)_i S^alpha[j,i] V^beta[j,i], with
-    zeta = e^{2 pi i / p^2} and slot 0 the most significant tensor factor.
-
-    S^a V^b has perm (t - a) mod p and phases p b t at column t, and the
-    slots are folded on raw arrays with the rule of ``mono_tensor``; a
-    generator's trailing identity slots are folded in one step.  Each
-    generator is built, and validated, once as a MonomialMatrix.
-    """
-    p = mat.p
-    t = np.arange(p)
-    slots = alpha.shape[1]
-    gens = []
-    for a_j, b_j, mu_j in zip(alpha, beta, mu):
-        active = np.flatnonzero(a_j | b_j)
-        last = int(active[-1]) + 1 if active.size else 0
-        perm = np.zeros(1, dtype=np.int64)
-        phases = np.zeros(1, dtype=np.int64)
-        for a, b in zip(a_j[:last], b_j[:last]):
-            perm = (perm[:, None] * p + (t - a) % p).reshape(-1)
-            phases = (phases[:, None] + p * b * t).reshape(-1)
-        rest = p ** (slots - last)
-        perm = (perm[:, None] * rest + np.arange(rest)).reshape(-1)
-        phases = np.repeat(phases, rest)
-        gens.append(MonomialMatrix(p, perm, phases + int(mu_j)))
-    return tuple(gens)
+def _weyl_stack(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p: int):
+    """The (n, dim) perm and phase stacks of the generators
+    j = zeta^mu[j] (x)_i S^alpha[j,i] V^beta[j,i], zeta = e^{2 pi i / p^2},
+    slot 0 the most significant tensor factor.  S^a V^b has perm
+    (t - a) mod p and phases p b t at column t, so with the rule of
+    ``mono_tensor`` slot i moves column digit t of every generator j to
+    t - alpha[j, i] and adds the phase p beta[j, i] t.  The slots are
+    folded in from the least significant up, in place: the m columns
+    folded so far are the last ones, the block of the new digit p - 1."""
+    n, dim = len(mu), p ** alpha.shape[1]
+    perm = np.zeros((n, dim), dtype=np.int64)
+    phases = np.zeros_like(perm)
+    phases[:, -1], m = mu, 1
+    for a, b in zip(alpha.T[::-1], beta.T[::-1]):
+        for d in range(p):  # digit p - 1 last, as its block is the input
+            at = slice(dim - (p - d) * m, dim - (p - d - 1) * m)
+            np.add(perm[:, dim - m:], ((d - a) % p * m)[:, None], out=perm[:, at])
+            np.add(phases[:, dim - m:], p * d * b[:, None], out=phases[:, at])
+        m *= p
+    return perm, phases
 
 
 def prop11_rep(mat: CommutationMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Representation:
@@ -312,8 +321,8 @@ def prop11_rep(mat: CommutationMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Repres
     p, n = mat.p, mat.n
     _check_dim(p ** n, max_dim, "prop11 representation")
     eye, zero = np.eye(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    gens = _weyl_generators(mat, eye, np.triu(mat.entries, 1).T, zero)
-    return Representation(mat, gens, "prop11")
+    stack = _weyl_stack(eye, np.triu(mat.entries, 1).T, zero, p)
+    return Representation.from_stack(mat, *stack, "prop11")
 
 
 def word_matrix(rep: Representation, x) -> MonomialMatrix:
@@ -336,13 +345,11 @@ def word_matrix(rep: Representation, x) -> MonomialMatrix:
         raise ValueError(f"vector length {x.shape} != n={rep.mat.n}")
     table = rep._word_table
     if table is None:
-        perm = np.arange(rep.dim)
-        phases = np.zeros(rep.dim, dtype=np.int64)
+        perm, phases = np.arange(rep.dim), np.zeros(rep.dim, dtype=np.int64)
         for k in np.flatnonzero(x):
-            g = rep.generators[k]
             for _ in range(int(x[k])):
-                phases = g.phases + phases[g.perm]
-                perm = perm[g.perm]
+                phases = rep.phases[k] + phases[rep.perm[k]]
+                perm = perm[rep.perm[k]]
         return _composed(p, perm, phases)
     rows = x @ table.weights + table.offsets
     perms, phase_rows = table.perm[rows], table.phases[rows]
@@ -403,8 +410,8 @@ def irreducible_rep(
         gamma = realize_invariant(invariant, achieved)
         mu = mu + p * gamma
         achieved = phase_shift_invariant(achieved, gamma)
-    gens = _weyl_generators(mat, pc.alpha, pc.beta, mu)
-    return Representation(mat, gens, "irreducible", achieved)
+    stack = _weyl_stack(pc.alpha, pc.beta, mu, p)
+    return Representation.from_stack(mat, *stack, "irreducible", achieved)
 
 
 def phase_shift_rep(rep: Representation, gamma) -> Representation:
@@ -415,15 +422,9 @@ def phase_shift_rep(rep: Representation, gamma) -> Representation:
     g = gf.as_gf_array(gamma, p)
     if g.shape != (rep.mat.n,):
         raise ValueError(f"gamma length {g.shape} != n={rep.mat.n}")
-    gens = tuple(
-        mono_scale(u, p * int(gk)) for u, gk in zip(rep.generators, g)
-    )
-    inv = (
-        phase_shift_invariant(rep.invariant, g)
-        if rep.invariant is not None
-        else None
-    )
-    return Representation(rep.mat, gens, rep.kind, inv)
+    inv = None if rep.invariant is None else phase_shift_invariant(rep.invariant, g)
+    phases = rep.phases + p * g[:, None]
+    return Representation.from_stack(rep.mat, rep.perm, phases, rep.kind, inv)
 
 
 @dataclass(frozen=True)
@@ -441,23 +442,29 @@ class RelationReport:
 
 def verify_relations(rep: Representation) -> RelationReport:
     """Check U_i U_j = zeta^{c_ij} U_j U_i for all pairs and U_k^p = 1
-    for all generators, entry-exact on monomial matrices."""
-    p, n = rep.mat.p, rep.mat.n
+    for all generators, entry-exact on the stacks with the rule of
+    ``mono_mul``: U_i against a block of the U_j, j > i, per step, and
+    the orders block by block (blocks as in the module docstring)."""
+    p, n, dim, p2 = rep.mat.p, rep.mat.n, rep.dim, rep.mat.p ** 2
+    perm, phases = rep.perm, rep.phases
+    block = max(1, WORD_TABLE_ENTRIES // dim)
     pair_failures = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = mono_mul(rep.generators[i], rep.generators[j])
-            rhs = mono_scale(
-                mono_mul(rep.generators[j], rep.generators[i]),
-                p * int(rep.mat.entries[i, j]),
-            )
-            if lhs != rhs:
-                pair_failures.append((i, j))
-    ident = mono_identity(rep.dim, p)
-    order_failures = tuple(
-        k for k in range(n) if mono_pow(rep.generators[k], p) != ident
-    )
-    return RelationReport(tuple(pair_failures), order_failures)
+    for i, (pi, fi) in enumerate(zip(perm[:-1], phases[:-1])):
+        for lo in range(i + 1, n, block):
+            pj, fj = perm[lo:lo + block], phases[lo:lo + block]
+            c = p * rep.mat.entries[i, lo:lo + block, None]
+            bad = (pi[pj] != pj[:, pi]).any(axis=1)
+            bad |= ((fj + fi[pj] - fi - fj[:, pi] - c) % p2).any(axis=1)
+            pair_failures += [(i, lo + int(j)) for j in np.flatnonzero(bad)]
+    order_failures = []
+    for lo in range(0, n, block):
+        pk, fk = perm[lo:lo + block], phases[lo:lo + block]
+        at, q, f = np.arange(len(pk))[:, None], pk, fk
+        for _ in range(p - 1):  # U^p, one factor of U at a time
+            q, f = q[at, pk], fk + f[at, pk]
+        bad = (q != np.arange(dim)).any(axis=1) | (f % p2).any(axis=1)
+        order_failures += (lo + np.flatnonzero(bad)).tolist()
+    return RelationReport(tuple(pair_failures), tuple(order_failures))
 
 
 def commutant_dim(rep: Representation) -> int:
@@ -553,13 +560,9 @@ def matrix_units(v: MonomialMatrix, w: MonomialMatrix) -> list[np.ndarray]:
     satisfying the product/adjoint/sum laws to high precision.
     """
     p = v.p
-    if w.p != p or w.dim != v.dim:
-        raise ValueError("V and W must share modulus and dimension")
-    ident = mono_identity(v.dim, p)
-    if mono_pow(v, p) != ident or mono_pow(w, p) != ident:
-        raise ValueError("V and W must have order p")
-    if mono_mul(v, w) != mono_scale(mono_mul(w, v), p):
-        raise ValueError("V W = zeta W V must hold exactly")
+    pair = CommutationMatrix(p, np.array([[0, 1], [p - 1, 0]]))
+    if not verify_relations(Representation(pair, (v, w), "loaded")).ok:
+        raise ValueError("V and W must have order p and satisfy V W = zeta W V exactly")
     zeta = np.exp(2j * np.pi / p)
     w_pows = [to_dense(mono_pow(w, k)) for k in range(p)]
     projections = [

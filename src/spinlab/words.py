@@ -97,12 +97,12 @@ def word_mul(a: Word, b: Word) -> Word:
 
 
 def word_pow(w: Word, k: int) -> Word:
-    if k < 0:
+    """w^k in closed form: (lambda w_x)^k = lambda^k zeta^{Q(x,x) C(k,2)} w_{kx}."""
+    if operator.index(k) < 0:
         raise ValueError("negative word powers are not needed or supported")
-    acc = identity_word(w.mat)
-    for _ in range(k):
-        acc = word_mul(acc, w)
-    return acc
+    p = w.mat.p
+    phase = k * w.phase + p * int(w.x @ w.mat.lower @ w.x) * (k * (k - 1) // 2)
+    return _reduced_word(phase % (p * p), w.x * (k % p) % p, w.mat)
 
 
 def commutation_phase(x, y, mat: CommutationMatrix) -> int:
@@ -194,7 +194,7 @@ class _KernelTables(NamedTuple):
     used: np.ndarray  # indices of the vectors in use
     pivots: np.ndarray  # pivot columns of K[used]
     inverse: np.ndarray  # inverse of the pivot minor K[used][:, pivots]
-    gram_upper: np.ndarray  # strict upper triangle of G = K L K^T mod p
+    gram_sym: np.ndarray  # triu(G) + triu(G, 1)^T for G = K L K^T mod p
     gram_diag: np.ndarray  # diagonal of G
     values: np.ndarray  # the stored values
 
@@ -210,7 +210,7 @@ def _kernel_tables(f: StandardInvariant) -> _KernelTables:
         used=np.array(used, dtype=np.int64),
         pivots=np.array(pivots, dtype=np.int64),
         inverse=gf.inverse(k[used][:, pivots], p),
-        gram_upper=np.triu(gram, 1),
+        gram_sym=np.triu(gram) + np.triu(gram, 1).T,
         gram_diag=np.diagonal(gram).copy(),
         values=np.array(f.values, dtype=np.int64),
     )
@@ -232,21 +232,21 @@ def kernel_coordinates(f: StandardInvariant, x) -> np.ndarray:
         raise ValueError(f"vector length {x.shape} != n={f.mat.n}")
     coords = np.zeros(f.d, dtype=np.int64)
     coords[t.used] = x[t.pivots] @ t.inverse % p
-    if not np.array_equal(coords @ t.basis % p, x):
+    if (coords @ t.basis % p).tobytes() != x.tobytes():  # both int64
         raise InvariantError("vector is not in ker(omega)")
     return coords
 
 
-def _reordering_exponent(a: np.ndarray, upper: np.ndarray, diag: np.ndarray, p: int):
+def _reordering_exponent(a: np.ndarray, sym: np.ndarray, diag: np.ndarray, p: int):
     """E(a; G) = sum_{i<j} a_i a_j G_ij + sum_i C(a_i, 2) G_ii mod p, for a
-    vector a or for each row of a matrix a, given upper = triu(G, 1) and
-    diag = diag(G).
+    vector a or for each row of a matrix a, from 2E = a S a - a . diag(G)
+    with sym = S = triu(G) + triu(G, 1)^T and diag = diag(G).
 
     When factors merge with a bilinear phase, F_x F_y = zeta^{B(x,y)}
     F_{x+y}, the ordered product prod_i F_{v_i}^{a_i} is zeta^{E(a; G)}
     F_{sum_i a_i v_i} with G_ij = B(v_i, v_j).
     """
-    return (((a @ upper) * a).sum(axis=-1) + (a * (a - 1) // 2) @ diag) % p
+    return (((a @ sym) * a).sum(axis=-1) - a @ diag) // 2 % p
 
 
 def evaluate_invariant(f: StandardInvariant, x) -> int:
@@ -265,7 +265,7 @@ def evaluate_invariant(f: StandardInvariant, x) -> int:
     a = kernel_coordinates(f, x)
     t = f._tables
     p = f.mat.p
-    e = _reordering_exponent(a, t.gram_upper, t.gram_diag, p)
+    e = _reordering_exponent(a, t.gram_sym, t.gram_diag, p)
     return int(a @ t.values - p * e) % (p * p)
 
 
@@ -386,7 +386,7 @@ def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
         mu = np.zeros(mat.n, dtype=np.int64)
     k = np.array(basis.kernel, dtype=np.int64).reshape(basis.d, mat.n)
     g = beta @ alpha.T % p
-    e = _reordering_exponent(k, np.triu(g, 1), np.diagonal(g), p)
+    e = _reordering_exponent(k, np.triu(g) + np.triu(g, 1).T, np.diagonal(g), p)
     values = (k @ mu - p * e) % (p * p)
     invariant = StandardInvariant(mat, basis.kernel, tuple(values))
     return PairCoordinates(basis, alpha, beta, mu, invariant)

@@ -175,6 +175,46 @@ def word_matrix_fold(rep, x):
     return acc
 
 
+def verify_relations_pairwise(rep):
+    """(pair_failures, order_failures) of ``verify_relations`` one pair at
+    a time: U_i U_j against zeta^{c_ij} U_j U_i with mono_mul and
+    mono_scale, and U_k^p against the identity as p factors of mono_mul."""
+    p, n = rep.mat.p, rep.mat.n
+    u = rep.generators
+    pair_failures = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = sl.mono_mul(u[i], u[j])
+            rhs = sl.mono_scale(sl.mono_mul(u[j], u[i]), p * int(rep.mat.entries[i, j]))
+            if lhs != rhs:
+                pair_failures.append((i, j))
+    ident = sl.mono_identity(rep.dim, p)
+    order_failures = []
+    for k in range(n):
+        acc = ident
+        for _ in range(p):
+            acc = sl.mono_mul(acc, u[k])
+        if acc != ident:
+            order_failures.append(k)
+    return tuple(pair_failures), tuple(order_failures)
+
+
+def mono_pow_loop(a, k):
+    """a^k for k >= 0 as k factors of mono_mul."""
+    acc = sl.mono_identity(a.dim, a.p)
+    for _ in range(k):
+        acc = sl.mono_mul(acc, a)
+    return acc
+
+
+def word_pow_loop(w, k):
+    """w^k for k >= 0 as k factors of word_mul."""
+    acc = sl.identity_word(w.mat)
+    for _ in range(k):
+        acc = sl.word_mul(acc, w)
+    return acc
+
+
 def evaluate_invariant_loop(f, x):
     """f(x) by solving for the kernel coordinates and multiplying the plain
     basis words one at a time, picking up the reordering phase."""

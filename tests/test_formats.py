@@ -257,6 +257,12 @@ def test_representation_dict_mismatch():
         formats.representation_from_dict(doc, CLIFF3)
 
 
+def test_representation_dict_rejects_zero_dimension():
+    doc = {"p": 2, "n": 3, "dim": 0, "generators": [{"perm": [], "phase_exps": []}] * 3}
+    with pytest.raises(MatrixFormatError, match="dimension >= 1"):
+        formats.representation_from_dict(doc, CLIFF3)
+
+
 @pytest.mark.parametrize(
     "perm", [[-1, 0], [0, 5], [0.9, 1.2], [0, 2 ** 70], [True, 0], "01"]
 )

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinlab as sl
+from spinlab import formats
 from spinlab.errors import InvariantError, SizeBoundError
 from spinlab.reps import mono_mul, mono_pow, mono_scale, mono_tensor, to_dense
 
@@ -15,7 +16,9 @@ from conftest import (
     commutation_matrices,
     dense_commutant_dim,
     enum_vectors,
+    mono_pow_loop,
     reference_invariant_loop,
+    verify_relations_pairwise,
     weyl_generators_fold,
     word_matrix_fold,
 )
@@ -127,6 +130,17 @@ def test_word_matrix_rejects_non_integer_exponents():
         sl.word_matrix(rep, [0.5, 1.7, 2.2])
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
+def test_mono_pow_matches_the_loop(p, dim, seed):
+    a = _random_monomial(p, dim, np.random.default_rng(seed))
+    for k in range(3 * p + 1):
+        assert mono_pow(a, k) == mono_pow_loop(a, k)
+        assert mono_pow(a, -k) == mono_pow_loop(sl.mono_inverse(a), k)
+    # repeated squaring reaches a huge exponent: the clock has order p
+    assert mono_pow(sl.clock(p), 10 ** 18) == mono_pow(sl.clock(p), 10 ** 18 % p)
+
+
 def test_is_scalar():
     ident = sl.mono_identity(3, 3)
     assert sl.is_scalar(ident) == 0
@@ -215,23 +229,50 @@ def test_prop11_matches_mono_tensor_fold(mat):
 
 
 @pytest.mark.parametrize(
-    "build",
-    [sl.prop11_rep, sl.irreducible_rep],
-    ids=["prop11", "irreducible"],
+    "build", ["prop11", "irreducible", "phase_shift", "loaded", "constructor"]
 )
 @pytest.mark.parametrize("p,n", [(2, 7), (3, 4), (5, 3)])
-def test_constructors_build_one_monomial_matrix_per_generator(monkeypatch, build, p, n):
+def test_constructions_validate_their_stack_once(monkeypatch, build, p, n):
+    # One permutation check of the whole (n, dim) stack, and no generator
+    # validated on its own.
     mat = sl.random_alternating(p, n, seed=n)
-    built = []
-    post_init = sl.MonomialMatrix.__post_init__
+    rep = sl.irreducible_rep(mat)
+    doc = formats.representation_to_dict(rep)
+    builds = {
+        "prop11": lambda: sl.prop11_rep(mat),
+        "irreducible": lambda: sl.irreducible_rep(mat),
+        "phase_shift": lambda: sl.phase_shift_rep(rep, np.ones(n, dtype=int)),
+        "loaded": lambda: formats.representation_from_dict(doc, mat),
+        "constructor": lambda: sl.Representation(mat, rep.generators, "loaded"),
+    }
+    checks = []
+    check_stack = sl.reps._check_stack
 
-    def counting(self):
-        built.append(1)
-        post_init(self)
+    def counting(perm, phases):
+        checks.append(perm.shape)
+        check_stack(perm, phases)
 
-    monkeypatch.setattr(sl.MonomialMatrix, "__post_init__", counting)
-    build(mat)
-    assert len(built) == n
+    monkeypatch.setattr(sl.reps, "_check_stack", counting)
+    built = builds[build]()
+    assert checks == [(n, built.dim)]
+    assert built.perm.shape == built.phases.shape == (n, built.dim)
+    assert not built.perm.flags.writeable and not built.phases.flags.writeable
+    for k, g in enumerate(built.generators):
+        assert np.shares_memory(g.perm, built.perm)  # a row view, not a copy
+        assert np.shares_memory(g.phases, built.phases)
+        assert np.array_equal(g.perm, built.perm[k])
+
+
+def test_zero_dimension_is_refused():
+    # A 0 x 0 generator would reach is_scalar, word_matrix, extract_invariant,
+    # verify_relations and commutant_dim; every construction refuses it.
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        sl.MonomialMatrix(2, [], [])
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        sl.mono_identity(0, 2)
+    empty = np.zeros((2, 0), dtype=np.int64)
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        sl.Representation.from_stack(PAULI, empty, empty.copy(), "loaded")
 
 
 # --- word matrices ----------------------------------------------------------
@@ -616,6 +657,36 @@ def test_equivalence_coherence():
 
 
 # --- verify / commutant ------------------------------------------------------
+
+
+@st.composite
+def corrupted_representations(draw):
+    """The representations of ``word_representations``, as built or with
+    one fault: a phase changed, two perm entries of a generator swapped,
+    or a generator times e^{2 pi i / p^2}, so of order p^2."""
+    rep = draw(word_representations())
+    p, n, dim = rep.mat.p, rep.mat.n, rep.dim
+    perm, phases = np.array(rep.perm), np.array(rep.phases)
+    k = draw(st.integers(0, n - 1))
+    a, b = draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))
+    fault = draw(st.sampled_from(["none", "phase", "swap", "order"]))
+    if fault == "phase":
+        phases[k, a] += draw(st.integers(1, p * p - 1))
+    elif fault == "swap":
+        perm[k, [a, b]] = perm[k, [b, a]]
+    elif fault == "order":
+        phases[k] += 1
+    return sl.Representation.from_stack(rep.mat, perm, phases, rep.kind)
+
+
+@settings(deadline=None, max_examples=150)
+@given(corrupted_representations(), st.sampled_from([1, 64, sl.reps.WORD_TABLE_ENTRIES]))
+def test_verify_relations_matches_pairwise_oracle(rep, budget):
+    # Budget 1 checks one generator per block; the others block several.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sl.reps, "WORD_TABLE_ENTRIES", budget)
+        report = sl.verify_relations(rep)
+    assert (report.pair_failures, report.order_failures) == verify_relations_pairwise(rep)
 
 
 def test_verify_relations_reports_failures():

@@ -15,6 +15,7 @@ from conftest import (
     enum_vectors,
     evaluate_invariant_loop,
     matrices_with_vectors,
+    word_pow_loop,
 )
 
 PAULI = sl.commutation_matrix(2, [[0, 1], [1, 0]])
@@ -133,6 +134,17 @@ def test_normalize_clifford_example():
 def test_normalize_pth_power_is_identity(case):
     mat, x = case
     assert sl.word_pow(sl.normalize(x, mat), mat.p).is_identity
+
+
+@settings(deadline=None, max_examples=60)
+@given(matrices_with_vectors(k=1), st.integers(0, 2 ** 32 - 1))
+def test_word_pow_matches_the_loop(case, seed):
+    mat, x = case
+    w = sl.Word(int(np.random.default_rng(seed).integers(0, mat.p ** 2)), x, mat)
+    for k in range(3 * mat.p + 1):
+        assert sl.word_pow(w, k) == word_pow_loop(w, k)
+    # the closed form reaches a huge exponent: a normalized word has order p
+    assert sl.word_pow(sl.normalize(x, mat), mat.p * 10 ** 17).is_identity
 
 
 def test_is_central():
