@@ -5,8 +5,8 @@ over GF(p); does exact arithmetic in the algebra of phased words
 (phases are p^2-th roots of unity kept as integer exponents); builds
 exact monomial-matrix representations, both the p^n tensor-ladder model
 and the minimal p^r irreducible model with a prescribed standard
-invariant; and classifies systems by enumerating the 2^d invariant
-classes of a GF(2) matrix with d-dimensional kernel.
+invariant; and classifies systems by enumerating the p^d invariant
+classes of a GF(p) matrix with d-dimensional kernel.
 """
 
 from ._version import __version__

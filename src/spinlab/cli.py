@@ -91,7 +91,7 @@ def _analyze_text(report: reps.StructureReport) -> str:
     classes = (
         str(report.class_count)
         if report.class_count is not None
-        else "n/a (classification is defined for p = 2 only)"
+        else "n/a at odd p (spinlab classify lists the p^d classes)"
     )
     return (
         f"p: {report.p}\n"
@@ -240,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_rep.set_defaults(func=_cmd_represent)
 
-    p_cls = sub.add_parser("classify", help="enumerate invariant classes (p = 2)")
+    p_cls = sub.add_parser("classify", help="enumerate invariant classes")
     add_common(p_cls, toeplitz_help)
     p_cls.set_defaults(func=_cmd_classify)
 

@@ -24,5 +24,5 @@ class SizeBoundError(SpinlabError):
 
 
 class InvariantError(SpinlabError):
-    """An invariant constraint is violated (square law, kernel membership,
-    basis mismatch, or an undefined classification request)."""
+    """An invariant constraint is violated (p-th power law, kernel
+    membership, basis mismatch, or an invariant where none applies)."""

@@ -599,11 +599,12 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
 
     The center has dimension p^d (spanned by the central words), the
     matrix factor is M_{p^r} with 2r the form rank, and the algebra is
-    simple iff the kernel is trivial.  The class count 2^d applies to
-    p = 2 only.  For a banded source the rank-growth table over all
-    prefixes is included, with an explicitly heuristic flag set when the
-    rank is still growing at the end of the table (finite prefixes can
-    never prove infinite rank); the kernel then comes from the same
+    simple iff the kernel is trivial.  The class count p^d is set at
+    p = 2 and left None at odd p (``enumerate_invariants`` lists the
+    classes at every p).  For a banded source the rank-growth table over
+    all prefixes is included, with an explicitly heuristic flag set when
+    the rank is still growing at the end of the table (finite prefixes
+    can never prove infinite rank); the kernel then comes from the same
     symplectic pass as the table, in the normal form of ``form_kernel``,
     which alone is faster when no table is needed.
     """
@@ -633,7 +634,7 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
         matrix_factor=f"M_{mat.p ** r}",
         descriptor=" ⊗ ".join(descriptor_parts),
         simple=d == 0,
-        class_count=count_classes(d) if mat.p == 2 else None,
+        class_count=count_classes(d, mat.p) if mat.p == 2 else None,
         pattern=mat.pattern,
         prefix_ranks=ranks,
         infinite_rank_conjectured=conjectured,

@@ -11,13 +11,17 @@ with Q the strict-lower-triangle form of the commutation matrix, and
 two words commute up to zeta^{omega(x, y)}.  Everything here is integer
 arithmetic; no floats appear anywhere.
 
+One p-th power law holds at every prime: a plain word has w_x^p =
+zeta'^{p s(x)}, zeta' = e^{2 pi i/p^2}, with s(x) = C(p, 2) Q(x, x) mod p
+(Q(x, x) mod 2 at p = 2, 0 at odd p).  It gives the canonical normaliser,
+the model's phases and the law of a valid invariant.
+
 Standard invariants live on ker(omega): the scalar values taken by
 central words in an irreducible system, stored on an ordered kernel
 basis and extended to the whole kernel through the product rule.
 Multiplying generator k by zeta^{gamma_k} adds p (gamma . x) to the
-invariant at every kernel vector x, for every prime; only the
-classification (square law, enumeration, class count) is defined for
-p = 2 and refuses other moduli.
+invariant at every kernel vector x, so the valid invariants, those with
+f(k) = s(k) mod p, form p^d classes for a d-dimensional kernel.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from . import gf
 from .errors import InvariantError, SizeBoundError
 from .forms import CommutationMatrix, SymplecticBasis, omega, q_form, symplectic_basis
 
-# Largest kernel dimension d whose 2^d invariants enumerate_invariants lists.
+# enumerate_invariants lists the p^d invariants while p^d <= 2^MAX_KERNEL_DIM.
 MAX_KERNEL_DIM = 16
 
 
@@ -105,6 +109,12 @@ def word_pow(w: Word, k: int) -> Word:
     return _reduced_word(phase % (p * p), w.x * (k % p) % p, w.mat)
 
 
+def _power_exponent(q, p: int):
+    """s = C(p, 2) q mod p for q = Q(x, x), an int or an array: w_x^p =
+    zeta'^{p s} (``word_pow``'s phase over p)."""
+    return p * (p - 1) // 2 * q % p
+
+
 def commutation_phase(x, y, mat: CommutationMatrix) -> int:
     """Exponent (mod p^2) by which w_x w_y and w_y w_x differ:
     p * omega(x, y).  Zero exactly when the words commute."""
@@ -113,14 +123,9 @@ def commutation_phase(x, y, mat: CommutationMatrix) -> int:
 
 
 def normalize(x, mat: CommutationMatrix) -> Word:
-    """The canonical word lambda_x w_x whose p-th power is the identity.
-
-    For p = 2 the scalar is i^{Q(x,x)}; for odd p the plain word already
-    has w_x^p = 1, so lambda_x = 1.
-    """
-    if mat.p == 2:
-        return Word(q_form(mat, x, x) % 2, x, mat)
-    return Word(0, x, mat)
+    """The canonical word lambda_x w_x whose p-th power is the identity:
+    lambda_x = zeta'^{-s(x) mod p} (i^{Q(x,x)} at p = 2, 1 at odd p)."""
+    return Word(-_power_exponent(q_form(mat, x, x), mat.p) % mat.p, x, mat)
 
 
 def is_central(x, mat: CommutationMatrix) -> bool:
@@ -179,7 +184,7 @@ class StandardInvariant:
 
     @cached_property
     def _tables(self) -> "_KernelTables":
-        """Built on first use (``enumerate_invariants`` makes 2^d
+        """Built on first use (``enumerate_invariants`` makes p^d
         invariants and evaluates none), then kept on the instance."""
         return _kernel_tables(self)
 
@@ -269,18 +274,13 @@ def evaluate_invariant(f: StandardInvariant, x) -> int:
     return int(a @ t.values - p * e) % (p * p)
 
 
-def _require_char2(mat: CommutationMatrix, what: str) -> None:
-    if mat.p != 2:
-        raise InvariantError(f"{what} is defined for p = 2 only (got p={mat.p})")
-
-
 def invariant_square_check(f: StandardInvariant) -> bool:
-    """True iff f(k)^2 = (-1)^{Q(k,k)} on every stored basis vector;
-    a necessary and sufficient condition for f to satisfy the kernel
-    functional equation.  p = 2 only."""
-    _require_char2(f.mat, "the square law")
+    """True iff f obeys the p-th power law f(k) = s(k) mod p on every
+    stored basis vector, the law of every valid invariant (the square law
+    f(k)^2 = (-1)^{Q(k,k)} at p = 2)."""
+    p = f.mat.p
     return all(
-        (2 * v) % 4 == (2 * q_form(f.mat, k, k)) % 4
+        (v - _power_exponent(q_form(f.mat, k, k), p)) % p == 0
         for k, v in zip(f.kernel_basis, f.values)
     )
 
@@ -307,7 +307,7 @@ def invariants_equal(f: StandardInvariant, g: StandardInvariant) -> bool:
     return f.values == g.values
 
 
-def gammas_equivalent(gamma1, gamma2, kernel_basis, p: int = 2) -> bool:
+def gammas_equivalent(gamma1, gamma2, kernel_basis, p: int) -> bool:
     """True iff gamma1 and gamma2 induce the same linear functional on
     the kernel, i.e. (gamma1 - gamma2) . k = 0 for every basis vector."""
     g1 = gf.as_gf_array(gamma1, p)
@@ -341,22 +341,22 @@ def realize_invariant(
     return gf.extend_functional(list(target.kernel_basis), theta, target.mat.n, p)
 
 
-def count_classes(d: int) -> int:
+def count_classes(d: int, p: int) -> int:
     """Number of equivalence classes of irreducible systems with kernel
-    dimension d over GF(2): exactly 2^d.  (For an infinite-dimensional
+    dimension d over GF(p): exactly p^d.  (For an infinite-dimensional
     kernel the class count is the cardinality of the continuum; this
     artifact only handles finite truncations.)"""
     if d < 0:
         raise ValueError("kernel dimension must be nonnegative")
-    return 2 ** d
+    return p ** d
 
 
 class PairCoordinates(NamedTuple):
     """Generator j of a commutation matrix written in its hyperbolic-pair
     basis: u_j = sum_i alpha[j, i] e_i + beta[j, i] f_i + (kernel part),
-    with the canonical normalizing phase exponent mu[j] (mod p^2) of the
-    modelled generator (alpha_j . beta_j mod 2 for p = 2, 0 for odd p),
-    and the standard invariant that these modelled generators achieve."""
+    with the canonical normalizing phase exponent mu[j] = C(p, 2)
+    (alpha_j . beta_j) mod p of the modelled generator, and the standard
+    invariant that these modelled generators achieve."""
 
     basis: SymplecticBasis
     alpha: np.ndarray  # n x r
@@ -372,18 +372,17 @@ def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
 
     Model j is zeta'^{mu_j} (x)_i S^{alpha_ji} V^{beta_ji}, zeta' =
     e^{2 pi i / p^2}.  Slot parts merge with the phase zeta^{-beta . alpha'},
-    so the ordered product over a kernel vector k is the scalar with
-    exponent k . mu - p E(k; beta alpha^T) mod p^2 (``_reordering_exponent``).
+    so (x)_i S^a V^b has p-th power zeta^{-C(p, 2) a . b}, which mu_j
+    cancels, and the ordered product over a kernel vector k is the scalar
+    with exponent k . mu - p E(k; beta alpha^T) mod p^2
+    (``_reordering_exponent``).
     """
     p = mat.p
     basis = symplectic_basis(mat)
     r = basis.r
     alpha = mat.entries @ np.array(basis.f, dtype=np.int64).reshape(r, mat.n).T % p
     beta = -mat.entries @ np.array(basis.e, dtype=np.int64).reshape(r, mat.n).T % p
-    if p == 2:
-        mu = (alpha * beta).sum(axis=1) % 2
-    else:
-        mu = np.zeros(mat.n, dtype=np.int64)
+    mu = _power_exponent((alpha * beta).sum(axis=1), p)
     k = np.array(basis.kernel, dtype=np.int64).reshape(basis.d, mat.n)
     g = beta @ alpha.T % p
     e = _reordering_exponent(k, np.triu(g) + np.triu(g, 1).T, np.diagonal(g), p)
@@ -400,21 +399,16 @@ def reference_invariant(mat: CommutationMatrix) -> StandardInvariant:
 
 
 def enumerate_invariants(mat: CommutationMatrix) -> list[StandardInvariant]:
-    """All 2^d standard invariants of a GF(2) commutation matrix:
-    the reference invariant shifted by every linear functional on the
-    kernel, in increasing functional order (bit i of the index flips the
-    sign on basis vector i)."""
-    _require_char2(mat, "invariant enumeration")
+    """All p^d standard invariants reference + p theta, one per linear
+    functional theta on the kernel, in increasing functional order: digit
+    i of the radix-p index is theta on basis vector i (at p = 2, bit i
+    flips the sign on basis vector i)."""
+    p = mat.p
     f0 = reference_invariant(mat)
     d = f0.d
-    if d > MAX_KERNEL_DIM:
-        raise SizeBoundError(
-            f"kernel dimension {d} exceeds the enumeration bound {MAX_KERNEL_DIM}"
-        )
-    out = []
-    for mask in range(2 ** d):
-        values = tuple(
-            (v + 2 * ((mask >> i) & 1)) % 4 for i, v in enumerate(f0.values)
-        )
-        out.append(StandardInvariant(mat, f0.kernel_basis, values))
-    return out
+    if p ** d > 2 ** MAX_KERNEL_DIM:
+        bound = len(np.base_repr(2 ** MAX_KERNEL_DIM, p)) - 1  # largest such d
+        raise SizeBoundError(f"kernel dimension {d} exceeds the enumeration bound {bound}")
+    theta = np.arange(p ** d)[:, None] // p ** np.arange(d) % p
+    values = (np.array(f0.values, dtype=np.int64) + p * theta) % (p * p)
+    return [StandardInvariant(mat, f0.kernel_basis, v) for v in values.tolist()]

@@ -350,12 +350,17 @@ def test_represent_odd_p_invariant(capsys, tmp_path, value, code):
         assert sl.extract_invariant(rep).values == (value,)
 
 
-def test_exit_code_4_on_odd_p_classify(capsys, tmp_path):
+def test_classify_odd_p_lists_p_to_the_d_invariants(capsys, tmp_path):
     odd = tmp_path / "odd.txt"
-    odd.write_text("3 2\n0 1\n2 0\n", encoding="utf-8")
-    code, _, err = run(capsys, "classify", odd)
-    assert code == 4
-    assert "p = 2" in err
+    odd.write_text("3 3\n0 1 0\n2 0 0\n0 0 0\n", encoding="utf-8")
+    code, out, _ = run(capsys, "classify", odd)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["p"], doc["kernel_dim"], doc["class_count"]) == (3, 1, 3)
+    assert sorted(f["values_exp_mod_p2"][0] for f in doc["invariants"]) == [0, 3, 6]
+    code, out, _ = run(capsys, "analyze", odd)
+    assert code == 0
+    assert "classes: n/a at odd p (spinlab classify lists the p^d classes)\n" in out
 
 
 def test_grow_rejects_explicit_files(capsys):

@@ -572,6 +572,37 @@ def test_irreducible_invariant_is_the_closed_form(mat, seed):
         assert sl.extract_invariant(shifted) == target
 
 
+@st.composite
+def planted_matrices(draw):
+    """C = T^T (J_r + 0_d) T for a random invertible T = L U, with
+    p^r <= 64 (the irreducible dimension) and p^d <= 125."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    r = draw(st.integers(0, {2: 6, 3: 3, 5: 2, 7: 2}[p]))
+    d = draw(st.integers(0 if r else 1, {2: 6, 3: 4, 5: 3, 7: 2}[p]))
+    n = 2 * r + d
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lower = np.tril(rng.integers(0, p, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+    return sl.matrix_from_basis(sl.standard_form(p, r, d), lower @ upper % p)
+
+
+@settings(deadline=None, max_examples=60)
+@given(planted_matrices())
+def test_every_enumerated_invariant_is_a_distinct_irreducible_class(mat):
+    # the p^d invariants reference + p theta are pairwise distinct, obey
+    # the p-th power law, and each is realised by an irreducible model
+    p, d = mat.p, len(sl.form_kernel(mat))
+    invariants = sl.enumerate_invariants(mat)
+    assert len(invariants) == sl.count_classes(d, p)
+    assert len({f.values for f in invariants}) == p ** d
+    for f in invariants:
+        assert sl.invariant_square_check(f)
+        rep = sl.irreducible_rep(mat, f)
+        assert sl.verify_relations(rep).ok
+        assert sl.extract_invariant(rep) == f
+        assert sl.commutant_dim(rep) == 1
+
+
 def test_irreducible_rep_eliminates_no_kernel(monkeypatch):
     calls = []
     real = sl.gf.kernel_basis
@@ -653,7 +684,7 @@ def test_equivalence_coherence():
                 sl.extract_invariant(sl.phase_shift_rep(rep, g1)),
                 sl.extract_invariant(sl.phase_shift_rep(rep, g2)),
             )
-            assert inv_equal == sl.gammas_equivalent(g1, g2, kernel)
+            assert inv_equal == sl.gammas_equivalent(g1, g2, kernel, 2)
 
 
 # --- verify / commutant ------------------------------------------------------

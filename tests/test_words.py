@@ -291,10 +291,28 @@ def test_square_check():
     assert sl.invariant_square_check(_invariant(PAULI, []))  # vacuous
 
 
-def test_square_check_odd_p_refused():
+def test_square_check_odd_p_law():
+    # at odd p a plain word has w_x^p = 1, so a valid f(k) is a multiple of p
     mat = sl.commutation_matrix(3, np.zeros((2, 2), dtype=int))
-    with pytest.raises(InvariantError, match="p = 2"):
-        sl.invariant_square_check(_invariant(mat, [0, 0]))
+    assert sl.invariant_square_check(_invariant(mat, [0, 0]))
+    assert sl.invariant_square_check(_invariant(mat, [3, 6]))
+    assert not sl.invariant_square_check(_invariant(mat, [3, 1]))
+    assert not sl.invariant_square_check(_invariant(mat, [2, 0]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(commutation_matrices(primes=(2, 3, 5, 7), max_n=7), st.integers(0, 2 ** 32 - 1))
+def test_square_check_is_the_word_power_law(mat, seed):
+    # f(k) = s(k) mod p iff zeta'^{p f(k)} equals the phase of w_k^p
+    p = mat.p
+    f0 = sl.reference_invariant(mat)
+    assert sl.invariant_square_check(f0)
+    for k, v in zip(f0.kernel_basis, f0.values):
+        assert sl.word_pow(plain(k, mat), p).phase == p * v % (p * p)
+    if f0.d:
+        values = list(f0.values)
+        values[seed % f0.d] += 1 + seed % (p - 1)  # not a multiple of p
+        assert not sl.invariant_square_check(sl.StandardInvariant(mat, f0.kernel_basis, values))
 
 
 def test_phase_shift_invariant():
@@ -311,9 +329,15 @@ def test_invariants_equal_requires_same_basis():
 
 def test_gammas_equivalent():
     kernel = [np.array([1, 1, 1])]
-    assert sl.gammas_equivalent([1, 0, 0], [1, 0, 0], kernel)
-    assert sl.gammas_equivalent([1, 0, 0], [0, 1, 0], kernel)
-    assert not sl.gammas_equivalent([1, 0, 0], [0, 0, 0], kernel)
+    assert sl.gammas_equivalent([1, 0, 0], [1, 0, 0], kernel, 2)
+    assert sl.gammas_equivalent([1, 0, 0], [0, 1, 0], kernel, 2)
+    assert not sl.gammas_equivalent([1, 0, 0], [0, 0, 0], kernel, 2)
+    # odd-p gammas are compared mod p, not mod 2
+    mat = sl.commutation_matrix(3, np.zeros((2, 2), dtype=int))
+    f = _invariant(mat, [0, 0])
+    assert not sl.gammas_equivalent([2, 0], [0, 0], f.kernel_basis, 3)
+    assert sl.phase_shift_invariant(f, [2, 0]) != sl.phase_shift_invariant(f, [0, 0])
+    assert sl.gammas_equivalent([3, 0], [0, 0], f.kernel_basis, 3)
 
 
 def test_realize_invariant_examples():
@@ -328,11 +352,12 @@ def test_realize_invariant_examples():
 
 
 def test_count_classes():
-    assert sl.count_classes(0) == 1
-    assert sl.count_classes(1) == 2
-    assert sl.count_classes(10) == 1024
+    assert sl.count_classes(0, 2) == 1
+    assert sl.count_classes(1, 2) == 2
+    assert sl.count_classes(10, 2) == 1024
+    assert sl.count_classes(3, 5) == 125
     with pytest.raises(ValueError):
-        sl.count_classes(-1)
+        sl.count_classes(-1, 2)
 
 
 def test_reference_invariant_clifford_value():
@@ -358,14 +383,21 @@ def test_enumerate_invariants_all_satisfy_square_law():
             assert sl.invariant_square_check(f)
 
 
-def test_enumerate_invariants_bounds_and_parity(monkeypatch):
+def test_enumerate_invariants_bound_and_odd_p_count(monkeypatch):
     big = sl.commutation_matrix(2, np.zeros((5, 5), dtype=int))
     monkeypatch.setattr(sl.words, "MAX_KERNEL_DIM", 4)
-    with pytest.raises(SizeBoundError):
+    with pytest.raises(SizeBoundError, match="bound 4$"):
         sl.enumerate_invariants(big)
+    # 3^2 <= 2^4 < 3^3: the bound on d is 2 at p = 3
+    with pytest.raises(SizeBoundError, match="bound 2$"):
+        sl.enumerate_invariants(sl.commutation_matrix(3, np.zeros((3, 3), dtype=int)))
     odd = sl.commutation_matrix(3, np.zeros((2, 2), dtype=int))
-    with pytest.raises(InvariantError, match="p = 2"):
-        sl.enumerate_invariants(odd)
+    invs = sl.enumerate_invariants(odd)
+    assert len(invs) == sl.count_classes(2, 3) == 9
+    assert len({f.values for f in invs}) == 9
+    assert all(sl.invariant_square_check(f) for f in invs)
+    # digit i of the radix-3 index is theta on basis vector i
+    assert [f.values for f in invs[:4]] == [(0, 0), (3, 0), (6, 0), (0, 3)]
 
 
 @settings(deadline=None, max_examples=30)
