@@ -232,7 +232,7 @@ def _int_list(values, what: str) -> np.ndarray:
 
 def invariant_to_dict(f: StandardInvariant) -> dict:
     return {
-        "kernel_basis": [_vec(k) for k in f.kernel_basis],
+        "kernel_basis": f.kernel_basis.tolist(),
         "values_exp_mod_p2": list(f.values),
     }
 

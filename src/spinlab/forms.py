@@ -27,8 +27,10 @@ import numpy as np
 from . import gf
 from .errors import SizeBoundError
 
-# Largest n that toeplitz_matrix materializes: the n x n matrix, its
-# private copy and its lower triangle take 3 x 32 MB at n = 2048.
+# Largest n that the generated families (toeplitz_matrix, clifford_matrix,
+# random_alternating) materialize, checked before anything of size n^2 is
+# built: the n x n matrix, its private copy and its lower triangle take
+# 3 x 32 MB at n = 2048.
 MAX_TOEPLITZ_N = 2048
 
 
@@ -121,9 +123,12 @@ def toeplitz_matrix(p: int, pattern, n: int) -> CommutationMatrix:
 
 def clifford_matrix(p: int, n: int) -> CommutationMatrix:
     """All-ones off the diagonal: the matrix of n pairwise anticommuting
-    self-adjoint unitaries.  Defined in characteristic 2 only."""
+    self-adjoint unitaries.  Defined in characteristic 2 only.  Raises
+    SizeBoundError for n > MAX_TOEPLITZ_N before allocating."""
     if p != 2:
         raise ValueError("the Clifford matrix is defined for p = 2 only")
+    if n > MAX_TOEPLITZ_N:
+        raise SizeBoundError(f"Clifford matrix size {n} > bound {MAX_TOEPLITZ_N}")
     ent = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     return CommutationMatrix(2, ent)
 
@@ -146,10 +151,13 @@ def random_alternating(p: int, n: int, seed: int) -> CommutationMatrix:
     row-major order and mirrored with negation.  The values are those of
     successive ``randrange(p)`` calls on the stdlib Mersenne generator,
     so byte-level reproducibility does not depend on the numpy version.
+    Raises SizeBoundError for n > MAX_TOEPLITZ_N before allocating.
     """
     import random
 
     p = gf.validate_prime(p)
+    if n > MAX_TOEPLITZ_N:
+        raise SizeBoundError(f"random matrix size {n} > bound {MAX_TOEPLITZ_N}")
     upper = np.triu_indices(n, 1)
     rng = random.Random(seed)
     vals = np.array([rng.randrange(p) for _ in range(upper[0].size)], dtype=np.int64)
@@ -159,27 +167,24 @@ def random_alternating(p: int, n: int, seed: int) -> CommutationMatrix:
     return CommutationMatrix(p, ent)
 
 
-def _check_length(mat: CommutationMatrix, *vecs) -> list[np.ndarray]:
-    out = []
-    for v in vecs:
-        a = gf.as_gf_array(v, mat.p)
-        if a.shape != (mat.n,):
-            raise ValueError(f"vector length {a.shape} does not match n={mat.n}")
-        out.append(a)
-    return out
+def _gf_vector(mat: CommutationMatrix, x) -> np.ndarray:
+    """x as a new int64 vector reduced mod p (``gf.as_gf_array``), the
+    only array made; raises ValueError unless it has length n."""
+    a = gf.as_gf_array(x, mat.p)
+    if a.shape != (mat.n,):
+        raise ValueError(f"vector length {a.shape} does not match n={mat.n}")
+    return a
 
 
 def omega(mat: CommutationMatrix, x, y) -> int:
     """The commutation form x^T C y mod p; omega(u_i, u_j) = c_ij."""
-    x, y = _check_length(mat, x, y)
-    return int(x @ mat.entries @ y % mat.p)
+    return int(_gf_vector(mat, x) @ mat.entries @ _gf_vector(mat, y) % mat.p)
 
 
 def q_form(mat: CommutationMatrix, x, y) -> int:
     """The word-reordering form x^T L y mod p, L the strict lower
     triangle of C.  Satisfies omega(x,y) = q_form(x,y) - q_form(y,x)."""
-    x, y = _check_length(mat, x, y)
-    return int(x @ mat.lower @ y % mat.p)
+    return int(_gf_vector(mat, x) @ mat.lower @ _gf_vector(mat, y) % mat.p)
 
 
 def form_kernel(mat: CommutationMatrix) -> list[np.ndarray]:
@@ -337,8 +342,6 @@ def matrix_from_basis(ref: CommutationMatrix, vectors) -> CommutationMatrix:
     """The commutation matrix of a family of vectors under omega_ref:
     entry (i, j) is omega_ref(v_i, v_j).  Alternating by construction;
     nondegenerate whenever the vectors form a basis and ref does."""
-    v = np.stack([gf.as_gf_array(x, ref.p) for x in vectors], axis=0)
-    if v.shape[1] != ref.n:
-        raise ValueError(f"vectors must have length n={ref.n}")
+    v = np.stack([_gf_vector(ref, x) for x in vectors])
     ent = (v @ ref.entries @ v.T) % ref.p
     return CommutationMatrix(ref.p, ent)

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import gf
 from .errors import InvariantError, SizeBoundError
-from .forms import CommutationMatrix, form_kernel, prefix_ranks
+from .forms import CommutationMatrix, _gf_vector, form_kernel, prefix_ranks
 from .words import (
     StandardInvariant,
     count_classes,
@@ -340,9 +340,7 @@ def word_matrix(rep: Representation, x) -> MonomialMatrix:
     built as a MonomialMatrix, and it is not re-validated.
     """
     p = rep.mat.p
-    x = gf.as_gf_array(x, p)
-    if x.shape != (rep.mat.n,):
-        raise ValueError(f"vector length {x.shape} != n={rep.mat.n}")
+    x = _gf_vector(rep.mat, x)
     table = rep._word_table
     if table is None:
         perm, phases = np.arange(rep.dim), np.zeros(rep.dim, dtype=np.int64)
@@ -367,16 +365,13 @@ def extract_invariant(rep: Representation) -> StandardInvariant:
     signals a reducible representation whose invariant is undefined.
     """
     kernel = form_kernel(rep.mat)
-    values = []
-    for k in kernel:
-        s = is_scalar(word_matrix(rep, k))
-        if s is None:
-            raise InvariantError(
-                "kernel word is not scalar; representation is reducible and "
-                "its standard invariant is undefined"
-            )
-        values.append(s)
-    return StandardInvariant(rep.mat, tuple(kernel), tuple(values))
+    values = [is_scalar(word_matrix(rep, k)) for k in kernel]
+    if None in values:
+        raise InvariantError(
+            "kernel word is not scalar; representation is reducible and "
+            "its standard invariant is undefined"
+        )
+    return StandardInvariant(rep.mat, kernel, values)
 
 
 def irreducible_rep(
@@ -419,9 +414,7 @@ def phase_shift_rep(rep: Representation, gamma) -> Representation:
     sign flip at p = 2).  Relations and orders are preserved, and the
     invariant gains the exponent p (gamma . x) on kernel vectors x."""
     p = rep.mat.p
-    g = gf.as_gf_array(gamma, p)
-    if g.shape != (rep.mat.n,):
-        raise ValueError(f"gamma length {g.shape} != n={rep.mat.n}")
+    g = _gf_vector(rep.mat, gamma)
     inv = None if rep.invariant is None else phase_shift_invariant(rep.invariant, g)
     phases = rep.phases + p * g[:, None]
     return Representation.from_stack(rep.mat, rep.perm, phases, rep.kind, inv)

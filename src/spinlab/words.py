@@ -18,7 +18,9 @@ the model's phases and the law of a valid invariant.
 
 Standard invariants live on ker(omega): the scalar values taken by
 central words in an irreducible system, stored on an ordered kernel
-basis and extended to the whole kernel through the product rule.
+basis and extended to the whole kernel through the product rule.  The
+basis is one frozen (d, n) array, checked once when an invariant is
+built and shared, not copied, by the invariants derived from it.
 Multiplying generator k by zeta^{gamma_k} adds p (gamma . x) to the
 invariant at every kernel vector x, so the valid invariants, those with
 f(k) = s(k) mod p, form p^d classes for a d-dimensional kernel.
@@ -35,7 +37,14 @@ import numpy as np
 
 from . import gf
 from .errors import InvariantError, SizeBoundError
-from .forms import CommutationMatrix, SymplecticBasis, omega, q_form, symplectic_basis
+from .forms import (
+    CommutationMatrix,
+    SymplecticBasis,
+    _gf_vector,
+    omega,
+    q_form,
+    symplectic_basis,
+)
 
 # enumerate_invariants lists the p^d invariants while p^d <= 2^MAX_KERNEL_DIM.
 MAX_KERNEL_DIM = 16
@@ -56,9 +65,7 @@ class Word:
         except TypeError:
             raise ValueError(f"phase must be an integer, got {self.phase!r}")
         object.__setattr__(self, "phase", phase % p2)
-        x = gf.as_gf_array(self.x, self.mat.p)
-        if x.shape != (self.mat.n,):
-            raise ValueError(f"exponent vector length {x.shape} != n={self.mat.n}")
+        x = _gf_vector(self.mat, self.x)
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
 
@@ -130,36 +137,35 @@ def normalize(x, mat: CommutationMatrix) -> Word:
 
 def is_central(x, mat: CommutationMatrix) -> bool:
     """True iff w_x commutes with every word, i.e. x is in ker(omega)."""
-    x = gf.as_gf_array(x, mat.p)
-    if x.shape != (mat.n,):
-        raise ValueError(f"vector length {x.shape} != n={mat.n}")
-    return not ((mat.entries @ x) % mat.p).any()
+    return not ((mat.entries @ _gf_vector(mat, x)) % mat.p).any()
 
 
 @dataclass(frozen=True, eq=False)
 class StandardInvariant:
     """A function on ker(omega), stored as phase exponents (mod p^2) on
-    an ordered kernel basis and extended through the word product rule."""
+    an ordered kernel basis and extended through the word product rule.
+
+    The basis, any sequence of length-n integer vectors, is kept reduced
+    mod p as one frozen (d, n) int64 array, which the invariants derived
+    from this one share (``_checked_invariant``)."""
 
     mat: CommutationMatrix
-    kernel_basis: tuple[np.ndarray, ...]
+    kernel_basis: np.ndarray
     values: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.kernel_basis) != len(self.values):
+        n = self.mat.n
+        k = gf.as_gf_array(self.kernel_basis, self.mat.p)  # refuses ragged rows
+        if k.shape == (0,):
+            k = k.reshape(0, n)  # the empty basis
+        if k.ndim != 2 or k.shape[1] != n:
+            raise ValueError(f"kernel basis vectors must have length n={n}")
+        if len(k) != len(self.values):
             raise ValueError("one value per kernel basis vector required")
+        k.flags.writeable = False
         p2 = self.mat.p ** 2
-        vecs = []
-        for k in self.kernel_basis:
-            a = gf.as_gf_array(k, self.mat.p)
-            if a.shape != (self.mat.n,):
-                raise ValueError("kernel basis vector of wrong length")
-            a.flags.writeable = False
-            vecs.append(a)
-        object.__setattr__(self, "kernel_basis", tuple(vecs))
-        object.__setattr__(
-            self, "values", tuple(int(v) % p2 for v in self.values)
-        )
+        object.__setattr__(self, "kernel_basis", k)
+        object.__setattr__(self, "values", tuple(int(v) % p2 for v in self.values))
 
     @property
     def d(self) -> int:
@@ -167,14 +173,11 @@ class StandardInvariant:
 
     def same_basis(self, other: "StandardInvariant") -> bool:
         """True iff both invariants are stored on the same matrix and the
-        same ordered kernel basis; ``==`` adds equal values."""
-        return (
+        same ordered kernel basis; ``==`` adds equal values.  A shared
+        basis array is one matrix's by construction."""
+        return self.kernel_basis is other.kernel_basis or (
             self.mat == other.mat
-            and len(self.kernel_basis) == len(other.kernel_basis)
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.kernel_basis, other.kernel_basis)
-            )
+            and self.kernel_basis.tobytes() == other.kernel_basis.tobytes()
         )
 
     def __eq__(self, other) -> bool:
@@ -189,13 +192,23 @@ class StandardInvariant:
         return _kernel_tables(self)
 
 
+def _checked_invariant(
+    mat: CommutationMatrix, basis: np.ndarray, values: tuple[int, ...]
+) -> StandardInvariant:
+    """A StandardInvariant on a frozen, reduced (d, n) int64 basis, used
+    as is, and a tuple of ints in [0, p^2), skipping the checks of
+    ``StandardInvariant.__post_init__``."""
+    f = object.__new__(StandardInvariant)
+    f.__dict__.update(mat=mat, kernel_basis=basis, values=values)
+    return f
+
+
 class _KernelTables(NamedTuple):
     """What kernel_coordinates and evaluate_invariant need of one
-    invariant.  Only the basis vectors outside the span of the earlier
-    ones are in use (all of them when the basis is independent); as with
-    ``gf.solve``, the others get coordinate 0."""
+    invariant on the basis K, its ``kernel_basis``.  Only the rows of K
+    outside the span of the earlier ones are in use (all of them when the
+    basis is independent); as with ``gf.solve``, the others get coordinate 0."""
 
-    basis: np.ndarray  # K: the stored basis, one vector per row
     used: np.ndarray  # indices of the vectors in use
     pivots: np.ndarray  # pivot columns of K[used]
     inverse: np.ndarray  # inverse of the pivot minor K[used][:, pivots]
@@ -206,12 +219,11 @@ class _KernelTables(NamedTuple):
 
 def _kernel_tables(f: StandardInvariant) -> _KernelTables:
     p = f.mat.p
-    k = np.array(f.kernel_basis, dtype=np.int64).reshape(f.d, f.mat.n)
+    k = f.kernel_basis
     _, used = gf.rref(k.T, p)
     _, pivots = gf.rref(k[used], p)
     gram = k @ f.mat.lower @ k.T % p
     return _KernelTables(
-        basis=k,
         used=np.array(used, dtype=np.int64),
         pivots=np.array(pivots, dtype=np.int64),
         inverse=gf.inverse(k[used][:, pivots], p),
@@ -232,12 +244,10 @@ def kernel_coordinates(f: StandardInvariant, x) -> np.ndarray:
     span of the earlier ones."""
     t = f._tables
     p = f.mat.p
-    x = gf.as_gf_array(x, p)
-    if x.shape != (f.mat.n,):
-        raise ValueError(f"vector length {x.shape} != n={f.mat.n}")
+    x = _gf_vector(f.mat, x)
     coords = np.zeros(f.d, dtype=np.int64)
     coords[t.used] = x[t.pivots] @ t.inverse % p
-    if (coords @ t.basis % p).tobytes() != x.tobytes():  # both int64
+    if (coords @ f.kernel_basis % p).tobytes() != x.tobytes():  # both int64
         raise InvariantError("vector is not in ker(omega)")
     return coords
 
@@ -279,10 +289,9 @@ def invariant_square_check(f: StandardInvariant) -> bool:
     stored basis vector, the law of every valid invariant (the square law
     f(k)^2 = (-1)^{Q(k,k)} at p = 2)."""
     p = f.mat.p
-    return all(
-        (v - _power_exponent(q_form(f.mat, k, k), p)) % p == 0
-        for k, v in zip(f.kernel_basis, f.values)
-    )
+    k = f.kernel_basis
+    s = _power_exponent((k @ f.mat.lower % p * k).sum(axis=1), p)
+    return not ((np.array(f.values, dtype=np.int64) - s) % p).any()
 
 
 def phase_shift_invariant(f: StandardInvariant, gamma) -> StandardInvariant:
@@ -291,13 +300,9 @@ def phase_shift_invariant(f: StandardInvariant, gamma) -> StandardInvariant:
     exponent p (gamma . k) mod p^2.  At p = 2 this is the sign flip
     (-1)^{gamma . k}."""
     p = f.mat.p
-    g = gf.as_gf_array(gamma, p)
-    if g.shape != (f.mat.n,):
-        raise ValueError(f"gamma length {g.shape} != n={f.mat.n}")
-    values = tuple(
-        v + p * (int(g @ k) % p) for k, v in zip(f.kernel_basis, f.values)
-    )
-    return StandardInvariant(f.mat, f.kernel_basis, values)
+    shift = p * (f.kernel_basis @ _gf_vector(f.mat, gamma) % p)
+    values = (np.array(f.values, dtype=np.int64) + shift) % (p * p)
+    return _checked_invariant(f.mat, f.kernel_basis, tuple(values.tolist()))
 
 
 def invariants_equal(f: StandardInvariant, g: StandardInvariant) -> bool:
@@ -310,9 +315,8 @@ def invariants_equal(f: StandardInvariant, g: StandardInvariant) -> bool:
 def gammas_equivalent(gamma1, gamma2, kernel_basis, p: int) -> bool:
     """True iff gamma1 and gamma2 induce the same linear functional on
     the kernel, i.e. (gamma1 - gamma2) . k = 0 for every basis vector."""
-    g1 = gf.as_gf_array(gamma1, p)
-    g2 = gf.as_gf_array(gamma2, p)
-    return all(int((g1 - g2) @ k) % p == 0 for k in kernel_basis)
+    g = gf.as_gf_array(gamma1, p) - gf.as_gf_array(gamma2, p)
+    return not (gf.as_int_array(kernel_basis).reshape(-1, g.size) @ g % p).any()
 
 
 def realize_invariant(
@@ -329,15 +333,13 @@ def realize_invariant(
     """
     _same_kernel_basis(target, reference)
     p = target.mat.p
-    theta = []
-    for t, r in zip(target.values, reference.values):
-        shift, rest = divmod((t - r) % (p * p), p)
-        if rest:
-            raise InvariantError(
-                "target - reference is not a multiple of p on the kernel "
-                "basis; the target violates the p-th power (square) law"
-            )
-        theta.append(shift)
+    diff = np.array(target.values, dtype=np.int64) - reference.values
+    theta, rest = np.divmod(diff % (p * p), p)
+    if rest.any():
+        raise InvariantError(
+            "target - reference is not a multiple of p on the kernel "
+            "basis; the target violates the p-th power (square) law"
+        )
     return gf.extend_functional(list(target.kernel_basis), theta, target.mat.n, p)
 
 
@@ -384,10 +386,11 @@ def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
     beta = -mat.entries @ np.array(basis.e, dtype=np.int64).reshape(r, mat.n).T % p
     mu = _power_exponent((alpha * beta).sum(axis=1), p)
     k = np.array(basis.kernel, dtype=np.int64).reshape(basis.d, mat.n)
+    k.flags.writeable = False
     g = beta @ alpha.T % p
     e = _reordering_exponent(k, np.triu(g) + np.triu(g, 1).T, np.diagonal(g), p)
     values = (k @ mu - p * e) % (p * p)
-    invariant = StandardInvariant(mat, basis.kernel, tuple(values))
+    invariant = _checked_invariant(mat, k, tuple(values.tolist()))
     return PairCoordinates(basis, alpha, beta, mu, invariant)
 
 
@@ -411,4 +414,4 @@ def enumerate_invariants(mat: CommutationMatrix) -> list[StandardInvariant]:
         raise SizeBoundError(f"kernel dimension {d} exceeds the enumeration bound {bound}")
     theta = np.arange(p ** d)[:, None] // p ** np.arange(d) % p
     values = (np.array(f0.values, dtype=np.int64) + p * theta) % (p * p)
-    return [StandardInvariant(mat, f0.kernel_basis, v) for v in values.tolist()]
+    return [_checked_invariant(mat, f0.kernel_basis, tuple(v)) for v in values.tolist()]

@@ -287,6 +287,17 @@ def test_exit_code_3_on_banded_size_bound(capsys, command):
     assert "bound" in err
 
 
+@pytest.mark.parametrize(
+    "option,extra",
+    [("--clifford", []), ("--random", ["--seed", 1]), ("--random", ["--seed", 1, "--prime", 3])],
+)
+def test_exit_code_3_on_generated_size_bound(capsys, option, extra):
+    # checked before anything of size n^2 is allocated
+    code, out, err = run(capsys, "generate", option, forms.MAX_TOEPLITZ_N + 1, *extra)
+    assert code == 3 and out == ""
+    assert "bound" in err
+
+
 def test_env_override_allows_within_bound(capsys, monkeypatch):
     monkeypatch.setenv("SPINLAB_MAX_DIM", "8")
     code, _, _ = run(capsys, "represent", FIXTURES / "clifford3.txt", "--kind", "prop11")

@@ -409,3 +409,59 @@ def test_phase_shift_equality_iff_gamma_trivial_on_kernel(mat, seed):
     same = sl.invariants_equal(shifted, f)
     zero = np.zeros(mat.n, dtype=int)
     assert same == sl.gammas_equivalent(gamma, zero, f.kernel_basis, mat.p)
+
+
+def _assert_array_basis(f, mat):
+    k = f.kernel_basis
+    assert isinstance(k, np.ndarray) and k.dtype == np.int64
+    assert k.shape == (f.d, mat.n) and not k.flags.writeable
+    # the public constructor, from a list of row vectors, gives an equal invariant
+    assert f == sl.StandardInvariant(mat, list(k), f.values)
+
+
+@settings(deadline=None, max_examples=40)
+@given(commutation_matrices(primes=(2, 3, 5), max_n=5), st.integers(0, 2 ** 16))
+def test_kernel_basis_is_one_frozen_array_shared_by_derived_invariants(mat, seed):
+    pc = sl.words.pair_coordinates(mat)
+    f0 = pc.invariant
+    _assert_array_basis(f0, mat)
+    assert f0.kernel_basis.tolist() == [k.tolist() for k in pc.basis.kernel]
+    gamma = np.random.default_rng(seed).integers(0, mat.p, size=mat.n)
+    shifted = sl.phase_shift_invariant(f0, gamma)
+    _assert_array_basis(shifted, mat)
+    assert shifted.kernel_basis is f0.kernel_basis
+    invariants = sl.enumerate_invariants(mat)
+    assert len(invariants) == mat.p ** f0.d
+    for f in invariants:
+        assert f.kernel_basis is invariants[0].kernel_basis
+    for f in invariants[:8] + invariants[-8:]:
+        _assert_array_basis(f, mat)
+
+
+def test_standard_invariant_accepts_any_sequence_of_vectors():
+    rows = [[1, 1, 1]]
+    given_as = (rows, tuple(np.array(r) for r in rows), np.array(rows), [[3, 5, -1]])
+    invs = [sl.StandardInvariant(CLIFF3, k, (1,)) for k in given_as]
+    assert all(f == invs[0] for f in invs)  # reduced mod p on the way in
+    source = np.array(rows)
+    f = sl.StandardInvariant(CLIFF3, source, (1,))
+    source[0, 0] = 0  # the invariant keeps its own copy
+    assert f.kernel_basis.tolist() == rows
+    empty = sl.StandardInvariant(PAULI, (), ())
+    assert empty.kernel_basis.shape == (0, 2) and empty.d == 0
+    assert empty == sl.StandardInvariant(PAULI, np.zeros((0, 2), dtype=np.int64), [])
+
+
+@pytest.mark.parametrize(
+    "basis,values",
+    [
+        ([[1, 1]], (1,)),  # wrong length
+        ([[1, 1, 1], [1, 0]], (1, 1)),  # ragged rows
+        ([[1, 1, 1]], (1, 1)),  # count mismatch
+        ([[1.0, 1.0, 1.0]], (1,)),  # float entries
+        ([1, 1, 1], (1, 1, 1)),  # one flat vector, not a sequence of vectors
+    ],
+)
+def test_standard_invariant_rejects_bad_bases(basis, values):
+    with pytest.raises(ValueError):
+        sl.StandardInvariant(CLIFF3, basis, values)
