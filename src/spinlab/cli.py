@@ -83,11 +83,7 @@ def _vec_text(v) -> str:
 
 
 def _analyze_text(report: reps.StructureReport) -> str:
-    kernel = (
-        ", ".join(_vec_text(k) for k in report.kernel_basis)
-        if report.kernel_basis
-        else "(none)"
-    )
+    kernel = ", ".join(map(_vec_text, report.kernel_basis)) or "(none)"
     classes = (
         str(report.class_count)
         if report.class_count is not None

@@ -211,10 +211,6 @@ def parse_basis_file(text: str, p: int, n: int) -> list[np.ndarray]:
 # JSON documents
 
 
-def _vec(v: np.ndarray) -> list[int]:
-    return np.asarray(v).tolist()
-
-
 def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
@@ -253,9 +249,9 @@ def basis_to_dict(mat: CommutationMatrix, basis: SymplecticBasis) -> dict:
         "n": mat.n,
         "r": basis.r,
         "d": basis.d,
-        "e": [_vec(v) for v in basis.e],
-        "f": [_vec(v) for v in basis.f],
-        "kernel": [_vec(v) for v in basis.kernel],
+        "e": basis.e.tolist(),
+        "f": basis.f.tolist(),
+        "kernel": basis.kernel.tolist(),
     }
 
 
@@ -300,7 +296,7 @@ def report_to_dict(report: StructureReport) -> dict:
         "n": report.n,
         "rank": report.rank,
         "kernel_dim": report.kernel_dim,
-        "kernel_basis": [_vec(k) for k in report.kernel_basis],
+        "kernel_basis": report.kernel_basis.tolist(),
         "center_dim": report.center_dim,
         "matrix_factor": report.matrix_factor,
         "descriptor": report.descriptor,
@@ -318,13 +314,20 @@ def report_to_dict(report: StructureReport) -> dict:
 def classification_to_dict(
     mat: CommutationMatrix, invariants: list[StandardInvariant]
 ) -> dict:
+    shared = invariants[0].kernel_basis if invariants else None
+    rows = shared.tolist() if invariants else None  # the shared basis, converted once
+    entries = [
+        {"kernel_basis": rows, "values_exp_mod_p2": list(f.values)}
+        if f.kernel_basis is shared else invariant_to_dict(f)
+        for f in invariants
+    ]
     return {
         "schema": SCHEMA_VERSION,
         "p": mat.p,
         "n": mat.n,
         "kernel_dim": invariants[0].d if invariants else 0,
         "class_count": len(invariants),
-        "invariants": [invariant_to_dict(f) for f in invariants],
+        "invariants": entries,
     }
 
 

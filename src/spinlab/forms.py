@@ -187,8 +187,8 @@ def q_form(mat: CommutationMatrix, x, y) -> int:
     return int(_gf_vector(mat, x) @ mat.lower @ _gf_vector(mat, y) % mat.p)
 
 
-def form_kernel(mat: CommutationMatrix) -> list[np.ndarray]:
-    """Deterministic basis of ker(omega) = {x : Cx = 0}."""
+def form_kernel(mat: CommutationMatrix) -> np.ndarray:
+    """Deterministic basis of ker(omega) = {x : Cx = 0}, one (d, n) array."""
     return gf.kernel_basis(mat.entries, mat.p)
 
 
@@ -202,12 +202,22 @@ class SymplecticBasis:
     """Hyperbolic pairs plus a kernel basis spanning GF(p)^n.
 
     omega(e_i, e_j) = omega(f_i, f_j) = 0 and omega(e_i, f_j) = delta_ij;
-    the kernel vectors span ker(omega) and e + f + kernel is a basis.
+    the kernel vectors span ker(omega) and e + f + kernel is a basis.  Each
+    family, any sequence of integer vectors of length n = 2r + d (``()``
+    if empty), is kept as one frozen int64 array, (r, n) or (d, n).
     """
 
-    e: tuple[np.ndarray, ...]
-    f: tuple[np.ndarray, ...]
-    kernel: tuple[np.ndarray, ...]
+    e: np.ndarray
+    f: np.ndarray
+    kernel: np.ndarray
+
+    def __post_init__(self):
+        n = 2 * len(self.e) + len(self.kernel)
+        for name in ("e", "f", "kernel"):
+            vs = getattr(self, name)  # ragged rows or a length other than n raise
+            rows = gf.as_int_array(vs).reshape(len(vs), n).copy()
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
 
     @property
     def r(self) -> int:
@@ -219,21 +229,19 @@ class SymplecticBasis:
 
     def column_matrix(self) -> np.ndarray:
         """Columns (e_1, f_1, ..., e_r, f_r, k_1, ..., k_d)."""
-        cols = []
-        for ei, fi in zip(self.e, self.f):
-            cols.extend([ei, fi])
-        cols.extend(self.kernel)
-        return np.stack(cols, axis=1)
+        pairs = np.hstack([self.e, self.f]).reshape(2 * self.r, self.kernel.shape[1])
+        return np.concatenate([pairs, self.kernel]).T
 
 
 def _symplectic_pass(
-    mat: CommutationMatrix, e, f, u
+    mat: CommutationMatrix, start: np.ndarray, r: int
 ) -> tuple[SymplecticBasis, list[int]]:
     """Symplectic Gram-Schmidt over the unit vectors in coordinate order.
 
-    The state is a symplectic basis of the leading k x k block, k =
-    2 len(e) + len(u): pairs (e_i, f_i) and a basis u of its radical,
-    stored as columns with C times each beside them.  Step k projects e_k
+    The state is a symplectic basis of the leading k x k block, stored as
+    columns with C times each beside them: r interleaved pairs (e_i, f_i),
+    then a basis u of its radical, from the k columns of ``start`` (a
+    reduced ``column_matrix``, 0 x 0 when fresh).  Step k projects e_k
     to v = e_k - sum omega(e_k, f_i) e_i + sum omega(e_k, e_i) f_i; then
     w_j = omega(u_j, v) = -(C u_j)_k.  The first u_j with w_j != 0 pairs
     with v / w_j and each other u_i loses (w_i / w_j) u_j; with none, v
@@ -247,14 +255,13 @@ def _symplectic_pass(
     n, p = mat.n, mat.p
     if n // 2 * (p - 1) ** 2 + p >= 2 ** 31:
         raise SizeBoundError(f"matrix size {n} too large for the int32 pass at p={p}")
-    r = len(e)
-    start = [x for pair in zip(e, f) for x in pair] + list(u)
+    n_old, k0 = start.shape
     w = np.zeros((n, n), dtype=np.int32)
     cw = np.zeros((n, n), dtype=np.int32)
-    w[:, : len(start)] = np.array(start, dtype=np.int64).reshape(-1, n).T
-    cw[:, : len(start)] = mat.entries @ w[:, : len(start)] % p
+    w[:n_old, :k0] = start  # zero-padded to length n
+    cw[:, :k0] = mat.entries @ w[:, :k0] % p
     ranks = []
-    for k in range(len(start), n):
+    for k in range(k0, n):
         pairs = 2 * r
         c = cw[k, :pairs].reshape(r, 2)[:, ::-1].flatten()
         c[0::2] *= -1  # the coefficients of v on (e_1, f_1, ...)
@@ -281,21 +288,20 @@ def _symplectic_pass(
     rows, pivots = gf.rref(w[:, 2 * r :].T[:, ::-1], p)
     if len(pivots) != n - 2 * r:
         raise ValueError("existing basis is inconsistent")
-    kernel = tuple(v[::-1].copy() for v in rows[::-1])
-    pairs = w[:, : 2 * r].T.astype(np.int64)
-    return SymplecticBasis(tuple(pairs[0::2]), tuple(pairs[1::2]), kernel), ranks
+    pairs = w[:, : 2 * r].T
+    return SymplecticBasis(pairs[0::2], pairs[1::2], rows[::-1, ::-1]), ranks
 
 
 def symplectic_basis(mat: CommutationMatrix) -> SymplecticBasis:
     """Constructive decomposition GF(p)^n = ker(omega) + hyperbolic pairs,
     by ``_symplectic_pass`` from the empty state: deterministic, O(n^3)."""
-    return _symplectic_pass(mat, (), (), ())[0]
+    return _symplectic_pass(mat, np.zeros((0, 0), dtype=np.int64), 0)[0]
 
 
 def prefix_ranks(mat: CommutationMatrix) -> tuple[SymplecticBasis, list[int]]:
     """The symplectic basis and the form rank of every leading k x k
     block, k = 1..n, from one pass."""
-    return _symplectic_pass(mat, (), (), ())
+    return _symplectic_pass(mat, np.zeros((0, 0), dtype=np.int64), 0)
 
 
 def extend_symplectic_basis(
@@ -311,10 +317,8 @@ def extend_symplectic_basis(
     matrix this holds exactly when the block is the old matrix.
     """
     n, p = mat.n, mat.p
-    n_old = 2 * existing.r + existing.d
-    t = existing.column_matrix() if n_old else np.zeros((0, 0), dtype=np.int64)
-    if t.shape != (n_old, n_old):
-        raise ValueError("existing basis is inconsistent")
+    t = existing.column_matrix() % p
+    n_old = len(t)
     if n < n_old:
         raise ValueError(f"matrix size {n} smaller than existing basis {n_old}")
     gram = t.T @ mat.entries[:n_old, :n_old] @ t % p
@@ -324,8 +328,7 @@ def extend_symplectic_basis(
         raise ValueError(
             "existing basis is not a symplectic basis of the upper-left block"
         )
-    pad = lambda vs: [np.pad(gf.as_gf_array(v, p), (0, n - n_old)) for v in vs]
-    return _symplectic_pass(mat, pad(existing.e), pad(existing.f), pad(existing.kernel))[0]
+    return _symplectic_pass(mat, t, existing.r)[0]
 
 
 def congruence_to_standard(mat: CommutationMatrix) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Exact dense linear algebra over the prime fields Z_p.
 
-Matrices and vectors are numpy int64 arrays with entries reduced mod p.
+Matrices and vectors are numpy int64 arrays with entries reduced mod p,
+and a family of vectors (a kernel basis) is the rows of one (k, n) array.
 All pivoting is deterministic (first nonzero entry scanning top-left), so
 every routine returns the same answer on every run; golden tests rely on
 this.  Columns and rows are 0-indexed.
@@ -111,14 +112,12 @@ def rank(mat: np.ndarray, p: int) -> int:
     return len(pivots)
 
 
-def kernel_from_rref(
-    r: np.ndarray, pivots: list[int], n: int, p: int
-) -> list[np.ndarray]:
+def kernel_from_rref(r: np.ndarray, pivots: list[int], n: int, p: int) -> np.ndarray:
     """Right null space basis read off an RREF (as returned by ``rref``).
 
     One basis vector per free column, taken in increasing column order;
     the free coordinate is 1 and the pivot coordinates are the negated
-    entries of that column of R.  Each vector is its own array.
+    entries of that column of R.  The vectors are the rows of a new array.
     """
     is_free = np.ones(n, dtype=bool)
     is_free[pivots] = False
@@ -126,17 +125,14 @@ def kernel_from_rref(
     k = np.zeros((free.size, n), dtype=np.int64)
     k[np.arange(free.size), free] = 1
     k[:, pivots] = (-r[: len(pivots), free].T) % p
-    return [v.copy() for v in k]
+    return k
 
 
-def kernel_basis(mat: np.ndarray, p: int) -> list[np.ndarray]:
-    """Deterministic basis of the right null space {v : mat v = 0}.
-
-    One elimination followed by ``kernel_from_rref``.
-    """
-    mat = as_gf_array(mat, p)
+def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
+    """Deterministic basis of the right null space {v : mat v = 0}, a (d, n)
+    array: one elimination followed by ``kernel_from_rref``."""
     r, pivots = rref(mat, p)
-    return kernel_from_rref(r, pivots, mat.shape[1], p)
+    return kernel_from_rref(r, pivots, r.shape[1], p)
 
 
 def solve(mat: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
@@ -172,26 +168,20 @@ def inverse(mat: np.ndarray, p: int) -> np.ndarray:
     return r[:, n:]
 
 
-def extend_functional(
-    basis: list[np.ndarray], values: list[int], n: int, p: int
-) -> np.ndarray:
+def extend_functional(basis, values: list[int], n: int, p: int) -> np.ndarray:
     """Extend a linear functional from a subspace to all of GF(p)^n.
 
-    Given independent vectors k_1..k_m and target values t_1..t_m, returns
-    gamma with gamma . k_i = t_i for every i: the ``solve`` solution,
-    whose free variables are zero, so the output is deterministic and
-    vanishes off the pivot columns of the k_i.
+    Given independent vectors k_1..k_m (the rows of an (m, n) array) and
+    target values t_1..t_m, returns gamma with gamma . k_i = t_i for every
+    i: the ``solve`` solution, whose free variables are zero, so the
+    output is deterministic and vanishes off the pivot columns of the k_i.
 
     Raises ValueError if the basis vectors are linearly dependent or the
     value list has the wrong length.
     """
     if len(values) != len(basis):
         raise ValueError("values must match basis length")
-    if not basis:
-        return np.zeros(n, dtype=np.int64)
-    rows = np.array([as_gf_array(k, p) for k in basis], dtype=np.int64)
-    if rows.shape[1] != n:
-        raise ValueError("basis vectors must have length n")
+    rows = as_gf_array(basis, p).reshape(len(basis), n)  # raises unless length n
     if rank(rows, p) != len(basis):
         raise ValueError("basis vectors are linearly dependent")
     return solve(rows, as_gf_array(values, p), p)

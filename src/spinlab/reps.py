@@ -570,13 +570,14 @@ def matrix_units(v: MonomialMatrix, w: MonomialMatrix) -> list[np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class StructureReport:
-    """Shape of the algebra generated by a truncated spin system."""
+    """Shape of the algebra generated by a truncated spin system; its
+    kernel basis is one frozen (d, n) int64 array (``form_kernel``)."""
 
     p: int
     n: int
     rank: int
     kernel_dim: int
-    kernel_basis: tuple[np.ndarray, ...]
+    kernel_basis: np.ndarray  # (d, n), frozen
     center_dim: int
     matrix_factor: str
     descriptor: str
@@ -609,6 +610,7 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
         kernel, ranks = basis.kernel, tuple(ranks)
         tail = ranks[-3] if len(ranks) >= 3 else ranks[0]
         conjectured = ranks[-1] > tail
+    kernel.flags.writeable = False
     d = len(kernel)
     rank = mat.n - d
     r = rank // 2
@@ -622,7 +624,7 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
         n=mat.n,
         rank=rank,
         kernel_dim=d,
-        kernel_basis=tuple(kernel),
+        kernel_basis=kernel,
         center_dim=mat.p ** d,
         matrix_factor=f"M_{mat.p ** r}",
         descriptor=" ⊗ ".join(descriptor_parts),

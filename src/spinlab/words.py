@@ -147,7 +147,8 @@ class StandardInvariant:
 
     The basis, any sequence of length-n integer vectors, is kept reduced
     mod p as one frozen (d, n) int64 array, which the invariants derived
-    from this one share (``_checked_invariant``)."""
+    from this one share (``_checked_invariant``).  Values must be integers
+    (``operator.index``, as for ``Word``): floats and strings raise."""
 
     mat: CommutationMatrix
     kernel_basis: np.ndarray
@@ -164,8 +165,12 @@ class StandardInvariant:
             raise ValueError("one value per kernel basis vector required")
         k.flags.writeable = False
         p2 = self.mat.p ** 2
+        try:
+            values = tuple(operator.index(v) % p2 for v in self.values)  # refuses floats
+        except TypeError:
+            raise ValueError(f"invariant values must be integers, got {self.values!r}")
         object.__setattr__(self, "kernel_basis", k)
-        object.__setattr__(self, "values", tuple(int(v) % p2 for v in self.values))
+        object.__setattr__(self, "values", values)
 
     @property
     def d(self) -> int:
@@ -340,7 +345,7 @@ def realize_invariant(
             "target - reference is not a multiple of p on the kernel "
             "basis; the target violates the p-th power (square) law"
         )
-    return gf.extend_functional(list(target.kernel_basis), theta, target.mat.n, p)
+    return gf.extend_functional(target.kernel_basis, theta, target.mat.n, p)
 
 
 def count_classes(d: int, p: int) -> int:
@@ -381,13 +386,11 @@ def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
     """
     p = mat.p
     basis = symplectic_basis(mat)
-    r = basis.r
-    alpha = mat.entries @ np.array(basis.f, dtype=np.int64).reshape(r, mat.n).T % p
-    beta = -mat.entries @ np.array(basis.e, dtype=np.int64).reshape(r, mat.n).T % p
+    alpha = mat.entries @ basis.f.T % p
+    beta = -mat.entries @ basis.e.T % p
     mu = _power_exponent((alpha * beta).sum(axis=1), p)
-    k = np.array(basis.kernel, dtype=np.int64).reshape(basis.d, mat.n)
-    k.flags.writeable = False
     g = beta @ alpha.T % p
+    k = basis.kernel  # frozen, shared with the invariant
     e = _reordering_exponent(k, np.triu(g) + np.triu(g, 1).T, np.diagonal(g), p)
     values = (k @ mu - p * e) % (p * p)
     invariant = _checked_invariant(mat, k, tuple(values.tolist()))

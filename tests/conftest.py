@@ -7,11 +7,23 @@ values.
 """
 
 import itertools
+import warnings
 
 import numpy as np
 from hypothesis import strategies as st
 
 import spinlab as sl
+
+# hypothesis imports libcst to write a patch for a failing example; an old
+# libcst warns on import, and under ``-W error`` that warning turns the
+# falsifying example into a pytest INTERNALERROR.  Importing the patch
+# writer here, with the warning ignored, keeps the report readable.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def enum_vectors(p, n):
@@ -306,3 +318,52 @@ def prefix_ranks_loop(mat):
     """Form rank of every leading k x k block, one elimination each: the
     oracle for ``forms.prefix_ranks``."""
     return [sl.form_rank(mat.prefix(k)) for k in range(1, mat.n + 1)]
+
+
+def kernel_rows_loop(entries, p):
+    """The basis of {v : Mv = 0} built one vector per free column of the
+    RREF (``rref_stepwise``), in increasing column order: 1 at its free
+    column and the negated RREF entries at the pivot columns.  A list of
+    vectors, the oracle of ``gf.kernel_basis``."""
+    r, pivots = rref_stepwise(entries, p)
+    n = r.shape[1]
+    out = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = np.zeros(n, dtype=np.int64)
+        v[j] = 1
+        for i, c in enumerate(pivots):
+            v[c] = -r[i, j] % p
+        out.append(v)
+    return out
+
+
+def symplectic_pass_loop(mat, e, f, u):
+    """Symplectic Gram-Schmidt in coordinate order, one vector at a time,
+    resumed from pairs (e, f) and a radical basis u of the leading block
+    (lists of length-n vectors): the oracle of ``forms._symplectic_pass``.
+    Returns lists of vectors (e, f, kernel); the kernel is
+    ``kernel_rows_loop`` of C, the normal form the pass gives its radical."""
+    p, n = mat.p, mat.n
+    e, f, u = list(e), list(f), list(u)
+
+    def om(x, y):
+        return int(x @ mat.entries @ y) % p
+
+    for k in range(2 * len(e) + len(u), n):
+        unit = np.zeros(n, dtype=np.int64)
+        unit[k] = 1
+        v = unit
+        for ei, fi in zip(e, f):
+            v = (v - om(unit, fi) * ei + om(unit, ei) * fi) % p
+        ws = [om(uj, v) for uj in u]
+        j = next((j for j, wj in enumerate(ws) if wj), None)
+        if j is None:
+            u.append(v)
+            continue
+        inv = pow(ws[j], -1, p)
+        e.append(u[j])
+        f.append(v * inv % p)
+        u = [(ui - ws[i] * inv * u[j]) % p for i, ui in enumerate(u) if i != j]
+    return e, f, kernel_rows_loop(mat.entries, p)

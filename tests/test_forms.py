@@ -16,12 +16,14 @@ from conftest import (
     check_symplectic_relations,
     commutation_matrices,
     enum_vectors,
+    kernel_rows_loop,
     matrices_with_vectors,
     omega_sum_oracle,
     prefix_ranks_loop,
     q_sum_oracle,
     random_alternating_loop,
     span_set,
+    symplectic_pass_loop,
 )
 
 PAULI = sl.commutation_matrix(2, [[0, 1], [1, 0]])
@@ -241,7 +243,7 @@ def test_form_kernel_clifford_cases():
     )
     assert sl.form_rank(CLIFF3) == 2
     cliff4 = sl.clifford_matrix(2, 4)
-    assert sl.form_kernel(cliff4) == []
+    assert sl.form_kernel(cliff4).shape == (0, 4)
     assert sl.form_rank(cliff4) == 4
 
 
@@ -258,14 +260,14 @@ def test_symplectic_basis_pauli():
     basis = sl.symplectic_basis(PAULI)
     assert [v.tolist() for v in basis.e] == [[1, 0]]
     assert [v.tolist() for v in basis.f] == [[0, 1]]
-    assert basis.kernel == ()
+    assert basis.kernel.shape == (0, 2)
     check_symplectic_relations(PAULI, basis)
 
 
 def test_symplectic_basis_zero_matrix():
     mat = sl.commutation_matrix(2, np.zeros((3, 3), dtype=int))
     basis = sl.symplectic_basis(mat)
-    assert basis.e == () and basis.f == ()
+    assert basis.e.shape == basis.f.shape == (0, 3)
     assert [v.tolist() for v in basis.kernel] == np.eye(3, dtype=int).tolist()
 
 
@@ -446,8 +448,57 @@ def test_symplectic_pass_p251_large():
 
 def test_symplectic_pass_checks_int32_bound():
     # checked before any n x n array is allocated
+    empty = np.zeros((0, 0), dtype=np.int64)
     with pytest.raises(SizeBoundError, match="int32"):
-        forms._symplectic_pass(SimpleNamespace(n=68800, p=251), (), (), ())
+        forms._symplectic_pass(SimpleNamespace(n=68800, p=251), empty, 0)
+
+
+@settings(deadline=None, max_examples=60)
+@given(commutation_matrices(primes=(2, 3, 5, 251), max_n=14), st.integers(1, 14))
+def test_vector_families_are_int64_arrays(mat, k):
+    # each family is one (k, n) int64 array whose rows are the vectors
+    # the list-of-vectors loops give
+    p, n = mat.p, mat.n
+    k = min(k, n)
+
+    def same_rows(got, want):
+        assert got.dtype == np.int64 and got.shape == (len(want), n)
+        assert got.tolist() == [v.tolist() for v in want]
+
+    kernel = kernel_rows_loop(mat.entries, p)
+    same_rows(gf.kernel_basis(mat.entries, p), kernel)
+    same_rows(sl.form_kernel(mat), kernel)
+    old = symplectic_pass_loop(mat.prefix(k), [], [], [])
+    padded = [[np.pad(v, (0, n - k)) for v in vs] for vs in old]
+    fresh = sl.symplectic_basis(mat)
+    grown = sl.extend_symplectic_basis(mat, sl.symplectic_basis(mat.prefix(k)))
+    for basis, want in [
+        (fresh, symplectic_pass_loop(mat, [], [], [])),
+        (grown, symplectic_pass_loop(mat, *padded)),
+    ]:
+        for family, rows in zip((basis.e, basis.f, basis.kernel), want):
+            same_rows(family, rows)
+            assert not family.flags.writeable
+    for m in (mat, sl.toeplitz_matrix(p, mat.entries[0, 1:], n)):
+        report = sl.structure_report(m)
+        same_rows(report.kernel_basis, kernel_rows_loop(m.entries, p))
+        assert not report.kernel_basis.flags.writeable
+    # the constructor takes any sequence of vectors, and empty families
+    given_as = [
+        (tuple(fresh.e), tuple(fresh.f), tuple(fresh.kernel)),
+        (fresh.e.tolist(), fresh.f.tolist(), fresh.kernel.tolist()),
+        (np.array(fresh.e), np.array(fresh.f), np.array(fresh.kernel)),
+    ]
+    for families in given_as:
+        rebuilt = sl.SymplecticBasis(*families)
+        for got, want in zip((rebuilt.e, rebuilt.f, rebuilt.kernel), families):
+            same_rows(got, list(np.array(want).reshape(-1, n)))
+            assert not got.flags.writeable
+    empty = sl.SymplecticBasis((), [], [[1, 0], [0, 1]])  # n = 2r + d = 2
+    assert empty.e.shape == empty.f.shape == (0, 2)
+    assert sl.SymplecticBasis((), (), ()).column_matrix().shape == (0, 0)
+    with pytest.raises(ValueError):
+        sl.SymplecticBasis((), (), [[0] * n, [0] * (n + 1)])
 
 
 def test_extend_rejects_dependent_kernel():

@@ -49,7 +49,7 @@ def test_kernel_clifford3():
 
 
 def test_kernel_trivial():
-    assert gf.kernel_basis(np.array([[0, 1], [1, 0]]), 2) == []
+    assert gf.kernel_basis(np.array([[0, 1], [1, 0]]), 2).shape == (0, 2)
 
 
 def test_rank_examples():

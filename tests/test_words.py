@@ -465,3 +465,14 @@ def test_standard_invariant_accepts_any_sequence_of_vectors():
 def test_standard_invariant_rejects_bad_bases(basis, values):
     with pytest.raises(ValueError):
         sl.StandardInvariant(CLIFF3, basis, values)
+
+
+@pytest.mark.parametrize("value", [1.7, 2.0, "3", np.float64(1.0)])
+def test_standard_invariant_rejects_non_integer_values(value):
+    with pytest.raises(ValueError, match="integers"):
+        sl.StandardInvariant(CLIFF3, [[1, 1, 1]], (value,))
+
+
+def test_standard_invariant_accepts_numpy_integer_values():
+    f = sl.StandardInvariant(CLIFF3, [[1, 1, 1]], (np.int64(3),))
+    assert f.values == (3,) and type(f.values[0]) is int
