@@ -168,9 +168,10 @@ def random_alternating(p: int, n: int, seed: int) -> CommutationMatrix:
 
 
 def _gf_vector(mat: CommutationMatrix, x) -> np.ndarray:
-    """x as a new int64 vector reduced mod p (``gf.as_gf_array``), the
-    only array made; raises ValueError unless it has length n."""
-    a = gf.as_gf_array(x, mat.p)
+    """x as a new int64 vector reduced mod p: one ``% p`` of an int64 array,
+    else ``gf.as_gf_array``.  Raises ValueError unless it has length n."""
+    int64 = isinstance(x, np.ndarray) and x.dtype == np.int64
+    a = x % mat.p if int64 else gf.as_gf_array(x, mat.p)
     if a.shape != (mat.n,):
         raise ValueError(f"vector length {a.shape} does not match n={mat.n}")
     return a

@@ -26,13 +26,19 @@ import numpy as np
 _MAX_PRIME = 251
 
 
+def as_int(value, what: str) -> int:
+    """``value`` as an exact int (``operator.index``): floats and strings
+    raise ValueError, naming ``what``, instead of being truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def validate_prime(p: int) -> int:
     """Check that p is a supported prime modulus (an exact integer) and
     return it as an int."""
-    try:
-        p = operator.index(p)
-    except TypeError:
-        raise ValueError(f"modulus must be an integer, got {p!r}") from None
+    p = as_int(p, "modulus")
     if p < 2 or p > _MAX_PRIME:
         raise ValueError(f"modulus must be a prime in [2, {_MAX_PRIME}], got {p}")
     if any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):

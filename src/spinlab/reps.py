@@ -16,9 +16,10 @@ permutation check; products, powers and tensor products of validated
 matrices get none.  ``verify_relations`` takes U_i against a block of at
 most max(1, WORD_TABLE_ENTRIES // dim) generators per step, so its
 working set stays a small multiple of one generator.  A word product
-U_1^{x_1} ... U_n^{x_n} takes one row per chunk of a word table cached
-on the representation: the products of every exponent pattern on a few
-chunks of consecutive generators.
+U_1^{x_1} ... U_n^{x_n} reads one row per chunk, by index, of a word
+table cached on the representation (the products of every exponent
+pattern on a few chunks of consecutive generators); a word that one
+chunk covers is that chunk's frozen rows, and only compositions allocate.
 
 Both constructions are one Weyl-generator builder with different
 exponent tables: generator j acts on tensor slot i as S^alpha[j,i]
@@ -105,12 +106,14 @@ def _check_stack(perm: np.ndarray, phases: np.ndarray) -> None:
 
 def _composed(p: int, perm: np.ndarray, phases: np.ndarray) -> MonomialMatrix:
     """A MonomialMatrix composed from validated ones, with no permutation
-    check: ``perm`` is a fresh (or frozen) int64 array, ``phases`` a fresh
-    one, reduced mod p^2 in place; both are frozen."""
+    check, on int64 arrays that are either fresh or frozen.  Fresh phases
+    are reduced mod p^2 in place; frozen ones (word-table rows) are
+    reduced by construction and kept as they are.  Both are frozen."""
     m = object.__new__(MonomialMatrix)
-    np.remainder(phases, p * p, out=phases)
-    perm.flags.writeable = False
-    phases.flags.writeable = False
+    if phases.flags.writeable:
+        np.remainder(phases, p * p, out=phases)
+        phases.setflags(write=False)
+    perm.setflags(write=False)
     m.__dict__.update(p=p, perm=perm, phases=phases)
     return m
 
@@ -161,18 +164,17 @@ def mono_pow(a: MonomialMatrix, k: int) -> MonomialMatrix:
 
 
 def mono_scale(a: MonomialMatrix, exp: int) -> MonomialMatrix:
-    """Multiply by the p^2-th root of unity with the given exponent."""
-    return _composed(a.p, a.perm, a.phases + exp)
+    """Multiply by the p^2-th root of unity with integer exponent exp."""
+    return _composed(a.p, a.perm, a.phases + gf.as_int(exp, "phase exponent"))
 
 
 def is_scalar(a: MonomialMatrix) -> int | None:
     """The common phase exponent if a is a scalar multiple of the
-    identity, else None."""
-    s = a.phases[0]
+    identity, else None (constant phases equal themselves shifted by one)."""
     if (a.perm.tobytes() != np.arange(a.dim).tobytes()
-            or a.phases.tobytes() != np.full(a.dim, s).tobytes()):
+            or a.phases[1:].tobytes() != a.phases[:-1].tobytes()):
         return None
-    return int(s)
+    return int(a.phases[0])
 
 
 def to_dense(a: MonomialMatrix) -> np.ndarray:
@@ -332,12 +334,14 @@ def word_matrix(rep: Representation, x) -> MonomialMatrix:
     The product is composed from one row per chunk of the
     representation's cached word table (the products of all exponent
     patterns on chunks of consecutive generators, as few chunks as keep
-    the whole table within WORD_TABLE_ENTRIES), with the rule of
-    ``mono_mul`` (perm a.perm[b.perm], phases b.phases + a.phases[b.perm]).
-    When the representation is too large for even one-generator chunks
-    (n p dim > WORD_TABLE_ENTRIES), no table is built and the generator
-    factors are composed one at a time instead.  Only the product is
-    built as a MonomialMatrix, and it is not re-validated.
+    the whole table within WORD_TABLE_ENTRIES), read by index, with the
+    rule of ``mono_mul`` (perm a.perm[b.perm], phases b.phases +
+    a.phases[b.perm]); a word that one chunk covers is that chunk's
+    frozen row, a view of the table.  When the representation is too
+    large for even one-generator chunks (n p dim > WORD_TABLE_ENTRIES),
+    no table is built and the generator factors are composed one at a
+    time instead.  Only the product is built as a MonomialMatrix, and it
+    is not re-validated.
     """
     p = rep.mat.p
     x = _gf_vector(rep.mat, x)
@@ -349,11 +353,11 @@ def word_matrix(rep: Representation, x) -> MonomialMatrix:
                 phases = rep.phases[k] + phases[rep.perm[k]]
                 perm = perm[rep.perm[k]]
         return _composed(p, perm, phases)
-    rows = x @ table.weights + table.offsets
-    perms, phase_rows = table.perm[rows], table.phases[rows]
-    perm, phases = perms[0], phase_rows[0]
-    for q, f in zip(perms[1:], phase_rows[1:]):
-        phases = f + phases[q]
+    first, *rows = (x @ table.weights + table.offsets).tolist()
+    perm, phases = table.perm[first], table.phases[first]
+    for r in rows:
+        q = table.perm[r]
+        phases = table.phases[r] + phases[q]
         perm = perm[q]
     return _composed(p, perm, phases)
 

@@ -59,14 +59,9 @@ class Word:
     mat: CommutationMatrix
 
     def __post_init__(self):
-        p2 = self.mat.p ** 2
-        try:
-            phase = operator.index(self.phase)  # refuses floats, unlike int()
-        except TypeError:
-            raise ValueError(f"phase must be an integer, got {self.phase!r}")
-        object.__setattr__(self, "phase", phase % p2)
+        object.__setattr__(self, "phase", gf.as_int(self.phase, "phase") % self.mat.p ** 2)
         x = _gf_vector(self.mat, self.x)
-        x.flags.writeable = False
+        x.setflags(write=False)
         object.__setattr__(self, "x", x)
 
     def __eq__(self, other) -> bool:
@@ -88,7 +83,7 @@ def _reduced_word(phase: int, x: np.ndarray, mat: CommutationMatrix) -> Word:
     int64 vector already reduced mod p, skipping the coercion and
     checks of ``Word.__post_init__``."""
     w = object.__new__(Word)
-    x.flags.writeable = False
+    x.setflags(write=False)
     w.__dict__.update(phase=phase, x=x, mat=mat)
     return w
 
@@ -210,13 +205,13 @@ def _checked_invariant(
 
 class _KernelTables(NamedTuple):
     """What kernel_coordinates and evaluate_invariant need of one
-    invariant on the basis K, its ``kernel_basis``.  Only the rows of K
+    invariant on the basis K, its ``kernel_basis``: the coordinates of a
+    vector x in the span of K are x @ coord_map mod p.  Only the rows of K
     outside the span of the earlier ones are in use (all of them when the
     basis is independent); as with ``gf.solve``, the others get coordinate 0."""
 
-    used: np.ndarray  # indices of the vectors in use
-    pivots: np.ndarray  # pivot columns of K[used]
-    inverse: np.ndarray  # inverse of the pivot minor K[used][:, pivots]
+    coord_map: np.ndarray  # n x d: the inverse of K's pivot minor, placed
+    # at the pivot rows and the columns of the rows in use
     gram_sym: np.ndarray  # triu(G) + triu(G, 1)^T for G = K L K^T mod p
     gram_diag: np.ndarray  # diagonal of G
     values: np.ndarray  # the stored values
@@ -227,11 +222,11 @@ def _kernel_tables(f: StandardInvariant) -> _KernelTables:
     k = f.kernel_basis
     _, used = gf.rref(k.T, p)
     _, pivots = gf.rref(k[used], p)
+    coord_map = np.zeros(k.shape[::-1], dtype=np.int64)
+    coord_map[np.ix_(pivots, used)] = gf.inverse(k[used][:, pivots], p)
     gram = k @ f.mat.lower @ k.T % p
     return _KernelTables(
-        used=np.array(used, dtype=np.int64),
-        pivots=np.array(pivots, dtype=np.int64),
-        inverse=gf.inverse(k[used][:, pivots], p),
+        coord_map=coord_map,
         gram_sym=np.triu(gram) + np.triu(gram, 1).T,
         gram_diag=np.diagonal(gram).copy(),
         values=np.array(f.values, dtype=np.int64),
@@ -247,11 +242,9 @@ def kernel_coordinates(f: StandardInvariant, x) -> np.ndarray:
     """Coordinates of x in the stored kernel basis; raises if x is not
     in the kernel span.  A dependent basis gives 0 to every vector in the
     span of the earlier ones."""
-    t = f._tables
     p = f.mat.p
     x = _gf_vector(f.mat, x)
-    coords = np.zeros(f.d, dtype=np.int64)
-    coords[t.used] = x[t.pivots] @ t.inverse % p
+    coords = x @ f._tables.coord_map % p
     if (coords @ f.kernel_basis % p).tobytes() != x.tobytes():  # both int64
         raise InvariantError("vector is not in ker(omega)")
     return coords
@@ -259,14 +252,15 @@ def kernel_coordinates(f: StandardInvariant, x) -> np.ndarray:
 
 def _reordering_exponent(a: np.ndarray, sym: np.ndarray, diag: np.ndarray, p: int):
     """E(a; G) = sum_{i<j} a_i a_j G_ij + sum_i C(a_i, 2) G_ii mod p, for a
-    vector a or for each row of a matrix a, from 2E = a S a - a . diag(G)
-    with sym = S = triu(G) + triu(G, 1)^T and diag = diag(G).
+    vector a or for each row of a matrix a, from 2E = (a S - diag(G)) . a
+    with the symmetric sym = S = triu(G) + triu(G, 1)^T and diag = diag(G).
 
     When factors merge with a bilinear phase, F_x F_y = zeta^{B(x,y)}
     F_{x+y}, the ordered product prod_i F_{v_i}^{a_i} is zeta^{E(a; G)}
     F_{sum_i a_i v_i} with G_ij = B(v_i, v_j).
     """
-    return (((a @ sym) * a).sum(axis=-1) - a @ diag) // 2 % p
+    s = a @ sym - diag
+    return (s @ a if a.ndim == 1 else (s * a).sum(axis=1)) // 2 % p
 
 
 def evaluate_invariant(f: StandardInvariant, x) -> int:
@@ -319,9 +313,12 @@ def invariants_equal(f: StandardInvariant, g: StandardInvariant) -> bool:
 
 def gammas_equivalent(gamma1, gamma2, kernel_basis, p: int) -> bool:
     """True iff gamma1 and gamma2 induce the same linear functional on
-    the kernel, i.e. (gamma1 - gamma2) . k = 0 for every basis vector."""
-    g = gf.as_gf_array(gamma1, p) - gf.as_gf_array(gamma2, p)
-    return not (gf.as_int_array(kernel_basis).reshape(-1, g.size) @ g % p).any()
+    the kernel, i.e. (gamma1 - gamma2) . k = 0 for every basis vector k;
+    raises ValueError unless all of these vectors have one length n."""
+    g1, g2, k = (gf.as_gf_array(a, p) for a in (gamma1, gamma2, kernel_basis))
+    if g1.ndim != 1 or g2.shape != g1.shape or k.size and k.shape[1:] != g1.shape:
+        raise ValueError("gamma1, gamma2 and the basis vectors need one length n")
+    return not (k.reshape(-1, g1.size) @ (g1 - g2) % p).any()
 
 
 def realize_invariant(

@@ -150,6 +150,14 @@ def test_is_scalar():
     assert sl.is_scalar(mixed) is None
 
 
+@pytest.mark.parametrize("exp", [0.5, 2.0, "1", None, np.float64(1.0)])
+def test_mono_scale_rejects_non_integer_exponents(exp):
+    # a float would give float phases, which is_scalar read as exponent 0
+    with pytest.raises(ValueError, match="integer"):
+        mono_scale(sl.mono_identity(3, 2), exp)
+    assert sl.is_scalar(mono_scale(sl.mono_identity(3, 2), np.int64(5))) == 1
+
+
 def test_mono_mul_identity_neutral():
     rng = np.random.default_rng(0)
     a = _random_monomial(3, 5, rng)
@@ -393,6 +401,33 @@ def test_word_matrix_builds_one_monomial_matrix(monkeypatch):
             sl.word_matrix(fresh, x)
             assert len(built) == 1
         assert (fresh._word_table is None) == (budget == 1)
+
+
+def test_one_chunk_word_matrix_is_a_frozen_view_of_the_table():
+    # A word that one chunk covers is the table's own rows: never a
+    # writable alias, and what is built from it shares no table memory.
+    rep = sl.irreducible_rep(sl.random_alternating(2, 6, seed=4))
+    table = rep._word_table
+    assert table.weights.shape[1] == 1
+    before = table.perm.tobytes(), table.phases.tobytes()
+    rng = np.random.default_rng(0)
+    for x in rng.integers(0, 2, size=(100, rep.mat.n)):
+        w = sl.word_matrix(rep, x)
+        assert np.shares_memory(w.perm, table.perm)
+        assert np.shares_memory(w.phases, table.phases)
+        for a in (w.perm, w.phases):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+    assert (table.perm.tobytes(), table.phases.tobytes()) == before
+    product = mono_mul(w, w)
+    scaled = mono_scale(w, 3)
+    for a in (product.perm, product.phases, scaled.phases):
+        assert not np.shares_memory(a, table.perm)
+        assert not np.shares_memory(a, table.phases)
+    # mono_scale keeps the permutation it is given, read-only as it was
+    assert scaled.perm is w.perm and not scaled.perm.flags.writeable
+    _check_composed(product)
+    _check_composed(scaled)
 
 
 def test_representation_rejects_mixed_generators():

@@ -338,6 +338,22 @@ def test_gammas_equivalent():
     assert not sl.gammas_equivalent([2, 0], [0, 0], f.kernel_basis, 3)
     assert sl.phase_shift_invariant(f, [2, 0]) != sl.phase_shift_invariant(f, [0, 0])
     assert sl.gammas_equivalent([3, 0], [0, 0], f.kernel_basis, 3)
+    assert sl.gammas_equivalent([1, 0], [0, 1], [], 3)  # the empty basis
+
+
+@pytest.mark.parametrize(
+    "gamma1,gamma2,kernel",
+    [
+        ([1, 0, 1, 0, 0, 0], [1], [[1, 0, 1, 0, 0, 0]]),  # broadcasts [1]
+        ([1], [1, 0, 1, 0, 0, 0], [[1, 0, 1, 0, 0, 0]]),
+        ([1, 0, 1], [0, 0, 0], np.zeros((2, 6), dtype=np.int64)),  # was reshaped (4, 3)
+        ([1, 0, 1], [0, 0, 0], [1, 1, 1]),  # a vector, not a basis
+        ([[1, 0, 1]], [[0, 0, 0]], [[1, 1, 1]]),
+    ],
+)
+def test_gammas_equivalent_checks_lengths(gamma1, gamma2, kernel):
+    with pytest.raises(ValueError, match="length n"):
+        sl.gammas_equivalent(gamma1, gamma2, kernel, 2)
 
 
 def test_realize_invariant_examples():
