@@ -17,21 +17,8 @@ import json
 import os
 import sys
 
-from . import forms, reps, words
+from . import formats, forms, reps, words
 from .errors import InvariantError, MatrixFormatError, SizeBoundError
-from .formats import (
-    ParsedMatrixFile,
-    basis_to_dict,
-    classification_to_dict,
-    format_matrix_file,
-    grow_to_dict,
-    invariant_from_dict,
-    invariant_to_dict,
-    parse_basis_file,
-    parse_matrix_file,
-    report_to_dict,
-    representation_to_dict,
-)
 
 EXIT_FORMAT = 2
 EXIT_SIZE = 3
@@ -60,12 +47,12 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    # the one-shot C encoder; json.dump to a file runs the Python one
-    _emit(json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n", out)
+    # integer arrays are written by numpy, not item by item (compact_json)
+    _emit(formats.compact_json(doc) + "\n", out)
 
 
 def _load_matrix(path: str, n_max: int | None) -> forms.CommutationMatrix:
-    return parse_matrix_file(_read(path)).materialize(n_max)
+    return formats.parse_matrix_file(_read(path)).materialize(n_max)
 
 
 def _max_dim() -> int:
@@ -122,7 +109,7 @@ def _cmd_analyze(args) -> int:
     mat = _load_matrix(args.path, args.n_max)
     report = reps.structure_report(mat)
     if args.json:
-        _emit_json(report_to_dict(report), args.out)
+        _emit_json(formats.report_doc(report), args.out)
     else:
         _emit(_analyze_text(report), args.out)
     return 0
@@ -131,7 +118,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_basis(args) -> int:
     mat = _load_matrix(args.path, args.n_max)
     basis = forms.symplectic_basis(mat)
-    _emit_json(basis_to_dict(mat, basis), args.out)
+    _emit_json(formats.basis_doc(mat, basis), args.out)
     return 0
 
 
@@ -149,16 +136,16 @@ def _cmd_represent(args) -> int:
                 doc = json.loads(_read(args.invariant))
             except (ValueError, RecursionError) as exc:  # also too many digits, too deep
                 raise MatrixFormatError(f"bad invariant JSON: {exc}")
-            invariant = invariant_from_dict(doc, mat)
+            invariant = formats.invariant_from_dict(doc, mat)
         rep = reps.irreducible_rep(mat, invariant, max_dim=max_dim)
-    _emit_json(representation_to_dict(rep), args.out)
+    _emit_json(formats.representation_doc(rep), args.out)
     return 0
 
 
 def _cmd_classify(args) -> int:
     mat = _load_matrix(args.path, args.n_max)
     invariants = words.enumerate_invariants(mat)
-    _emit_json(classification_to_dict(mat, invariants), args.out)
+    _emit_json(formats.classification_doc(mat, invariants), args.out)
     return 0
 
 
@@ -181,18 +168,18 @@ def _cmd_generate(args) -> int:
     else:
         ref_path, basis_path = args.from_basis
         ref = _load_matrix(ref_path, None)
-        vectors = parse_basis_file(_read(basis_path), ref.p, ref.n)
+        vectors = formats.parse_basis_file(_read(basis_path), ref.p, ref.n)
         mat = forms.matrix_from_basis(ref, vectors)
-    _emit(format_matrix_file(mat), args.out)
+    _emit(formats.format_matrix_file(mat), args.out)
     return 0
 
 
 def _cmd_grow(args) -> int:
-    parsed = parse_matrix_file(_read(args.path))
+    parsed = formats.parse_matrix_file(_read(args.path))
     if parsed.kind != "toeplitz":
         raise MatrixFormatError("grow requires a 'p toeplitz m' matrix file")
     mat = parsed.materialize(args.n_max)
-    doc = grow_to_dict(mat, reps.structure_report(mat))
+    doc = formats.grow_doc(mat, reps.structure_report(mat))
     if args.json:
         _emit_json(doc, args.out)
     else:

@@ -12,15 +12,18 @@ Matrix files are UTF-8, newline-delimited, with '#' comments:
 
 Parse and validation failures raise MatrixFormatError carrying the
 offending 1-based line number.  The CLI writes each JSON document as
-one line of compact JSON (the standard library encoder with separators
-"," and ":", non-ASCII text kept) with a fixed field order.  Documents
-never contain floats: phases are always integer exponents mod p^2.  The
-report, basis, classification and grow documents carry ``"schema":
-SCHEMA_VERSION``; the invariant and representation documents do not.
+one line of compact JSON with a fixed field order: the bytes of the
+standard library encoder with separators "," and ":" and non-ASCII text
+kept, with integer arrays written by numpy (``compact_json``).
+Documents never contain floats: phases are always integer exponents mod
+p^2.  The report, basis, classification and grow documents carry
+``"schema": SCHEMA_VERSION``; the invariant and representation
+documents do not.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +31,7 @@ import numpy as np
 from ._version import __version__
 from .errors import MatrixFormatError
 from .forms import CommutationMatrix, SymplecticBasis, toeplitz_matrix
-from .gf import validate_prime
+from .gf import as_int_array, validate_prime
 from .reps import Representation, StructureReport
 from .words import StandardInvariant
 
@@ -96,24 +99,39 @@ def _modulus(token: str, lineno: int) -> int:
         raise MatrixFormatError(str(exc), lineno)
 
 
-def _explicit_matrix(
-    body: list[tuple[int, str]], p: int, n: int
-) -> CommutationMatrix:
-    """The n x n matrix held by the body lines of an explicit file.
+def _canonical_grid(data: bytes, p: int, n: int) -> np.ndarray | None:
+    """The n x n grid in ``data`` (body lines joined by newlines) if each line
+    holds n canonical decimals < p between spaces or tabs, else None.  Values
+    are read at each token's last digit and the two bytes before it."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    digit = b - 48  # uint8: bytes below "0" wrap
+    dig = np.zeros(b.size + 4, dtype=bool)  # dig[i + 3]: byte i is a digit
+    dig[3:-1] = digit < 10
+    val = np.zeros(b.size + 2, dtype=np.uint8)  # val[i + 2]: its value, else 0
+    np.multiply(digit, dig[3:-1], out=val[2:])
+    ends = np.flatnonzero(dig[3:-1] & ~dig[4:])
+    rows = np.searchsorted(ends, np.flatnonzero(b == 10))  # tokens before each newline
+    bad = ~(dig[3:-1] | (b == 32) | (b == 9) | (b == 10))  # a byte of another kind
+    bad |= dig[3:-1] & dig[2:-2] & dig[1:-3] & dig[:-4]  # four digits
+    bad |= (b == 48) & ~dig[2:-2] & dig[4:]  # a leading zero
+    if bad.any() or ends.size != n * n or not np.array_equal(rows, np.arange(n, n * n, n)):
+        return None
+    hundreds = val[ends] * dig[2:-2][ends]  # if the tens are a digit
+    grid = hundreds.astype(np.int64) * 100 + val[1:][ends] * 10 + val[2:][ends]
+    return grid.reshape(n, n) if grid.max() < p else None
 
-    Every token spelled as the canonical decimal of a value in [0, p)
-    maps through a table, and the grid is checked once, by the
-    CommutationMatrix constructor.  If any step fails, the rows are read
-    again with ``int`` and checked one by one (parse, length, range,
-    diagonal), then skew-symmetry, so that the first fault is reported
-    with its line; other spellings of valid values ("00", "+1") pass.
-    """
-    table = {str(v): v for v in range(p)}
-    try:
-        rows = [list(map(table.__getitem__, line.split())) for _, line in body]
-        return CommutationMatrix(p, np.array(rows, dtype=np.int64))
-    except (KeyError, ValueError):
-        pass  # located below
+
+def _explicit_matrix(body: list[tuple[int, str]], p: int, n: int) -> CommutationMatrix:
+    """The body's matrix: ``_canonical_grid`` checked once by the
+    CommutationMatrix constructor, else the rows read with ``int`` ("00" and
+    "+1" pass) and checked in order (parse, length, range, diagonal, then
+    skew-symmetry) to report the first fault with its line."""
+    grid = _canonical_grid("\n".join([line for _, line in body]).encode(), p, n)
+    if grid is not None:
+        try:
+            return CommutationMatrix(p, grid)
+        except ValueError:
+            pass  # located below
     rows = []
     for i, (lineno, line) in enumerate(body):
         row = _ints(line.split(), lineno)
@@ -184,10 +202,8 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
 def format_matrix_file(mat: CommutationMatrix) -> str:
     """Explicit matrix file text; parses back to an equal matrix.
     (A banded source is written out in materialized form.)"""
-    lines = [f"{mat.p} {mat.n}"]
-    for row in mat.entries:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = _int_array_json(mat.entries)[2:-2].replace("],[", "\n").replace(",", " ")
+    return f"{mat.p} {mat.n}\n{rows}\n"
 
 
 def parse_basis_file(text: str, p: int, n: int) -> list[np.ndarray]:
@@ -226,11 +242,66 @@ def _int_list(values, what: str) -> np.ndarray:
         raise MatrixFormatError(f"{what} has an integer beyond 64 bits")
 
 
-def invariant_to_dict(f: StandardInvariant) -> dict:
-    return {
-        "kernel_basis": f.kernel_basis.tolist(),
-        "values_exp_mod_p2": list(f.values),
-    }
+def _plain(doc, lists: dict):
+    """``doc`` with each tuple as a list and each array as nested lists,
+    one list object per array object (``lists`` maps ids)."""
+    if isinstance(doc, np.ndarray):
+        return lists.get(id(doc)) or lists.setdefault(id(doc), doc.tolist())
+    if isinstance(doc, dict):
+        return {k: _plain(v, lists) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_plain(v, lists) for v in doc]
+    return doc
+
+
+def _int_array_json(a) -> str:
+    """``json.dumps(a.tolist(), separators=(",", ":"))`` of an integer array:
+    8192 entries per uint8 buffer, each "-" if negative, digits by repeated
+    ``// 10``, then "," or ";" (then "],["), placed by a cumulative sum."""
+    a = as_int_array(a)
+    if a.ndim not in (1, 2) or not a.size:
+        return json.dumps(a.tolist(), separators=(",", ":"))
+    n, flat, pieces = a.shape[-1], a.reshape(-1), []
+    for lo in range(0, flat.size, 8192):
+        v = flat[lo : lo + 8192]
+        sign, mag = (v < 0).view(np.uint8), np.abs(v).view(np.uint64)  # |-2^63| = 2^63
+        width = np.ones(v.size, dtype=np.uint8)
+        for k in range(1, len(str(mag.max()))):
+            width += mag >= 10 ** k
+        pos = np.cumsum(width + sign + 1, dtype=np.int64) - 1  # each entry's separator
+        buf = np.full(int(pos[-1]) + 1, ord(","), dtype=np.uint8)
+        buf[pos[(-lo - 1) % n :: n]] = ord(";")
+        for j in range(int(width.max())):
+            on = width > j
+            buf[(pos - (j + 1))[on]] = mag[on] % 10 + ord("0")
+            mag //= 10
+        buf[(pos - width - 1)[sign.view(bool)]] = ord("-")
+        pieces.append(buf.tobytes().decode("ascii"))
+    return "[" * a.ndim + "".join(pieces)[:-1].replace(";", "],[") + "]" * a.ndim
+
+
+def compact_json(doc) -> str:
+    """A document's ``json.dumps(..., ensure_ascii=False, separators=(",", ":"))``
+    text: each integer array object is written once by ``_int_array_json``, a
+    part that holds none in one call of the json encoder, the rest walked."""
+    encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+    texts: dict[int, str] = {}
+
+    def text(v) -> str:
+        if isinstance(v, np.ndarray):
+            return texts.get(id(v)) or texts.setdefault(id(v), _int_array_json(v))
+        try:
+            return encode(v)
+        except TypeError:  # an array inside (the encoder refuses arrays)
+            if isinstance(v, dict):
+                return "{" + ",".join([f"{encode(k)}:{text(x)}" for k, x in v.items()]) + "}"
+            return "[" + ",".join(map(text, v)) + "]"
+
+    return text(doc)
+
+
+def invariant_doc(f: StandardInvariant) -> dict:
+    return {"kernel_basis": f.kernel_basis, "values_exp_mod_p2": f.values}
 
 
 def invariant_from_dict(doc: dict, mat: CommutationMatrix) -> StandardInvariant:
@@ -242,29 +313,22 @@ def invariant_from_dict(doc: dict, mat: CommutationMatrix) -> StandardInvariant:
         raise MatrixFormatError(f"bad invariant document: {exc}")
 
 
-def basis_to_dict(mat: CommutationMatrix, basis: SymplecticBasis) -> dict:
+def basis_doc(mat: CommutationMatrix, basis: SymplecticBasis) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "p": mat.p,
         "n": mat.n,
         "r": basis.r,
         "d": basis.d,
-        "e": basis.e.tolist(),
-        "f": basis.f.tolist(),
-        "kernel": basis.kernel.tolist(),
+        "e": basis.e,
+        "f": basis.f,
+        "kernel": basis.kernel,
     }
 
 
-def representation_to_dict(rep: Representation) -> dict:
-    return {
-        "p": rep.mat.p,
-        "n": rep.mat.n,
-        "dim": rep.dim,
-        "generators": [
-            {"perm": perm, "phase_exps": phases}
-            for perm, phases in zip(rep.perm.tolist(), rep.phases.tolist())
-        ],
-    }
+def representation_doc(rep: Representation) -> dict:
+    gens = [{"perm": g, "phase_exps": h} for g, h in zip(rep.perm, rep.phases)]
+    return {"p": rep.mat.p, "n": rep.mat.n, "dim": rep.dim, "generators": gens}
 
 
 def representation_from_dict(doc: dict, mat: CommutationMatrix) -> Representation:
@@ -287,7 +351,7 @@ def representation_from_dict(doc: dict, mat: CommutationMatrix) -> Representatio
         raise MatrixFormatError(f"bad representation document: {exc}")
 
 
-def report_to_dict(report: StructureReport) -> dict:
+def report_doc(report: StructureReport) -> dict:
     doc = {
         "schema": SCHEMA_VERSION,
         "tool": "spinlab",
@@ -296,7 +360,7 @@ def report_to_dict(report: StructureReport) -> dict:
         "n": report.n,
         "rank": report.rank,
         "kernel_dim": report.kernel_dim,
-        "kernel_basis": report.kernel_basis.tolist(),
+        "kernel_basis": report.kernel_basis,
         "center_dim": report.center_dim,
         "matrix_factor": report.matrix_factor,
         "descriptor": report.descriptor,
@@ -305,40 +369,39 @@ def report_to_dict(report: StructureReport) -> dict:
         "source": "toeplitz" if report.pattern is not None else "explicit",
     }
     if report.pattern is not None:
-        doc["pattern"] = list(report.pattern)
-        doc["prefix_ranks"] = list(report.prefix_ranks)
+        doc["pattern"] = report.pattern
+        doc["prefix_ranks"] = report.prefix_ranks
         doc["infinite_rank_conjectured"] = report.infinite_rank_conjectured
     return doc
 
 
-def classification_to_dict(
-    mat: CommutationMatrix, invariants: list[StandardInvariant]
-) -> dict:
-    shared = invariants[0].kernel_basis if invariants else None
-    rows = shared.tolist() if invariants else None  # the shared basis, converted once
-    entries = [
-        {"kernel_basis": rows, "values_exp_mod_p2": list(f.values)}
-        if f.kernel_basis is shared else invariant_to_dict(f)
-        for f in invariants
-    ]
+def classification_doc(mat: CommutationMatrix, invariants: list[StandardInvariant]) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "p": mat.p,
         "n": mat.n,
         "kernel_dim": invariants[0].d if invariants else 0,
         "class_count": len(invariants),
-        "invariants": entries,
+        "invariants": [invariant_doc(f) for f in invariants],
     }
 
 
-def grow_to_dict(mat: CommutationMatrix, report: StructureReport) -> dict:
+def grow_doc(mat: CommutationMatrix, report: StructureReport) -> dict:
     return {
         "schema": SCHEMA_VERSION,
         "p": mat.p,
-        "pattern": list(report.pattern),
+        "pattern": report.pattern,
         "n_max": mat.n,
-        "ranks": [
-            {"n": k + 1, "rank": r} for k, r in enumerate(report.prefix_ranks)
-        ],
+        "ranks": [{"n": k + 1, "rank": r} for k, r in enumerate(report.prefix_ranks)],
         "infinite_rank_conjectured": report.infinite_rank_conjectured,
     }
+
+
+def _listed(build):
+    """The plain-list form of a ``*_doc`` builder (see compact_json)."""
+    return lambda *args: _plain(build(*args), {})
+
+
+invariant_to_dict = _listed(invariant_doc)
+representation_to_dict = _listed(representation_doc)
+report_to_dict = _listed(report_doc)

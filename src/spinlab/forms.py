@@ -260,7 +260,8 @@ def _symplectic_pass(
     w = np.zeros((n, n), dtype=np.int32)
     cw = np.zeros((n, n), dtype=np.int32)
     w[:n_old, :k0] = start  # zero-padded to length n
-    cw[:, :k0] = mat.entries @ w[:, :k0] % p
+    if k0:  # C times the old vectors; a fresh pass has none
+        cw[:, :k0] = gf.matmul(mat.entries, w[:, :k0], p)
     ranks = []
     for k in range(k0, n):
         pairs = 2 * r
@@ -322,7 +323,7 @@ def extend_symplectic_basis(
     n_old = len(t)
     if n < n_old:
         raise ValueError(f"matrix size {n} smaller than existing basis {n_old}")
-    gram = t.T @ mat.entries[:n_old, :n_old] @ t % p
+    gram = gf.matmul(gf.matmul(t.T, mat.entries[:n_old, :n_old], p), t, p)
     if n_old and not np.array_equal(
         gram, standard_form(p, existing.r, existing.d).entries
     ):
@@ -347,5 +348,5 @@ def matrix_from_basis(ref: CommutationMatrix, vectors) -> CommutationMatrix:
     entry (i, j) is omega_ref(v_i, v_j).  Alternating by construction;
     nondegenerate whenever the vectors form a basis and ref does."""
     v = np.stack([_gf_vector(ref, x) for x in vectors])
-    ent = (v @ ref.entries @ v.T) % ref.p
+    ent = gf.matmul(gf.matmul(v, ref.entries, ref.p), v.T, ref.p)
     return CommutationMatrix(ref.p, ent)

@@ -69,6 +69,14 @@ def as_gf_array(a, p: int) -> np.ndarray:
     return as_int_array(a) % p
 
 
+def matmul(a, b, p: int) -> np.ndarray:
+    """a @ b mod p as a new int64 array: a float64 (BLAS) product of the
+    operands reduced mod p, exact in any summation order while k (p-1)^2 + p
+    < 2^53 for inner dimension k, which at p <= 251 allows k < 1.4 x 10^11."""
+    x, y = ((as_int_array(m) % p).astype(np.float64) for m in (a, b))
+    return (x @ y).astype(np.int64) % p
+
+
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row-echelon form over GF(p).
 

@@ -28,7 +28,6 @@ f(k) = s(k) mod p, form p^d classes for a d-dimensional kernel.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -104,7 +103,8 @@ def word_mul(a: Word, b: Word) -> Word:
 
 def word_pow(w: Word, k: int) -> Word:
     """w^k in closed form: (lambda w_x)^k = lambda^k zeta^{Q(x,x) C(k,2)} w_{kx}."""
-    if operator.index(k) < 0:
+    k = gf.as_int(k, "word power")
+    if k < 0:
         raise ValueError("negative word powers are not needed or supported")
     p = w.mat.p
     phase = k * w.phase + p * int(w.x @ w.mat.lower @ w.x) * (k * (k - 1) // 2)
@@ -143,7 +143,7 @@ class StandardInvariant:
     The basis, any sequence of length-n integer vectors, is kept reduced
     mod p as one frozen (d, n) int64 array, which the invariants derived
     from this one share (``_checked_invariant``).  Values must be integers
-    (``operator.index``, as for ``Word``): floats and strings raise."""
+    (``gf.as_int``, as for ``Word``): floats and strings raise."""
 
     mat: CommutationMatrix
     kernel_basis: np.ndarray
@@ -160,10 +160,7 @@ class StandardInvariant:
             raise ValueError("one value per kernel basis vector required")
         k.flags.writeable = False
         p2 = self.mat.p ** 2
-        try:
-            values = tuple(operator.index(v) % p2 for v in self.values)  # refuses floats
-        except TypeError:
-            raise ValueError(f"invariant values must be integers, got {self.values!r}")
+        values = tuple(gf.as_int(v, "invariant value") % p2 for v in self.values)
         object.__setattr__(self, "kernel_basis", k)
         object.__setattr__(self, "values", values)
 

@@ -367,3 +367,39 @@ def symplectic_pass_loop(mat, e, f, u):
         f.append(v * inv % p)
         u = [(ui - ws[i] * inv * u[j]) % p for i, ui in enumerate(u) if i != j]
     return e, f, kernel_rows_loop(mat.entries, p)
+
+
+def explicit_matrix_table(body, p, n):
+    """The body of an explicit matrix file read token by token: canonical
+    decimals of values in [0, p) map through a dict, the grid is checked
+    by the CommutationMatrix constructor, and on any failure the rows are
+    read again with ``int`` and checked one by one; the oracle of
+    ``formats._explicit_matrix``."""
+    from spinlab.errors import MatrixFormatError
+    from spinlab.formats import _ints
+
+    table = {str(v): v for v in range(p)}
+    try:
+        rows = [list(map(table.__getitem__, line.split())) for _, line in body]
+        return sl.CommutationMatrix(p, np.array(rows, dtype=np.int64))
+    except (KeyError, ValueError):
+        pass
+    rows = []
+    for i, (lineno, line) in enumerate(body):
+        row = _ints(line.split(), lineno)
+        if len(row) != n:
+            raise MatrixFormatError(f"row has {len(row)} entries, expected {n}", lineno)
+        for v in row:
+            if not 0 <= v < p:
+                raise MatrixFormatError(f"entry {v} out of range [0, {p})", lineno)
+        if row[i]:
+            raise MatrixFormatError("diagonal entry must be zero", lineno)
+        rows.append(row)
+    grid = np.array(rows, dtype=np.int64)
+    bad = np.argwhere((grid + grid.T) % p)
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise MatrixFormatError(
+            f"entry ({i}, {j}) breaks skew-symmetry c_ji = -c_ij", body[i][0]
+        )
+    return sl.CommutationMatrix(p, grid)

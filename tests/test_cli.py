@@ -4,11 +4,13 @@ import errno
 import json
 import os
 import pathlib
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import spinlab as sl
-from spinlab import formats, forms
+from spinlab import cli, formats, forms
 from spinlab.cli import main
 
 HERE = pathlib.Path(__file__).parent
@@ -378,3 +380,29 @@ def test_grow_rejects_explicit_files(capsys):
     code, _, err = run(capsys, "grow", FIXTURES / "pauli.txt", "--n-max", 4)
     assert code == 2
     assert "toeplitz" in err
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_parse_and_emit_memory_n192(tmp_path):
+    # a planted p = 2 matrix of rank 160 and kernel dimension 32 (B S B^T,
+    # B unit lower times unit upper triangular), the largest dense-basis
+    # shape; its file is 74 KB and its basis document 74 KB
+    rng = np.random.default_rng(192)
+    n, eye = 192, np.eye(192, dtype=np.int64)
+    b = (np.tril(rng.integers(0, 2, (n, n)), -1) + eye) @ (np.triu(rng.integers(0, 2, (n, n)), 1) + eye) % 2
+    mat = sl.commutation_matrix(2, b @ forms.standard_form(2, 80, 32).entries @ b.T % 2)
+    text = formats.format_matrix_file(mat)
+    assert _peak_bytes(lambda: formats.parse_matrix_file(text)) <= 1.6e6
+    basis = sl.symplectic_basis(mat)
+    out = str(tmp_path / "basis.json")
+    assert _peak_bytes(lambda: cli._emit_json(formats.basis_doc(mat, basis), out)) < 1e6
+    with open(out, encoding="utf-8") as fh:
+        assert json.loads(fh.read()) == formats._plain(formats.basis_doc(mat, basis), {})

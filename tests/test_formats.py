@@ -1,15 +1,19 @@
 """Matrix file parsing/formatting and JSON document round trips."""
 
+import json
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import spinlab as sl
 from spinlab import formats, forms
 from spinlab.errors import MatrixFormatError
+
+from conftest import explicit_matrix_table
 
 PAULI = sl.commutation_matrix(2, [[0, 1], [1, 0]])
 CLIFF3 = sl.clifford_matrix(2, 3)
@@ -207,6 +211,82 @@ def test_parse_matrix_file_fuzz(text):
     assert mat.p == parsed.p
 
 
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+
+
+def _spelled(v: int, how: str) -> str:
+    s = str(v)
+    return {
+        "canonical": s,
+        "zero": "0" + s,
+        "plus": "+" + s,
+        "minus": "-" + s,
+        "underscore": s[0] + "_" + s[1:] if len(s) > 1 else s,
+        "arabic": s.translate(_ARABIC_INDIC),
+    }[how]
+
+
+# Explicit files whose body mixes spellings of each value (canonical,
+# "00", "+1", "-0", "1_0", Arabic-Indic digits), blanks (spaces, tabs,
+# "\x0b", which splitlines ends a line at), comment and blank lines, short
+# and long rows, out-of-range values, nonzero diagonals and asymmetry.
+@st.composite
+def _spelled_grids(draw):
+    p = draw(st.sampled_from([2, 3, 5, 251]))
+    n = draw(st.integers(1, 5))
+    upper = np.triu(np.random.default_rng(draw(st.integers(0, 2 ** 16))).integers(0, p, (n, n)), 1)
+    grid = ((upper - upper.T) % p).tolist()
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    fault = draw(st.sampled_from(["none", "none", "none", "diagonal", "asymmetry", "range"]))
+    if fault == "diagonal":
+        grid[i][i] = draw(st.integers(1, p - 1))
+    elif fault == "asymmetry":
+        grid[i][j] = (grid[i][j] + 1) % p
+    elif fault == "range":
+        grid[i][j] = draw(st.sampled_from([p, p + 1, 999, 1000, 10 ** 20]))
+    hows = st.sampled_from(["canonical"] * 8 + ["zero", "plus", "minus", "underscore", "arabic"])
+    lines = [f"{p} {n}"]
+    for row in grid:
+        tokens = [_spelled(v, draw(hows) if v == 0 or draw(st.booleans()) else "canonical") for v in row]
+        length = draw(st.sampled_from(["same"] * 6 + ["short", "long"]))
+        if length == "short":
+            tokens.pop()
+        elif length == "long":
+            tokens.append(_spelled(draw(st.integers(0, p - 1)), draw(hows)))
+        line = draw(st.sampled_from([" "] * 4 + ["  ", "\t", " \t", " \x0b "])).join(tokens)
+        if draw(st.integers(0, 4)) == 0:
+            line += " # note"
+        lines.append(line)
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "# comment", " \t "])))
+    return "\n".join(lines) + "\n"
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from([2, 3, 5, 251]), st.integers(1, 6), st.data())
+def test_canonical_grid_reads_every_canonical_grid(p, n, data):
+    # any grid of canonical tokens in range, alternating or not
+    rows = data.draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    text = "\n".join(data.draw(st.sampled_from([" ", "  ", "\t", " \t"])).join(map(str, row))
+                     for row in rows)
+    assert formats._canonical_grid(text.encode(), p, n).tolist() == rows
+
+
+@settings(deadline=None, max_examples=500)
+@given(_spelled_grids())
+def test_parse_matches_the_token_table_oracle(text):
+    def outcome():
+        try:
+            return formats.parse_matrix_file(text).materialize().entries.tolist()
+        except MatrixFormatError as exc:
+            return str(exc), exc.line
+
+    got = outcome()
+    with mock.patch.object(formats, "_explicit_matrix", explicit_matrix_table):
+        assert outcome() == got
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     st.lists(st.lists(st.integers(0, 2).map(str) | _token, max_size=4), max_size=4)
@@ -228,6 +308,38 @@ def test_parse_basis_file():
         formats.parse_basis_file("1 0\n", 2, 3)
     with pytest.raises(MatrixFormatError):
         formats.parse_basis_file("# nothing\n", 2, 3)
+
+
+_int64 = st.integers(0, 2 ** 63 - 1) | st.integers(-(2 ** 63), 2 ** 63 - 1) | st.integers(0, 300)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    arrays(np.int64, st.tuples(st.integers(0, 6), st.integers(0, 6)), elements=_int64)
+    | arrays(np.int64, st.integers(0, 6), elements=_int64)
+)
+def test_compact_json_writes_arrays_as_json_dumps(a):
+    assert formats.compact_json(a) == json.dumps(a.tolist(), separators=(",", ":"))
+
+
+# Arrays of several chunks of the writer, with rows across chunk ends.
+@pytest.mark.parametrize("shape", [(20000,), (8192,), (8193,), (3, 5001), (8193, 1), (4096, 2)])
+def test_compact_json_writes_large_arrays_as_json_dumps(shape):
+    rng = np.random.default_rng(len(shape) * 10 ** 6 + shape[0])
+    a = rng.integers(-(10 ** 6), 10 ** 6, shape) // rng.integers(1, 10 ** 6, shape)
+    assert formats.compact_json(a) == json.dumps(a.tolist(), separators=(",", ":"))
+
+
+def test_compact_json_writes_a_shared_array_once():
+    mat = sl.commutation_matrix(2, np.zeros((4, 4), dtype=np.int64))
+    invariants = sl.enumerate_invariants(mat)
+    doc = formats.classification_doc(mat, invariants)
+    plain = formats._plain(doc, {})
+    assert len({id(g["kernel_basis"]) for g in plain["invariants"]}) == 1
+    with mock.patch.object(formats, "_int_array_json", wraps=formats._int_array_json) as writer:
+        text = formats.compact_json(doc)
+    assert writer.call_count == 1
+    assert text == json.dumps(plain, ensure_ascii=False, separators=(",", ":"))
 
 
 def test_invariant_dict_round_trip():

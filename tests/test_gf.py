@@ -315,3 +315,21 @@ def test_kernels_reject_float_matrices():
         gf.rref(np.eye(2), 3)
     with pytest.raises(ValueError, match="integer"):
         gf.solve(np.eye(2, dtype=int), [0.5, 1], 3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([2, 3, 251]), st.integers(0, 9), st.integers(0, 9), st.integers(0, 9),
+       st.integers(0, 2 ** 32))
+def test_matmul_equals_the_int64_product(p, m, k, n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-3 * p, 3 * p, (m, k))  # unreduced operands are reduced first
+    b = rng.integers(0, p, (k, n)).astype(np.int32)
+    out = gf.matmul(a, b, p)
+    assert out.dtype == np.int64 and out.shape == (m, n)
+    assert np.array_equal(out, (a % p) @ b.astype(np.int64) % p)
+
+
+def test_matmul_is_exact_at_p251_with_long_inner_dimension():
+    # all entries p - 1: sums of k (p-1)^2 = 2.5e9, beyond int32
+    a = np.full((3, 40000), 250)
+    assert np.array_equal(gf.matmul(a, a.T, 251), a @ a.T % 251)

@@ -485,8 +485,16 @@ def test_standard_invariant_rejects_bad_bases(basis, values):
 
 @pytest.mark.parametrize("value", [1.7, 2.0, "3", np.float64(1.0)])
 def test_standard_invariant_rejects_non_integer_values(value):
-    with pytest.raises(ValueError, match="integers"):
+    with pytest.raises(ValueError, match="invariant value must be an integer"):
         sl.StandardInvariant(CLIFF3, [[1, 1, 1]], (value,))
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, "2", np.float64(1.0)])
+def test_word_pow_rejects_non_integer_powers(k):
+    w = sl.Word(0, [1, 0, 1], CLIFF3)
+    with pytest.raises(ValueError, match="word power must be an integer"):
+        sl.word_pow(w, k)
+    assert sl.word_pow(w, np.int64(2)) == sl.word_pow(w, 2)
 
 
 def test_standard_invariant_accepts_numpy_integer_values():
