@@ -63,7 +63,6 @@ from .words import (
     gammas_equivalent,
     identity_word,
     invariant_square_check,
-    invariants_equal,
     is_central,
     normalize,
     phase_shift_invariant,

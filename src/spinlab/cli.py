@@ -60,9 +60,12 @@ def _max_dim() -> int:
     if raw is None:
         return reps.DEFAULT_MAX_DIM
     try:
-        return int(raw)
+        bound = int(raw)
     except ValueError:
-        raise MatrixFormatError(f"SPINLAB_MAX_DIM is not an integer: {raw!r}")
+        bound = 0
+    if bound < 1:
+        raise MatrixFormatError(f"SPINLAB_MAX_DIM is not a positive integer: {raw!r}")
+    return bound
 
 
 def _vec_text(v) -> str:
@@ -127,7 +130,7 @@ def _cmd_represent(args) -> int:
     max_dim = _max_dim()
     if args.kind == "prop11":
         if args.invariant:
-            raise InvariantError("--invariant applies to --kind irr only")
+            raise MatrixFormatError("--invariant applies to --kind irr only")
         rep = reps.prop11_rep(mat, max_dim=max_dim)
     else:
         invariant = None

@@ -25,4 +25,5 @@ class SizeBoundError(SpinlabError):
 
 class InvariantError(SpinlabError):
     """An invariant constraint is violated (p-th power law, kernel
-    membership, basis mismatch, or an invariant where none applies)."""
+    membership, or a basis that is dependent, outside ker(omega) or not
+    spanning it)."""

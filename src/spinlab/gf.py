@@ -181,21 +181,3 @@ def inverse(mat: np.ndarray, p: int) -> np.ndarray:
         raise ValueError("matrix is singular over GF(p)")
     return r[:, n:]
 
-
-def extend_functional(basis, values: list[int], n: int, p: int) -> np.ndarray:
-    """Extend a linear functional from a subspace to all of GF(p)^n.
-
-    Given independent vectors k_1..k_m (the rows of an (m, n) array) and
-    target values t_1..t_m, returns gamma with gamma . k_i = t_i for every
-    i: the ``solve`` solution, whose free variables are zero, so the
-    output is deterministic and vanishes off the pivot columns of the k_i.
-
-    Raises ValueError if the basis vectors are linearly dependent or the
-    value list has the wrong length.
-    """
-    if len(values) != len(basis):
-        raise ValueError("values must match basis length")
-    rows = as_gf_array(basis, p).reshape(len(basis), n)  # raises unless length n
-    if rank(rows, p) != len(basis):
-        raise ValueError("basis vectors are linearly dependent")
-    return solve(rows, as_gf_array(values, p), p)

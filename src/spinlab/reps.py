@@ -47,6 +47,7 @@ from .errors import InvariantError, SizeBoundError
 from .forms import CommutationMatrix, _gf_vector, form_kernel, prefix_ranks
 from .words import (
     StandardInvariant,
+    _checked_invariant,
     count_classes,
     pair_coordinates,
     phase_shift_invariant,
@@ -368,14 +369,15 @@ def extract_invariant(rep: Representation) -> StandardInvariant:
     Raises InvariantError when some kernel word is not scalar, which
     signals a reducible representation whose invariant is undefined.
     """
-    kernel = form_kernel(rep.mat)
-    values = [is_scalar(word_matrix(rep, k)) for k in kernel]
+    kernel = form_kernel(rep.mat)  # independent and inside ker(omega)
+    values = tuple(is_scalar(word_matrix(rep, k)) for k in kernel)
     if None in values:
         raise InvariantError(
             "kernel word is not scalar; representation is reducible and "
             "its standard invariant is undefined"
         )
-    return StandardInvariant(rep.mat, kernel, values)
+    kernel.flags.writeable = False
+    return _checked_invariant(rep.mat, kernel, values)
 
 
 def irreducible_rep(
@@ -395,11 +397,13 @@ def irreducible_rep(
     multiplied by zeta^{gamma_k}, zeta = e^{2 pi i / p}, with gamma from
     ``realize_invariant``, onto the requested invariant: any valid
     invariant is reachable this way, for every prime (at p = 2 these are
-    sign flips).  The invariant of the result is recorded on it.
+    sign flips).  The requested invariant may be written on any basis of
+    ker(omega); the invariant of the result is recorded on it, on the
+    basis of ``form_kernel``.
 
     Raises SizeBoundError past ``max_dim`` and InvariantError when the
     requested invariant violates the p-th power law (the square law at
-    p = 2) or its basis does not match the computed kernel basis.
+    p = 2) or its basis does not span ker(omega).
     """
     p = mat.p
     pc = pair_coordinates(mat)

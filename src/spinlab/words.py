@@ -17,10 +17,11 @@ zeta'^{p s(x)}, zeta' = e^{2 pi i/p^2}, with s(x) = C(p, 2) Q(x, x) mod p
 the model's phases and the law of a valid invariant.
 
 Standard invariants live on ker(omega): the scalar values taken by
-central words in an irreducible system, stored on an ordered kernel
-basis and extended to the whole kernel through the product rule.  The
-basis is one frozen (d, n) array, checked once when an invariant is
-built and shared, not copied, by the invariants derived from it.
+central words in an irreducible system, given on any basis of the kernel
+and extended through the product rule.  The basis is one frozen (d, n)
+array, checked once when an invariant is built and shared, not copied,
+by the invariants derived from it; equality and retargeting evaluate one
+invariant at the other's basis (``_values_at``), so neither depends on it.
 Multiplying generator k by zeta^{gamma_k} adds p (gamma . x) to the
 invariant at every kernel vector x, so the valid invariants, those with
 f(k) = s(k) mod p, form p^d classes for a d-dimensional kernel.
@@ -137,21 +138,23 @@ def is_central(x, mat: CommutationMatrix) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class StandardInvariant:
-    """A function on ker(omega), stored as phase exponents (mod p^2) on
-    an ordered kernel basis and extended through the word product rule.
+    """A function on the span of an independent basis inside ker(omega),
+    stored as phase exponents (mod p^2) on that basis and extended through
+    the word product rule; ``==`` compares functions, not bases.
 
     The basis, any sequence of length-n integer vectors, is kept reduced
     mod p as one frozen (d, n) int64 array, which the invariants derived
     from this one share (``_checked_invariant``).  Values must be integers
-    (``gf.as_int``, as for ``Word``): floats and strings raise."""
+    (``gf.as_int``, as for ``Word``): floats and strings raise ValueError.
+    A dependent basis, or one outside ker(omega), raises InvariantError."""
 
     mat: CommutationMatrix
     kernel_basis: np.ndarray
     values: tuple[int, ...]
 
     def __post_init__(self):
-        n = self.mat.n
-        k = gf.as_gf_array(self.kernel_basis, self.mat.p)  # refuses ragged rows
+        n, p = self.mat.n, self.mat.p
+        k = gf.as_gf_array(self.kernel_basis, p)  # refuses ragged rows
         if k.shape == (0,):
             k = k.reshape(0, n)  # the empty basis
         if k.ndim != 2 or k.shape[1] != n:
@@ -159,68 +162,71 @@ class StandardInvariant:
         if len(k) != len(self.values):
             raise ValueError("one value per kernel basis vector required")
         k.flags.writeable = False
-        p2 = self.mat.p ** 2
-        values = tuple(gf.as_int(v, "invariant value") % p2 for v in self.values)
+        values = tuple(gf.as_int(v, "invariant value") % p ** 2 for v in self.values)
         object.__setattr__(self, "kernel_basis", k)
         object.__setattr__(self, "values", values)
+        if gf.matmul(self.mat.entries, k.T, p).any():
+            raise InvariantError("kernel basis vector is not in ker(omega)")
+        self._tables  # built now: its one elimination refuses a dependent basis
 
     @property
     def d(self) -> int:
         return len(self.kernel_basis)
 
-    def same_basis(self, other: "StandardInvariant") -> bool:
-        """True iff both invariants are stored on the same matrix and the
-        same ordered kernel basis; ``==`` adds equal values.  A shared
-        basis array is one matrix's by construction."""
-        return self.kernel_basis is other.kernel_basis or (
-            self.mat == other.mat
-            and self.kernel_basis.tobytes() == other.kernel_basis.tobytes()
-        )
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, StandardInvariant):
             return NotImplemented
-        return self.same_basis(other) and self.values == other.values
+        if self.kernel_basis is other.kernel_basis:  # one matrix's by construction
+            return self.values == other.values
+        if self.mat != other.mat or self.d != other.d:
+            return False
+        if self.kernel_basis.tobytes() == other.kernel_basis.tobytes():
+            return self.values == other.values
+        try:
+            return _values_at(other, self.kernel_basis).tolist() == list(self.values)
+        except InvariantError:  # self's basis leaves other's span
+            return False
 
     @cached_property
     def _tables(self) -> "_KernelTables":
-        """Built on first use (``enumerate_invariants`` makes p^d
-        invariants and evaluates none), then kept on the instance."""
+        """Built by the constructor, as its dependence check, and otherwise
+        on first use (``enumerate_invariants`` makes p^d invariants and
+        evaluates none), then kept on the instance."""
         return _kernel_tables(self)
 
 
 def _checked_invariant(
     mat: CommutationMatrix, basis: np.ndarray, values: tuple[int, ...]
 ) -> StandardInvariant:
-    """A StandardInvariant on a frozen, reduced (d, n) int64 basis, used
-    as is, and a tuple of ints in [0, p^2), skipping the checks of
-    ``StandardInvariant.__post_init__``."""
+    """A StandardInvariant on a frozen, reduced, independent (d, n) int64
+    basis inside ker(omega), used as is, and a tuple of ints in [0, p^2),
+    skipping the checks of ``StandardInvariant.__post_init__``."""
     f = object.__new__(StandardInvariant)
     f.__dict__.update(mat=mat, kernel_basis=basis, values=values)
     return f
 
 
 class _KernelTables(NamedTuple):
-    """What kernel_coordinates and evaluate_invariant need of one
-    invariant on the basis K, its ``kernel_basis``: the coordinates of a
-    vector x in the span of K are x @ coord_map mod p.  Only the rows of K
-    outside the span of the earlier ones are in use (all of them when the
-    basis is independent); as with ``gf.solve``, the others get coordinate 0."""
+    """What kernel_coordinates and _values_at need of one invariant on the
+    independent basis K, its ``kernel_basis``: the coordinates of a vector
+    x in the span of K are x @ coord_map mod p."""
 
-    coord_map: np.ndarray  # n x d: the inverse of K's pivot minor, placed
-    # at the pivot rows and the columns of the rows in use
+    coord_map: np.ndarray  # n x d: the inverse of K's pivot minor, at the pivot rows
     gram_sym: np.ndarray  # triu(G) + triu(G, 1)^T for G = K L K^T mod p
     gram_diag: np.ndarray  # diagonal of G
     values: np.ndarray  # the stored values
 
 
 def _kernel_tables(f: StandardInvariant) -> _KernelTables:
-    p = f.mat.p
-    k = f.kernel_basis
-    _, used = gf.rref(k.T, p)
-    _, pivots = gf.rref(k[used], p)
-    coord_map = np.zeros(k.shape[::-1], dtype=np.int64)
-    coord_map[np.ix_(pivots, used)] = gf.inverse(k[used][:, pivots], p)
+    """One elimination, rref([K | I_d]) = [R | E]: E K = R, so E inverts K's
+    pivot minor, and a pivot past column n means K is dependent."""
+    k, p = f.kernel_basis, f.mat.p
+    d, n = k.shape
+    r, pivots = gf.rref(np.concatenate([k, np.eye(d, dtype=np.int64)], axis=1), p)
+    if pivots and pivots[-1] >= n:
+        raise InvariantError("kernel basis vectors are linearly dependent")
+    coord_map = np.zeros((n, d), dtype=np.int64)
+    coord_map[pivots] = r[:, n:]
     gram = k @ f.mat.lower @ k.T % p
     return _KernelTables(
         coord_map=coord_map,
@@ -230,21 +236,19 @@ def _kernel_tables(f: StandardInvariant) -> _KernelTables:
     )
 
 
-def _same_kernel_basis(f: StandardInvariant, g: StandardInvariant) -> None:
-    if not f.same_basis(g):
-        raise InvariantError("invariants are stored on different kernel bases")
+def _coordinates(f: StandardInvariant, x: np.ndarray) -> np.ndarray:
+    """Coordinates on f's basis of a reduced int64 vector x or of every row
+    of an (m, n) int64 x, in one check: raises if one is outside the span."""
+    a = x @ f._tables.coord_map % f.mat.p
+    if (a @ f.kernel_basis % f.mat.p).tobytes() != x.tobytes():  # both int64
+        raise InvariantError("vector is not in ker(omega) or not in the span of the basis")
+    return a
 
 
 def kernel_coordinates(f: StandardInvariant, x) -> np.ndarray:
-    """Coordinates of x in the stored kernel basis; raises if x is not
-    in the kernel span.  A dependent basis gives 0 to every vector in the
-    span of the earlier ones."""
-    p = f.mat.p
-    x = _gf_vector(f.mat, x)
-    coords = x @ f._tables.coord_map % p
-    if (coords @ f.kernel_basis % p).tobytes() != x.tobytes():  # both int64
-        raise InvariantError("vector is not in ker(omega)")
-    return coords
+    """Coordinates of x in the stored kernel basis; raises InvariantError
+    unless x is in its span."""
+    return _coordinates(f, _gf_vector(f.mat, x))
 
 
 def _reordering_exponent(a: np.ndarray, sym: np.ndarray, diag: np.ndarray, p: int):
@@ -260,24 +264,27 @@ def _reordering_exponent(a: np.ndarray, sym: np.ndarray, diag: np.ndarray, p: in
     return (s @ a if a.ndim == 1 else (s * a).sum(axis=1)) // 2 % p
 
 
-def evaluate_invariant(f: StandardInvariant, x) -> int:
-    """Value of f at a kernel vector, as an exponent mod p^2.
+def _values_at(f: StandardInvariant, x: np.ndarray) -> np.ndarray:
+    """f at x or at every row of x (as ``_coordinates``), mod p^2.
 
     Expands x = sum_i a_i k_i in the stored basis and combines the stored
     values with the exact reordering phase zeta^E of the plain-word
     product prod_i W_{k_i}^{a_i} in fixed basis order: the scalar of
     W_x = zeta^{-E} prod_i W_{k_i}^{a_i} is sum_i a_i f(k_i) - p E, with
     E = E(a; G) (``_reordering_exponent``) on the Gram matrix
-    G_ij = Q(k_i, k_j) of the basis, so a call costs a few small
-    matrix-vector products once the invariant's tables exist.  The result
-    satisfies f(x)f(y) = zeta^{Q(x,y)} f(x+y) for all kernel pairs, and
-    f(0) = 1.
+    G_ij = Q(k_i, k_j) of the basis: a few small products once the
+    invariant's tables exist.
     """
-    a = kernel_coordinates(f, x)
-    t = f._tables
-    p = f.mat.p
-    e = _reordering_exponent(a, t.gram_sym, t.gram_diag, p)
-    return int(a @ t.values - p * e) % (p * p)
+    a = _coordinates(f, x)
+    t, p = f._tables, f.mat.p
+    return (a @ t.values - p * _reordering_exponent(a, t.gram_sym, t.gram_diag, p)) % (p * p)
+
+
+def evaluate_invariant(f: StandardInvariant, x) -> int:
+    """Value of f at a kernel vector, as an exponent mod p^2
+    (``_values_at``).  The result satisfies f(x)f(y) = zeta^{Q(x,y)}
+    f(x+y) for all kernel pairs of a valid invariant, and f(0) = 1."""
+    return int(_values_at(f, _gf_vector(f.mat, x)))
 
 
 def invariant_square_check(f: StandardInvariant) -> bool:
@@ -301,13 +308,6 @@ def phase_shift_invariant(f: StandardInvariant, gamma) -> StandardInvariant:
     return _checked_invariant(f.mat, f.kernel_basis, tuple(values.tolist()))
 
 
-def invariants_equal(f: StandardInvariant, g: StandardInvariant) -> bool:
-    """Equality as functions on the kernel: equal values on the shared
-    basis.  Raises if the invariants live on different bases."""
-    _same_kernel_basis(f, g)
-    return f.values == g.values
-
-
 def gammas_equivalent(gamma1, gamma2, kernel_basis, p: int) -> bool:
     """True iff gamma1 and gamma2 induce the same linear functional on
     the kernel, i.e. (gamma1 - gamma2) . k = 0 for every basis vector k;
@@ -324,22 +324,26 @@ def realize_invariant(
     """A deterministic gamma with phase_shift_invariant(reference, gamma)
     equal to target.
 
-    target - reference must be p theta_i (mod p^2) on every basis vector
-    k_i; theta is then extended to a linear functional on all of GF(p)^n.
-    Raises InvariantError otherwise, which happens exactly when target
-    violates the p-th power law (the square law at p = 2) relative to a
-    valid reference.
+    target - reference must be p theta_i (mod p^2) at every reference
+    basis vector k_i, where the target's basis must span; gamma is the
+    functional with gamma . k_i = theta_i that vanishes off the pivot
+    columns of the k_i.  Raises InvariantError otherwise, which happens
+    for a valid reference exactly when target violates the p-th power law
+    (the square law at p = 2) or lives on another matrix or span.
     """
-    _same_kernel_basis(target, reference)
+    if target.mat != reference.mat:
+        raise InvariantError("target and reference belong to different commutation matrices")
+    if target.d != reference.d:
+        raise InvariantError("the target's kernel basis does not span the reference kernel")
     p = target.mat.p
-    diff = np.array(target.values, dtype=np.int64) - reference.values
+    diff = _values_at(target, reference.kernel_basis) - reference._tables.values
     theta, rest = np.divmod(diff % (p * p), p)
     if rest.any():
         raise InvariantError(
             "target - reference is not a multiple of p on the kernel "
             "basis; the target violates the p-th power (square) law"
         )
-    return gf.extend_functional(target.kernel_basis, theta, target.mat.n, p)
+    return reference._tables.coord_map @ theta % p
 
 
 def count_classes(d: int, p: int) -> int:

@@ -119,6 +119,14 @@ def commutation_matrices(draw, primes=(2, 3, 5), min_n=1, max_n=5):
     return alternating_from_upper(p, n, upper)
 
 
+def invertible_matrix(rng, d, p):
+    """A uniformly random d x d matrix in GL(d, p), by rejection."""
+    while True:
+        u = rng.integers(0, p, size=(d, d))
+        if sl.gf.rank(u, p) == d:
+            return u
+
+
 @st.composite
 def matrices_with_vectors(draw, k=2, primes=(2, 3, 5), max_n=5):
     mat = draw(commutation_matrices(primes=primes, max_n=max_n))

@@ -145,7 +145,7 @@ def test_represent_with_invariant_file(capsys, tmp_path):
     )
     assert code == 0
     rep = formats.representation_from_dict(json.loads(out), mat)
-    assert sl.invariants_equal(sl.extract_invariant(rep), target)
+    assert sl.extract_invariant(rep) == target
 
 
 def test_classify_pauli_single_class(capsys):
@@ -321,22 +321,64 @@ def test_exit_code_4_on_bad_invariant(capsys, tmp_path):
     assert "square" in err
 
 
+def _invariant_file(tmp_path, basis, values):
+    inv_file = tmp_path / "inv.json"
+    inv_file.write_text(
+        json.dumps({"kernel_basis": basis, "values_exp_mod_p2": values}), encoding="utf-8"
+    )
+    return inv_file
+
+
 @pytest.mark.parametrize("p", [2, 3])
-def test_exit_code_4_on_invariant_basis_mismatch(capsys, tmp_path, p):
+def test_represent_accepts_an_invariant_on_a_reversed_basis(capsys, tmp_path, p):
+    # an invariant is a function on ker(omega), whatever basis it is written on
     zero = tmp_path / "zero.txt"
     zero.write_text(f"{p} 2\n0 0\n0 0\n", encoding="utf-8")
     ref = sl.reference_invariant(sl.commutation_matrix(p, [[0, 0], [0, 0]]))
-    inv_file = tmp_path / "inv.json"
-    inv_file.write_text(
-        json.dumps({
-            "kernel_basis": [k.tolist() for k in ref.kernel_basis[::-1]],
-            "values_exp_mod_p2": list(ref.values[::-1]),
-        }),
-        encoding="utf-8",
+    inv_file = _invariant_file(
+        tmp_path, ref.kernel_basis[::-1].tolist(), list(ref.values[::-1])
     )
-    code, _, err = run(capsys, "represent", zero, "--kind", "irr", "--invariant", inv_file)
-    assert code == 4
-    assert "different kernel bases" in err
+    code, out, err = run(capsys, "represent", zero, "--kind", "irr", "--invariant", inv_file)
+    assert code == 0 and err == ""
+    assert (code, out) == run(capsys, "represent", zero, "--kind", "irr")[:2]
+
+
+@pytest.mark.parametrize(
+    "basis,values,message",
+    [
+        ([[1, 0, 0]], [1], "not in ker"),  # outside ker(omega) of the Clifford triple
+        ([[1, 1, 1], [1, 1, 1]], [1, 1], "dependent"),
+        ([], [], "does not span"),  # fewer than d = 1 vectors
+    ],
+)
+def test_exit_code_4_on_an_invariant_basis_that_is_not_a_kernel_basis(
+    capsys, tmp_path, basis, values, message
+):
+    inv_file = _invariant_file(tmp_path, basis, values)
+    code, out, err = run(
+        capsys, "represent", FIXTURES / "clifford3.txt", "--kind", "irr",
+        "--invariant", inv_file,
+    )
+    assert code == 4 and out == ""
+    assert message in err
+
+
+def test_exit_code_2_on_invariant_for_prop11(capsys, tmp_path):
+    inv_file = _invariant_file(tmp_path, [[1, 1, 1]], [1])
+    code, out, err = run(
+        capsys, "represent", FIXTURES / "clifford3.txt", "--kind", "prop11",
+        "--invariant", inv_file,
+    )
+    assert code == 2 and out == ""
+    assert "--kind irr only" in err
+
+
+@pytest.mark.parametrize("raw", ["0", "-5", "eight"])
+def test_exit_code_2_on_a_bound_that_is_not_positive(capsys, monkeypatch, raw):
+    monkeypatch.setenv("SPINLAB_MAX_DIM", raw)
+    code, out, err = run(capsys, "represent", FIXTURES / "clifford3.txt", "--kind", "irr")
+    assert code == 2 and out == ""
+    assert err == f"error: SPINLAB_MAX_DIM is not a positive integer: {raw!r}\n"
 
 
 @pytest.mark.parametrize("value,code", [(6, 0), (3, 0), (4, 4)])

@@ -91,26 +91,6 @@ def test_inverse_singular_raises():
         gf.inverse(np.ones((2, 2), dtype=int), 2)
 
 
-def test_extend_functional_single_vector():
-    gamma = gf.extend_functional([np.array([1, 1, 1])], [1], 3, 2)
-    assert gamma.tolist() == [1, 0, 0]
-    assert int(gamma @ np.array([1, 1, 1])) % 2 == 1
-
-
-def test_extend_functional_empty_basis():
-    assert gf.extend_functional([], [], 4, 2).tolist() == [0, 0, 0, 0]
-
-
-def test_extend_functional_standard_basis():
-    basis = [np.array([1, 0]), np.array([0, 1])]
-    assert gf.extend_functional(basis, [1, 0], 2, 2).tolist() == [1, 0]
-
-
-def test_extend_functional_dependent_basis_raises():
-    with pytest.raises(ValueError, match="dependent"):
-        gf.extend_functional([np.array([1, 1]), np.array([1, 1])], [0, 1], 2, 2)
-
-
 def test_validate_prime():
     for p in (2, 3, 5, 7, 251):
         assert gf.validate_prime(p) == p
@@ -202,35 +182,6 @@ def test_solve_absent_confirmed_by_brute_force_n12():
         assert all(
             not np.array_equal((mat @ v) % 2, b) for v in enum_vectors(2, 12)
         )
-
-
-@settings(deadline=None, max_examples=50)
-@given(st.tuples(st.sampled_from([2, 3]), st.integers(1, 4), st.integers(0, 2 ** 32 - 1)))
-def test_extend_functional_reproduces_values(params):
-    p, n, seed = params
-    rng = np.random.default_rng(seed)
-    mat = rng.integers(0, p, size=(n, n))
-    basis = gf.kernel_basis(mat, p)  # arbitrary independent set
-    values = [int(v) for v in rng.integers(0, p, size=len(basis))]
-    gamma = gf.extend_functional(basis, values, n, p)
-    for k, val in zip(basis, values):
-        assert int(gamma @ k) % p == val
-
-
-@settings(deadline=None, max_examples=80)
-@given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))
-def test_extend_functional_vanishes_off_the_pivot_columns(p, n, seed):
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, p, size=(int(rng.integers(1, n + 2)), n))
-    values = [int(v) for v in rng.integers(0, p, size=len(rows))]
-    _, pivots = gf.rref(rows, p)
-    if len(pivots) < len(rows):
-        with pytest.raises(ValueError, match="dependent"):
-            gf.extend_functional(list(rows), values, n, p)
-        return
-    gamma = gf.extend_functional(list(rows), values, n, p)
-    assert ((rows @ gamma) % p).tolist() == values
-    assert not np.delete(gamma, pivots).any()
 
 
 # --- deferred reduction against the reduce-every-step oracle --------------

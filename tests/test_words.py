@@ -14,6 +14,7 @@ from conftest import (
     commutation_matrices,
     enum_vectors,
     evaluate_invariant_loop,
+    invertible_matrix,
     matrices_with_vectors,
     word_pow_loop,
 )
@@ -196,20 +197,18 @@ def test_evaluate_invariant_satisfies_functional_equation():
 
 @st.composite
 def invariants_with_vectors(draw):
-    """An invariant with arbitrary values on the computed kernel basis,
-    sometimes padded with dependent vectors, and a vector that is in the
+    """An invariant with arbitrary values on a random basis U K of the
+    computed kernel basis K, U in GL(d, p), and a vector that is in the
     span of that basis or arbitrary."""
     mat = draw(commutation_matrices(max_n=6))
     p = mat.p
-    basis = list(sl.form_kernel(mat))
+    kernel = sl.form_kernel(mat)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    if basis and draw(st.booleans()):
-        basis.insert(1, (2 * basis[0]) % p)
-        basis.append(rng.integers(0, p, size=len(basis)) @ np.array(basis) % p)
+    basis = invertible_matrix(rng, len(kernel), p) @ kernel % p
     values = tuple(int(v) for v in rng.integers(0, p * p, size=len(basis)))
-    f = sl.StandardInvariant(mat, tuple(basis), values)
-    if basis and draw(st.booleans()):
-        x = rng.integers(0, p, size=len(basis)) @ np.array(basis) % p
+    f = sl.StandardInvariant(mat, basis, values)
+    if len(basis) and draw(st.booleans()):
+        x = rng.integers(0, p, size=len(basis)) @ basis % p
     else:
         x = rng.integers(0, p, size=mat.n)
     return f, x
@@ -233,28 +232,36 @@ def test_evaluate_invariant_matches_word_mul_loop(case):
         assert coords.shape == (0,)
 
 
+def _counting(calls, name, fn):
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return counting
+
+
 def test_evaluate_invariant_reuses_its_tables(monkeypatch):
     mat = sl.random_alternating(3, 8, seed=0)
-    f = sl.StandardInvariant(mat, tuple(sl.form_kernel(mat)), (1,) * len(sl.form_kernel(mat)))
-    assert f.d >= 1
+    kernel = sl.form_kernel(mat)
+    f0 = sl.reference_invariant(mat)  # built unchecked; its tables wait for first use
+    assert f0.d >= 1
     calls = []
-    rref = sl.gf.rref
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return rref(*args, **kwargs)
-
-    monkeypatch.setattr(sl.gf, "rref", counting)
-    k = f.kernel_basis[0]
-    sl.evaluate_invariant(f, k)
-    assert calls  # the tables are built on first use
+    for name in ("rref", "inverse"):
+        monkeypatch.setattr(sl.gf, name, _counting(calls, name, getattr(sl.gf, name)))
+    k = f0.kernel_basis[0]
+    sl.evaluate_invariant(f0, k)
+    assert calls == ["rref"]  # one table build: one elimination, no inverse
     calls.clear()
-    for a in range(3):
-        sl.evaluate_invariant(f, (a * k) % 3)
-        sl.words.kernel_coordinates(f, (a * k) % 3)
-    with pytest.raises(InvariantError):
-        sl.evaluate_invariant(f, np.eye(8, dtype=int)[0] + k)
-    assert calls == []
+    f = sl.StandardInvariant(mat, kernel, (1,) * len(kernel))
+    assert calls == ["rref"]  # the constructor's check is the table build
+    calls.clear()
+    for g in (f0, f):
+        for a in range(3):
+            sl.evaluate_invariant(g, (a * k) % 3)
+            sl.words.kernel_coordinates(g, (a * k) % 3)
+        with pytest.raises(InvariantError):
+            sl.evaluate_invariant(g, np.eye(8, dtype=int)[0] + k)
+    assert f != f0 and calls == []
 
 
 def test_pair_coordinates_rebuild_the_generators():
@@ -317,14 +324,65 @@ def test_square_check_is_the_word_power_law(mat, seed):
 
 def test_phase_shift_invariant():
     f = _invariant(CLIFF3, [1])
-    assert sl.invariants_equal(sl.phase_shift_invariant(f, [0, 0, 0]), f)
+    assert sl.phase_shift_invariant(f, [0, 0, 0]) == f
     assert sl.phase_shift_invariant(f, [1, 0, 0]).values == (3,)
     assert sl.phase_shift_invariant(f, [1, 1, 0]).values == (1,)
 
 
-def test_invariants_equal_requires_same_basis():
-    with pytest.raises(InvariantError, match="bases"):
-        sl.invariants_equal(_invariant(CLIFF3, [1]), _invariant(PAULI, []))
+def test_invariant_equality_is_basis_free():
+    zero = sl.commutation_matrix(3, np.zeros((2, 2), dtype=int))
+    f0 = sl.reference_invariant(zero)
+    reversed_basis = sl.StandardInvariant(zero, f0.kernel_basis[::-1], f0.values[::-1])
+    assert reversed_basis == f0 and f0 == reversed_basis
+    assert sl.irreducible_rep(zero, reversed_basis).invariant == f0
+    shifted = sl.phase_shift_invariant(f0, [1, 0])
+    assert shifted != reversed_basis and reversed_basis != shifted
+    assert _invariant(CLIFF3, [1]) != _invariant(PAULI, [])
+    assert _invariant(CLIFF3, [1]) != 1
+    # the same basis and values on another matrix is another invariant
+    other = sl.commutation_matrix(3, np.zeros((3, 3), dtype=int))
+    assert sl.StandardInvariant(other, [[1, 0, 0]], [0]) != sl.StandardInvariant(
+        sl.commutation_matrix(3, [[0, 0, 0], [0, 0, 1], [0, 2, 0]]), [[1, 0, 0]], [0]
+    )
+
+
+@pytest.mark.parametrize(
+    "mat,basis",
+    [
+        (sl.clifford_matrix(2, 4), [[1, 0, 0, 0]]),  # outside ker(omega)
+        (sl.commutation_matrix(3, np.zeros((3, 3), dtype=int)), [[1, 2, 0], [2, 1, 0]]),  # k, 2k
+        (ZERO2, [[1, 1], [1, 1]]),  # a repeated row
+    ],
+)
+def test_standard_invariant_refuses_non_kernel_and_dependent_bases(mat, basis):
+    with pytest.raises(InvariantError, match="ker\\(omega\\)|dependent"):
+        sl.StandardInvariant(mat, basis, (0,) * len(basis))
+
+
+@settings(deadline=None, max_examples=60)
+@given(commutation_matrices(primes=(2, 3, 5), max_n=6), st.integers(0, 2 ** 32 - 1))
+def test_an_invariant_moved_to_another_kernel_basis_is_the_same_function(mat, seed):
+    p = mat.p
+    rng = np.random.default_rng(seed)
+    f = sl.phase_shift_invariant(sl.reference_invariant(mat), rng.integers(0, p, mat.n))
+    k = f.kernel_basis
+    uk = invertible_matrix(rng, f.d, p) @ k % p
+    moved = sl.StandardInvariant(mat, uk, [sl.evaluate_invariant(f, v) for v in uk])
+    back = sl.StandardInvariant(mat, k, [sl.evaluate_invariant(moved, v) for v in k])
+    assert back.values == f.values  # the round trip K -> U K -> K
+    assert moved == f and f == moved
+    rep, rep_moved = sl.irreducible_rep(mat, f), sl.irreducible_rep(mat, moved)
+    assert np.array_equal(rep.perm, rep_moved.perm)
+    assert np.array_equal(rep.phases, rep_moved.phases)
+    assert rep_moved.invariant == moved  # recorded on the form_kernel basis K
+    assert rep_moved.invariant.kernel_basis.tobytes() == k.tobytes()
+    if f.d:
+        values = list(moved.values)
+        values[int(rng.integers(0, f.d))] += p * int(rng.integers(1, p))
+        assert sl.StandardInvariant(mat, uk, values) != f
+        zero = sl.commutation_matrix(p, np.zeros((mat.n, mat.n), dtype=int))
+        if zero != mat:  # uk is in the kernel of the zero matrix too
+            assert sl.StandardInvariant(zero, uk, moved.values) != f
 
 
 def test_gammas_equivalent():
@@ -362,9 +420,39 @@ def test_realize_invariant_examples():
     assert sl.realize_invariant(f, f).tolist() == [0, 0, 0]
     gamma = sl.realize_invariant(g, f)
     assert gamma.tolist() == [1, 0, 0]
-    assert sl.invariants_equal(sl.phase_shift_invariant(f, gamma), g)
+    assert sl.phase_shift_invariant(f, gamma) == g
     with pytest.raises(InvariantError, match="square"):
         sl.realize_invariant(_invariant(CLIFF3, [0]), f)
+
+
+@settings(deadline=None, max_examples=80)
+@given(commutation_matrices(primes=(2, 3, 5), max_n=7), st.integers(0, 2 ** 32 - 1))
+def test_realize_invariant_gamma_is_the_solve_solution(mat, seed):
+    # gamma reproduces theta on the kernel basis and vanishes off its pivot
+    # columns: the solution of gf.solve, whose free variables are zero
+    p = mat.p
+    rng = np.random.default_rng(seed)
+    f0 = sl.reference_invariant(mat)
+    k = f0.kernel_basis
+    theta = rng.integers(0, p, f0.d)
+    target = sl.StandardInvariant(mat, k, np.array(f0.values) + p * theta)
+    gamma = sl.realize_invariant(target, f0)
+    assert gamma.tolist() == sl.gf.solve(k, theta, p).tolist()
+    assert (k @ gamma % p).tolist() == theta.tolist()
+    assert not np.delete(gamma, sl.gf.rref(k, p)[1]).any()
+    assert sl.phase_shift_invariant(f0, gamma) == target
+    uk = invertible_matrix(rng, f0.d, p) @ k % p
+    moved = sl.StandardInvariant(mat, uk, [sl.evaluate_invariant(target, v) for v in uk])
+    assert sl.realize_invariant(moved, f0).tolist() == gamma.tolist()
+
+
+def test_realize_invariant_refuses_other_matrices_and_short_bases():
+    f0 = sl.reference_invariant(ZERO2)
+    with pytest.raises(InvariantError, match="different commutation matrices"):
+        sl.realize_invariant(f0, sl.reference_invariant(CLIFF3))
+    short = sl.StandardInvariant(ZERO2, [[1, 1]], [0])
+    with pytest.raises(InvariantError, match="does not span"):
+        sl.realize_invariant(short, f0)
 
 
 def test_count_classes():
@@ -422,7 +510,7 @@ def test_phase_shift_equality_iff_gamma_trivial_on_kernel(mat, seed):
     f = sl.reference_invariant(mat)
     gamma = np.random.default_rng(seed).integers(0, mat.p, size=mat.n)
     shifted = sl.phase_shift_invariant(f, gamma)
-    same = sl.invariants_equal(shifted, f)
+    same = shifted == f
     zero = np.zeros(mat.n, dtype=int)
     assert same == sl.gammas_equivalent(gamma, zero, f.kernel_basis, mat.p)
 
