@@ -425,21 +425,37 @@ def test_realize_invariant_examples():
         sl.realize_invariant(_invariant(CLIFF3, [0]), f)
 
 
+def _realized_gamma(mat, rng):
+    # the reference invariant, a target shifted from it by p * theta on its
+    # kernel basis, theta, and the gamma that realize_invariant returns
+    p = mat.p
+    f0 = sl.reference_invariant(mat)
+    theta = rng.integers(0, p, f0.d)
+    target = sl.StandardInvariant(
+        mat, f0.kernel_basis, np.array(f0.values) + p * theta)
+    return f0, target, theta, sl.realize_invariant(target, f0)
+
+
 @settings(deadline=None, max_examples=80)
 @given(commutation_matrices(primes=(2, 3, 5), max_n=7), st.integers(0, 2 ** 32 - 1))
-def test_realize_invariant_gamma_is_the_solve_solution(mat, seed):
-    # gamma reproduces theta on the kernel basis and vanishes off its pivot
-    # columns: the solution of gf.solve, whose free variables are zero
+def test_realize_invariant_gamma_vanishes_off_the_pivot_columns(mat, seed):
+    # the solution of gf.solve, whose free variables are zero
+    f0, _, theta, gamma = _realized_gamma(mat, np.random.default_rng(seed))
+    k = f0.kernel_basis
+    assert gamma.tolist() == sl.gf.solve(k, theta, mat.p).tolist()
+    assert not np.delete(gamma, sl.gf.rref(k, mat.p)[1]).any()
+
+
+@settings(deadline=None, max_examples=80)
+@given(commutation_matrices(primes=(2, 3, 5), max_n=7), st.integers(0, 2 ** 32 - 1))
+def test_realize_invariant_gamma_reproduces_values(mat, seed):
+    # gamma reproduces theta on the kernel basis, so the phase shift lands on
+    # the target, and the target written on another basis gives the same gamma
     p = mat.p
     rng = np.random.default_rng(seed)
-    f0 = sl.reference_invariant(mat)
+    f0, target, theta, gamma = _realized_gamma(mat, rng)
     k = f0.kernel_basis
-    theta = rng.integers(0, p, f0.d)
-    target = sl.StandardInvariant(mat, k, np.array(f0.values) + p * theta)
-    gamma = sl.realize_invariant(target, f0)
-    assert gamma.tolist() == sl.gf.solve(k, theta, p).tolist()
     assert (k @ gamma % p).tolist() == theta.tolist()
-    assert not np.delete(gamma, sl.gf.rref(k, p)[1]).any()
     assert sl.phase_shift_invariant(f0, gamma) == target
     uk = invertible_matrix(rng, f0.d, p) @ k % p
     moved = sl.StandardInvariant(mat, uk, [sl.evaluate_invariant(target, v) for v in uk])
