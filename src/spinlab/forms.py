@@ -20,7 +20,8 @@ deterministic pass over the coordinates in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,13 +43,12 @@ class CommutationMatrix:
     materialized from one: pattern[k-1] is the entry at separation k on
     the upper triangle, the lower triangle carrying the negated mirror.
     ``lower`` is the strict lower triangle L of ``entries`` (the matrix
-    of q_form), computed once and frozen like ``entries``.
+    of q_form), computed on first read and frozen like ``entries``.
     """
 
     p: int
     entries: np.ndarray
     pattern: tuple[int, ...] | None = None
-    lower: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p", gf.validate_prime(self.p))
@@ -57,17 +57,21 @@ class CommutationMatrix:
             raise ValueError(f"entries must be square, got shape {ent.shape}")
         if ent.shape[0] == 0:
             raise ValueError("empty commutation matrix")
-        if ((ent < 0) | (ent >= self.p)).any():
+        if ent.min() < 0 or ent.max() >= self.p:
             raise ValueError(f"entries must lie in [0, {self.p})")
         if np.diagonal(ent).any():
             raise ValueError("diagonal entries must be zero")
-        if ((ent + ent.T) % self.p).any():
+        s = ent + ent.T  # in [0, 2p - 2]: 0 mod p only at 0 and p
+        if ((s != 0) & (s != self.p)).any():
             raise ValueError("matrix must satisfy c_ji = -c_ij mod p")
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
-        lower = np.tril(ent, -1)
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        lower = np.tril(self.entries, -1)
         lower.flags.writeable = False
-        object.__setattr__(self, "lower", lower)
+        return lower
 
     @property
     def n(self) -> int:
@@ -239,54 +243,56 @@ def _symplectic_pass(
 ) -> tuple[SymplecticBasis, list[int]]:
     """Symplectic Gram-Schmidt over the unit vectors in coordinate order.
 
-    The state is a symplectic basis of the leading k x k block, stored as
-    columns with C times each beside them: r interleaved pairs (e_i, f_i),
+    The state is a symplectic basis of the leading k x k block, the
+    columns of one float64 n x n array w: r interleaved pairs (e_i, f_i),
     then a basis u of its radical, from the k columns of ``start`` (a
-    reduced ``column_matrix``, 0 x 0 when fresh).  Step k projects e_k
-    to v = e_k - sum omega(e_k, f_i) e_i + sum omega(e_k, e_i) f_i; then
-    w_j = omega(u_j, v) = -(C u_j)_k.  The first u_j with w_j != 0 pairs
-    with v / w_j and each other u_i loses (w_i / w_j) u_j; with none, v
-    joins u.  Each O(n^2) step keeps the given pairs and yields the rank
-    of the leading k + 1 block.  The radical comes back as the reduced
-    echelon form of u with its columns reversed, which is ``form_kernel``:
-    column j of C is free exactly when some kernel vector has its last
-    nonzero entry at j.  Sums of r <= n/2 products of int32 entries in
-    [0, p) stay below r (p-1)^2 + p < 2^31: n < 68,720 at p = 251.
+    reduced ``column_matrix``, 0 x 0 when fresh).  Step k computes
+    omega(e_k, x) for the k columns x of w, row k of C w, with one
+    product C[k, lo:k] w[lo:k, :k], lo the first nonzero column of row k
+    of C, found once for all rows (so a band of width m costs O(m k)).  It
+    projects e_k to v = e_k - sum omega(e_k, f_i) e_i + sum omega(e_k, e_i) f_i;
+    then w_j = omega(u_j, v) = -omega(e_k, u_j).  The first u_j with
+    w_j != 0 pairs with v / w_j and each other u_i loses (w_i / w_j) u_j,
+    in order; with none, v joins u.  Each O(n^2) step keeps the given
+    pairs and yields the rank of the leading k + 1 block.  The radical
+    comes back as the reduced echelon form of u with its columns
+    reversed, which is ``form_kernel``: column j of C is free exactly
+    when some kernel vector has its last nonzero entry at j.  The float64
+    (BLAS) products are exact in any summation order: w holds integers
+    in [0, p), so every sum has at most n terms below (p-1)^2 and stays
+    below n (p-1)^2 + p < 2^53, which is n < 1.4 x 10^11 at p = 251.
     """
     n, p = mat.n, mat.p
-    if n // 2 * (p - 1) ** 2 + p >= 2 ** 31:
-        raise SizeBoundError(f"matrix size {n} too large for the int32 pass at p={p}")
+    if n * (p - 1) ** 2 + p >= 2 ** 53:
+        raise SizeBoundError(f"matrix size {n} too large for the exact float64 pass at p={p}")
     n_old, k0 = start.shape
-    w = np.zeros((n, n), dtype=np.int32)
-    cw = np.zeros((n, n), dtype=np.int32)
+    lo = (mat.entries != 0).argmax(axis=1).tolist()  # 0 for a zero row
+    w = np.zeros((n, n))
     w[:n_old, :k0] = start  # zero-padded to length n
-    if k0:  # C times the old vectors; a fresh pass has none
-        cw[:, :k0] = gf.matmul(mat.entries, w[:, :k0], p)
     ranks = []
     for k in range(k0, n):
-        pairs = 2 * r
-        c = cw[k, :pairs].reshape(r, 2)[:, ::-1].flatten()
+        pairs, j = 2 * r, lo[k]
+        row = mat.entries[k, j:k].astype(np.float64) @ w[j:k, :k] % p
+        c = row[:pairs].reshape(r, 2)[:, ::-1].flatten()
         c[0::2] *= -1  # the coefficients of v on (e_1, f_1, ...)
         v = w[: k + 1, :pairs] @ c
         v[k] += 1
-        cv = cw[:, :pairs] @ c + mat.entries[:, k]
-        wu = -cw[k, pairs:k] % p
-        nz = np.flatnonzero(wu)
+        ou = row[pairs:]  # omega(e_k, u_j) = -w_j
+        nz = ou.nonzero()[0]
         if nz.size:
             i = int(nz[0])
-            inv = pow(int(wu[i]), -1, p)
-            t = np.delete(wu * inv % p, i)
-            rest = np.delete(np.arange(pairs, k), i)
-            u_new = (w[:k, rest] - np.outer(w[:k, pairs + i], t)) % p
-            cu_new = (cw[:, rest] - np.outer(cw[:, pairs + i], t)) % p
-            w[:k, pairs], cw[:, pairs] = w[:k, pairs + i], cw[:, pairs + i]
-            w[: k + 1, pairs + 1], cw[:, pairs + 1] = v % p * inv % p, cv % p * inv % p
-            w[:k, pairs + 2 : k + 1], cw[:, pairs + 2 : k + 1] = u_new, cu_new
+            inv = pow(-int(ou[i]), -1, p)
+            ui = w[:k, pairs + i].copy()
+            t = -ou[i + 1 :] * inv % p  # w_j / w_i for the u_j after u_i
+            w[:k, pairs + i + 2 : k + 1] = (w[:k, pairs + i + 1 : k] - np.outer(ui, t)) % p
+            w[:k, pairs + 2 : pairs + i + 2] = w[:k, pairs : pairs + i]  # w_j = 0 before u_i
+            w[:k, pairs] = ui
+            w[: k + 1, pairs + 1] = v % p * inv % p
             r += 1
         else:
-            w[: k + 1, k], cw[:, k] = v % p, cv % p
+            w[: k + 1, k] = v % p
         ranks.append(2 * r)
-    del cw  # freed before the copies below
+    w = w.astype(np.int64)  # exact: every entry lies in [0, p)
     rows, pivots = gf.rref(w[:, 2 * r :].T[:, ::-1], p)
     if len(pivots) != n - 2 * r:
         raise ValueError("existing basis is inconsistent")

@@ -384,10 +384,10 @@ def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
     """
     p = mat.p
     basis = symplectic_basis(mat)
-    alpha = mat.entries @ basis.f.T % p
-    beta = -mat.entries @ basis.e.T % p
+    alpha = gf.matmul(mat.entries, basis.f.T, p)
+    beta = -gf.matmul(mat.entries, basis.e.T, p) % p
     mu = _power_exponent((alpha * beta).sum(axis=1), p)
-    g = beta @ alpha.T % p
+    g = gf.matmul(beta, alpha.T, p)
     k = basis.kernel  # frozen, shared with the invariant
     e = _reordering_exponent(k, np.triu(g) + np.triu(g, 1).T, np.diagonal(g), p)
     values = (k @ mu - p * e) % (p * p)

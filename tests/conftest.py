@@ -377,6 +377,49 @@ def symplectic_pass_loop(mat, e, f, u):
     return e, f, kernel_rows_loop(mat.entries, p)
 
 
+def symplectic_pass_two_arrays(mat, start, r):
+    """The symplectic pass with C times every state vector kept beside it:
+    two n x n int32 arrays w and C w, two int32 matrix-vector products per
+    step and a rank-1 update of both arrays per pair.  The oracle of
+    ``forms._symplectic_pass``, which computes only row k of C w at step k;
+    returns (SymplecticBasis, ranks) as it does."""
+    n, p = mat.n, mat.p
+    n_old, k0 = start.shape
+    w = np.zeros((n, n), dtype=np.int32)
+    cw = np.zeros((n, n), dtype=np.int32)
+    w[:n_old, :k0] = start
+    if k0:
+        cw[:, :k0] = sl.gf.matmul(mat.entries, w[:, :k0], p)
+    ranks = []
+    for k in range(k0, n):
+        pairs = 2 * r
+        c = cw[k, :pairs].reshape(r, 2)[:, ::-1].flatten()
+        c[0::2] *= -1
+        v = w[: k + 1, :pairs] @ c
+        v[k] += 1
+        cv = cw[:, :pairs] @ c + mat.entries[:, k]
+        wu = -cw[k, pairs:k] % p
+        nz = np.flatnonzero(wu)
+        if nz.size:
+            i = int(nz[0])
+            inv = pow(int(wu[i]), -1, p)
+            t = np.delete(wu * inv % p, i)
+            rest = np.delete(np.arange(pairs, k), i)
+            u_new = (w[:k, rest] - np.outer(w[:k, pairs + i], t)) % p
+            cu_new = (cw[:, rest] - np.outer(cw[:, pairs + i], t)) % p
+            w[:k, pairs], cw[:, pairs] = w[:k, pairs + i], cw[:, pairs + i]
+            w[: k + 1, pairs + 1], cw[:, pairs + 1] = v % p * inv % p, cv % p * inv % p
+            w[:k, pairs + 2 : k + 1], cw[:, pairs + 2 : k + 1] = u_new, cu_new
+            r += 1
+        else:
+            w[: k + 1, k], cw[:, k] = v % p, cv % p
+        ranks.append(2 * r)
+    rows, pivots = sl.gf.rref(w[:, 2 * r :].T[:, ::-1], p)
+    assert len(pivots) == n - 2 * r
+    pairs = w[:, : 2 * r].T
+    return sl.SymplecticBasis(pairs[0::2], pairs[1::2], rows[::-1, ::-1]), ranks
+
+
 def explicit_matrix_table(body, p, n):
     """The body of an explicit matrix file read token by token: canonical
     decimals of values in [0, p) map through a dict, the grid is checked

@@ -1,5 +1,6 @@
 """Commutation matrices, bilinear forms, and symplectic bases."""
 
+import hashlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +25,7 @@ from conftest import (
     random_alternating_loop,
     span_set,
     symplectic_pass_loop,
+    symplectic_pass_two_arrays,
 )
 
 PAULI = sl.commutation_matrix(2, [[0, 1], [1, 0]])
@@ -408,7 +410,11 @@ def _same(xs, ys):
 
 
 def _same_basis(a, b):
-    return all(_same(x, y) for x, y in [(a.e, b.e), (a.f, b.f), (a.kernel, b.kernel)])
+    # the same dtype, shapes and bytes, family by family
+    return all(
+        x.dtype == y.dtype == np.int64 and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in [(a.e, b.e), (a.f, b.f), (a.kernel, b.kernel)]
+    )
 
 
 @settings(deadline=None, max_examples=80)
@@ -446,11 +452,83 @@ def test_symplectic_pass_p251_large():
         assert gf.rank(t, 251) == 301
 
 
-def test_symplectic_pass_checks_int32_bound():
-    # checked before any n x n array is allocated
+def test_symplectic_pass_checks_float64_bound():
+    # every sum in the float64 products stays below n (p-1)^2 + p < 2^53;
+    # the check comes before anything is allocated (a SimpleNamespace has
+    # no entries), and one size below the bound the pass goes on to read them
     empty = np.zeros((0, 0), dtype=np.int64)
-    with pytest.raises(SizeBoundError, match="int32"):
-        forms._symplectic_pass(SimpleNamespace(n=68800, p=251), empty, 0)
+    n = -(-(2 ** 53 - 251) // 250 ** 2)  # the least n with n 250^2 + 251 >= 2^53
+    with pytest.raises(SizeBoundError, match="float64"):
+        forms._symplectic_pass(SimpleNamespace(n=n, p=251), empty, 0)
+    with pytest.raises(AttributeError, match="entries"):
+        forms._symplectic_pass(SimpleNamespace(n=n - 1, p=251), empty, 0)
+
+
+@st.composite
+def pass_matrices(draw, primes=(2, 3, 5, 7, 251), max_n=40):
+    """Dense and Toeplitz matrices, explicit banded ones with no pattern,
+    and ones whose leading block and some whole rows are zero, so that
+    the first nonzero column of a row lies at or past its own index."""
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(1, max_n))
+    kind = draw(st.sampled_from(["dense", "toeplitz", "band", "zero-lead"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "toeplitz":
+        return sl.toeplitz_matrix(p, rng.integers(0, p, draw(st.integers(0, 6))), n)
+    upper = np.triu(rng.integers(0, p, (n, n)), 1)
+    if kind == "band":
+        upper = np.tril(upper, draw(st.integers(1, 6)))
+    elif kind == "zero-lead":
+        z = draw(st.integers(1, n))
+        upper[:z, :z] = 0
+        zero = rng.random(n) < 0.2
+        upper[zero] = 0
+        upper[:, zero] = 0
+    return sl.commutation_matrix(p, (upper - upper.T) % p)
+
+
+@settings(deadline=None, max_examples=150)
+@given(pass_matrices(), st.integers(0, 40))
+def test_symplectic_pass_equals_the_two_array_pass(mat, k):
+    empty = np.zeros((0, 0), dtype=np.int64)
+    basis, ranks = forms.prefix_ranks(mat)
+    want, want_ranks = symplectic_pass_two_arrays(mat, empty, 0)
+    assert ranks == want_ranks
+    assert _same_basis(basis, want)
+    assert _same_basis(sl.symplectic_basis(mat), want)
+    k = min(k, mat.n)
+    old = sl.symplectic_basis(mat.prefix(k)) if k else sl.SymplecticBasis((), (), ())
+    want, _ = symplectic_pass_two_arrays(mat, old.column_matrix() % mat.p, old.r)
+    assert _same_basis(sl.extend_symplectic_basis(mat, old), want)
+
+
+def _basis_digest(basis):
+    h = hashlib.sha256()
+    for a in (basis.e, basis.f, basis.kernel):
+        h.update(np.asarray(a.shape, dtype="<i8").tobytes())
+        h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+# digests of the bases the two-array int32 pass gave
+@pytest.mark.parametrize(
+    "p, digest",
+    [
+        (2, "6b664b25eeab7b27d7d5ff6a9ec305393e95f09c1cdc60a6c67ee8543c4a493c"),
+        (3, "92f87dfd955d80b0284dcbc7ed36ebb0011bb2667c046ca4f641b9e28761be52"),
+        (251, "ab3d8a1195cc13908028d07228b525d92f9a9ee6370e2cb643c762ba877ab245"),
+    ],
+)
+def test_symplectic_basis_digest_n512(p, digest):
+    assert _basis_digest(sl.symplectic_basis(sl.random_alternating(p, 512, seed=p))) == digest
+
+
+def test_extend_symplectic_basis_digest_480_to_512():
+    mat = sl.random_alternating(3, 512, seed=480)
+    grown = sl.extend_symplectic_basis(mat, sl.symplectic_basis(mat.prefix(480)))
+    assert _basis_digest(grown) == (
+        "b9d396a738db51340a28f1b5dc6cafae2d441ff7c21c37782ce9dabb2225f613"
+    )
 
 
 @settings(deadline=None, max_examples=60)
