@@ -192,16 +192,6 @@ def q_form(mat: CommutationMatrix, x, y) -> int:
     return int(_gf_vector(mat, x) @ mat.lower @ _gf_vector(mat, y) % mat.p)
 
 
-def form_kernel(mat: CommutationMatrix) -> np.ndarray:
-    """Deterministic basis of ker(omega) = {x : Cx = 0}, one (d, n) array."""
-    return gf.kernel_basis(mat.entries, mat.p)
-
-
-def form_rank(mat: CommutationMatrix) -> int:
-    """Rank of the form: n minus the kernel dimension.  Always even."""
-    return mat.n - len(form_kernel(mat))
-
-
 @dataclass(frozen=True, eq=False)
 class SymplecticBasis:
     """Hyperbolic pairs plus a kernel basis spanning GF(p)^n.
@@ -255,12 +245,13 @@ def _symplectic_pass(
     w_j != 0 pairs with v / w_j and each other u_i loses (w_i / w_j) u_j,
     in order; with none, v joins u.  Each O(n^2) step keeps the given
     pairs and yields the rank of the leading k + 1 block.  The radical
-    comes back as the reduced echelon form of u with its columns
-    reversed, which is ``form_kernel``: column j of C is free exactly
-    when some kernel vector has its last nonzero entry at j.  The float64
-    (BLAS) products are exact in any summation order: w holds integers
-    in [0, p), so every sum has at most n terms below (p-1)^2 and stays
-    below n (p-1)^2 + p < 2^53, which is n < 1.4 x 10^11 at p = 251.
+    comes back in the normal form that defines ``form_kernel``: the
+    reduced echelon form of u with its columns reversed, one vector per
+    free column j of C in increasing order, with 1 at j and 0 at the
+    other free columns (the kernel vector read off the RREF of C at j).
+    The float64 (BLAS) products are exact in any summation order: w holds
+    integers in [0, p), so every sum has at most n terms below (p-1)^2 and
+    stays below n (p-1)^2 + p < 2^53, which is n < 1.4 x 10^11 at p = 251.
     """
     n, p = mat.n, mat.p
     if n * (p - 1) ** 2 + p >= 2 ** 53:
@@ -304,6 +295,17 @@ def symplectic_basis(mat: CommutationMatrix) -> SymplecticBasis:
     """Constructive decomposition GF(p)^n = ker(omega) + hyperbolic pairs,
     by ``_symplectic_pass`` from the empty state: deterministic, O(n^3)."""
     return _symplectic_pass(mat, np.zeros((0, 0), dtype=np.int64), 0)[0]
+
+
+def form_kernel(mat: CommutationMatrix) -> np.ndarray:
+    """Deterministic basis of ker(omega) = {x : Cx = 0}, one frozen (d, n)
+    int64 array: the kernel of ``symplectic_basis``."""
+    return symplectic_basis(mat).kernel
+
+
+def form_rank(mat: CommutationMatrix) -> int:
+    """Rank 2r of the form, from the pairs of ``symplectic_basis``."""
+    return 2 * symplectic_basis(mat).r
 
 
 def prefix_ranks(mat: CommutationMatrix) -> tuple[SymplecticBasis, list[int]]:

@@ -1,7 +1,6 @@
 """Exact dense linear algebra over the prime fields Z_p.
 
-Matrices and vectors are numpy int64 arrays with entries reduced mod p,
-and a family of vectors (a kernel basis) is the rows of one (k, n) array.
+Matrices and vectors are numpy int64 arrays with entries reduced mod p.
 All pivoting is deterministic (first nonzero entry scanning top-left), so
 every routine returns the same answer on every run; golden tests rely on
 this.  Columns and rows are 0-indexed.
@@ -10,6 +9,8 @@ Every routine here is built on ``rref``, the single elimination kernel:
 O(m n rank) arithmetic, with one vectorised rank-1 update per pivot.
 Reduction mod p is deferred: the working array is reduced only where a
 value is read (the pivot column and the pivot row) and once at the end.
+There is no null-space routine: the kernel of a commutation matrix comes
+from the symplectic pass (``forms.form_kernel``).
 
 Primes are restricted to 2 <= p <= 251 so that the unreduced
 intermediate values stay far inside int64 (see ``rref`` for the bound).
@@ -124,29 +125,6 @@ def rank(mat: np.ndarray, p: int) -> int:
     """Rank of a matrix over GF(p)."""
     _, pivots = rref(mat, p)
     return len(pivots)
-
-
-def kernel_from_rref(r: np.ndarray, pivots: list[int], n: int, p: int) -> np.ndarray:
-    """Right null space basis read off an RREF (as returned by ``rref``).
-
-    One basis vector per free column, taken in increasing column order;
-    the free coordinate is 1 and the pivot coordinates are the negated
-    entries of that column of R.  The vectors are the rows of a new array.
-    """
-    is_free = np.ones(n, dtype=bool)
-    is_free[pivots] = False
-    free = np.flatnonzero(is_free)
-    k = np.zeros((free.size, n), dtype=np.int64)
-    k[np.arange(free.size), free] = 1
-    k[:, pivots] = (-r[: len(pivots), free].T) % p
-    return k
-
-
-def kernel_basis(mat: np.ndarray, p: int) -> np.ndarray:
-    """Deterministic basis of the right null space {v : mat v = 0}, a (d, n)
-    array: one elimination followed by ``kernel_from_rref``."""
-    r, pivots = rref(mat, p)
-    return kernel_from_rref(r, pivots, r.shape[1], p)
 
 
 def solve(mat: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:

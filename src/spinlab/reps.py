@@ -369,14 +369,13 @@ def extract_invariant(rep: Representation) -> StandardInvariant:
     Raises InvariantError when some kernel word is not scalar, which
     signals a reducible representation whose invariant is undefined.
     """
-    kernel = form_kernel(rep.mat)  # independent and inside ker(omega)
+    kernel = form_kernel(rep.mat)  # frozen, independent and inside ker(omega)
     values = tuple(is_scalar(word_matrix(rep, k)) for k in kernel)
     if None in values:
         raise InvariantError(
             "kernel word is not scalar; representation is reducible and "
             "its standard invariant is undefined"
         )
-    kernel.flags.writeable = False
     return _checked_invariant(rep.mat, kernel, values)
 
 
@@ -606,22 +605,16 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
     classes at every p).  For a banded source the rank-growth table over
     all prefixes is included, with an explicitly heuristic flag set when
     the rank is still growing at the end of the table (finite prefixes
-    can never prove infinite rank); the kernel then comes from the same
-    symplectic pass as the table, in the normal form of ``form_kernel``,
-    which alone is faster when no table is needed.
+    can never prove infinite rank).  One symplectic pass gives the table
+    and the kernel, ``form_kernel``, for every matrix.
     """
+    basis, table = prefix_ranks(mat)
     ranks = conjectured = None
-    if mat.pattern is None:
-        kernel = form_kernel(mat)
-    else:
-        basis, ranks = prefix_ranks(mat)
-        kernel, ranks = basis.kernel, tuple(ranks)
+    if mat.pattern is not None:
+        ranks = tuple(table)
         tail = ranks[-3] if len(ranks) >= 3 else ranks[0]
         conjectured = ranks[-1] > tail
-    kernel.flags.writeable = False
-    d = len(kernel)
-    rank = mat.n - d
-    r = rank // 2
+    r, d = basis.r, basis.d
     descriptor_parts = []
     if d > 0:
         descriptor_parts.append(f"C(X_{mat.p ** d})")
@@ -630,9 +623,9 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
     return StructureReport(
         p=mat.p,
         n=mat.n,
-        rank=rank,
+        rank=2 * r,
         kernel_dim=d,
-        kernel_basis=kernel,
+        kernel_basis=basis.kernel,
         center_dim=mat.p ** d,
         matrix_factor=f"M_{mat.p ** r}",
         descriptor=" ⊗ ".join(descriptor_parts),

@@ -20,8 +20,9 @@ Standard invariants live on ker(omega): the scalar values taken by
 central words in an irreducible system, given on any basis of the kernel
 and extended through the product rule.  The basis is one frozen (d, n)
 array, checked once when an invariant is built and shared, not copied,
-by the invariants derived from it; equality and retargeting evaluate one
-invariant at the other's basis (``_values_at``), so neither depends on it.
+by the invariants derived from it; equality evaluates each invariant at
+the other's basis, and retargeting the target at the reference's basis
+(``_values_at``), so neither depends on it.
 Multiplying generator k by zeta^{gamma_k} adds p (gamma . x) to the
 invariant at every kernel vector x, so the valid invariants, those with
 f(k) = s(k) mod p, form p^d classes for a d-dimensional kernel.
@@ -140,7 +141,8 @@ def is_central(x, mat: CommutationMatrix) -> bool:
 class StandardInvariant:
     """A function on the span of an independent basis inside ker(omega),
     stored as phase exponents (mod p^2) on that basis and extended through
-    the word product rule; ``==`` compares functions, not bases.
+    the word product rule; ``==`` compares functions, not bases: each
+    invariant is evaluated on the other's basis.
 
     The basis, any sequence of length-n integer vectors, is kept reduced
     mod p as one frozen (d, n) int64 array, which the invariants derived
@@ -182,10 +184,12 @@ class StandardInvariant:
             return False
         if self.kernel_basis.tobytes() == other.kernel_basis.tobytes():
             return self.values == other.values
-        try:
-            return _values_at(other, self.kernel_basis).tolist() == list(self.values)
-        except InvariantError:  # self's basis leaves other's span
+        try:  # both ways, so that == is symmetric on invalid invariants too
+            there = _values_at(other, self.kernel_basis).tolist()
+            back = _values_at(self, other.kernel_basis).tolist()
+        except InvariantError:  # the two bases span different subspaces
             return False
+        return there == list(self.values) and back == list(other.values)
 
     @cached_property
     def _tables(self) -> "_KernelTables":

@@ -325,14 +325,14 @@ def rref_stepwise(mat, p):
 def prefix_ranks_loop(mat):
     """Form rank of every leading k x k block, one elimination each: the
     oracle for ``forms.prefix_ranks``."""
-    return [sl.form_rank(mat.prefix(k)) for k in range(1, mat.n + 1)]
+    return [sl.gf.rank(mat.prefix(k).entries, mat.p) for k in range(1, mat.n + 1)]
 
 
 def kernel_rows_loop(entries, p):
     """The basis of {v : Mv = 0} built one vector per free column of the
     RREF (``rref_stepwise``), in increasing column order: 1 at its free
     column and the negated RREF entries at the pivot columns.  A list of
-    vectors, the oracle of ``gf.kernel_basis``."""
+    vectors, the oracle of ``forms.form_kernel``."""
     r, pivots = rref_stepwise(entries, p)
     n = r.shape[1]
     out = []

@@ -14,6 +14,7 @@ from spinlab.errors import SizeBoundError
 
 from conftest import (
     brute_kernel_set,
+    brute_rank,
     check_symplectic_relations,
     commutation_matrices,
     enum_vectors,
@@ -239,6 +240,27 @@ def test_form_kernel_zero_matrix():
     assert sl.form_rank(mat) == 0
 
 
+def test_form_kernel_zero_matrix_is_standard_basis():
+    mat = sl.commutation_matrix(2, np.zeros((3, 3), dtype=int))
+    assert sl.form_kernel(mat).tolist() == np.eye(3, dtype=int).tolist()
+
+
+def test_form_kernel_clifford3():
+    assert sl.form_kernel(CLIFF3).tolist() == [[1, 1, 1]]
+
+
+def test_form_kernel_trivial():
+    assert sl.form_kernel(PAULI).shape == (0, 2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(commutation_matrices(primes=(2, 3, 5), max_n=5))
+def test_form_kernel_spans_the_brute_force_kernel(mat):
+    kernel = sl.form_kernel(mat)
+    assert len(kernel) == mat.n - brute_rank(mat.entries, mat.p)
+    assert span_set(kernel, mat.p, mat.n) == brute_kernel_set(mat.entries, mat.p)
+
+
 def test_form_kernel_clifford_cases():
     assert span_set(sl.form_kernel(CLIFF3), 2, 3) == brute_kernel_set(
         CLIFF3.entries, 2
@@ -426,7 +448,7 @@ def test_symplectic_pass_matches_oracles(mat, k):
     basis, ranks = forms.prefix_ranks(mat)
     assert ranks == prefix_ranks_loop(mat)
     assert _same_basis(basis, fresh)
-    assert _same(fresh.kernel, sl.form_kernel(mat))
+    assert _same(fresh.kernel, kernel_rows_loop(mat.entries, mat.p))
     empty = sl.SymplecticBasis((), (), ())
     assert _same_basis(sl.extend_symplectic_basis(mat, empty), fresh)
     if k:
@@ -502,12 +524,16 @@ def test_symplectic_pass_equals_the_two_array_pass(mat, k):
     assert _same_basis(sl.extend_symplectic_basis(mat, old), want)
 
 
-def _basis_digest(basis):
+def _digest(*arrays):
     h = hashlib.sha256()
-    for a in (basis.e, basis.f, basis.kernel):
+    for a in arrays:
         h.update(np.asarray(a.shape, dtype="<i8").tobytes())
         h.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
     return h.hexdigest()
+
+
+def _basis_digest(basis):
+    return _digest(basis.e, basis.f, basis.kernel)
 
 
 # digests of the bases the two-array int32 pass gave
@@ -531,6 +557,29 @@ def test_extend_symplectic_basis_digest_480_to_512():
     )
 
 
+def _planted(p, r, d, seed):
+    """C = B (J_r + 0_d) B^T for an invertible B = L U with unit diagonals."""
+    n = 2 * r + d
+    rng = np.random.default_rng(seed)
+    lower = np.tril(rng.integers(0, p, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+    return sl.matrix_from_basis(sl.standard_form(p, r, d), lower @ upper % p)
+
+
+# digests of the kernel read off one RREF of C, one vector per free column
+@pytest.mark.parametrize(
+    "p, digest",
+    [
+        (2, "a96563593e39e04a6bf29eda49806d880a795f2ba7ce86c67eea85b72a23df0e"),
+        (3, "c62ea741e87c546da2f972b69a162fa9ea28a211bcdf4c09bbe60dba9bb77744"),
+    ],
+)
+def test_form_kernel_digest_planted_n512_d32(p, digest):
+    kernel = sl.form_kernel(_planted(p, 240, 32, seed=p))
+    assert kernel.shape == (32, 512)
+    assert _digest(kernel) == digest
+
+
 @settings(deadline=None, max_examples=60)
 @given(commutation_matrices(primes=(2, 3, 5, 251), max_n=14), st.integers(1, 14))
 def test_vector_families_are_int64_arrays(mat, k):
@@ -544,7 +593,6 @@ def test_vector_families_are_int64_arrays(mat, k):
         assert got.tolist() == [v.tolist() for v in want]
 
     kernel = kernel_rows_loop(mat.entries, p)
-    same_rows(gf.kernel_basis(mat.entries, p), kernel)
     same_rows(sl.form_kernel(mat), kernel)
     old = symplectic_pass_loop(mat.prefix(k), [], [], [])
     padded = [[np.pad(v, (0, n - k)) for v in vs] for vs in old]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spinlab import gf
 
-from conftest import brute_kernel_set, brute_rank, enum_vectors, rref_stepwise, span_set
+from conftest import brute_rank, enum_vectors, rref_stepwise
 
 
 def test_rref_zero_matrix():
@@ -33,23 +33,6 @@ def test_rref_scales_pivots_mod_5():
     r, pivots = gf.rref(np.array([[2, 1], [0, 3]]), 5)
     assert np.array_equal(r, np.eye(2, dtype=int))
     assert pivots == [0, 1]
-
-
-def test_kernel_zero_matrix_is_standard_basis():
-    basis = gf.kernel_basis(np.zeros((3, 3), dtype=int), 2)
-    assert [v.tolist() for v in basis] == np.eye(3, dtype=int).tolist()
-
-
-def test_kernel_clifford3():
-    ent = np.ones((3, 3), dtype=int) - np.eye(3, dtype=int)
-    basis = gf.kernel_basis(ent, 2)
-    # brute force over all 8 vectors
-    assert span_set(basis, 2, 3) == brute_kernel_set(ent, 2)
-    assert [v.tolist() for v in basis] == [[1, 1, 1]]
-
-
-def test_kernel_trivial():
-    assert gf.kernel_basis(np.array([[0, 1], [1, 0]]), 2).shape == (0, 2)
 
 
 def test_rank_examples():
@@ -109,41 +92,6 @@ small_matrices = st.tuples(
 
 def _random_matrix(p, m, n, seed):
     return np.random.default_rng(seed).integers(0, p, size=(m, n))
-
-
-@settings(deadline=None)
-@given(small_matrices)
-def test_rank_nullity(params):
-    p, m, n, seed = params
-    mat = _random_matrix(p, m, n, seed)
-    assert gf.rank(mat, p) + len(gf.kernel_basis(mat, p)) == n
-
-
-@settings(deadline=None)
-@given(small_matrices)
-def test_kernel_vectors_annihilate(params):
-    p, m, n, seed = params
-    mat = _random_matrix(p, m, n, seed)
-    for v in gf.kernel_basis(mat, p):
-        assert not ((mat @ v) % p).any()
-
-
-@settings(deadline=None, max_examples=60)
-@given(small_matrices)
-def test_kernel_from_rref_matches_oracle(params):
-    p, m, n, seed = params
-    mat = _random_matrix(p, m, n, seed)
-    r, pivots = gf.rref(mat, p)
-    basis = gf.kernel_from_rref(r, pivots, n, p)
-    assert len(basis) == n - brute_rank(mat, p)
-    assert span_set(basis, p, n) == brute_kernel_set(mat, p)
-    # one vector per free column, in order: 1 there, 0 at the other free columns
-    free = [j for j in range(n) if j not in pivots]
-    for v, j in zip(basis, free):
-        assert v.shape == (n,) and v[free].tolist() == [int(k == j) for k in free]
-    # every vector is its own array
-    for i, a in enumerate(basis):
-        assert all(not np.shares_memory(a, b) for b in basis[i + 1 :])
 
 
 @settings(deadline=None, max_examples=40)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spinlab as sl
-from spinlab import formats
+from spinlab import formats, forms
 from spinlab.errors import InvariantError, SizeBoundError
 from spinlab.reps import mono_mul, mono_pow, mono_scale, mono_tensor, to_dense
 
@@ -638,19 +638,28 @@ def test_every_enumerated_invariant_is_a_distinct_irreducible_class(mat):
         assert sl.commutant_dim(rep) == 1
 
 
-def test_irreducible_rep_eliminates_no_kernel(monkeypatch):
+def _count_passes(monkeypatch):
+    """A list that gains one entry per symplectic pass from now on."""
     calls = []
-    real = sl.gf.kernel_basis
+    real = forms._symplectic_pass
 
-    def counting(mat, p):
+    def counting(*args):
         calls.append(1)
-        return real(mat, p)
+        return real(*args)
 
-    monkeypatch.setattr(sl.gf, "kernel_basis", counting)
+    monkeypatch.setattr(forms, "_symplectic_pass", counting)
+    return calls
+
+
+def test_irreducible_rep_eliminates_no_kernel(monkeypatch):
+    # the kernel comes from the one pass that gives the pairs
+    calls = _count_passes(monkeypatch)
     for p, n in ((2, 9), (3, 6), (5, 4)):
         mat = sl.random_alternating(p, n, seed=n)
-        sl.irreducible_rep(mat, sl.reference_invariant(mat))
-    assert calls == []
+        invariant = sl.reference_invariant(mat)
+        calls.clear()
+        sl.irreducible_rep(mat, invariant)
+        assert calls == [1]
 
 
 # --- extract / phase shift ---------------------------------------------------
@@ -925,20 +934,17 @@ def test_structure_report_toeplitz_growth():
 
 
 def test_structure_report_banded_eliminates_no_kernel(monkeypatch):
-    # the kernel of a banded source comes from the pass of the rank table
-    mats = [sl.toeplitz_matrix(p, pat, n) for p, pat, n in
-            ((2, [1, 0, 1, 1], 24), (3, [1, 2], 13), (5, [0, 3, 0, 1], 17))]
-    kernels = [sl.form_kernel(mat) for mat in mats]
-    calls = []
-    real = sl.gf.kernel_basis
-
-    def counting(mat, p):
-        calls.append(1)
-        return real(mat, p)
-
-    monkeypatch.setattr(sl.gf, "kernel_basis", counting)
-    for mat, kernel in zip(mats, kernels):
-        report = sl.structure_report(mat)
-        assert len(report.kernel_basis) == len(kernel)
-        assert all(np.array_equal(a, b) for a, b in zip(report.kernel_basis, kernel))
-    assert calls == []
+    # a banded source and its explicit copy each take one pass, which
+    # gives the kernel (and the rank table of the banded one)
+    banded = [sl.toeplitz_matrix(p, pat, n) for p, pat, n in
+              ((2, [1, 0, 1, 1], 24), (3, [1, 2], 13), (5, [0, 3, 0, 1], 17))]
+    calls = _count_passes(monkeypatch)
+    for mat in banded:
+        kernel = sl.form_kernel(mat)
+        for source in (mat, sl.commutation_matrix(mat.p, mat.entries)):
+            calls.clear()
+            report = sl.structure_report(source)
+            assert calls == [1]
+            assert report.kernel_basis.tobytes() == kernel.tobytes()
+            assert report.kernel_basis.shape == kernel.shape
+            assert (report.prefix_ranks is None) == (source.pattern is None)

@@ -346,6 +346,27 @@ def test_invariant_equality_is_basis_free():
     )
 
 
+def test_invariant_equality_is_symmetric_on_every_moved_invariant():
+    # zero 2 x 2 matrix at p = 3: all 81 value pairs on the form_kernel
+    # basis K, each moved to U K for all 48 U in GL(2, 3)
+    zero = sl.commutation_matrix(3, np.zeros((2, 2), dtype=int))
+    k = sl.form_kernel(zero)
+    gl = [np.array(u).reshape(2, 2) for u in itertools.product(range(3), repeat=4)
+          if (u[0] * u[3] - u[1] * u[2]) % 3]
+    assert len(gl) == 48
+    valid = 0
+    for values in itertools.product(range(9), repeat=2):
+        f = sl.StandardInvariant(zero, k, values)
+        for u in gl:
+            uk = u @ k % 3
+            moved = sl.StandardInvariant(zero, uk, [sl.evaluate_invariant(f, v) for v in uk])
+            assert (f == moved) == (moved == f)
+            if sl.invariant_square_check(f):
+                valid += 1
+                assert f == moved  # a valid invariant is one function on any basis
+    assert valid == 9 * 48
+
+
 @pytest.mark.parametrize(
     "mat,basis",
     [
