@@ -35,20 +35,21 @@ def _read(path: str) -> str:
         raise MatrixFormatError(f"cannot read {path}: not UTF-8 ({exc})")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(out: str | None, *pieces: str) -> None:
+    """Write the pieces in order to ``out`` or stdout, with no joined copy."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise MatrixFormatError(f"cannot write {out}: {exc.strerror}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
     # integer arrays are written by numpy, not item by item (compact_json)
-    _emit(formats.compact_json(doc) + "\n", out)
+    _emit(out, formats.compact_json(doc), "\n")
 
 
 def _load_matrix(path: str, n_max: int | None) -> forms.CommutationMatrix:
@@ -114,7 +115,7 @@ def _cmd_analyze(args) -> int:
     if args.json:
         _emit_json(formats.report_doc(report), args.out)
     else:
-        _emit(_analyze_text(report), args.out)
+        _emit(args.out, _analyze_text(report))
     return 0
 
 
@@ -173,7 +174,7 @@ def _cmd_generate(args) -> int:
         ref = _load_matrix(ref_path, None)
         vectors = formats.parse_basis_file(_read(basis_path), ref.p, ref.n)
         mat = forms.matrix_from_basis(ref, vectors)
-    _emit(formats.format_matrix_file(mat), args.out)
+    _emit(args.out, formats.format_matrix_file(mat))
     return 0
 
 
@@ -186,7 +187,7 @@ def _cmd_grow(args) -> int:
     if args.json:
         _emit_json(doc, args.out)
     else:
-        _emit(_grow_text(doc), args.out)
+        _emit(args.out, _grow_text(doc))
     return 0
 
 

@@ -242,53 +242,72 @@ def _symplectic_pass(
     of C, found once for all rows (so a band of width m costs O(m k)).  It
     projects e_k to v = e_k - sum omega(e_k, f_i) e_i + sum omega(e_k, e_i) f_i;
     then w_j = omega(u_j, v) = -omega(e_k, u_j).  The first u_j with
-    w_j != 0 pairs with v / w_j and each other u_i loses (w_i / w_j) u_j,
+    w_j != 0 pairs with v / w_j and each later u_i loses (w_i / w_j) u_j,
     in order; with none, v joins u.  Each O(n^2) step keeps the given
     pairs and yields the rank of the leading k + 1 block.  The radical
     comes back in the normal form that defines ``form_kernel``: the
     reduced echelon form of u with its columns reversed, one vector per
     free column j of C in increasing order, with 1 at j and 0 at the
     other free columns (the kernel vector read off the RREF of C at j).
+
+    A fresh pass makes no elimination, because its u is already in that
+    form.  Call the pivot of u_j the step at which it joined (its last
+    nonzero coordinate); by induction over the steps, each u_j is 1 at its
+    own pivot and 0 at the other live pivots, and every pair vector is 0
+    at every live pivot: a new v is e_k plus pair vectors, a pairing
+    consumes u_j with its pivot, and it changes only the u_i after u_j,
+    by a multiple of u_j.  A resumed pass (``start`` not empty) inherits
+    old pairs that may be nonzero at the pivots, so it ends with one
+    ``gf.rref`` of u, which also checks that u is independent.
+
     The float64 (BLAS) products are exact in any summation order: w holds
     integers in [0, p), so every sum has at most n terms below (p-1)^2 and
-    stays below n (p-1)^2 + p < 2^53, which is n < 1.4 x 10^11 at p = 251.
+    stays below n (p-1)^2 + p < 2^53, which is n < 1.4 x 10^11 at p = 251;
+    the int64 scaling of v then stays below n (p-1)^3 < 2^61.
     """
     n, p = mat.n, mat.p
     if n * (p - 1) ** 2 + p >= 2 ** 53:
         raise SizeBoundError(f"matrix size {n} too large for the exact float64 pass at p={p}")
     n_old, k0 = start.shape
     lo = (mat.entries != 0).argmax(axis=1).tolist()  # 0 for a zero row
+    # v's coefficients on (e_1, f_1, ...) are row[swap] * sign, that is
+    # (-omega(e_k, f_1), omega(e_k, e_1), ...)
+    swap = np.arange(n) ^ 1
+    sign = np.resize(np.array([-1, 1]), n)
     w = np.zeros((n, n))
     w[:n_old, :k0] = start  # zero-padded to length n
     ranks = []
     for k in range(k0, n):
         pairs, j = 2 * r, lo[k]
-        row = mat.entries[k, j:k].astype(np.float64) @ w[j:k, :k] % p
-        c = row[:pairs].reshape(r, 2)[:, ::-1].flatten()
-        c[0::2] *= -1  # the coefficients of v on (e_1, f_1, ...)
-        v = w[: k + 1, :pairs] @ c
+        row = (mat.entries[k, j:k] @ w[j:k, :k]).astype(np.int64) % p
+        v = w[: k + 1, :pairs] @ (row[swap[:pairs]] * sign[:pairs])
         v[k] += 1
         ou = row[pairs:]  # omega(e_k, u_j) = -w_j
         nz = ou.nonzero()[0]
         if nz.size:
             i = int(nz[0])
-            inv = pow(-int(ou[i]), -1, p)
+            inv = pow(int(p - ou[i]), -1, p)  # 1 / w_i
             ui = w[:k, pairs + i].copy()
-            t = -ou[i + 1 :] * inv % p  # w_j / w_i for the u_j after u_i
-            w[:k, pairs + i + 2 : k + 1] = (w[:k, pairs + i + 1 : k] - np.outer(ui, t)) % p
+            # u_j - (w_j / w_i) u_i = u_j + (-w_j / w_i) u_i for the u_j after u_i
+            w[:k, pairs + i + 2 : k + 1] = (
+                w[:k, pairs + i + 1 : k] + ui[:, None] * (ou[i + 1 :] * inv)
+            ).astype(np.int64) % p
             w[:k, pairs + 2 : pairs + i + 2] = w[:k, pairs : pairs + i]  # w_j = 0 before u_i
             w[:k, pairs] = ui
-            w[: k + 1, pairs + 1] = v % p * inv % p
+            w[: k + 1, pairs + 1] = v.astype(np.int64) * inv % p
             r += 1
         else:
-            w[: k + 1, k] = v % p
+            w[: k + 1, k] = v.astype(np.int64) % p
         ranks.append(2 * r)
     w = w.astype(np.int64)  # exact: every entry lies in [0, p)
-    rows, pivots = gf.rref(w[:, 2 * r :].T[:, ::-1], p)
-    if len(pivots) != n - 2 * r:
-        raise ValueError("existing basis is inconsistent")
+    kernel = w[:, 2 * r :].T
+    if k0:
+        rows, pivots = gf.rref(kernel[:, ::-1], p)
+        if len(pivots) != n - 2 * r:
+            raise ValueError("existing basis is inconsistent")
+        kernel = rows[::-1, ::-1]
     pairs = w[:, : 2 * r].T
-    return SymplecticBasis(pairs[0::2], pairs[1::2], rows[::-1, ::-1]), ranks
+    return SymplecticBasis(pairs[0::2], pairs[1::2], kernel), ranks
 
 
 def symplectic_basis(mat: CommutationMatrix) -> SymplecticBasis:

@@ -5,12 +5,14 @@ All pivoting is deterministic (first nonzero entry scanning top-left), so
 every routine returns the same answer on every run; golden tests rely on
 this.  Columns and rows are 0-indexed.
 
-Every routine here is built on ``rref``, the single elimination kernel:
-O(m n rank) arithmetic, with one vectorised rank-1 update per pivot.
-Reduction mod p is deferred: the working array is reduced only where a
-value is read (the pivot column and the pivot row) and once at the end.
-There is no null-space routine: the kernel of a commutation matrix comes
-from the symplectic pass (``forms.form_kernel``).
+``rref`` is the single elimination kernel: O(m n rank) arithmetic, with
+one vectorised rank-1 update per pivot.  Reduction mod p is deferred:
+the working array is reduced only where a value is read (the pivot
+column and the pivot row) and once at the end.  There is no null-space,
+solve or inverse routine: the kernel of a commutation matrix comes from
+the symplectic pass (``forms.form_kernel``), which makes no elimination
+when it starts fresh and one ``rref`` of its radical when it resumes
+(``forms.extend_symplectic_basis``).
 
 Primes are restricted to 2 <= p <= 251 so that the unreduced
 intermediate values stay far inside int64 (see ``rref`` for the bound).
@@ -125,37 +127,3 @@ def rank(mat: np.ndarray, p: int) -> int:
     """Rank of a matrix over GF(p)."""
     _, pivots = rref(mat, p)
     return len(pivots)
-
-
-def solve(mat: np.ndarray, b: np.ndarray, p: int) -> np.ndarray | None:
-    """One solution x of mat x = b over GF(p), or None if inconsistent.
-
-    Free variables are set to zero, making the choice deterministic.
-    """
-    mat = as_gf_array(mat, p)
-    b = as_gf_array(b, p)
-    m, n = mat.shape
-    if b.shape != (m,):
-        raise ValueError(f"rhs length {b.shape} does not match {m} rows")
-    aug = np.concatenate([mat, b.reshape(m, 1)], axis=1)
-    r, pivots = rref(aug, p)
-    if n in pivots:
-        return None
-    x = np.zeros(n, dtype=np.int64)
-    for row, col in enumerate(pivots):
-        x[col] = r[row, n]
-    return x
-
-
-def inverse(mat: np.ndarray, p: int) -> np.ndarray:
-    """Inverse of a square matrix over GF(p); raises if singular."""
-    mat = as_gf_array(mat, p)
-    m, n = mat.shape
-    if m != n:
-        raise ValueError("only square matrices can be inverted")
-    aug = np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1)
-    r, pivots = rref(aug, p)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular over GF(p)")
-    return r[:, n:]
-

@@ -241,7 +241,7 @@ def evaluate_invariant_loop(f, x):
     p = f.mat.p
     x = np.asarray(x, dtype=np.int64) % p
     if f.d:
-        coords = sl.gf.solve(np.stack(f.kernel_basis, axis=1), x, p)
+        coords = gf_solve(np.stack(f.kernel_basis, axis=1), x, p)
     else:
         coords = None if x.any() else np.zeros(0, dtype=np.int64)
     if coords is None:
@@ -320,6 +320,37 @@ def rref_stepwise(mat, p):
         pivot_cols.append(col)
         row += 1
     return r, pivot_cols
+
+
+def gf_solve(mat, b, p):
+    """One solution x of mat x = b over GF(p) from ``gf.rref`` of [mat | b],
+    or None if inconsistent; free variables are zero, so the choice is
+    deterministic.  The oracle for kernel coordinates and for the gamma
+    tables of ``realize_invariant``."""
+    mat = sl.gf.as_gf_array(mat, p)
+    b = sl.gf.as_gf_array(b, p)
+    m, n = mat.shape
+    if b.shape != (m,):
+        raise ValueError(f"rhs length {b.shape} does not match {m} rows")
+    r, pivots = sl.gf.rref(np.concatenate([mat, b.reshape(m, 1)], axis=1), p)
+    if n in pivots:
+        return None
+    x = np.zeros(n, dtype=np.int64)
+    x[pivots] = r[: len(pivots), n]
+    return x
+
+
+def gf_inverse(mat, p):
+    """Inverse of a square matrix over GF(p) from ``gf.rref`` of [mat | I];
+    raises ValueError if it is singular."""
+    mat = sl.gf.as_gf_array(mat, p)
+    m, n = mat.shape
+    if m != n:
+        raise ValueError("only square matrices can be inverted")
+    r, pivots = sl.gf.rref(np.concatenate([mat, np.eye(n, dtype=np.int64)], axis=1), p)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular over GF(p)")
+    return r[:, n:]
 
 
 def prefix_ranks_loop(mat):

@@ -18,6 +18,7 @@ from conftest import (
     check_symplectic_relations,
     commutation_matrices,
     enum_vectors,
+    invertible_matrix,
     kernel_rows_loop,
     matrices_with_vectors,
     omega_sum_oracle,
@@ -402,11 +403,12 @@ def _count_rref(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [3, 16, 48, 96])
-def test_symplectic_basis_eliminates_once(monkeypatch, n):
+def test_symplectic_basis_makes_no_elimination(monkeypatch, n):
+    # a fresh pass leaves its radical in the normal form: no gf.rref
     mat = sl.random_alternating(3, n, seed=n)
     calls = _count_rref(monkeypatch)
     basis = sl.symplectic_basis(mat)
-    assert len(calls) == 1
+    assert len(calls) == 0
     assert 2 * basis.r + basis.d == n
 
 
@@ -424,7 +426,31 @@ def test_extend_elimination_count_does_not_grow(monkeypatch, from_empty):
         monkeypatch.undo()
         check_symplectic_relations(mat, grown)
         counts.append(len(calls))
-    assert counts == [1, 1, 1]
+    # from the empty basis the pass is fresh; a resumed one reduces its radical once
+    assert counts == ([0, 0, 0] if from_empty else [1, 1, 1])
+
+
+@pytest.mark.parametrize("p, r, d, m", [(2, 3, 10, 12), (3, 3, 10, 16), (5, 4, 8, 14), (7, 2, 6, 10)])
+def test_extend_normalises_a_non_canonical_old_basis(p, r, d, m):
+    # a valid old basis whose kernel rows are mixed by an invertible matrix
+    # and whose e_i are shifted by kernel vectors: the resumed pass must
+    # still return form_kernel's normal form
+    rng = np.random.default_rng(p * 1000 + m)
+    n = 2 * r + d
+    mat = sl.matrix_from_basis(sl.standard_form(p, r, d), invertible_matrix(rng, n, p))
+    old = sl.symplectic_basis(mat.prefix(m))
+    assert old.r >= 1 and old.d >= 2
+    kernel = invertible_matrix(rng, old.d, p) @ old.kernel % p
+    e = (old.e + rng.integers(0, p, (old.r, old.d)) @ old.kernel) % p
+    assert not np.array_equal(kernel, old.kernel) and not np.array_equal(e, old.e)
+    grown = sl.extend_symplectic_basis(mat, sl.SymplecticBasis(e, old.f, kernel))
+    check_symplectic_relations(mat, grown)
+    pad = ((0, 0), (0, n - m))  # the old pairs stay verbatim, zero-padded
+    assert np.array_equal(grown.e[: old.r], np.pad(e, pad))
+    assert np.array_equal(grown.f[: old.r], np.pad(old.f, pad))
+    expected = sl.form_kernel(mat)
+    assert grown.kernel.shape == expected.shape
+    assert grown.kernel.tobytes() == expected.tobytes()
 
 
 def _same(xs, ys):
