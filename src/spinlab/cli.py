@@ -13,16 +13,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable
 
 from . import formats, forms, reps, words
 from .errors import InvariantError, MatrixFormatError, SizeBoundError
 
-EXIT_FORMAT = 2
-EXIT_SIZE = 3
-EXIT_INVARIANT = 4
+EXIT_CODES = {MatrixFormatError: 2, SizeBoundError: 3, InvariantError: 4}  # by exact type
 
 
 def _read(path: str) -> str:
@@ -35,7 +35,7 @@ def _read(path: str) -> str:
         raise MatrixFormatError(f"cannot read {path}: not UTF-8 ({exc})")
 
 
-def _emit(out: str | None, *pieces: str) -> None:
+def _emit(out: str | None, pieces: Iterable[str]) -> None:
     """Write the pieces in order to ``out`` or stdout, with no joined copy."""
     if out:
         try:
@@ -48,8 +48,7 @@ def _emit(out: str | None, *pieces: str) -> None:
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    # integer arrays are written by numpy, not item by item (compact_json)
-    _emit(out, formats.compact_json(doc), "\n")
+    _emit(out, itertools.chain(formats.json_pieces(doc), ["\n"]))
 
 
 def _load_matrix(path: str, n_max: int | None) -> forms.CommutationMatrix:
@@ -109,24 +108,22 @@ def _grow_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> None:
     mat = _load_matrix(args.path, args.n_max)
     report = reps.structure_report(mat)
     if args.json:
         _emit_json(formats.report_doc(report), args.out)
     else:
-        _emit(args.out, _analyze_text(report))
-    return 0
+        _emit(args.out, [_analyze_text(report)])
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args) -> None:
     mat = _load_matrix(args.path, args.n_max)
     basis = forms.symplectic_basis(mat)
     _emit_json(formats.basis_doc(mat, basis), args.out)
-    return 0
 
 
-def _cmd_represent(args) -> int:
+def _cmd_represent(args) -> None:
     mat = _load_matrix(args.path, args.n_max)
     max_dim = _max_dim()
     if args.kind == "prop11":
@@ -143,14 +140,12 @@ def _cmd_represent(args) -> int:
             invariant = formats.invariant_from_dict(doc, mat)
         rep = reps.irreducible_rep(mat, invariant, max_dim=max_dim)
     _emit_json(formats.representation_doc(rep), args.out)
-    return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     mat = _load_matrix(args.path, args.n_max)
     invariants = words.enumerate_invariants(mat)
     _emit_json(formats.classification_doc(mat, invariants), args.out)
-    return 0
 
 
 def _from_options(build, *args) -> forms.CommutationMatrix:
@@ -162,7 +157,7 @@ def _from_options(build, *args) -> forms.CommutationMatrix:
         raise MatrixFormatError(str(exc))
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args) -> None:
     if args.clifford is not None:
         mat = _from_options(forms.clifford_matrix, 2, args.clifford)
     elif args.random is not None:
@@ -174,11 +169,10 @@ def _cmd_generate(args) -> int:
         ref = _load_matrix(ref_path, None)
         vectors = formats.parse_basis_file(_read(basis_path), ref.p, ref.n)
         mat = forms.matrix_from_basis(ref, vectors)
-    _emit(args.out, formats.format_matrix_file(mat))
-    return 0
+    _emit(args.out, [formats.format_matrix_file(mat)])
 
 
-def _cmd_grow(args) -> int:
+def _cmd_grow(args) -> None:
     parsed = formats.parse_matrix_file(_read(args.path))
     if parsed.kind != "toeplitz":
         raise MatrixFormatError("grow requires a 'p toeplitz m' matrix file")
@@ -187,8 +181,7 @@ def _cmd_grow(args) -> int:
     if args.json:
         _emit_json(doc, args.out)
     else:
-        _emit(args.out, _grow_text(doc))
-    return 0
+        _emit(args.out, [_grow_text(doc)])
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
@@ -256,16 +249,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except MatrixFormatError as exc:
+        args.func(args)
+        return 0
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except SizeBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        return EXIT_CODES[type(exc)]
 
 
 def entry() -> None:

@@ -14,7 +14,7 @@ Parse and validation failures raise MatrixFormatError carrying the
 offending 1-based line number.  The CLI writes each JSON document as
 one line of compact JSON with a fixed field order: the bytes of the
 standard library encoder with separators "," and ":" and non-ASCII text
-kept, with integer arrays written by numpy (``compact_json``).
+kept, with integer arrays written by numpy (``json_pieces``).
 Documents never contain floats: phases are always integer exponents mod
 p^2.  The report, basis, classification and grow documents carry
 ``"schema": SCHEMA_VERSION``; the invariant and representation
@@ -24,6 +24,7 @@ documents do not.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -280,24 +281,42 @@ def _int_array_json(a) -> str:
     return "[" * a.ndim + "".join(pieces)[:-1].replace(";", "],[") + "]" * a.ndim
 
 
-def compact_json(doc) -> str:
-    """A document's ``json.dumps(..., ensure_ascii=False, separators=(",", ":"))``
-    text: each integer array object is written once by ``_int_array_json``, a
-    part that holds none in one call of the json encoder, the rest walked."""
+def json_pieces(doc) -> Iterator[str]:
+    """``json.dumps(doc, ensure_ascii=False, separators=(",", ":"))`` in runs of
+    about 64 KB: each integer array by ``_int_array_json`` (once while it repeats,
+    as a classification's kernel basis), a part holding none by the encoder."""
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-    texts: dict[int, str] = {}
+    last = [None, ""]  # the last array's id and text
 
-    def text(v) -> str:
+    def pieces(v):
         if isinstance(v, np.ndarray):
-            return texts.get(id(v)) or texts.setdefault(id(v), _int_array_json(v))
+            if last[0] != id(v):
+                last[:] = id(v), _int_array_json(v)
+            yield last[1]
+            return
         try:
-            return encode(v)
+            yield encode(v)
         except TypeError:  # an array inside (the encoder refuses arrays)
-            if isinstance(v, dict):
-                return "{" + ",".join([f"{encode(k)}:{text(x)}" for k, x in v.items()]) + "}"
-            return "[" + ",".join(map(text, v)) + "]"
+            is_dict = isinstance(v, dict)
+            yield "{" if is_dict else "["
+            for i, x in enumerate(v):
+                yield ("," if i else "") + (encode(x) + ":" if is_dict else "")
+                yield from pieces(v[x] if is_dict else x)
+            yield "}" if is_dict else "]"
 
-    return text(doc)
+    run, size = [], 0  # joined, since unbuffered output makes each piece a write
+    for piece in pieces(doc):
+        run.append(piece)
+        size += len(piece)
+        if size >= 1 << 16:
+            yield "".join(run)
+            run, size = [], 0
+    yield "".join(run)
+
+
+def compact_json(doc) -> str:
+    """The text of ``json_pieces``, joined."""
+    return "".join(json_pieces(doc))
 
 
 def invariant_doc(f: StandardInvariant) -> dict:
@@ -398,7 +417,7 @@ def grow_doc(mat: CommutationMatrix, report: StructureReport) -> dict:
 
 
 def _listed(build):
-    """The plain-list form of a ``*_doc`` builder (see compact_json)."""
+    """The plain-list form of a ``*_doc`` builder (see json_pieces)."""
     return lambda *args: _plain(build(*args), {})
 
 

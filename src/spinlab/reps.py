@@ -4,10 +4,10 @@ Generators, words, and all relation checks live on monomial matrices:
 one nonzero entry per row and column, each a p^2-th root of unity kept
 as an integer exponent.  Products, tensor products, and powers are
 therefore integer-exact, so the generator relations, orders, kernel
-scalars and the commutant dimension (an orbit count over index pairs)
-are verified with zero tolerance.  Dense complex matrices enter only
-where sums are unavoidable: the spectral projections of the matrix
-units.
+scalars and the commutant dimension (orbits of index pairs found by label
+propagation, O(n dim^2) a round in O(dim^2) memory) are verified with
+zero tolerance.  Dense complex matrices enter only where sums are
+unavoidable: the spectral projections of the matrix units.
 
 A representation stores its n generators as one (n, dim) perm stack and
 one phase stack, handled whole by the builder, the loader and the
@@ -468,85 +468,37 @@ def verify_relations(rep: Representation) -> RelationReport:
 
 
 def commutant_dim(rep: Representation) -> int:
-    """Dimension of {X : X U_k = U_k X for all k}, exactly in integers.
-
-    Conjugation by a monomial U sends the matrix unit E_ab to
-    zeta^(phi_a - phi_b) E_{perm a, perm b} (zeta = e^{2 pi i / p^2}), so
-    X commutes with U iff X[perm a, perm b] = zeta^(phi_a - phi_b) X[a, b]
-    for all a, b.  These equations link the dim^2 index pairs into
-    orbits.  An orbit contributes one free entry when every cycle of
-    links closes with total phase 0 mod p^2, and forces X to vanish on
-    it otherwise; the count of free orbits is the dimension (the orbit
-    form of <chi, chi> = sum m_i^2, Serre, Linear Representations of
-    Finite Groups, 2.3).  It equals 1 iff the generators form an
-    irreducible set.
-
-    The orbits come from a union-find with phase offsets mod p^2
-    (``_link``), one generator at a time, in O(dim^2) memory; the size
-    bound COMMUTANT_MAX_DIM is checked before anything of that size is
-    allocated.
-    """
-    dim = rep.dim
+    """Dimension of {X : X U_k = U_k X for all k}, exactly in integers: the
+    number of orbits of index pairs under the links X[perm a, perm b] =
+    zeta^(phi_a - phi_b) X[a, b], zeta = e^{2 pi i / p^2}, whose cycles close
+    with phase 0 mod p^2 (Serre, Linear Representations of Finite Groups,
+    2.3); 1 iff the generators are irreducible.  Min-label propagation with
+    pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982) gives pair
+    u = a dim + b the least key root p^2 + pot (X[u] = zeta^pot X[root], < 2^36)
+    its forward links offer; they suffice, as the link maps are permutations.
+    A round takes O(n dim^2) time, max(1, WORD_TABLE_ENTRIES // dim^2) generators
+    at a time, in a few dim^2 int64 arrays made after the COMMUTANT_MAX_DIM check."""
+    dim, n, p2 = rep.dim, rep.mat.n, rep.mat.p ** 2
     _check_dim(dim, COMMUTANT_MAX_DIM, "commutant computation")
-    p2 = rep.mat.p ** 2
-    nodes = dim * dim
-    parent = np.arange(nodes)
-    pot = np.zeros(nodes, dtype=np.int64)  # X[u] = zeta^pot[u] X[parent[u]]
-    broken = np.zeros(nodes, dtype=bool)  # marks a node of each broken orbit
-    for g in rep.generators:
-        target = (g.perm[:, None] * dim + g.perm[None, :]).reshape(-1)
-        offset = (g.phases[:, None] - g.phases[None, :]).reshape(-1)
-        parent, pot = _link(parent, pot, target, offset, p2)
-        broken[parent[(pot + offset - pot[target]) % p2 != 0]] = True
-    free = parent == np.arange(nodes)
-    free[parent[broken]] = False
-    return int(np.count_nonzero(free))
-
-
-def _link(
-    parent: np.ndarray,
-    pot: np.ndarray,
-    target: np.ndarray,
-    offset: np.ndarray,
-    p2: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Join the class of every node u with that of target[u], under the
-    link X[target u] = zeta^offset[u] X[u].
-
-    On entry and exit every node points straight at the root of its
-    class (parent[parent] == parent) and pot[u] is its phase relative
-    to that root.  Each round hooks roots in vectorised steps: every
-    root with a linked root of smaller index hooks under the smallest
-    one, with the phase that satisfies one such link; pointer doubling
-    then flattens the trees again.  Links whose ends already share a
-    root are left for the caller's consistency check.
-    """
-    nodes = parent.size
+    block = max(1, WORD_TABLE_ENTRIES // (dim * dim))
+    key = np.arange(dim * dim) * p2
     while True:
-        root_of_target = parent[target]
-        u = np.flatnonzero(parent != root_of_target)
-        if not u.size:
-            return parent, pot
-        a, b = parent[u], root_of_target[u]
-        # X[b] = zeta^d X[a]; hook the larger root under the smaller one.
-        d = pot[u] + offset[u] - pot[target[u]]
-        hi, lo = np.maximum(a, b), np.minimum(a, b)
-        d = np.where(b > a, d, -d) % p2  # X[hi] = zeta^d X[lo]
-        best = np.full(nodes, nodes)
-        np.minimum.at(best, hi, lo)
-        cand = np.flatnonzero(lo == best[hi])
-        # One link per hooked root, so that its parent and phase agree.
-        pick = np.empty(nodes, dtype=np.int64)
-        pick[hi[cand]] = cand
-        win = cand[pick[hi[cand]] == cand]
-        parent[hi[win]] = lo[win]
-        pot[hi[win]] = d[win]
-        while True:
-            up = parent[parent]
-            if np.array_equal(up, parent):
-                break
-            pot = (pot + pot[parent]) % p2
-            parent = up
+        moved, broken = False, np.zeros(dim * dim, dtype=bool)
+        for lo in range(0, n, block):
+            perm, ph = rep.perm[lo:lo + block], rep.phases[lo:lo + block]
+            t = key[(perm[:, :, None] * dim + perm[:, None, :]).reshape(len(perm), -1)]
+            c = t - (ph[:, :, None] - ph[:, None, :]).reshape(len(perm), -1)
+            c += (t // p2 - c // p2) * p2  # root of t, pot (pot_t - offset) mod p^2
+            if not moved:  # else this round is not the last
+                moved = (t // p2 != key // p2).any()
+                broken |= (c != key).any(axis=0)  # a link its pots do not satisfy
+            key = np.minimum(key, c.min(axis=0))
+        if not moved:  # count the roots of orbits with no broken link
+            free = key == np.arange(dim * dim) * p2
+            free[key[broken] // p2] = False
+            return int(np.count_nonzero(free))
+        while not np.array_equal(up := key[key // p2], key - key % p2):  # jump to root's root
+            key = up - up % p2 + (key + up) % p2
 
 
 def matrix_units(v: MonomialMatrix, w: MonomialMatrix) -> list[np.ndarray]:

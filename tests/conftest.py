@@ -186,6 +186,56 @@ def dense_commutant_dim(rep):
     return count
 
 
+def commutant_dim_union_find(rep):
+    """``commutant_dim`` by a union-find with phase offsets mod p^2, one
+    generator at a time: the exact oracle at every dim the package allows.
+
+    Every node points straight at the root of its class and pot[u] is its
+    phase relative to that root, X[u] = zeta^pot[u] X[parent[u]].  Each
+    hooking round hooks every root with a linked root of smaller index
+    under the smallest one, with the phase of one such link, and pointer
+    doubling then flattens the trees; a link whose ends share a root but
+    whose phases disagree marks its class broken.
+    """
+    dim, p2 = rep.dim, rep.mat.p ** 2
+    nodes = dim * dim
+    parent = np.arange(nodes)
+    pot = np.zeros(nodes, dtype=np.int64)
+    broken = np.zeros(nodes, dtype=bool)
+    for perm, phases in zip(rep.perm, rep.phases):
+        target = (perm[:, None] * dim + perm[None, :]).reshape(-1)
+        offset = (phases[:, None] - phases[None, :]).reshape(-1)
+        while True:
+            root_of_target = parent[target]
+            u = np.flatnonzero(parent != root_of_target)
+            if not u.size:
+                break
+            a, b = parent[u], root_of_target[u]
+            # X[b] = zeta^d X[a]; hook the larger root under the smaller one.
+            d = pot[u] + offset[u] - pot[target[u]]
+            hi, lo = np.maximum(a, b), np.minimum(a, b)
+            d = np.where(b > a, d, -d) % p2  # X[hi] = zeta^d X[lo]
+            best = np.full(nodes, nodes)
+            np.minimum.at(best, hi, lo)
+            cand = np.flatnonzero(lo == best[hi])
+            # One link per hooked root, so that its parent and phase agree.
+            pick = np.empty(nodes, dtype=np.int64)
+            pick[hi[cand]] = cand
+            win = cand[pick[hi[cand]] == cand]
+            parent[hi[win]] = lo[win]
+            pot[hi[win]] = d[win]
+            while True:
+                up = parent[parent]
+                if np.array_equal(up, parent):
+                    break
+                pot = (pot + pot[parent]) % p2
+                parent = up
+        broken[parent[(pot + offset - pot[target]) % p2 != 0]] = True
+    free = parent == np.arange(nodes)
+    free[parent[broken]] = False
+    return int(np.count_nonzero(free))
+
+
 def word_matrix_fold(rep, x):
     """U_1^{x_1} ... U_n^{x_n} as a fold of mono_mul, one factor at a time."""
     acc = sl.mono_identity(rep.dim, rep.mat.p)

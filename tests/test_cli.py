@@ -448,3 +448,25 @@ def test_parse_and_emit_memory_n192(tmp_path):
     assert _peak_bytes(lambda: cli._emit_json(formats.basis_doc(mat, basis), out)) < 1e6
     with open(out, encoding="utf-8") as fh:
         assert json.loads(fh.read()) == formats._plain(formats.basis_doc(mat, basis), {})
+
+
+def test_emit_json_streams_a_representation(tmp_path):
+    # 14 generators on 2^14 dimensions: a 1.7 MB document, written in runs
+    # of about 64 KB, so it never holds a copy of the whole text
+    rep = sl.prop11_rep(sl.random_alternating(2, 14, seed=3))
+    doc = formats.representation_doc(rep)
+    out = str(tmp_path / "rep.json")
+    peak = _peak_bytes(lambda: cli._emit_json(doc, out))
+    with open(out, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text == formats.compact_json(doc) + "\n"
+    assert peak < len(text) / 2
+
+
+def test_json_pieces_are_runs_of_about_64_kb():
+    # 2^12 invariants of the zero 12 x 12 matrix share one kernel basis
+    mat = sl.commutation_matrix(2, np.zeros((12, 12), dtype=np.int64))
+    doc = formats.classification_doc(mat, sl.enumerate_invariants(mat))
+    sizes = [len(piece) for piece in formats.json_pieces(doc)]
+    assert min(sizes[:-1]) >= 1 << 16 and max(sizes) < 1 << 17
+    assert sum(sizes) == len(json.dumps(formats._plain(doc, {}), separators=(",", ":")))

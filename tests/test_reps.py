@@ -13,6 +13,7 @@ from spinlab.errors import InvariantError, SizeBoundError
 from spinlab.reps import mono_mul, mono_pow, mono_scale, mono_tensor, to_dense
 
 from conftest import (
+    commutant_dim_union_find,
     commutation_matrices,
     dense_commutant_dim,
     enum_vectors,
@@ -849,6 +850,58 @@ def test_commutant_irreducible_dim_256():
     rep = sl.irreducible_rep(sl.random_alternating(2, 17, seed=1))
     assert rep.dim == 256
     assert sl.commutant_dim(rep) == 1
+
+
+@st.composite
+def loaded_representations(draw):
+    """Arbitrary monomial generator stacks, dim <= 64, p in {2, 3, 5, 7}:
+    each perm the identity, a random permutation or a product of disjoint
+    cycles of drawn lengths, each phase row zero, constant, random, or the
+    coboundary h[perm] - h (so the generator is a permutation up to a
+    diagonal conjugation, and its orbits stay consistent)."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    dim = draw(st.integers(1, 64))
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    perm, phases = np.zeros((k, dim), dtype=np.int64), np.zeros((k, dim), dtype=np.int64)
+    for j in range(k):
+        kind = draw(st.sampled_from(["identity", "random", "cycles"]))
+        if kind == "random":
+            perm[j] = rng.permutation(dim)
+        elif kind == "cycles":
+            count = draw(st.integers(0, dim - 1))
+            cuts = np.sort(rng.choice(np.arange(1, dim), count, replace=False))
+            order = rng.permutation(dim)
+            for cycle in np.split(order, cuts):
+                perm[j, cycle] = np.roll(cycle, 1)
+        else:
+            perm[j] = np.arange(dim)
+        h = rng.integers(0, p * p, size=dim)
+        phases[j] = {
+            "zero": 0,
+            "constant": h[0],
+            "random": h,
+            "coboundary": h[perm[j]] - h,
+        }[draw(st.sampled_from(["zero", "constant", "random", "coboundary"]))]
+    mat = sl.commutation_matrix(p, np.zeros((k, k), dtype=int))
+    return sl.Representation.from_stack(mat, perm, phases, "loaded")
+
+
+@settings(deadline=None, max_examples=200)
+@given(loaded_representations())
+def test_commutant_matches_union_find_oracle(rep):
+    assert sl.commutant_dim(rep) == commutant_dim_union_find(rep)
+
+
+# The slot tables [I | triu(C, 1)^T] of prop11_rep have rank n, so the
+# commutant of its p^n-dimensional generators has dimension p^(2n - n).
+@pytest.mark.parametrize("p,n", [(2, 10), (3, 6), (5, 4)])
+def test_commutant_prop11_is_p_to_the_n(p, n):
+    assert p ** n <= sl.reps.COMMUTANT_MAX_DIM
+    zero = sl.commutation_matrix(p, np.zeros((n, n), dtype=int))
+    for mat in [sl.random_alternating(p, n, seed=n), zero]:
+        dim = sl.commutant_dim(sl.prop11_rep(mat))
+        assert dim == p ** n and type(dim) is int  # a plain int, as JSON documents carry it
 
 
 # --- matrix units ------------------------------------------------------------
