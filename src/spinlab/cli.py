@@ -36,15 +36,22 @@ def _read(path: str) -> str:
 
 
 def _emit(out: str | None, pieces: Iterable[str]) -> None:
-    """Write the pieces in order to ``out`` or stdout, with no joined copy."""
+    """Write the pieces in order, unjoined, to ``out`` or a buffered stdout."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.writelines(pieces)
         except OSError as exc:
             raise MatrixFormatError(f"cannot write {out}: {exc.strerror}")
-    else:
+        return
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # an in-memory stdout
         sys.stdout.writelines(pieces)
+        return
+    sys.stdout.flush()
+    with open(fd, "w", encoding=sys.stdout.encoding, closefd=False) as fh:
+        fh.writelines(pieces)
 
 
 def _emit_json(doc: dict, out: str | None) -> None:

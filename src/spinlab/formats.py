@@ -282,9 +282,9 @@ def _int_array_json(a) -> str:
 
 
 def json_pieces(doc) -> Iterator[str]:
-    """``json.dumps(doc, ensure_ascii=False, separators=(",", ":"))`` in runs of
-    about 64 KB: each integer array by ``_int_array_json`` (once while it repeats,
-    as a classification's kernel basis), a part holding none by the encoder."""
+    """``json.dumps(doc, ensure_ascii=False, separators=(",", ":"))`` in pieces:
+    each integer array by ``_int_array_json`` (once while it repeats, as a
+    classification's kernel basis), a part holding none by the encoder."""
     encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
     last = [None, ""]  # the last array's id and text
 
@@ -304,19 +304,7 @@ def json_pieces(doc) -> Iterator[str]:
                 yield from pieces(v[x] if is_dict else x)
             yield "}" if is_dict else "]"
 
-    run, size = [], 0  # joined, since unbuffered output makes each piece a write
-    for piece in pieces(doc):
-        run.append(piece)
-        size += len(piece)
-        if size >= 1 << 16:
-            yield "".join(run)
-            run, size = [], 0
-    yield "".join(run)
-
-
-def compact_json(doc) -> str:
-    """The text of ``json_pieces``, joined."""
-    return "".join(json_pieces(doc))
+    return pieces(doc)
 
 
 def invariant_doc(f: StandardInvariant) -> dict:

@@ -4,8 +4,8 @@ Generators, words, and all relation checks live on monomial matrices:
 one nonzero entry per row and column, each a p^2-th root of unity kept
 as an integer exponent.  Products, tensor products, and powers are
 therefore integer-exact, so the generator relations, orders, kernel
-scalars and the commutant dimension (orbits of index pairs found by label
-propagation, O(n dim^2) a round in O(dim^2) memory) are verified with
+scalars and the commutant dimension (orbits of index pairs, joined by
+root hooking and pointer jumping in O(dim^2) memory) are verified with
 zero tolerance.  Dense complex matrices enter only where sums are
 unavoidable: the spectral projections of the matrix units.
 
@@ -472,33 +472,39 @@ def commutant_dim(rep: Representation) -> int:
     number of orbits of index pairs under the links X[perm a, perm b] =
     zeta^(phi_a - phi_b) X[a, b], zeta = e^{2 pi i / p^2}, whose cycles close
     with phase 0 mod p^2 (Serre, Linear Representations of Finite Groups,
-    2.3); 1 iff the generators are irreducible.  Min-label propagation with
-    pointer jumping (Shiloach and Vishkin, J. Algorithms 3, 1982) gives pair
-    u = a dim + b the least key root p^2 + pot (X[u] = zeta^pot X[root], < 2^36)
-    its forward links offer; they suffice, as the link maps are permutations.
-    A round takes O(n dim^2) time, max(1, WORD_TABLE_ENTRIES // dim^2) generators
-    at a time, in a few dim^2 int64 arrays made after the COMMUTANT_MAX_DIM check."""
+    2.3); 1 iff the generators are irreducible.
+
+    Pair u = a dim + b has a root root[u] <= u, with X[u] = zeta^pot[u]
+    X[root[u]] (pots are below p^2 <= 251^2, so int32 holds their sums).  For
+    each block of max(1, WORD_TABLE_ENTRIES // dim^2) generators, every link
+    between two roots offers the larger one the key smaller root 2^s + pot,
+    p^2 <= 2^s.  A scatter-min hooks each root under its least offer and
+    pointer jumping flattens the trees (Shiloach and Vishkin, J. Algorithms
+    3, 1982), until every link joins a root to itself; a link whose pots
+    then disagree marks its orbit.  A round is O(dim^2) time per generator,
+    in a few dim^2-sized arrays made after the COMMUTANT_MAX_DIM check."""
     dim, n, p2 = rep.dim, rep.mat.n, rep.mat.p ** 2
     _check_dim(dim, COMMUTANT_MAX_DIM, "commutant computation")
-    block = max(1, WORD_TABLE_ENTRIES // (dim * dim))
-    key = np.arange(dim * dim) * p2
-    while True:
-        moved, broken = False, np.zeros(dim * dim, dtype=bool)
-        for lo in range(0, n, block):
-            perm, ph = rep.perm[lo:lo + block], rep.phases[lo:lo + block]
-            t = key[(perm[:, :, None] * dim + perm[:, None, :]).reshape(len(perm), -1)]
-            c = t - (ph[:, :, None] - ph[:, None, :]).reshape(len(perm), -1)
-            c += (t // p2 - c // p2) * p2  # root of t, pot (pot_t - offset) mod p^2
-            if not moved:  # else this round is not the last
-                moved = (t // p2 != key // p2).any()
-                broken |= (c != key).any(axis=0)  # a link its pots do not satisfy
-            key = np.minimum(key, c.min(axis=0))
-        if not moved:  # count the roots of orbits with no broken link
-            free = key == np.arange(dim * dim) * p2
-            free[key[broken] // p2] = False
-            return int(np.count_nonzero(free))
-        while not np.array_equal(up := key[key // p2], key - key % p2):  # jump to root's root
-            key = up - up % p2 + (key + up) % p2
+    nodes, s = dim * dim, (p2 - 1).bit_length()
+    block = max(1, WORD_TABLE_ENTRIES // nodes)
+    root, pot, broken = np.arange(nodes), np.zeros(nodes, np.int32), np.zeros(nodes, bool)
+    for lo in range(0, n, block):
+        perm, ph = rep.perm[lo:lo + block], rep.phases[lo:lo + block].astype(np.int32)
+        target = (perm[:, :, None] * dim + perm[:, None, :]).reshape(len(perm), -1)
+        offset = (ph[:, :, None] - ph[:, None, :]).reshape(len(perm), -1)
+        while (i := np.flatnonzero(root[target] != root)).size:
+            u, v = i % nodes, target.reshape(-1)[i]
+            a, b = root[u], root[v]  # X[b] = zeta^d X[a], so X[max] = zeta^(d sign(b - a)) X[min]
+            d = (pot[u] + offset.reshape(-1)[i] - pot[v]) * np.sign(b - a) % p2
+            key = np.arange(nodes) << s
+            np.minimum.at(key, np.maximum(a, b), np.minimum(a, b) << s | d)
+            root, pot = np.minimum(root, key >> s), pot + (key & (1 << s) - 1).astype(np.int32)
+            while not np.array_equal(up := root[root], root):
+                pot, root = (pot + pot[root]) % p2, up
+        broken[root[np.flatnonzero((pot + offset - pot[target]) % p2) % nodes]] = True
+    free = root == np.arange(nodes)
+    free[root[broken]] = False
+    return int(np.count_nonzero(free))
 
 
 def matrix_units(v: MonomialMatrix, w: MonomialMatrix) -> list[np.ndarray]:

@@ -852,6 +852,20 @@ def test_commutant_irreducible_dim_256():
     assert sl.commutant_dim(rep) == 1
 
 
+# Orbits far longer than the log of their number: a dim 1024 cyclic shift
+# moves pair (x, y) to (x + 1, y + 1), whose commutant is the circulants;
+# the third generator of the matrix below moves slot digit t to t + 1.
+def test_commutant_long_cycles():
+    perm = (np.arange(1024) + 1)[None] % 1024
+    mat = sl.commutation_matrix(2, [[0]])
+    rep = sl.Representation.from_stack(mat, perm, np.zeros_like(perm), "loaded")
+    assert sl.commutant_dim(rep) == 1024
+    for p in (31, 251):
+        rep = sl.irreducible_rep(sl.commutation_matrix(p, [[0, 1, 0], [p - 1, 0, 1], [0, p - 1, 0]]))
+        assert rep.dim == p and ((rep.perm[2] - np.arange(p)) % p == 1).all()
+        assert sl.commutant_dim(rep) == 1 == commutant_dim_union_find(rep)
+
+
 @st.composite
 def loaded_representations(draw):
     """Arbitrary monomial generator stacks, dim <= 64, p in {2, 3, 5, 7}:
