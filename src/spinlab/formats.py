@@ -243,15 +243,14 @@ def _int_list(values, what: str) -> np.ndarray:
         raise MatrixFormatError(f"{what} has an integer beyond 64 bits")
 
 
-def _plain(doc, lists: dict):
-    """``doc`` with each tuple as a list and each array as nested lists,
-    one list object per array object (``lists`` maps ids)."""
+def _plain(doc):
+    """``doc`` with each tuple as a list and each array as nested lists."""
     if isinstance(doc, np.ndarray):
-        return lists.get(id(doc)) or lists.setdefault(id(doc), doc.tolist())
+        return doc.tolist()
     if isinstance(doc, dict):
-        return {k: _plain(v, lists) for k, v in doc.items()}
+        return {k: _plain(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
-        return [_plain(v, lists) for v in doc]
+        return [_plain(v) for v in doc]
     return doc
 
 
@@ -406,7 +405,7 @@ def grow_doc(mat: CommutationMatrix, report: StructureReport) -> dict:
 
 def _listed(build):
     """The plain-list form of a ``*_doc`` builder (see json_pieces)."""
-    return lambda *args: _plain(build(*args), {})
+    return lambda *args: _plain(build(*args))
 
 
 invariant_to_dict = _listed(invariant_doc)

@@ -178,12 +178,8 @@ class StandardInvariant:
     def __eq__(self, other) -> bool:
         if not isinstance(other, StandardInvariant):
             return NotImplemented
-        if self.kernel_basis is other.kernel_basis:  # one matrix's by construction
-            return self.values == other.values
         if self.mat != other.mat or self.d != other.d:
             return False
-        if self.kernel_basis.tobytes() == other.kernel_basis.tobytes():
-            return self.values == other.values
         try:  # both ways, so that == is symmetric on invalid invariants too
             there = _values_at(other, self.kernel_basis).tolist()
             back = _values_at(self, other.kernel_basis).tolist()

@@ -4,6 +4,9 @@ import errno
 import json
 import os
 import pathlib
+import shutil
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -76,6 +79,21 @@ def test_json_documents_are_compact(capsys, name, argv):
     assert code == 0 and err == ""
     canonical = json.dumps(json.loads(out), ensure_ascii=False, separators=(",", ":"))
     assert out == canonical + "\n"
+
+
+@pytest.mark.parametrize(
+    "cli", [[sys.executable, "-m", "spinlab"], ["spinlab"]], ids=["module", "script"]
+)
+@pytest.mark.parametrize("name,argv", GOLDEN_CASES)
+def test_golden_outputs_in_a_subprocess(cli, name, argv):
+    # the entry points as a user runs them, with stdout a pipe of the child
+    if shutil.which(cli[0]) is None:
+        pytest.skip(f"{cli[0]} is not on PATH")
+    paths = [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(cli + [str(a) for a in argv], capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / name).read_bytes()
 
 
 def test_golden_outputs_through_the_stdout_descriptor(capfd):
@@ -456,7 +474,7 @@ def test_parse_and_emit_memory_n192(tmp_path):
     out = str(tmp_path / "basis.json")
     assert _peak_bytes(lambda: cli._emit_json(formats.basis_doc(mat, basis), out)) < 1e6
     with open(out, encoding="utf-8") as fh:
-        assert json.loads(fh.read()) == formats._plain(formats.basis_doc(mat, basis), {})
+        assert json.loads(fh.read()) == formats._plain(formats.basis_doc(mat, basis))
 
 
 def test_emit_json_streams_a_representation(tmp_path):

@@ -1,4 +1,4 @@
-"""Smoke tests of the experiment scripts and of `python -m spinlab`, run as programs."""
+"""Smoke tests of the experiment scripts, run as programs."""
 
 import os
 import subprocess
@@ -42,13 +42,3 @@ def test_class_census_with_rep_checks():
         "simple (nondegenerate) fraction: 0.400",
         "all sampled irreducible representations verified (commutant = 1)",
     ]
-
-
-def test_python_dash_m_runs_the_cli():
-    out = subprocess.run(
-        [sys.executable, "-m", "spinlab", "generate", "--clifford", "3"],
-        capture_output=True, env=_env(), timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    golden = ROOT / "tests" / "golden" / "generate_clifford3.txt"
-    assert out.stdout == golden.read_bytes()

@@ -355,9 +355,19 @@ def test_invariant_equality_is_symmetric_on_every_moved_invariant():
     gl = [np.array(u).reshape(2, 2) for u in itertools.product(range(3), repeat=4)
           if (u[0] * u[3] - u[1] * u[2]) % 3]
     assert len(gl) == 48
-    valid = 0
+    valid, ref = 0, sl.reference_invariant(zero)
     for values in itertools.product(range(9), repeat=2):
         f = sl.StandardInvariant(zero, k, values)
+        # == evaluates even on the same basis object or a byte-equal copy
+        same, one_changed = (sl.phase_shift_invariant(f, g) for g in ([0, 0], [1, 0]))
+        copied = sl.StandardInvariant(zero, k.copy(), values)
+        assert same.kernel_basis is f.kernel_basis is one_changed.kernel_basis
+        assert copied.kernel_basis is not f.kernel_basis
+        assert one_changed.values[0] != f.values[0] and one_changed.values[1] == f.values[1]
+        assert f == same and same == f and f == copied and copied == f
+        assert f != one_changed and one_changed != f
+        if not sl.invariant_square_check(f):  # an invalid invariant
+            assert f == f and f != ref and ref != f
         for u in gl:
             uk = u @ k % 3
             moved = sl.StandardInvariant(zero, uk, [sl.evaluate_invariant(f, v) for v in uk])
