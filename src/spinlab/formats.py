@@ -346,13 +346,11 @@ def representation_from_dict(doc: dict, mat: CommutationMatrix) -> Representatio
                 "representation document does not match the matrix (p or n differ)"
             )
         gens = doc["generators"]
-        if len(gens) != mat.n:
-            raise MatrixFormatError("wrong number of generators")
         perm = [_int_list(g["perm"], "perm") for g in gens]
         phases = [_int_list(g["phase_exps"], "phase_exps") for g in gens]
         if len({a.shape for a in perm + phases}) > 1:
             raise MatrixFormatError("generators must share one dimension")
-        return Representation.from_stack(mat, np.stack(perm), np.stack(phases), "loaded")
+        return Representation.from_stack(mat, np.array(perm), np.array(phases), "loaded")
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFormatError(f"bad representation document: {exc}")
 

@@ -207,6 +207,8 @@ class SymplecticBasis:
     kernel: np.ndarray
 
     def __post_init__(self):
+        if len(self.f) != len(self.e):
+            raise ValueError(f"expected one f per e, got {len(self.e)} e and {len(self.f)} f")
         n = 2 * len(self.e) + len(self.kernel)
         for name in ("e", "f", "kernel"):
             vs = getattr(self, name)  # ragged rows or a length other than n raise

@@ -198,17 +198,17 @@ class Representation:
 
     def __post_init__(self):
         gens = self.generators
-        if len(gens) != self.mat.n:
-            raise ValueError(f"expected {self.mat.n} generators, got {len(gens)}")
         if any(g.p != self.mat.p or g.dim != gens[0].dim for g in gens):
             raise ValueError("generators must share the modulus and dimension")
-        stack = np.stack([g.perm for g in gens]), np.stack([g.phases for g in gens])
+        stack = np.array([g.perm for g in gens]), np.array([g.phases for g in gens])
         rep = Representation.from_stack(self.mat, *stack, self.kind, self.invariant)
         self.__dict__.update(vars(rep))
 
     @classmethod
     def from_stack(cls, mat, perm, phases, kind, invariant=None) -> "Representation":
         """Keeps ``perm`` and the fresh ``phases``, reduced mod p^2 in place."""
+        if len(perm) != mat.n:
+            raise ValueError(f"expected {mat.n} generators, got {len(perm)}")
         _check_stack(perm, phases)
         gens = tuple(map(_composed, [mat.p] * len(perm), perm, phases))
         perm.flags.writeable = phases.flags.writeable = False

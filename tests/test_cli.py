@@ -265,6 +265,7 @@ def test_exit_code_2_on_unreadable_invariant_json(capsys, tmp_path, text):
             ["grow", FIXTURES / "band.txt", "--n-max", -2],
             "matrix size must be at least 1, got -2",
         ),
+        (["generate", "--random", 4], "--random requires --seed for reproducibility"),
     ],
 )
 def test_exit_code_2_on_bad_option_values(capsys, argv, message):

@@ -368,6 +368,16 @@ def test_representation_dict_mismatch():
         formats.representation_from_dict(doc, CLIFF3)
 
 
+@pytest.mark.parametrize("rows", [[], [0], [0, 1, 0]])
+def test_representation_dict_rejects_wrong_generator_count(rows):
+    # the count is checked once, by Representation.from_stack
+    doc = formats.representation_to_dict(sl.irreducible_rep(PAULI))
+    doc["generators"] = [doc["generators"][i] for i in rows]
+    message = f"bad representation document: expected 2 generators, got {len(rows)}"
+    with pytest.raises(MatrixFormatError, match=message):
+        formats.representation_from_dict(doc, PAULI)
+
+
 def test_representation_dict_rejects_zero_dimension():
     doc = {"p": 2, "n": 3, "dim": 0, "generators": [{"perm": [], "phase_exps": []}] * 3}
     with pytest.raises(MatrixFormatError, match="dimension >= 1"):

@@ -52,6 +52,12 @@ def test_rejects_out_of_range_entries():
         sl.commutation_matrix(2, [[0, 2], [2, 0]])
 
 
+@pytest.mark.parametrize("entries", [[[0, 1, 0], [1, 0, 0]], [0, 1], [[[0]]]])
+def test_rejects_non_square_entries(entries):
+    with pytest.raises(ValueError, match="entries must be square"):
+        sl.commutation_matrix(2, entries)
+
+
 def test_entries_frozen():
     with pytest.raises(ValueError):
         PAULI.entries[0, 1] = 0
@@ -82,6 +88,12 @@ def test_toeplitz_materialization():
     ]
     assert mat.pattern == (1, 2)
     assert mat.prefix(2).entries.tolist() == [[0, 1], [2, 0]]
+
+
+@pytest.mark.parametrize("k", [0, 5])
+def test_prefix_size_out_of_range(k):
+    with pytest.raises(ValueError, match=f"prefix size {k} out of range 1..4"):
+        sl.toeplitz_matrix(3, [1, 2], 4).prefix(k)
 
 
 def test_toeplitz_clifford_pattern():
@@ -354,6 +366,9 @@ def test_extend_prefix_mismatch_raises():
     other = sl.commutation_matrix(2, np.zeros((3, 3), dtype=int))
     with pytest.raises(ValueError, match="block"):
         sl.extend_symplectic_basis(other, sl.symplectic_basis(sl.clifford_matrix(2, 2)))
+    # a smaller matrix has no upper-left block of the old size
+    with pytest.raises(ValueError, match="matrix size 2 smaller than existing basis 3"):
+        sl.extend_symplectic_basis(PAULI, sl.symplectic_basis(CLIFF3))
 
 
 @settings(deadline=None, max_examples=40)
@@ -651,6 +666,19 @@ def test_vector_families_are_int64_arrays(mat, k):
     assert sl.SymplecticBasis((), (), ()).column_matrix().shape == (0, 0)
     with pytest.raises(ValueError):
         sl.SymplecticBasis((), (), [[0] * n, [0] * (n + 1)])
+
+
+@pytest.mark.parametrize(
+    "e,f,message",
+    [
+        ([[1, 0, 0]], [], "got 1 e and 0 f"),  # one more e than f
+        ([], [[1, 0, 0]], "got 0 e and 1 f"),  # one more f than e
+    ],
+)
+def test_symplectic_basis_refuses_unequal_pairs(e, f, message):
+    # hyperbolic pairs: one f for each e, checked before any vector is read
+    with pytest.raises(ValueError, match=f"expected one f per e, {message}"):
+        sl.SymplecticBasis(e, f, [[0, 0, 1]])
 
 
 def test_extend_rejects_dependent_kernel():

@@ -116,6 +116,19 @@ def test_monomial_rejects_non_permutations(perm, match):
 
 
 @pytest.mark.parametrize(
+    "product,a,b,match",
+    [
+        (mono_mul, sl.shift(2), sl.mono_identity(4, 2), "dimension or modulus mismatch"),
+        (mono_mul, sl.shift(2), sl.mono_identity(2, 3), "dimension or modulus mismatch"),
+        (mono_tensor, sl.shift(2), sl.mono_identity(2, 3), "modulus mismatch"),
+    ],
+)
+def test_mono_products_refuse_mismatched_operands(product, a, b, match):
+    with pytest.raises(ValueError, match=match):
+        product(a, b)
+
+
+@pytest.mark.parametrize(
     "perm,phases",
     [([0.9, 1.2], [0.5, 3.7]), ([0, 1], [0.5, 3.7]), ([1.0, 0.0], [0, 0]), ([0, 1], [1j, 0])],
 )
@@ -459,6 +472,18 @@ def test_representation_rejects_wrong_generator_count(count):
     gens = (sl.shift(2),) * count
     with pytest.raises(ValueError, match=f"expected 2 generators, got {count}"):
         sl.Representation(PAULI, gens, "loaded")
+
+
+@pytest.mark.parametrize(
+    "mat,rows",
+    [(PAULI, []), (PAULI, [0]), (PAULI, [0, 1, 0]), (CLIFF3, [0, 1])],
+)
+def test_from_stack_rejects_wrong_generator_count(mat, rows):
+    # checked before the stacks are read, so a short stack never reaches
+    # verify_relations, word_matrix or extract_invariant
+    rep = sl.irreducible_rep(mat)
+    with pytest.raises(ValueError, match=f"expected {mat.n} generators, got {len(rows)}"):
+        sl.Representation.from_stack(mat, rep.perm[rows], rep.phases[rows], "loaded")
 
 
 # --- irreducible construction -----------------------------------------------

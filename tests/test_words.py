@@ -345,6 +345,9 @@ def test_invariant_equality_is_basis_free():
     assert sl.StandardInvariant(other, [[1, 0, 0]], [0]) != sl.StandardInvariant(
         sl.commutation_matrix(3, [[0, 0, 0], [0, 0, 1], [0, 2, 0]]), [[1, 0, 0]], [0]
     )
+    # invariants on two different lines of ker(omega) are never equal
+    line_x, line_y = (sl.StandardInvariant(other, [v], [0]) for v in ([1, 0, 0], [0, 1, 0]))
+    assert line_x != line_y and line_y != line_x
 
 
 def test_invariant_equality_is_symmetric_on_every_moved_invariant():
@@ -631,6 +634,12 @@ def test_word_pow_rejects_non_integer_powers(k):
     with pytest.raises(ValueError, match="word power must be an integer"):
         sl.word_pow(w, k)
     assert sl.word_pow(w, np.int64(2)) == sl.word_pow(w, 2)
+
+
+@pytest.mark.parametrize("k", [-1, -3])
+def test_word_pow_rejects_negative_powers(k):
+    with pytest.raises(ValueError, match="negative word powers"):
+        sl.word_pow(sl.Word(0, [1, 0, 1], CLIFF3), k)
 
 
 def test_standard_invariant_accepts_numpy_integer_values():
