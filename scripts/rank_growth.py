@@ -3,9 +3,11 @@
 
 Sweeps every pattern of a given bandwidth over GF(p) (or a single
 user-supplied pattern) and tabulates how the form rank grows with the
-truncation size.  Patterns whose rank keeps climbing are the candidates
-for genuinely infinite-dimensional systems; the flag printed here is the
-same heuristic the `spinlab grow` command reports.
+truncation size.  Every nonzero pattern has unbounded rank: with M its
+last nonzero separation, a kernel vector is fixed by its first M
+coordinates, so d(n) <= M and rank(n) >= n - M.  The flag printed here
+is the heuristic of `spinlab grow` (the rank rose over the last two
+rows), which can say "stalled" for such a pattern.
 """
 
 import argparse

@@ -180,10 +180,9 @@ def _cmd_generate(args) -> None:
 
 
 def _cmd_grow(args) -> None:
-    parsed = formats.parse_matrix_file(_read(args.path))
-    if parsed.kind != "toeplitz":
+    mat = _load_matrix(args.path, args.n_max)
+    if mat.pattern is None:
         raise MatrixFormatError("grow requires a 'p toeplitz m' matrix file")
-    mat = parsed.materialize(args.n_max)
     doc = formats.grow_doc(mat, reps.structure_report(mat))
     if args.json:
         _emit_json(doc, args.out)

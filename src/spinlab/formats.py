@@ -84,12 +84,11 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
     try:
         return list(map(int, tokens))
     except ValueError:
-        for tok in tokens:
+        for tok in tokens:  # one of them fails: int is deterministic
             try:
                 int(tok)
             except ValueError:
                 raise MatrixFormatError(f"expected an integer, got {tok!r}", lineno)
-        raise
 
 
 def _modulus(token: str, lineno: int) -> int:
@@ -102,7 +101,8 @@ def _modulus(token: str, lineno: int) -> int:
 
 def _canonical_grid(data: bytes, p: int, n: int) -> np.ndarray | None:
     """The n x n grid in ``data`` (body lines joined by newlines) if each line
-    holds n canonical decimals < p between spaces or tabs, else None.  Values
+    holds n canonical decimals of up to three digits between spaces or tabs,
+    else None; the constructor checks their range, so ``p`` is unused.  Values
     are read at each token's last digit and the two bytes before it."""
     b = np.frombuffer(data, dtype=np.uint8)
     digit = b - 48  # uint8: bytes below "0" wrap
@@ -119,7 +119,7 @@ def _canonical_grid(data: bytes, p: int, n: int) -> np.ndarray | None:
         return None
     hundreds = val[ends] * dig[2:-2][ends]  # if the tens are a digit
     grid = hundreds.astype(np.int64) * 100 + val[1:][ends] * 10 + val[2:][ends]
-    return grid.reshape(n, n) if grid.max() < p else None
+    return grid.reshape(n, n)
 
 
 def _explicit_matrix(body: list[tuple[int, str]], p: int, n: int) -> CommutationMatrix:

@@ -40,8 +40,9 @@ class CommutationMatrix:
     """An n x n alternating matrix over GF(p).
 
     ``pattern`` records the banded (Toeplitz) source when the matrix was
-    materialized from one: pattern[k-1] is the entry at separation k on
-    the upper triangle, the lower triangle carrying the negated mirror.
+    materialized from one, as provenance that ``==`` does not compare:
+    pattern[k-1] is the entry at separation k on the upper triangle, the
+    lower triangle carrying the negated mirror.
     ``lower`` is the strict lower triangle L of ``entries`` (the matrix
     of q_form), computed on first read and frozen like ``entries``.
     """
@@ -80,11 +81,7 @@ class CommutationMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, CommutationMatrix):
             return NotImplemented
-        return (
-            self.p == other.p
-            and np.array_equal(self.entries, other.entries)
-            and self.pattern == other.pattern
-        )
+        return self.p == other.p and np.array_equal(self.entries, other.entries)
 
     def prefix(self, k: int) -> "CommutationMatrix":
         """The upper-left k x k corner, keeping the pattern source."""

@@ -561,10 +561,11 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
     simple iff the kernel is trivial.  The class count p^d is set at
     p = 2 and left None at odd p (``enumerate_invariants`` lists the
     classes at every p).  For a banded source the rank-growth table over
-    all prefixes is included, with an explicitly heuristic flag set when
-    the rank is still growing at the end of the table (finite prefixes
-    can never prove infinite rank).  One symplectic pass gives the table
-    and the kernel, ``form_kernel``, for every matrix.
+    all prefixes is included, with a heuristic flag set when the rank
+    rose over the last two rows.  The rank is in fact unbounded: with M
+    the last nonzero separation, a kernel vector is fixed by its first M
+    coordinates, so d(n) <= M and rank(n) >= n - M.  One symplectic pass
+    gives the table and the kernel, ``form_kernel``, for every matrix.
     """
     basis, table = prefix_ranks(mat)
     ranks = conjectured = None

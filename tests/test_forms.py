@@ -103,6 +103,38 @@ def test_toeplitz_clifford_pattern():
     )
 
 
+BAND4 = sl.toeplitz_matrix(2, [1, 1], 4)
+
+
+@pytest.mark.parametrize(
+    "a,b,equal",
+    [
+        (sl.clifford_matrix(2, 3), sl.toeplitz_matrix(2, [1, 1], 3), True),
+        (BAND4, sl.commutation_matrix(2, BAND4.entries), True),
+        (sl.toeplitz_matrix(3, [1, 2], 4), sl.toeplitz_matrix(3, [1, 2, 0], 4), True),
+        (BAND4, sl.clifford_matrix(2, 4), False),  # other entries
+        (BAND4, sl.toeplitz_matrix(2, [1, 1], 3), False),  # another n
+        (
+            sl.commutation_matrix(2, np.zeros((2, 2), dtype=int)),
+            sl.commutation_matrix(3, np.zeros((2, 2), dtype=int)),
+            False,  # another p
+        ),
+    ],
+)
+def test_equality_compares_p_and_entries_not_the_pattern(a, b, equal):
+    assert (a == b) is equal and (b == a) is equal
+    assert (a != b) is not equal and (b != a) is not equal
+
+
+@pytest.mark.parametrize(
+    "value", [PAULI, sl.clock(3), sl.Word(1, [1, 0], PAULI)], ids=["matrix", "monomial", "word"]
+)
+@pytest.mark.parametrize("foreign", [None, 0, "PAULI"])
+def test_equality_with_a_foreign_type_is_false(value, foreign):
+    assert not value == foreign and value != foreign
+    assert not foreign == value and foreign != value
+
+
 def _toeplitz_loop(p, pattern, n):
     ent = np.zeros((n, n), dtype=np.int64)
     for i in range(n):

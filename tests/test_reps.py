@@ -532,6 +532,22 @@ def test_irreducible_clifford3_realizes_both_classes():
         assert sl.extract_invariant(rep) == f
 
 
+@pytest.mark.parametrize("p,pattern,n", [(2, [1, 1], 4), (3, [1, 2], 5)])
+@pytest.mark.parametrize("band_first", [True, False])
+def test_irreducible_rep_takes_an_invariant_of_an_equal_matrix(p, pattern, n, band_first):
+    band = sl.toeplitz_matrix(p, pattern, n)
+    copy = sl.commutation_matrix(p, band.entries)
+    target, reference = (band, copy) if band_first else (copy, band)
+    f = sl.phase_shift_invariant(sl.reference_invariant(reference), [1] + [0] * (n - 1))
+    rep = sl.irreducible_rep(target, f)
+    assert sl.verify_relations(rep).ok and sl.commutant_dim(rep) == 1
+    assert sl.extract_invariant(rep) == f and f == sl.extract_invariant(rep)
+    # the report keeps the provenance that equality ignores
+    assert sl.structure_report(band).pattern == tuple(pattern)
+    assert sl.structure_report(band).prefix_ranks == tuple(forms.prefix_ranks(copy)[1])
+    assert sl.structure_report(copy).pattern is None
+
+
 def test_irreducible_scalar_rep():
     mat = sl.commutation_matrix(2, [[0]])
     f = sl.StandardInvariant(mat, (np.array([1]),), (2,))  # f(u1) = -1

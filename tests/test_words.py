@@ -79,6 +79,21 @@ def test_word_mul_context_mismatch():
         sl.word_mul(plain([0, 1], PAULI), plain([0, 1], ZERO2))
 
 
+def test_words_and_invariants_mix_across_equal_matrices():
+    # equal entries are one matrix, whether or not a band produced them
+    band = sl.toeplitz_matrix(2, [1, 1], 4)
+    copy = sl.commutation_matrix(2, band.entries)
+    for x, y in itertools.product(enum_vectors(2, 4), repeat=2):
+        assert plain(x, band) == plain(x, copy) and plain(x, copy) == plain(x, band)
+        assert sl.word_mul(plain(x, band), plain(y, copy)) == sl.word_mul(
+            plain(x, copy), plain(y, band)
+        )
+    f_band, f_copy = sl.reference_invariant(band), sl.reference_invariant(copy)
+    assert f_band == f_copy and f_copy == f_band
+    shifted = sl.phase_shift_invariant(f_copy, [1, 0, 0, 0])
+    assert shifted != f_band and f_band != shifted
+
+
 def test_word_mul_associative_exhaustive_p2():
     mats = [PAULI, CLIFF3, ZERO2]
     for mat in mats:
