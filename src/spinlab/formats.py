@@ -47,10 +47,9 @@ SCHEMA_VERSION = 1
 class ParsedMatrixFile:
     """Parsed header and body of a matrix file.  An explicit file holds
     its validated matrix; a banded one holds the pattern, materialized
-    on request."""
+    on request, and no matrix."""
 
     p: int
-    kind: str  # "explicit" | "toeplitz"
     matrix: CommutationMatrix | None
     pattern: tuple[int, ...] | None
 
@@ -62,7 +61,7 @@ class ParsedMatrixFile:
         default is twice the pattern length (at least 2), enough to show
         the full band.
         """
-        if self.kind == "explicit":
+        if self.pattern is None:
             return self.matrix
         size = n if n is not None else max(2, 2 * len(self.pattern))
         try:
@@ -99,11 +98,11 @@ def _modulus(token: str, lineno: int) -> int:
         raise MatrixFormatError(str(exc), lineno)
 
 
-def _canonical_grid(data: bytes, p: int, n: int) -> np.ndarray | None:
+def _canonical_grid(data: bytes, n: int) -> np.ndarray | None:
     """The n x n grid in ``data`` (body lines joined by newlines) if each line
     holds n canonical decimals of up to three digits between spaces or tabs,
-    else None; the constructor checks their range, so ``p`` is unused.  Values
-    are read at each token's last digit and the two bytes before it."""
+    else None; the constructor checks their range.  Values are read at each
+    token's last digit and the two bytes before it."""
     b = np.frombuffer(data, dtype=np.uint8)
     digit = b - 48  # uint8: bytes below "0" wrap
     dig = np.zeros(b.size + 4, dtype=bool)  # dig[i + 3]: byte i is a digit
@@ -127,7 +126,7 @@ def _explicit_matrix(body: list[tuple[int, str]], p: int, n: int) -> Commutation
     CommutationMatrix constructor, else the rows read with ``int`` ("00" and
     "+1" pass) and checked in order (parse, length, range, diagonal, then
     skew-symmetry) to report the first fault with its line."""
-    grid = _canonical_grid("\n".join([line for _, line in body]).encode(), p, n)
+    grid = _canonical_grid("\n".join([line for _, line in body]).encode(), n)
     if grid is not None:
         try:
             return CommutationMatrix(p, grid)
@@ -182,7 +181,7 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
             raise MatrixFormatError(
                 f"expected {m} pattern values, got {len(values)}", header_line
             )
-        return ParsedMatrixFile(p, "toeplitz", None, tuple(values))
+        return ParsedMatrixFile(p, None, tuple(values))
     if len(tokens) != 2:
         raise MatrixFormatError(
             "header must be 'p n' or 'p toeplitz m'", header_line
@@ -197,7 +196,7 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
             f"expected {n} matrix rows, got {len(body)}",
             body[-1][0] if body else header_line,
         )
-    return ParsedMatrixFile(p, "explicit", _explicit_matrix(body, p, n), None)
+    return ParsedMatrixFile(p, _explicit_matrix(body, p, n), None)
 
 
 def format_matrix_file(mat: CommutationMatrix) -> str:
@@ -350,7 +349,7 @@ def representation_from_dict(doc: dict, mat: CommutationMatrix) -> Representatio
         phases = [_int_list(g["phase_exps"], "phase_exps") for g in gens]
         if len({a.shape for a in perm + phases}) > 1:
             raise MatrixFormatError("generators must share one dimension")
-        return Representation.from_stack(mat, np.array(perm), np.array(phases), "loaded")
+        return Representation.from_stack(mat, np.array(perm), np.array(phases))
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFormatError(f"bad representation document: {exc}")
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import gf
 from .errors import InvariantError, SizeBoundError
-from .forms import CommutationMatrix, _gf_vector, form_kernel, prefix_ranks
+from .forms import CommutationMatrix, _gf_vector, form_kernel, prefix_ranks, symplectic_basis
 from .words import (
     StandardInvariant,
     _checked_invariant,
@@ -193,7 +193,6 @@ class Representation:
 
     mat: CommutationMatrix
     generators: tuple[MonomialMatrix, ...]
-    kind: str  # "prop11" | "irreducible" | "loaded"
     invariant: StandardInvariant | None = None
 
     def __post_init__(self):
@@ -201,11 +200,11 @@ class Representation:
         if any(g.p != self.mat.p or g.dim != gens[0].dim for g in gens):
             raise ValueError("generators must share the modulus and dimension")
         stack = np.array([g.perm for g in gens]), np.array([g.phases for g in gens])
-        rep = Representation.from_stack(self.mat, *stack, self.kind, self.invariant)
+        rep = Representation.from_stack(self.mat, *stack, self.invariant)
         self.__dict__.update(vars(rep))
 
     @classmethod
-    def from_stack(cls, mat, perm, phases, kind, invariant=None) -> "Representation":
+    def from_stack(cls, mat, perm, phases, invariant=None) -> "Representation":
         """Keeps ``perm`` and the fresh ``phases``, reduced mod p^2 in place."""
         if len(perm) != mat.n:
             raise ValueError(f"expected {mat.n} generators, got {len(perm)}")
@@ -213,8 +212,7 @@ class Representation:
         gens = tuple(map(_composed, [mat.p] * len(perm), perm, phases))
         perm.flags.writeable = phases.flags.writeable = False
         rep = object.__new__(cls)
-        rep.__dict__.update(mat=mat, generators=gens, kind=kind, invariant=invariant,
-                            perm=perm, phases=phases)
+        rep.__dict__.update(mat=mat, generators=gens, invariant=invariant, perm=perm, phases=phases)
         return rep
 
     @property
@@ -286,9 +284,12 @@ def _word_table(rep: Representation) -> _WordTable | None:
     return table
 
 
-def _check_dim(dim: int, max_dim: int, what: str) -> None:
+def _check_dim(dim: int, n: int, max_dim: int, what: str) -> None:
+    """Refuse dim > max_dim, and (n, dim) generator stacks past 64 max_dim entries."""
     if dim > max_dim:
         raise SizeBoundError(f"{what} needs dimension {dim} > bound {max_dim}")
+    if n * dim > 64 * max_dim:  # two int64 stacks of 512 MiB each at the default
+        raise SizeBoundError(f"{what} needs {n} x {dim} entries > bound {64 * max_dim}")
 
 
 def _weyl_stack(alpha: np.ndarray, beta: np.ndarray, mu: np.ndarray, p: int):
@@ -322,10 +323,10 @@ def prop11_rep(mat: CommutationMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Repres
     only scalar word matrix is the empty word) but usually reducible.
     """
     p, n = mat.p, mat.n
-    _check_dim(p ** n, max_dim, "prop11 representation")
+    _check_dim(p ** n, n, max_dim, "prop11 representation")
     eye, zero = np.eye(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
     stack = _weyl_stack(eye, np.triu(mat.entries, 1).T, zero, p)
-    return Representation.from_stack(mat, *stack, "prop11")
+    return Representation.from_stack(mat, *stack)
 
 
 def word_matrix(rep: Representation, x) -> MonomialMatrix:
@@ -400,20 +401,22 @@ def irreducible_rep(
     ker(omega); the invariant of the result is recorded on it, on the
     basis of ``form_kernel``.
 
-    Raises SizeBoundError past ``max_dim`` and InvariantError when the
-    requested invariant violates the p-th power law (the square law at
-    p = 2) or its basis does not span ker(omega).
+    Raises SizeBoundError past ``max_dim`` dimensions or 64 ``max_dim``
+    generator entries, and InvariantError when the requested invariant
+    violates the p-th power law (the square law at p = 2) or its basis
+    does not span ker(omega).
     """
     p = mat.p
-    pc = pair_coordinates(mat)
-    _check_dim(p ** pc.basis.r, max_dim, "irreducible representation")
+    basis = symplectic_basis(mat)
+    _check_dim(p ** basis.r, mat.n, max_dim, "irreducible representation")
+    pc = pair_coordinates(mat, basis)
     achieved, mu = pc.invariant, pc.mu
     if invariant is not None:
         gamma = realize_invariant(invariant, achieved)
         mu = mu + p * gamma
         achieved = phase_shift_invariant(achieved, gamma)
     stack = _weyl_stack(pc.alpha, pc.beta, mu, p)
-    return Representation.from_stack(mat, *stack, "irreducible", achieved)
+    return Representation.from_stack(mat, *stack, achieved)
 
 
 def phase_shift_rep(rep: Representation, gamma) -> Representation:
@@ -424,7 +427,7 @@ def phase_shift_rep(rep: Representation, gamma) -> Representation:
     g = _gf_vector(rep.mat, gamma)
     inv = None if rep.invariant is None else phase_shift_invariant(rep.invariant, g)
     phases = rep.phases + p * g[:, None]
-    return Representation.from_stack(rep.mat, rep.perm, phases, rep.kind, inv)
+    return Representation.from_stack(rep.mat, rep.perm, phases, inv)
 
 
 @dataclass(frozen=True)
@@ -484,7 +487,7 @@ def commutant_dim(rep: Representation) -> int:
     then disagree marks its orbit.  A round is O(dim^2) time per generator,
     in a few dim^2-sized arrays made after the COMMUTANT_MAX_DIM check."""
     dim, n, p2 = rep.dim, rep.mat.n, rep.mat.p ** 2
-    _check_dim(dim, COMMUTANT_MAX_DIM, "commutant computation")
+    _check_dim(dim, 1, COMMUTANT_MAX_DIM, "commutant computation")  # dim^2 arrays for any n
     nodes, s = dim * dim, (p2 - 1).bit_length()
     block = max(1, WORD_TABLE_ENTRIES // nodes)
     root, pot, broken = np.arange(nodes), np.zeros(nodes, np.int32), np.zeros(nodes, bool)
@@ -519,7 +522,7 @@ def matrix_units(v: MonomialMatrix, w: MonomialMatrix) -> list[np.ndarray]:
     """
     p = v.p
     pair = CommutationMatrix(p, np.array([[0, 1], [p - 1, 0]]))
-    if not verify_relations(Representation(pair, (v, w), "loaded")).ok:
+    if not verify_relations(Representation(pair, (v, w))).ok:
         raise ValueError("V and W must have order p and satisfy V W = zeta W V exactly")
     zeta = np.exp(2j * np.pi / p)
     w_pows = [to_dense(mono_pow(w, k)) for k in range(p)]

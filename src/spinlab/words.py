@@ -363,17 +363,16 @@ class PairCoordinates(NamedTuple):
     (alpha_j . beta_j) mod p of the modelled generator, and the standard
     invariant that these modelled generators achieve."""
 
-    basis: SymplecticBasis
     alpha: np.ndarray  # n x r
     beta: np.ndarray  # n x r
     mu: np.ndarray  # n
     invariant: StandardInvariant
 
 
-def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
-    """Pair coordinates of every generator, alpha_ji = omega(u_j, f_i) and
-    beta_ji = -omega(u_j, e_i) (as omega(e_i, f_j) = delta_ij), and the
-    invariant of the canonical model.
+def pair_coordinates(mat: CommutationMatrix, basis: SymplecticBasis) -> PairCoordinates:
+    """Pair coordinates of every generator on ``basis``, the symplectic
+    basis of ``mat``: alpha_ji = omega(u_j, f_i) and beta_ji = -omega(u_j,
+    e_i) (as omega(e_i, f_j) = delta_ij), and the canonical model's invariant.
 
     Model j is zeta'^{mu_j} (x)_i S^{alpha_ji} V^{beta_ji}, zeta' =
     e^{2 pi i / p^2}.  Slot parts merge with the phase zeta^{-beta . alpha'},
@@ -383,7 +382,6 @@ def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
     (``_reordering_exponent``).
     """
     p = mat.p
-    basis = symplectic_basis(mat)
     alpha = gf.matmul(mat.entries, basis.f.T, p)
     beta = -gf.matmul(mat.entries, basis.e.T, p) % p
     mu = _power_exponent((alpha * beta).sum(axis=1), p)
@@ -392,14 +390,14 @@ def pair_coordinates(mat: CommutationMatrix) -> PairCoordinates:
     e = _reordering_exponent(k, np.triu(g) + np.triu(g, 1).T, np.diagonal(g), p)
     values = (k @ mu - p * e) % (p * p)
     invariant = _checked_invariant(mat, k, tuple(values.tolist()))
-    return PairCoordinates(basis, alpha, beta, mu, invariant)
+    return PairCoordinates(alpha, beta, mu, invariant)
 
 
 def reference_invariant(mat: CommutationMatrix) -> StandardInvariant:
     """The invariant achieved by the canonical irreducible construction:
     the exact scalars of the ordered generator products over the kernel
     basis, in the closed form of ``pair_coordinates``."""
-    return pair_coordinates(mat).invariant
+    return pair_coordinates(mat, symplectic_basis(mat)).invariant
 
 
 def enumerate_invariants(mat: CommutationMatrix) -> list[StandardInvariant]:
@@ -408,11 +406,12 @@ def enumerate_invariants(mat: CommutationMatrix) -> list[StandardInvariant]:
     i of the radix-p index is theta on basis vector i (at p = 2, bit i
     flips the sign on basis vector i)."""
     p = mat.p
-    f0 = reference_invariant(mat)
-    d = f0.d
+    basis = symplectic_basis(mat)
+    d = basis.d
     if p ** d > 2 ** MAX_KERNEL_DIM:
         bound = len(np.base_repr(2 ** MAX_KERNEL_DIM, p)) - 1  # largest such d
         raise SizeBoundError(f"kernel dimension {d} exceeds the enumeration bound {bound}")
+    f0 = pair_coordinates(mat, basis).invariant
     theta = np.arange(p ** d)[:, None] // p ** np.arange(d) % p
     values = (np.array(f0.values, dtype=np.int64) + p * theta) % (p * p)
     return [_checked_invariant(mat, f0.kernel_basis, tuple(v)) for v in values.tolist()]

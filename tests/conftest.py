@@ -325,12 +325,13 @@ def reference_invariant_loop(mat):
     generators one factor at a time in pair coordinates: merging the
     accumulated (a, b) with a factor (alpha', beta') costs zeta^{-b.alpha'}."""
     p = mat.p
-    pc = sl.words.pair_coordinates(mat)
+    basis = sl.symplectic_basis(mat)
+    pc = sl.words.pair_coordinates(mat, basis)
     values = []
-    for k in pc.basis.kernel:
+    for k in basis.kernel:
         phase = 0
-        acc_a = np.zeros(pc.basis.r, dtype=np.int64)
-        acc_b = np.zeros(pc.basis.r, dtype=np.int64)
+        acc_a = np.zeros(basis.r, dtype=np.int64)
+        acc_b = np.zeros(basis.r, dtype=np.int64)
         for j in range(mat.n):
             for _ in range(int(k[j])):
                 phase += int(pc.mu[j]) - p * int(acc_b @ pc.alpha[j])

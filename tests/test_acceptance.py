@@ -242,7 +242,7 @@ def test_criterion_7_cross_oracle():
             lhs = mono_mul(sl.word_matrix(rep, x), sl.word_matrix(rep, y))
             rhs = mono_scale(sl.word_matrix(rep, symbolic.x), symbolic.phase)
             if lhs != rhs:
-                failures.append((rep.kind, mat.p, tuple(x), tuple(y)))
+                failures.append((rep.dim, mat.p, tuple(x), tuple(y)))
     report(7, "cross-oracle words vs matrices", failures)
 
 

@@ -87,8 +87,8 @@ def test_json_documents_are_compact(capsys, name, argv):
 @pytest.mark.parametrize("name,argv", GOLDEN_CASES)
 def test_golden_outputs_in_a_subprocess(cli, name, argv):
     # the entry points as a user runs them, with stdout a pipe of the child
-    if shutil.which(cli[0]) is None:
-        pytest.skip(f"{cli[0]} is not on PATH")
+    if shutil.which(cli[0]) is None:  # in CI a missing script is a broken install
+        (pytest.fail if os.environ.get("CI") else pytest.skip)(f"{cli[0]} is not on PATH")
     paths = [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     done = subprocess.run(cli + [str(a) for a in argv], capture_output=True, env=env, timeout=120)
@@ -332,6 +332,31 @@ def test_env_override_allows_within_bound(capsys, monkeypatch):
     monkeypatch.setenv("SPINLAB_MAX_DIM", "8")
     code, _, _ = run(capsys, "represent", FIXTURES / "clifford3.txt", "--kind", "prop11")
     assert code == 0
+
+
+@pytest.mark.parametrize("d,want", [(58, 0), (60, 3)])
+def test_env_override_bounds_the_generator_entries(capsys, monkeypatch, tmp_path, d, want):
+    # dim 2^3 = 8 either way; n = 6 + d generators need n * 8 <= 64 * 8 entries
+    monkeypatch.setenv("SPINLAB_MAX_DIM", "8")
+    path = tmp_path / "m.txt"
+    path.write_text(formats.format_matrix_file(sl.standard_form(2, 3, d)), encoding="utf-8")
+    code, out, err = run(capsys, "represent", path, "--kind", "irr")
+    assert code == want
+    if want:
+        assert out == ""
+        assert err == "error: irreducible representation needs 66 x 8 entries > bound 512\n"
+
+
+def test_classify_refuses_before_the_reference_invariant(capsys, monkeypatch, tmp_path):
+    def gram_product(*args):
+        raise AssertionError("the reference invariant was computed before the size check")
+
+    monkeypatch.setattr(sl.words, "_reordering_exponent", gram_product)
+    path = tmp_path / "zero.txt"
+    path.write_text("2 32\n" + ("0 " * 31 + "0\n") * 32, encoding="utf-8")
+    code, out, err = run(capsys, "classify", path)
+    assert code == 3 and out == ""
+    assert err == "error: kernel dimension 32 exceeds the enumeration bound 16\n"
 
 
 def test_exit_code_4_on_bad_invariant(capsys, tmp_path):

@@ -23,7 +23,7 @@ def test_parse_explicit_round_trip():
     for mat in (PAULI, CLIFF3, sl.random_alternating(5, 4, seed=3)):
         text = formats.format_matrix_file(mat)
         parsed = formats.parse_matrix_file(text)
-        assert parsed.kind == "explicit"
+        assert parsed.pattern is None
         assert parsed.materialize() == mat
 
 
@@ -46,7 +46,7 @@ def test_parse_allows_comments_and_blanks():
 
 def test_parse_toeplitz():
     parsed = formats.parse_matrix_file("2 toeplitz 3\n1 0 1\n")
-    assert parsed.kind == "toeplitz"
+    assert parsed.matrix is None
     assert parsed.pattern == (1, 0, 1)
     mat = parsed.materialize(5)
     assert mat == sl.toeplitz_matrix(2, [1, 0, 1], 5)
@@ -270,7 +270,7 @@ def test_canonical_grid_reads_every_canonical_grid(p, n, data):
                               min_size=n, max_size=n))
     text = "\n".join(data.draw(st.sampled_from([" ", "  ", "\t", " \t"])).join(map(str, row))
                      for row in rows)
-    assert formats._canonical_grid(text.encode(), p, n).tolist() == rows
+    assert formats._canonical_grid(text.encode(), n).tolist() == rows
 
 
 @settings(deadline=None, max_examples=500)

@@ -265,7 +265,7 @@ def test_constructions_validate_their_stack_once(monkeypatch, build, p, n):
         "irreducible": lambda: sl.irreducible_rep(mat),
         "phase_shift": lambda: sl.phase_shift_rep(rep, np.ones(n, dtype=int)),
         "loaded": lambda: formats.representation_from_dict(doc, mat),
-        "constructor": lambda: sl.Representation(mat, rep.generators, "loaded"),
+        "constructor": lambda: sl.Representation(mat, rep.generators),
     }
     checks = []
     check_stack = sl.reps._check_stack
@@ -294,7 +294,7 @@ def test_zero_dimension_is_refused():
         sl.mono_identity(0, 2)
     empty = np.zeros((2, 0), dtype=np.int64)
     with pytest.raises(ValueError, match="dimension >= 1"):
-        sl.Representation.from_stack(PAULI, empty, empty.copy(), "loaded")
+        sl.Representation.from_stack(PAULI, empty, empty.copy())
 
 
 # --- word matrices ----------------------------------------------------------
@@ -339,7 +339,7 @@ def word_representations(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     gens = tuple(_random_monomial(p, dim, rng) for _ in range(n))
     mat = sl.commutation_matrix(p, np.zeros((n, n), dtype=int))
-    return sl.Representation(mat, gens, "loaded")
+    return sl.Representation(mat, gens)
 
 
 @settings(deadline=None, max_examples=80)
@@ -379,7 +379,7 @@ def test_word_table_stays_within_budget(n, p, dim, widths):
     rng = np.random.default_rng(n)
     gens = tuple(_random_monomial(p, dim, rng) for _ in range(n))
     mat = sl.commutation_matrix(p, np.zeros((n, n), dtype=int))
-    table = sl.Representation(mat, gens, "loaded")._word_table
+    table = sl.Representation(mat, gens)._word_table
     if not widths:
         assert table is None
         return
@@ -409,7 +409,7 @@ def test_word_matrix_builds_one_monomial_matrix(monkeypatch):
     monkeypatch.setattr(sl.reps, "_composed", counting_composed)
     for budget in (sl.reps.WORD_TABLE_ENTRIES, 1):
         monkeypatch.setattr(sl.reps, "WORD_TABLE_ENTRIES", budget)
-        fresh = sl.Representation(rep.mat, rep.generators, rep.kind)
+        fresh = sl.Representation(rep.mat, rep.generators)
         for x in ([2, 1, 2, 2], [0, 0, 0, 0], [1, 0, 0, 2]):
             built.clear()
             sl.word_matrix(fresh, x)
@@ -446,9 +446,9 @@ def test_one_chunk_word_matrix_is_a_frozen_view_of_the_table():
 
 def test_representation_rejects_mixed_generators():
     with pytest.raises(ValueError, match="dimension"):
-        sl.Representation(PAULI, (sl.shift(2), sl.mono_identity(4, 2)), "loaded")
+        sl.Representation(PAULI, (sl.shift(2), sl.mono_identity(4, 2)))
     with pytest.raises(ValueError, match="modulus"):
-        sl.Representation(PAULI, (sl.shift(2), sl.mono_identity(2, 3)), "loaded")
+        sl.Representation(PAULI, (sl.shift(2), sl.mono_identity(2, 3)))
 
 
 @pytest.mark.parametrize(
@@ -471,7 +471,7 @@ def test_representation_rejects_wrong_generator_count(count):
     # PAULI has n = 2: one generator per qudit, no fewer and no more
     gens = (sl.shift(2),) * count
     with pytest.raises(ValueError, match=f"expected 2 generators, got {count}"):
-        sl.Representation(PAULI, gens, "loaded")
+        sl.Representation(PAULI, gens)
 
 
 @pytest.mark.parametrize(
@@ -483,7 +483,7 @@ def test_from_stack_rejects_wrong_generator_count(mat, rows):
     # verify_relations, word_matrix or extract_invariant
     rep = sl.irreducible_rep(mat)
     with pytest.raises(ValueError, match=f"expected {mat.n} generators, got {len(rows)}"):
-        sl.Representation.from_stack(mat, rep.perm[rows], rep.phases[rows], "loaded")
+        sl.Representation.from_stack(mat, rep.perm[rows], rep.phases[rows])
 
 
 # --- irreducible construction -----------------------------------------------
@@ -613,15 +613,27 @@ def test_irreducible_odd_p_retargeting(mat, seed):
             sl.irreducible_rep(mat, sl.StandardInvariant(mat, f0.kernel_basis, values))
 
 
-def test_irreducible_size_bound():
+def test_irreducible_size_bound(monkeypatch):
+    # refused on the basis, before the Gram product of pair_coordinates
+    def gram_product(*args):
+        raise AssertionError("pair_coordinates ran before the size check")
+
+    monkeypatch.setattr(sl.words, "_reordering_exponent", gram_product)
     with pytest.raises(SizeBoundError):
         sl.irreducible_rep(sl.clifford_matrix(2, 10), max_dim=8)
+
+
+def test_irreducible_generator_entries_bound():
+    # dim 2^20 is within the default bound, but two (66, 2^20) int64 stacks
+    # would take 1.1 GB: 66 generators pass 64 max_dim entries
+    with pytest.raises(SizeBoundError, match="66 x 1048576 entries > bound 67108864"):
+        sl.irreducible_rep(sl.standard_form(2, 20, 26))
 
 
 @settings(deadline=None, max_examples=60)
 @given(commutation_matrices(max_n=6), st.integers(0, 2 ** 32 - 1))
 def test_irreducible_matches_mono_tensor_fold(mat, seed):
-    pc = sl.words.pair_coordinates(mat)
+    pc = sl.words.pair_coordinates(mat, sl.symplectic_basis(mat))
     gamma = np.random.default_rng(seed).integers(0, mat.p, size=mat.n)
     target = sl.phase_shift_invariant(pc.invariant, gamma)
     mu = pc.mu + mat.p * sl.realize_invariant(target, pc.invariant)
@@ -788,7 +800,7 @@ def corrupted_representations(draw):
         perm[k, [a, b]] = perm[k, [b, a]]
     elif fault == "order":
         phases[k] += 1
-    return sl.Representation.from_stack(rep.mat, perm, phases, rep.kind)
+    return sl.Representation.from_stack(rep.mat, perm, phases)
 
 
 @settings(deadline=None, max_examples=150)
@@ -803,7 +815,7 @@ def test_verify_relations_matches_pairwise_oracle(rep, budget):
 
 def test_verify_relations_reports_failures():
     x_tensor_eye = mono_tensor(sl.shift(2), sl.mono_identity(2, 2))
-    bad = sl.Representation(PAULI, (x_tensor_eye, x_tensor_eye), "loaded")
+    bad = sl.Representation(PAULI, (x_tensor_eye, x_tensor_eye))
     report = sl.verify_relations(bad)
     assert not report.ok
     assert report.pair_failures == ((0, 1),)
@@ -822,7 +834,7 @@ def test_commutant_dims():
 def test_commutant_size_bound(monkeypatch):
     big = sl.mono_identity(sl.reps.COMMUTANT_MAX_DIM + 1, 2)
     with pytest.raises(SizeBoundError):
-        sl.commutant_dim(sl.Representation(sl.commutation_matrix(2, [[0]]), (big,), "loaded"))
+        sl.commutant_dim(sl.Representation(sl.commutation_matrix(2, [[0]]), (big,)))
     rep = sl.prop11_rep(sl.clifford_matrix(2, 4))
     monkeypatch.setattr(sl.reps, "COMMUTANT_MAX_DIM", 8)
     with pytest.raises(SizeBoundError):
@@ -850,7 +862,7 @@ def small_representations(draw):
         phases = rng.integers(0, p * p, size=dim) * draw(st.sampled_from([0, 1]))
         gens.append(sl.MonomialMatrix(p, perm, phases))
     mat = sl.commutation_matrix(p, np.zeros((k, k), dtype=int))
-    return sl.Representation(mat, tuple(gens), "loaded")
+    return sl.Representation(mat, tuple(gens))
 
 
 @settings(deadline=None, max_examples=60)
@@ -899,7 +911,7 @@ def test_commutant_irreducible_dim_256():
 def test_commutant_long_cycles():
     perm = (np.arange(1024) + 1)[None] % 1024
     mat = sl.commutation_matrix(2, [[0]])
-    rep = sl.Representation.from_stack(mat, perm, np.zeros_like(perm), "loaded")
+    rep = sl.Representation.from_stack(mat, perm, np.zeros_like(perm))
     assert sl.commutant_dim(rep) == 1024
     for p in (31, 251):
         rep = sl.irreducible_rep(sl.commutation_matrix(p, [[0, 1, 0], [p - 1, 0, 1], [0, p - 1, 0]]))
@@ -939,7 +951,7 @@ def loaded_representations(draw):
             "coboundary": h[perm[j]] - h,
         }[draw(st.sampled_from(["zero", "constant", "random", "coboundary"]))]
     mat = sl.commutation_matrix(p, np.zeros((k, k), dtype=int))
-    return sl.Representation.from_stack(mat, perm, phases, "loaded")
+    return sl.Representation.from_stack(mat, perm, phases)
 
 
 @settings(deadline=None, max_examples=200)

@@ -282,13 +282,12 @@ def test_evaluate_invariant_reuses_its_tables(monkeypatch):
 
 def test_pair_coordinates_rebuild_the_generators():
     for mat in (CLIFF3, sl.random_alternating(3, 7, seed=2), sl.random_alternating(2, 9, seed=5)):
-        pc = sl.words.pair_coordinates(mat)
-        p, r = mat.p, pc.basis.r
-        t = pc.basis.column_matrix()
+        basis = sl.symplectic_basis(mat)
+        pc = sl.words.pair_coordinates(mat, basis)
+        p, r = mat.p, basis.r
+        t = basis.column_matrix()
         for j in range(mat.n):
-            pairs = sum(
-                pc.alpha[j, i] * pc.basis.e[i] + pc.beta[j, i] * pc.basis.f[i] for i in range(r)
-            )
+            pairs = sum(pc.alpha[j, i] * basis.e[i] + pc.beta[j, i] * basis.f[i] for i in range(r))
             kernel_part = (np.eye(mat.n, dtype=np.int64)[j] - pairs) % p
             # what is left of u_j lies in the kernel span
             assert gf_solve(t[:, 2 * r :], kernel_part, p) is not None or not kernel_part.any()
@@ -300,9 +299,10 @@ def test_pair_coordinates_rebuild_the_generators():
 @given(commutation_matrices(primes=(2, 3, 5, 7), max_n=8))
 def test_pair_coordinates_match_the_inverse_basis(mat):
     # row j of T^-1 holds the coordinates of u_j on (e_1, f_1, ..., kernel)
-    pc = sl.words.pair_coordinates(mat)
-    r = pc.basis.r
-    coords = gf_inverse(pc.basis.column_matrix(), mat.p).T
+    basis = sl.symplectic_basis(mat)
+    pc = sl.words.pair_coordinates(mat, basis)
+    r = basis.r
+    coords = gf_inverse(basis.column_matrix(), mat.p).T
     assert np.array_equal(pc.alpha, coords[:, 0 : 2 * r : 2])
     assert np.array_equal(pc.beta, coords[:, 1 : 2 * r : 2])
 
@@ -592,10 +592,10 @@ def _assert_array_basis(f, mat):
 @settings(deadline=None, max_examples=40)
 @given(commutation_matrices(primes=(2, 3, 5), max_n=5), st.integers(0, 2 ** 16))
 def test_kernel_basis_is_one_frozen_array_shared_by_derived_invariants(mat, seed):
-    pc = sl.words.pair_coordinates(mat)
-    f0 = pc.invariant
+    basis = sl.symplectic_basis(mat)
+    f0 = sl.words.pair_coordinates(mat, basis).invariant
     _assert_array_basis(f0, mat)
-    assert f0.kernel_basis.tolist() == [k.tolist() for k in pc.basis.kernel]
+    assert f0.kernel_basis.tolist() == [k.tolist() for k in basis.kernel]
     gamma = np.random.default_rng(seed).integers(0, mat.p, size=mat.n)
     shifted = sl.phase_shift_invariant(f0, gamma)
     _assert_array_basis(shifted, mat)
