@@ -14,11 +14,11 @@ Parse and validation failures raise MatrixFormatError carrying the
 offending 1-based line number.  The CLI writes each JSON document as
 one line of compact JSON with a fixed field order: the bytes of the
 standard library encoder with separators "," and ":" and non-ASCII text
-kept, with integer arrays written by numpy (``json_pieces``).
-Documents never contain floats: phases are always integer exponents mod
-p^2.  The report, basis, classification and grow documents carry
-``"schema": SCHEMA_VERSION``; the invariant and representation
-documents do not.
+kept, from one encoder pass with integer arrays written by numpy
+(``json_pieces``).  Documents never contain floats: phases are always
+integer exponents mod p^2.  The report, basis, classification and grow
+documents carry ``"schema": SCHEMA_VERSION``; the invariant and
+representation documents do not.
 """
 
 from __future__ import annotations
@@ -280,29 +280,23 @@ def _int_array_json(a) -> str:
 
 
 def json_pieces(doc) -> Iterator[str]:
-    """``json.dumps(doc, ensure_ascii=False, separators=(",", ":"))`` in pieces:
-    each integer array by ``_int_array_json`` (once while it repeats, as a
-    classification's kernel basis), a part holding none by the encoder."""
-    encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
-    last = [None, ""]  # the last array's id and text
+    """``json.dumps(doc, ensure_ascii=False, separators=(",", ":"))`` in pieces: one encoder
+    pass holds each integer array as ``"\\u0000"``, where ``_int_array_json`` writes it."""
+    arrays = []
 
-    def pieces(v):
-        if isinstance(v, np.ndarray):
-            if last[0] != id(v):
-                last[:] = id(v), _int_array_json(v)
-            yield last[1]
-            return
-        try:
-            yield encode(v)
-        except TypeError:  # an array inside (the encoder refuses arrays)
-            is_dict = isinstance(v, dict)
-            yield "{" if is_dict else "["
-            for i, x in enumerate(v):
-                yield ("," if i else "") + (encode(x) + ":" if is_dict else "")
-                yield from pieces(v[x] if is_dict else x)
-            yield "}" if is_dict else "]"
+    def hold(a):
+        arrays.append(a)
+        return "\0"
 
-    return pieces(doc)
+    text = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), default=hold).encode(doc)
+    parts = text.split('"\\u0000"')
+    if len(parts) != len(arrays) + 1:  # a string is NUL, or ends in '"' and NUL
+        raise ValueError("a document string reads as an array")
+    yield parts[0]
+    last = None, ""  # an array that repeats (a classification's basis) is written once
+    for a, part in zip(arrays, parts[1:]):
+        last = last if last[0] is a else (a, _int_array_json(a))
+        yield from (last[1], part)
 
 
 def invariant_doc(f: StandardInvariant) -> dict:

@@ -372,7 +372,10 @@ def congruence_to_standard(mat: CommutationMatrix) -> np.ndarray:
 def matrix_from_basis(ref: CommutationMatrix, vectors) -> CommutationMatrix:
     """The commutation matrix of a family of vectors under omega_ref:
     entry (i, j) is omega_ref(v_i, v_j).  Alternating by construction;
-    nondegenerate whenever the vectors form a basis and ref does."""
+    nondegenerate whenever the vectors form a basis and ref does.  More than
+    max(ref.n, MAX_TOEPLITZ_N) vectors raise SizeBoundError before the product."""
     v = np.stack([_gf_vector(ref, x) for x in vectors])
+    if len(v) > (bound := max(ref.n, MAX_TOEPLITZ_N)):
+        raise SizeBoundError(f"basis family of {len(v)} vectors > bound {bound}")
     ent = gf.matmul(gf.matmul(v, ref.entries, ref.p), v.T, ref.p)
     return CommutationMatrix(ref.p, ent)

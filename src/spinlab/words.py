@@ -219,9 +219,11 @@ class _KernelTables(NamedTuple):
 
 def _kernel_tables(f: StandardInvariant) -> _KernelTables:
     """One elimination, rref([K | I_d]) = [R | E]: E K = R, so E inverts K's
-    pivot minor, and a pivot past column n means K is dependent."""
+    pivot minor, and a pivot past column n (or d > n, before it) means K is dependent."""
     k, p = f.kernel_basis, f.mat.p
     d, n = k.shape
+    if d > n:
+        raise InvariantError("kernel basis vectors are linearly dependent")
     r, pivots = gf.rref(np.concatenate([k, np.eye(d, dtype=np.int64)], axis=1), p)
     if pivots and pivots[-1] >= n:
         raise InvariantError("kernel basis vectors are linearly dependent")

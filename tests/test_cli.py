@@ -328,6 +328,16 @@ def test_exit_code_3_on_generated_size_bound(capsys, option, extra):
     assert "bound" in err
 
 
+def test_exit_code_3_on_a_basis_family_past_the_bound(capsys, tmp_path):
+    # 2049 vectors of a 1 x 1 reference would make a 2049 x 2049 matrix
+    ref, basis, out = tmp_path / "ref.txt", tmp_path / "basis.txt", tmp_path / "out.txt"
+    ref.write_text("2 1\n0\n", encoding="utf-8")
+    basis.write_text("1\n" * (forms.MAX_TOEPLITZ_N + 1), encoding="utf-8")
+    code, stdout, err = run(capsys, "generate", "--from-basis", ref, basis, "--out", out)
+    assert (code, stdout, out.exists()) == (3, "", False)
+    assert err == "error: basis family of 2049 vectors > bound 2048\n"
+
+
 def test_env_override_allows_within_bound(capsys, monkeypatch):
     monkeypatch.setenv("SPINLAB_MAX_DIM", "8")
     code, _, _ = run(capsys, "represent", FIXTURES / "clifford3.txt", "--kind", "prop11")
@@ -414,6 +424,21 @@ def test_exit_code_4_on_an_invariant_basis_that_is_not_a_kernel_basis(
     )
     assert code == 4 and out == ""
     assert message in err
+
+
+def test_exit_code_4_on_more_invariant_rows_than_n_before_the_elimination(
+    capsys, monkeypatch, tmp_path
+):
+    def rref(*args):
+        raise AssertionError("eliminated rows that are certainly dependent")
+
+    monkeypatch.setattr(sl.gf, "rref", rref)
+    zero = tmp_path / "zero.txt"
+    zero.write_text("2 1\n0\n", encoding="utf-8")
+    inv_file = _invariant_file(tmp_path, [[1]] * 3000, [0] * 3000)
+    code, out, err = run(capsys, "represent", zero, "--kind", "irr", "--invariant", inv_file)
+    assert (code, out) == (4, "")
+    assert err == "error: kernel basis vectors are linearly dependent\n"
 
 
 def test_exit_code_2_on_invariant_for_prop11(capsys, tmp_path):

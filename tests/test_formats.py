@@ -341,6 +341,39 @@ def test_compact_json_writes_a_shared_array_once():
     assert text == json.dumps(plain, ensure_ascii=False, separators=(",", ":"))
 
 
+@st.composite
+def _documents(draw):
+    """Nested dicts, lists and tuples of JSON scalars and int64 arrays of 0-2
+    dimensions (empty ones too), some array objects appearing more than once."""
+    shapes = st.tuples() | st.tuples(st.integers(0, 4)) | st.tuples(st.integers(0, 3), st.integers(0, 3))
+    pool = draw(st.lists(arrays(np.int64, shapes, elements=_int64), min_size=1, max_size=3))
+    # any text that cannot read as an array's token (see json_pieces)
+    text = st.text().filter(lambda s: s != "\0" and not s.endswith('"\0'))
+    leaves = st.integers() | text | st.booleans() | st.none() | st.sampled_from(pool)
+    return draw(
+        st.recursive(
+            leaves,
+            lambda kids: st.lists(kids, max_size=4)
+            | st.lists(kids, max_size=4).map(tuple)
+            | st.dictionaries(text, kids, max_size=4),
+            max_leaves=16,
+        )
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(_documents())
+def test_json_pieces_equal_json_dumps_of_the_plain_document(doc):
+    expected = json.dumps(formats._plain(doc), ensure_ascii=False, separators=(",", ":"))
+    assert "".join(formats.json_pieces(doc)) == expected
+
+
+@pytest.mark.parametrize("doc", [{"a": "\0", "k": np.eye(2, dtype=np.int64)}, ["x\"\0"], {"\0": 1}])
+def test_json_pieces_refuse_a_string_that_reads_as_an_array(doc):
+    with pytest.raises(ValueError, match="reads as an array"):
+        "".join(formats.json_pieces(doc))
+
+
 def test_invariant_dict_round_trip():
     f0 = sl.reference_invariant(CLIFF3)
     doc = formats.invariant_to_dict(f0)

@@ -759,6 +759,19 @@ def test_matrix_from_basis_standard_basis_copies():
     assert np.array_equal(out.entries, CLIFF3.entries)
 
 
+def test_matrix_from_basis_bounds_the_family_before_the_product(monkeypatch):
+    ref = sl.commutation_matrix(2, [[0]])
+    vectors = np.ones((forms.MAX_TOEPLITZ_N, 1), dtype=np.int64)
+    assert sl.matrix_from_basis(ref, vectors).n == forms.MAX_TOEPLITZ_N
+
+    def matmul(*args):
+        raise AssertionError("the product was formed before the size check")
+
+    monkeypatch.setattr(gf, "matmul", matmul)
+    with pytest.raises(SizeBoundError, match="2049 vectors > bound 2048"):
+        sl.matrix_from_basis(ref, np.ones((forms.MAX_TOEPLITZ_N + 1, 1), dtype=np.int64))
+
+
 def test_matrix_from_basis_single_vector():
     out = sl.matrix_from_basis(CLIFF3, [np.array([1, 0, 1])])
     assert out.entries.tolist() == [[0]]

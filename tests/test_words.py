@@ -409,6 +409,17 @@ def test_standard_invariant_refuses_non_kernel_and_dependent_bases(mat, basis):
         sl.StandardInvariant(mat, basis, (0,) * len(basis))
 
 
+def test_standard_invariant_refuses_more_rows_than_n_before_the_elimination(monkeypatch):
+    def rref(*args):
+        raise AssertionError("eliminated rows that are certainly dependent")
+
+    monkeypatch.setattr(sl.gf, "rref", rref)
+    with pytest.raises(InvariantError, match="kernel basis vectors are linearly dependent"):
+        sl.StandardInvariant(ZERO2, [[1, 0], [0, 1], [1, 1]], (0, 0, 0))
+    with pytest.raises(InvariantError, match="not in ker\\(omega\\)"):  # still checked first
+        sl.StandardInvariant(PAULI, [[1, 0], [0, 1], [1, 1]], (0, 0, 0))
+
+
 @settings(deadline=None, max_examples=60)
 @given(commutation_matrices(primes=(2, 3, 5), max_n=6), st.integers(0, 2 ** 32 - 1))
 def test_an_invariant_moved_to_another_kernel_basis_is_the_same_function(mat, seed):
