@@ -59,7 +59,7 @@ def _emit_json(doc: dict, out: str | None) -> None:
 
 
 def _load_matrix(path: str, n_max: int | None) -> forms.CommutationMatrix:
-    return formats.parse_matrix_file(_read(path)).materialize(n_max)
+    return _from_options(formats.parse_matrix_file(_read(path)).materialize, n_max)
 
 
 def _max_dim() -> int:

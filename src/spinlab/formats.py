@@ -59,15 +59,12 @@ class ParsedMatrixFile:
         Explicit files return their matrix and ignore ``n``.  Banded
         files materialize their n x n prefix; when ``n`` is omitted the
         default is twice the pattern length (at least 2), enough to show
-        the full band.
+        the full band.  A bad ``n`` raises ``toeplitz_matrix``'s ValueError.
         """
         if self.pattern is None:
             return self.matrix
         size = n if n is not None else max(2, 2 * len(self.pattern))
-        try:
-            return toeplitz_matrix(self.p, self.pattern, size)
-        except ValueError as exc:  # the size is the only unchecked input
-            raise MatrixFormatError(str(exc))
+        return toeplitz_matrix(self.p, self.pattern, size)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:

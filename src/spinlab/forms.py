@@ -373,9 +373,9 @@ def matrix_from_basis(ref: CommutationMatrix, vectors) -> CommutationMatrix:
     """The commutation matrix of a family of vectors under omega_ref:
     entry (i, j) is omega_ref(v_i, v_j).  Alternating by construction;
     nondegenerate whenever the vectors form a basis and ref does.  More than
-    max(ref.n, MAX_TOEPLITZ_N) vectors raise SizeBoundError before the product."""
+    max(ref.n, MAX_TOEPLITZ_N) vectors raise SizeBoundError before any is read."""
+    if len(vectors) > (bound := max(ref.n, MAX_TOEPLITZ_N)):
+        raise SizeBoundError(f"basis family of {len(vectors)} vectors > bound {bound}")
     v = np.stack([_gf_vector(ref, x) for x in vectors])
-    if len(v) > (bound := max(ref.n, MAX_TOEPLITZ_N)):
-        raise SizeBoundError(f"basis family of {len(v)} vectors > bound {bound}")
     ent = gf.matmul(gf.matmul(v, ref.entries, ref.p), v.T, ref.p)
     return CommutationMatrix(ref.p, ent)

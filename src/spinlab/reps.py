@@ -50,7 +50,6 @@ from .words import (
     _checked_invariant,
     count_classes,
     pair_coordinates,
-    phase_shift_invariant,
     realize_invariant,
 )
 
@@ -193,18 +192,17 @@ class Representation:
 
     mat: CommutationMatrix
     generators: tuple[MonomialMatrix, ...]
-    invariant: StandardInvariant | None = None
 
     def __post_init__(self):
         gens = self.generators
         if any(g.p != self.mat.p or g.dim != gens[0].dim for g in gens):
             raise ValueError("generators must share the modulus and dimension")
         stack = np.array([g.perm for g in gens]), np.array([g.phases for g in gens])
-        rep = Representation.from_stack(self.mat, *stack, self.invariant)
+        rep = Representation.from_stack(self.mat, *stack)
         self.__dict__.update(vars(rep))
 
     @classmethod
-    def from_stack(cls, mat, perm, phases, invariant=None) -> "Representation":
+    def from_stack(cls, mat, perm, phases) -> "Representation":
         """Keeps ``perm`` and the fresh ``phases``, reduced mod p^2 in place."""
         if len(perm) != mat.n:
             raise ValueError(f"expected {mat.n} generators, got {len(perm)}")
@@ -212,7 +210,7 @@ class Representation:
         gens = tuple(map(_composed, [mat.p] * len(perm), perm, phases))
         perm.flags.writeable = phases.flags.writeable = False
         rep = object.__new__(cls)
-        rep.__dict__.update(mat=mat, generators=gens, invariant=invariant, perm=perm, phases=phases)
+        rep.__dict__.update(mat=mat, generators=gens, perm=perm, phases=phases)
         return rep
 
     @property
@@ -398,8 +396,8 @@ def irreducible_rep(
     ``realize_invariant``, onto the requested invariant: any valid
     invariant is reachable this way, for every prime (at p = 2 these are
     sign flips).  The requested invariant may be written on any basis of
-    ker(omega); the invariant of the result is recorded on it, on the
-    basis of ``form_kernel``.
+    ker(omega); ``extract_invariant`` reads the invariant of the result
+    back off its stacks, on the basis of ``form_kernel``.
 
     Raises SizeBoundError past ``max_dim`` dimensions or 64 ``max_dim``
     generator entries, and InvariantError when the requested invariant
@@ -410,24 +408,19 @@ def irreducible_rep(
     basis = symplectic_basis(mat)
     _check_dim(p ** basis.r, mat.n, max_dim, "irreducible representation")
     pc = pair_coordinates(mat, basis)
-    achieved, mu = pc.invariant, pc.mu
-    if invariant is not None:
-        gamma = realize_invariant(invariant, achieved)
-        mu = mu + p * gamma
-        achieved = phase_shift_invariant(achieved, gamma)
-    stack = _weyl_stack(pc.alpha, pc.beta, mu, p)
-    return Representation.from_stack(mat, *stack, achieved)
+    gamma = 0 if invariant is None else realize_invariant(invariant, pc.invariant)
+    stack = _weyl_stack(pc.alpha, pc.beta, pc.mu + p * gamma, p)
+    return Representation.from_stack(mat, *stack)
 
 
 def phase_shift_rep(rep: Representation, gamma) -> Representation:
     """Multiply generator k by zeta^{gamma_k}, zeta = e^{2 pi i / p} (a
-    sign flip at p = 2).  Relations and orders are preserved, and the
-    invariant gains the exponent p (gamma . x) on kernel vectors x."""
-    p = rep.mat.p
+    sign flip at p = 2).  Relations and orders are preserved, and
+    ``extract_invariant`` of the result is ``phase_shift_invariant(f,
+    gamma)`` for the invariant f of ``rep``."""
     g = _gf_vector(rep.mat, gamma)
-    inv = None if rep.invariant is None else phase_shift_invariant(rep.invariant, g)
-    phases = rep.phases + p * g[:, None]
-    return Representation.from_stack(rep.mat, rep.perm, phases, inv)
+    phases = rep.phases + rep.mat.p * g[:, None]
+    return Representation.from_stack(rep.mat, rep.perm, phases)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ product rule is
     w_x w_y = zeta^{Q(x, y)} w_{x+y}
 
 with Q the strict-lower-triangle form of the commutation matrix, and
-two words commute up to zeta^{omega(x, y)}.  Everything here is integer
-arithmetic; no floats appear anywhere.
+two words commute up to zeta^{omega(x, y)}.  Everything here is exact
+integer arithmetic; large products run in float64 (BLAS) only where every
+sum stays below 2^53.
 
 One p-th power law holds at every prime: a plain word has w_x^p =
 zeta'^{p s(x)}, zeta' = e^{2 pi i/p^2}, with s(x) = C(p, 2) Q(x, x) mod p
@@ -229,7 +230,7 @@ def _kernel_tables(f: StandardInvariant) -> _KernelTables:
         raise InvariantError("kernel basis vectors are linearly dependent")
     coord_map = np.zeros((n, d), dtype=np.int64)
     coord_map[pivots] = r[:, n:]
-    gram = k @ f.mat.lower @ k.T % p
+    gram = gf.matmul(gf.matmul(k, f.mat.lower, p), k.T, p)
     return _KernelTables(
         coord_map=coord_map,
         gram_sym=np.triu(gram) + np.triu(gram, 1).T,
@@ -260,9 +261,10 @@ def _reordering_exponent(a: np.ndarray, sym: np.ndarray, diag: np.ndarray, p: in
 
     When factors merge with a bilinear phase, F_x F_y = zeta^{B(x,y)}
     F_{x+y}, the ordered product prod_i F_{v_i}^{a_i} is zeta^{E(a; G)}
-    F_{sum_i a_i v_i} with G_ij = B(v_i, v_j).
+    F_{sum_i a_i v_i} with G_ij = B(v_i, v_j).  sym and diag may be
+    float64 for a BLAS product, exact while a @ sym stays below 2^53.
     """
-    s = a @ sym - diag
+    s = (a @ sym - diag).astype(np.int64, copy=False)
     return (s @ a if a.ndim == 1 else (s * a).sum(axis=1)) // 2 % p
 
 
@@ -295,7 +297,7 @@ def invariant_square_check(f: StandardInvariant) -> bool:
     f(k)^2 = (-1)^{Q(k,k)} at p = 2)."""
     p = f.mat.p
     k = f.kernel_basis
-    s = _power_exponent((k @ f.mat.lower % p * k).sum(axis=1), p)
+    s = _power_exponent((gf.matmul(k, f.mat.lower, p) * k).sum(axis=1), p)
     return not ((np.array(f.values, dtype=np.int64) - s) % p).any()
 
 
@@ -387,7 +389,7 @@ def pair_coordinates(mat: CommutationMatrix, basis: SymplecticBasis) -> PairCoor
     alpha = gf.matmul(mat.entries, basis.f.T, p)
     beta = -gf.matmul(mat.entries, basis.e.T, p) % p
     mu = _power_exponent((alpha * beta).sum(axis=1), p)
-    g = gf.matmul(beta, alpha.T, p)
+    g = gf.matmul(beta, alpha.T, p).astype(np.float64)  # k @ sym < n (p-1)^2 < 2^53
     k = basis.kernel  # frozen, shared with the invariant
     e = _reordering_exponent(k, np.triu(g) + np.triu(g, 1).T, np.diagonal(g), p)
     values = (k @ mu - p * e) % (p * p)

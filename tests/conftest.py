@@ -127,6 +127,15 @@ def invertible_matrix(rng, d, p):
             return u
 
 
+def planted_matrix(p, r, d, seed):
+    """C = B (J_r + 0_d) B^T for an invertible B = L U with unit diagonals."""
+    n = 2 * r + d
+    rng = np.random.default_rng(seed)
+    lower = np.tril(rng.integers(0, p, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
+    upper = np.triu(rng.integers(0, p, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
+    return sl.matrix_from_basis(sl.standard_form(p, r, d), lower @ upper % p)
+
+
 @st.composite
 def matrices_with_vectors(draw, k=2, primes=(2, 3, 5), max_n=5):
     mat = draw(commutation_matrices(primes=primes, max_n=max_n))

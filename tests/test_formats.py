@@ -59,6 +59,14 @@ def test_parse_toeplitz_empty_pattern():
     assert parsed.materialize(3) == sl.toeplitz_matrix(3, [], 3)
 
 
+def test_materialize_raises_the_constructors_value_error():
+    # the CLI turns it into a bad option (exit 2) in one place, cli._from_options
+    parsed = formats.parse_matrix_file("2 toeplitz 1\n1\n")
+    for build in (parsed.materialize, lambda n: sl.toeplitz_matrix(2, [1], n)):
+        with pytest.raises(ValueError, match="matrix size must be at least 1, got 0"):
+            build(0)
+
+
 @pytest.mark.parametrize(
     "text,line",
     [

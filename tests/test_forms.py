@@ -22,6 +22,7 @@ from conftest import (
     kernel_rows_loop,
     matrices_with_vectors,
     omega_sum_oracle,
+    planted_matrix,
     prefix_ranks_loop,
     q_sum_oracle,
     random_alternating_loop,
@@ -630,15 +631,6 @@ def test_extend_symplectic_basis_digest_480_to_512():
     )
 
 
-def _planted(p, r, d, seed):
-    """C = B (J_r + 0_d) B^T for an invertible B = L U with unit diagonals."""
-    n = 2 * r + d
-    rng = np.random.default_rng(seed)
-    lower = np.tril(rng.integers(0, p, size=(n, n)), -1) + np.eye(n, dtype=np.int64)
-    upper = np.triu(rng.integers(0, p, size=(n, n)), 1) + np.eye(n, dtype=np.int64)
-    return sl.matrix_from_basis(sl.standard_form(p, r, d), lower @ upper % p)
-
-
 # digests of the kernel read off one RREF of C, one vector per free column
 @pytest.mark.parametrize(
     "p, digest",
@@ -648,7 +640,7 @@ def _planted(p, r, d, seed):
     ],
 )
 def test_form_kernel_digest_planted_n512_d32(p, digest):
-    kernel = sl.form_kernel(_planted(p, 240, 32, seed=p))
+    kernel = sl.form_kernel(planted_matrix(p, 240, 32, seed=p))
     assert kernel.shape == (32, 512)
     assert _digest(kernel) == digest
 
@@ -764,10 +756,11 @@ def test_matrix_from_basis_bounds_the_family_before_the_product(monkeypatch):
     vectors = np.ones((forms.MAX_TOEPLITZ_N, 1), dtype=np.int64)
     assert sl.matrix_from_basis(ref, vectors).n == forms.MAX_TOEPLITZ_N
 
-    def matmul(*args):
-        raise AssertionError("the product was formed before the size check")
+    def refuse(*args):
+        raise AssertionError("a vector was read or the product formed before the size check")
 
-    monkeypatch.setattr(gf, "matmul", matmul)
+    monkeypatch.setattr(gf, "matmul", refuse)
+    monkeypatch.setattr(forms, "_gf_vector", refuse)
     with pytest.raises(SizeBoundError, match="2049 vectors > bound 2048"):
         sl.matrix_from_basis(ref, np.ones((forms.MAX_TOEPLITZ_N + 1, 1), dtype=np.int64))
 

@@ -35,5 +35,6 @@ def test_readme_library_example_runs_and_its_comments_hold():
     assert claimed == {
         "sl.form_rank(mat)": 2,
         "sl.verify_relations(rep).ok": True,
+        "sl.extract_invariant(rep) == f1": True,
         "sl.commutant_dim(rep)": 1,
     }

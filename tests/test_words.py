@@ -18,6 +18,8 @@ from conftest import (
     gf_solve,
     invertible_matrix,
     matrices_with_vectors,
+    planted_matrix,
+    reference_invariant_loop,
     word_pow_loop,
 )
 
@@ -350,7 +352,7 @@ def test_invariant_equality_is_basis_free():
     f0 = sl.reference_invariant(zero)
     reversed_basis = sl.StandardInvariant(zero, f0.kernel_basis[::-1], f0.values[::-1])
     assert reversed_basis == f0 and f0 == reversed_basis
-    assert sl.irreducible_rep(zero, reversed_basis).invariant == f0
+    assert sl.extract_invariant(sl.irreducible_rep(zero, reversed_basis)) == f0
     shifted = sl.phase_shift_invariant(f0, [1, 0])
     assert shifted != reversed_basis and reversed_basis != shifted
     assert _invariant(CLIFF3, [1]) != _invariant(PAULI, [])
@@ -435,8 +437,8 @@ def test_an_invariant_moved_to_another_kernel_basis_is_the_same_function(mat, se
     rep, rep_moved = sl.irreducible_rep(mat, f), sl.irreducible_rep(mat, moved)
     assert np.array_equal(rep.perm, rep_moved.perm)
     assert np.array_equal(rep.phases, rep_moved.phases)
-    assert rep_moved.invariant == moved  # recorded on the form_kernel basis K
-    assert rep_moved.invariant.kernel_basis.tobytes() == k.tobytes()
+    read_back = sl.extract_invariant(rep_moved)
+    assert read_back == moved and read_back.kernel_basis.tobytes() == k.tobytes()  # on K
     if f.d:
         values = list(moved.values)
         values[int(rng.integers(0, f.d))] += p * int(rng.integers(1, p))
@@ -546,6 +548,29 @@ def test_reference_invariant_clifford_value():
     f0 = sl.reference_invariant(CLIFF3)
     assert f0.values == (3,)
     assert sl.invariant_square_check(f0)
+
+
+@pytest.mark.parametrize("p, r, d", [(251, 20, 20), (2, 90, 20)])
+def test_reference_invariant_on_planted_matrices(p, r, d):
+    # the Gram products of pair_coordinates, _kernel_tables and the square
+    # check run in float64 (BLAS): at a large prime and at a large n
+    mat = planted_matrix(p, r, d, seed=p)
+    f0 = sl.reference_invariant(mat)
+    assert f0.d == d
+    assert f0.values == reference_invariant_loop(mat)
+    assert sl.invariant_square_check(f0)
+    values = list(f0.values)
+    values[-1] += 1  # off the p-th power law
+    assert not sl.invariant_square_check(sl.StandardInvariant(mat, f0.kernel_basis, values))
+    reversed_basis = sl.StandardInvariant(mat, f0.kernel_basis[::-1], f0.values[::-1])
+    assert reversed_basis == f0 and f0 == reversed_basis
+    rng = np.random.default_rng(p)
+    mixed = invertible_matrix(rng, d, p) @ f0.kernel_basis % p
+    moved = sl.StandardInvariant(mat, mixed, [sl.evaluate_invariant(f0, v) for v in mixed])
+    assert moved == f0 and f0 == moved
+    assert sl.invariant_square_check(moved)
+    x = rng.integers(0, p, size=d) @ mixed % p
+    assert sl.evaluate_invariant(moved, x) == evaluate_invariant_loop(f0, x)
 
 
 def test_enumerate_invariants_examples():
