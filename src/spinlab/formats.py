@@ -11,11 +11,14 @@ Matrix files are UTF-8, newline-delimited, with '#' comments:
     <m integers in [0, p)>
 
 Parse and validation failures raise MatrixFormatError carrying the
-offending 1-based line number.  The CLI writes each JSON document as
-one line of compact JSON with a fixed field order: the bytes of the
-standard library encoder with separators "," and ":" and non-ASCII text
-kept, from one encoder pass with integer arrays written by numpy
-(``json_pieces``).  Documents never contain floats: phases are always
+offending 1-based line number.  A file of digits, blanks and newlines
+alone, with its header on line 1 (what ``format_matrix_file`` writes),
+has its body read from its raw bytes by numpy; any other file is read
+line by line, to the same matrices and errors.  The CLI writes each JSON
+document as one line of compact JSON with a fixed field order: the bytes
+of the standard library encoder with separators "," and ":" and non-ASCII
+text kept, from one encoder pass with integer arrays written by numpy in
+fixed-width slots (``json_pieces``).  Documents never contain floats: phases are always
 integer exponents mod p^2.  The report, basis, classification and grow
 documents carry ``"schema": SCHEMA_VERSION``; the invariant and
 representation documents do not.
@@ -96,10 +99,11 @@ def _modulus(token: str, lineno: int) -> int:
 
 
 def _canonical_grid(data: bytes, n: int) -> np.ndarray | None:
-    """The n x n grid in ``data`` (body lines joined by newlines) if each line
-    holds n canonical decimals of up to three digits between spaces or tabs,
-    else None; the constructor checks their range.  Values are read at each
-    token's last digit and the two bytes before it."""
+    """The n x n grid in ``data``, a body's raw bytes with no leading or
+    trailing blanks, if each of its lines holds n canonical decimals of up
+    to three digits between spaces or tabs, else None; the constructor
+    checks their range.  Values are read at each token's last digit and the
+    two bytes before it."""
     b = np.frombuffer(data, dtype=np.uint8)
     digit = b - 48  # uint8: bytes below "0" wrap
     dig = np.zeros(b.size + 4, dtype=bool)  # dig[i + 3]: byte i is a digit
@@ -118,17 +122,31 @@ def _canonical_grid(data: bytes, n: int) -> np.ndarray | None:
     return grid.reshape(n, n)
 
 
-def _explicit_matrix(body: list[tuple[int, str]], p: int, n: int) -> CommutationMatrix:
-    """The body's matrix: ``_canonical_grid`` checked once by the
-    CommutationMatrix constructor, else the rows read with ``int`` ("00" and
-    "+1" pass) and checked in order (parse, length, range, diagonal, then
-    skew-symmetry) to report the first fault with its line."""
-    grid = _canonical_grid("\n".join([line for _, line in body]).encode(), n)
+def _explicit_matrix(
+    body: bytes | list[tuple[int, str]], p: int, n: int, header_line: int
+) -> CommutationMatrix:
+    """The matrix of an explicit file's body: the raw bytes after line 1 of
+    a plain file (see ``parse_matrix_file``), else the content lines after
+    the header.  Its ``_canonical_grid``, checked once by the
+    CommutationMatrix constructor, else the content lines read with ``int``
+    ("00" and "+1" pass) and checked in order (row count, parse, length,
+    range, diagonal, then skew-symmetry) to report the first fault with its
+    line."""
+    raw = isinstance(body, bytes)
+    data = body.strip() if raw else "\n".join([line for _, line in body]).encode()
+    grid = _canonical_grid(data, n)
     if grid is not None:
         try:
             return CommutationMatrix(p, grid)
         except ValueError:
             pass  # located below
+    if raw:
+        body = [(lineno + 1, line) for lineno, line in _content_lines(body.decode())]
+    if len(body) != n:
+        raise MatrixFormatError(
+            f"expected {n} matrix rows, got {len(body)}",
+            body[-1][0] if body else header_line,
+        )
     rows = []
     for i, (lineno, line) in enumerate(body):
         row = _ints(line.split(), lineno)
@@ -151,8 +169,19 @@ def _explicit_matrix(body: list[tuple[int, str]], p: int, n: int) -> Commutation
 
 
 def parse_matrix_file(text: str) -> ParsedMatrixFile:
-    """Parse matrix file text; raises MatrixFormatError with a line number."""
-    lines = _content_lines(text)
+    """Parse matrix file text; raises MatrixFormatError with a line number.
+
+    A plain file, whose every byte is a digit, space, tab or newline and
+    whose line 1 is not blank, has its header on line 1 and its body read
+    from the raw bytes after it; any other file is read as content lines
+    (comments and blank lines dropped), with the same matrices and errors."""
+    data = text.encode() if text.isascii() else b""
+    head, _, rest = data.partition(b"\n")
+    if head.strip() and not data.translate(None, b"0123456789 \t\n"):
+        lines, body = [(1, head.strip().decode())], rest
+    else:
+        lines = _content_lines(text)
+        body = lines[1:]
     if not lines:
         raise MatrixFormatError("empty matrix file", 1)
     header_line, header = lines[0]
@@ -163,7 +192,7 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
         if m < 0:
             raise MatrixFormatError("pattern length must be nonnegative", header_line)
         values: list[int] = []
-        for lineno, line in lines[1:]:
+        for lineno, line in body:
             for v in _ints(line.split(), lineno):
                 if not 0 <= v < p:
                     raise MatrixFormatError(
@@ -187,13 +216,7 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
     n = _ints([tokens[1]], header_line)[0]
     if n < 1:
         raise MatrixFormatError("matrix size must be at least 1", header_line)
-    body = lines[1:]
-    if len(body) != n:
-        raise MatrixFormatError(
-            f"expected {n} matrix rows, got {len(body)}",
-            body[-1][0] if body else header_line,
-        )
-    return ParsedMatrixFile(p, _explicit_matrix(body, p, n), None)
+    return ParsedMatrixFile(p, _explicit_matrix(body, p, n, header_line), None)
 
 
 def format_matrix_file(mat: CommutationMatrix) -> str:
@@ -251,29 +274,30 @@ def _plain(doc):
 
 
 def _int_array_json(a) -> str:
-    """``json.dumps(a.tolist(), separators=(",", ":"))`` of an integer array:
-    8192 entries per uint8 buffer, each "-" if negative, digits by repeated
-    ``// 10``, then "," or ";" (then "],["), placed by a cumulative sum."""
+    """``json.dumps(a.tolist(), separators=(",", ":"))`` of an integer array,
+    2^16 entries at a time in fixed uint8 slots: a "-" place if some entry of
+    the chunk is negative, one place per digit of its largest magnitude and
+    the "," or ";" (later "],[") after the entry.  The places an entry does
+    not use stay NUL, and one ``bytes.translate`` deletes them."""
     a = as_int_array(a)
     if a.ndim not in (1, 2) or not a.size:
         return json.dumps(a.tolist(), separators=(",", ":"))
     n, flat, pieces = a.shape[-1], a.reshape(-1), []
-    for lo in range(0, flat.size, 8192):
-        v = flat[lo : lo + 8192]
-        sign, mag = (v < 0).view(np.uint8), np.abs(v).view(np.uint64)  # |-2^63| = 2^63
-        width = np.ones(v.size, dtype=np.uint8)
-        for k in range(1, len(str(mag.max()))):
-            width += mag >= 10 ** k
-        pos = np.cumsum(width + sign + 1, dtype=np.int64) - 1  # each entry's separator
-        buf = np.full(int(pos[-1]) + 1, ord(","), dtype=np.uint8)
-        buf[pos[(-lo - 1) % n :: n]] = ord(";")
-        for j in range(int(width.max())):
-            on = width > j
-            buf[(pos - (j + 1))[on]] = mag[on] % 10 + ord("0")
-            mag //= 10
-        buf[(pos - width - 1)[sign.view(bool)]] = ord("-")
-        pieces.append(buf.tobytes().decode("ascii"))
-    return "[" * a.ndim + "".join(pieces)[:-1].replace(";", "],[") + "]" * a.ndim
+    for lo in range(0, flat.size, 1 << 16):
+        v = flat[lo : lo + (1 << 16)]
+        mag = np.abs(v).view(np.uint64)  # |-2^63| = 2^63
+        s, d = int(v.min() < 0), len(str(mag.max()))
+        buf = np.zeros((v.size, s + d + 1), dtype=np.uint8)
+        buf[:, -1] = ord(",")
+        buf[(-lo - 1) % n :: n, -1] = ord(";")
+        if s:
+            buf[:, 0] = (v < 0) * ord("-")
+        for j in range(d):  # the digit of 10^j; NUL where mag < 10^j, that is q = 0
+            q = mag // 10 ** j if j else mag
+            place = (q % 10 if j < d - 1 else q) + ord("0")  # the leading q is below 10
+            buf[:, s + d - 1 - j] = place * (q > 0) if j else place
+        pieces.append(buf.tobytes().translate(None, b"\0"))
+    return "[" * a.ndim + b"".join(pieces)[:-1].decode().replace(";", "],[") + "]" * a.ndim
 
 
 def json_pieces(doc) -> Iterator[str]:

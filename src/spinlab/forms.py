@@ -150,8 +150,12 @@ def random_alternating(p: int, n: int, seed: int) -> CommutationMatrix:
 
     The strict upper triangle is filled i.i.d. uniform over [0, p) in
     row-major order and mirrored with negation.  The values are those of
-    successive ``randrange(p)`` calls on the stdlib Mersenne generator,
-    so byte-level reproducibility does not depend on the numpy version.
+    successive ``randrange(p)`` calls on ``random.Random(seed)``, drawn the
+    way ``randrange`` draws them (the top ``p.bit_length()`` bits of each
+    32-bit Mersenne output, values >= p rejected) by numpy's MT19937 set
+    to that generator's state.  The bytes so rest on numpy's MT19937 being
+    the reference generator too; the tests check them against a
+    ``randrange`` loop.
     Raises SizeBoundError for n > MAX_TOEPLITZ_N before allocating.
     """
     import random
@@ -160,8 +164,17 @@ def random_alternating(p: int, n: int, seed: int) -> CommutationMatrix:
     if n > MAX_TOEPLITZ_N:
         raise SizeBoundError(f"random matrix size {n} > bound {MAX_TOEPLITZ_N}")
     upper = np.triu_indices(n, 1)
-    rng = random.Random(seed)
-    vals = np.array([rng.randrange(p) for _ in range(upper[0].size)], dtype=np.int64)
+    words = random.Random(seed).getstate()[1]
+    mt = np.random.MT19937()
+    mt.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(words[:-1], dtype=np.uint32), "pos": words[-1]},
+    }
+    k, vals = p.bit_length(), np.zeros(0, dtype=np.uint64)
+    while vals.size < upper[0].size:  # about 2^k / p draws per value
+        draws = mt.random_raw(((upper[0].size - vals.size) << k) // p + 64) >> (32 - k)
+        vals = np.concatenate([vals, draws[draws < p]])
+    vals = vals[: upper[0].size].astype(np.int64)
     ent = np.zeros((n, n), dtype=np.int64)
     ent[upper] = vals
     ent[upper[::-1]] = (-vals) % p
@@ -287,11 +300,12 @@ def _symplectic_pass(
             i = int(nz[0])
             inv = pow(int(p - ou[i]), -1, p)  # 1 / w_i
             ui = w[:k, pairs + i].copy()
-            # u_j - (w_j / w_i) u_i = u_j + (-w_j / w_i) u_i for the u_j after u_i
-            w[:k, pairs + i + 2 : k + 1] = (
-                w[:k, pairs + i + 1 : k] + ui[:, None] * (ou[i + 1 :] * inv)
-            ).astype(np.int64) % p
-            w[:k, pairs + 2 : pairs + i + 2] = w[:k, pairs : pairs + i]  # w_j = 0 before u_i
+            if i + 1 < ou.size:  # u_j - (w_j / w_i) u_i = u_j + (-w_j / w_i) u_i after u_i
+                w[:k, pairs + i + 2 : k + 1] = (
+                    w[:k, pairs + i + 1 : k] + ui[:, None] * (ou[i + 1 :] * inv)
+                ).astype(np.int64) % p
+            if i:
+                w[:k, pairs + 2 : pairs + i + 2] = w[:k, pairs : pairs + i]  # w_j = 0 before u_i
             w[:k, pairs] = ui
             w[: k + 1, pairs + 1] = v.astype(np.int64) * inv % p
             r += 1

@@ -511,15 +511,23 @@ def symplectic_pass_two_arrays(mat, start, r):
     return sl.SymplecticBasis(pairs[0::2], pairs[1::2], rows[::-1, ::-1]), ranks
 
 
-def explicit_matrix_table(body, p, n):
-    """The body of an explicit matrix file read token by token: canonical
-    decimals of values in [0, p) map through a dict, the grid is checked
-    by the CommutationMatrix constructor, and on any failure the rows are
-    read again with ``int`` and checked one by one; the oracle of
-    ``formats._explicit_matrix``."""
+def explicit_matrix_table(body, p, n, header_line):
+    """The body of an explicit matrix file read token by token: a plain
+    file's raw bytes after line 1 are split into their nonblank lines, the
+    row count is checked, canonical decimals of values in [0, p) map
+    through a dict, the grid is checked by the CommutationMatrix
+    constructor, and on any failure the rows are read again with ``int``
+    and checked one by one; the oracle of ``formats._explicit_matrix``."""
     from spinlab.errors import MatrixFormatError
     from spinlab.formats import _ints
 
+    if isinstance(body, bytes):  # only digits, spaces, tabs and newlines
+        lines = body.decode().split("\n")
+        body = [(k, line.strip()) for k, line in enumerate(lines, start=2) if line.strip()]
+    if len(body) != n:
+        raise MatrixFormatError(
+            f"expected {n} matrix rows, got {len(body)}", body[-1][0] if body else header_line
+        )
     table = {str(v): v for v in range(p)}
     try:
         rows = [list(map(table.__getitem__, line.split())) for _, line in body]

@@ -1,6 +1,7 @@
 """CLI conformance: golden files, round trips, exit codes."""
 
 import errno
+import hashlib
 import json
 import os
 import pathlib
@@ -130,6 +131,15 @@ def test_generate_round_trips(capsys, tmp_path):
     # byte-identical per seed
     code, out2, _ = run(capsys, "generate", "--random", 5, "--seed", 123, "--prime", 5)
     assert out2 == out
+
+
+def test_generate_random_n2048_digest(tmp_path):
+    # the bytes of the randrange loop that random_alternating replaced
+    out = tmp_path / "random.txt"
+    assert main(["generate", "--random", "2048", "--prime", "3", "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "fed40ce2dd77404ad7be499f4ec5dfa3d8a86fea1a75c78e188679211829af01"
+    )
 
 
 def test_generate_from_basis(capsys, tmp_path):

@@ -295,6 +295,56 @@ def test_parse_matches_the_token_table_oracle(text):
         assert outcome() == got
 
 
+# Files that differ from a canonical grid only by the header's bytes ("\x0b",
+# "\r\n", "#"), leading blank lines, trailing blanks, tabs, "00" tokens, blank
+# body lines, a short or long row, or a fault the constructor finds.
+@st.composite
+def _near_canonical_files(draw):
+    p = draw(st.sampled_from([2, 3, 5, 251]))
+    n = draw(st.integers(1, 5))
+    upper = np.triu(np.random.default_rng(draw(st.integers(0, 2 ** 16))).integers(0, p, (n, n)), 1)
+    grid = [[str(v) for v in row] for row in ((upper - upper.T) % p).tolist()]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    change = draw(st.sampled_from(["none"] * 6 + ["00", "short", "long", "diagonal", "asymmetry", "range"]))
+    if change == "00":
+        grid[i][j] = "0" + grid[i][j]
+    elif change == "short":
+        grid[i].pop()
+    elif change == "long":
+        grid[i].append("0")
+    elif change == "diagonal":
+        grid[i][i] = str(draw(st.integers(1, p - 1)))
+    elif change == "asymmetry":
+        grid[i][j] = str((int(grid[i][j]) + 1) % p)
+    elif change == "range":
+        grid[i][j] = str(draw(st.sampled_from([p, 999, 1000])))
+    blanks = st.sampled_from([" "] * 4 + ["\t", "  ", " \t"])
+    header = f"{p}{draw(blanks)}{n}" + draw(st.sampled_from([""] * 6 + [" ", "\t", "\x0b", "\r", " # h", "#"]))
+    lines = [draw(st.sampled_from(["", " ", "\t"])) + draw(blanks).join(row) for row in grid]
+    if draw(st.integers(0, 5)) == 0:
+        lines.insert(draw(st.integers(0, n)), draw(st.sampled_from(["", " \t"])))
+    lead = draw(st.sampled_from([""] * 6 + ["\n", " \n", "\t\n\n"]))
+    tail = draw(st.sampled_from(["\n"] * 4 + ["", " ", "\t\n", "\n\n", " \n \n"]))
+    return lead + header + "\n" + "\n".join(lines) + tail
+
+
+@settings(deadline=None, max_examples=500)
+@given(_near_canonical_files())
+def test_plain_files_read_as_the_per_line_route_reads_them(text):
+    def outcome(text):
+        try:
+            return formats.parse_matrix_file(text).materialize().entries.tolist()
+        except MatrixFormatError as exc:
+            return str(exc), exc.line
+
+    with mock.patch.object(formats, "_explicit_matrix", wraps=formats._explicit_matrix) as body:
+        got = outcome(text)
+    plain = set(text) <= set("0123456789 \t\n") and text.split("\n", 1)[0].strip() != ""
+    assert not body.called or isinstance(body.call_args.args[0], bytes) == plain
+    # a closing "#" adds no content line but sends the file down the per-line route
+    assert outcome(text + "#") == got
+
+
 @settings(deadline=None, max_examples=300)
 @given(
     st.lists(st.lists(st.integers(0, 2).map(str) | _token, max_size=4), max_size=4)
@@ -321,17 +371,34 @@ def test_parse_basis_file():
 _int64 = st.integers(0, 2 ** 63 - 1) | st.integers(-(2 ** 63), 2 ** 63 - 1) | st.integers(0, 300)
 
 
-@settings(deadline=None, max_examples=300)
+def _one_width(w: int, sign: int):
+    """Integers of w decimal digits (0 too for w = 1), all of one sign."""
+    lo, hi = (0 if w == 1 else 10 ** (w - 1)), min(10 ** w - 1, 2 ** 63 - 1)
+    return st.integers(lo, hi).map(lambda v: sign * v)
+
+
+_array_shapes = st.tuples(st.integers(0, 6), st.integers(0, 6)) | st.integers(0, 6)
+
+
+@settings(deadline=None, max_examples=500)
 @given(
-    arrays(np.int64, st.tuples(st.integers(0, 6), st.integers(0, 6)), elements=_int64)
-    | arrays(np.int64, st.integers(0, 6), elements=_int64)
+    arrays(np.int64, _array_shapes, elements=_int64)
+    | arrays(np.int64, _array_shapes, elements=st.integers(0, 9))
+    | st.tuples(st.integers(1, 19), st.sampled_from([1, -1])).flatmap(
+        lambda ws: arrays(np.int64, _array_shapes, elements=_one_width(*ws))
+    )
+    | arrays(np.int64, _array_shapes, elements=st.integers(-(2 ** 63), -1))
+    | arrays(np.int64, _array_shapes, elements=st.sampled_from([-(2 ** 63), 1 - 2 ** 63, 2 ** 63 - 1, -1, 0]))
 )
 def test_compact_json_writes_arrays_as_json_dumps(a):
     assert "".join(formats.json_pieces(a)) == json.dumps(a.tolist(), separators=(",", ":"))
 
 
-# Arrays of several chunks of the writer, with rows across chunk ends.
-@pytest.mark.parametrize("shape", [(20000,), (8192,), (8193,), (3, 5001), (8193, 1), (4096, 2)])
+# Arrays of one or more 2^16-entry chunks of the writer, with rows across
+# chunk ends.
+@pytest.mark.parametrize(
+    "shape", [(140000,), (65535,), (65536,), (65537,), (3, 30001), (65537, 1), (32768, 2), (2, 40000)]
+)
 def test_compact_json_writes_large_arrays_as_json_dumps(shape):
     rng = np.random.default_rng(len(shape) * 10 ** 6 + shape[0])
     a = rng.integers(-(10 ** 6), 10 ** 6, shape) // rng.integers(1, 10 ** 6, shape)

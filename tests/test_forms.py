@@ -197,6 +197,16 @@ def test_random_alternating_matches_randrange_loop(p, n):
         assert np.array_equal(mat.entries, random_alternating_loop(p, n, seed))
 
 
+@settings(deadline=None, max_examples=200)
+@given(
+    st.sampled_from([2, 3, 5, 7, 31, 251]),
+    st.integers(1, 40),
+    st.integers(-(2 ** 70), 2 ** 70) | st.integers(-3, 3),
+)
+def test_random_alternating_equals_the_randrange_loop(p, n, seed):
+    assert np.array_equal(sl.random_alternating(p, n, seed).entries, random_alternating_loop(p, n, seed))
+
+
 def test_random_alternating_rejects_bad_modulus():
     for p in (0, 4, 257):
         with pytest.raises(ValueError, match="modulus"):
