@@ -12,16 +12,16 @@ Matrix files are UTF-8, newline-delimited, with '#' comments:
 
 Parse and validation failures raise MatrixFormatError carrying the
 offending 1-based line number.  A file of digits, blanks and newlines
-alone, with its header on line 1 (what ``format_matrix_file`` writes),
+alone with its header on line 1, as ``format_matrix_file`` writes it,
 has its body read from its raw bytes by numpy; any other file is read
 line by line, to the same matrices and errors.  The CLI writes each JSON
 document as one line of compact JSON with a fixed field order: the bytes
-of the standard library encoder with separators "," and ":" and non-ASCII
-text kept, from one encoder pass with integer arrays written by numpy in
-fixed-width slots (``json_pieces``).  Documents never contain floats: phases are always
-integer exponents mod p^2.  The report, basis, classification and grow
-documents carry ``"schema": SCHEMA_VERSION``; the invariant and
-representation documents do not.
+of the standard library encoder with separators "," and ":" and
+non-ASCII text kept, from one encoder pass with integer arrays written
+by numpy in fixed-width slots (``json_pieces``).  Documents never
+contain floats: phases are always integer exponents mod p^2.  The
+report, basis, classification and grow documents carry ``"schema":
+SCHEMA_VERSION``; the invariant and representation documents do not.
 """
 
 from __future__ import annotations
