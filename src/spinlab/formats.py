@@ -10,8 +10,11 @@ Matrix files are UTF-8, newline-delimited, with '#' comments:
     p toeplitz m
     <m integers in [0, p)>
 
-Parse and validation failures raise MatrixFormatError carrying the
-offending 1-based line number.  A file of digits, blanks and newlines
+Basis files (``generate --from-basis``) hold one vector of n integers in
+[0, p) per line, with the same comments.  The integer rows of all three
+are read by ``_canonical_grid``, else line by line by ``_rows``.  Parse
+and validation failures raise MatrixFormatError carrying the offending
+1-based line number.  A file of digits, blanks and newlines
 alone with its header on line 1, as ``format_matrix_file`` writes it,
 has its body read from its raw bytes by numpy; any other file is read
 line by line, to the same matrices and errors.  The CLI writes each JSON
@@ -90,20 +93,11 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
                 raise MatrixFormatError(f"expected an integer, got {tok!r}", lineno)
 
 
-def _modulus(token: str, lineno: int) -> int:
-    """The header modulus, validated before any int64 arithmetic uses it."""
-    try:
-        return validate_prime(_ints([token], lineno)[0])
-    except ValueError as exc:
-        raise MatrixFormatError(str(exc), lineno)
-
-
 def _canonical_grid(data: bytes, n: int) -> np.ndarray | None:
-    """The n x n grid in ``data``, a body's raw bytes with no leading or
-    trailing blanks, if each of its lines holds n canonical decimals of up
-    to three digits between spaces or tabs, else None; the constructor
-    checks their range.  Values are read at each token's last digit and the
-    two bytes before it."""
+    """The (k, n) grid in ``data``, raw bytes with no leading or trailing
+    blanks, if each of its k lines holds n canonical decimals of up to three
+    digits between spaces or tabs, else None; callers check k and the range.
+    Values are read at each token's last digit and the two bytes before it."""
     b = np.frombuffer(data, dtype=np.uint8)
     digit = b - 48  # uint8: bytes below "0" wrap
     dig = np.zeros(b.size + 4, dtype=bool)  # dig[i + 3]: byte i is a digit
@@ -115,11 +109,25 @@ def _canonical_grid(data: bytes, n: int) -> np.ndarray | None:
     bad = ~(dig[3:-1] | (b == 32) | (b == 9) | (b == 10))  # a byte of another kind
     bad |= dig[3:-1] & dig[2:-2] & dig[1:-3] & dig[:-4]  # four digits
     bad |= (b == 48) & ~dig[2:-2] & dig[4:]  # a leading zero
-    if bad.any() or ends.size != n * n or not np.array_equal(rows, np.arange(n, n * n, n)):
+    if bad.any() or ends.size % n or not np.array_equal(rows, np.arange(n, ends.size, n)):
         return None
     hundreds = val[ends] * dig[2:-2][ends]  # if the tens are a digit
     grid = hundreds.astype(np.int64) * 100 + val[1:][ends] * 10 + val[2:][ends]
-    return grid.reshape(n, n)
+    return grid.reshape(-1, n)
+
+
+def _rows(lines: list[tuple[int, str]], p: int, n: int | None) -> Iterator[tuple[int, list[int]]]:
+    """Each content line with its integers, read with ``int`` ("00" and "+1"
+    pass) and checked for n of them (any number if n is None), then for the
+    range [0, p): the first fault raises with its line."""
+    for lineno, line in lines:
+        row = _ints(line.split(), lineno)
+        if n is not None and len(row) != n:
+            raise MatrixFormatError(f"row has {len(row)} entries, expected {n}", lineno)
+        for v in row:
+            if not 0 <= v < p:
+                raise MatrixFormatError(f"entry {v} out of range [0, {p})", lineno)
+        yield lineno, row
 
 
 def _explicit_matrix(
@@ -127,15 +135,14 @@ def _explicit_matrix(
 ) -> CommutationMatrix:
     """The matrix of an explicit file's body: the raw bytes after line 1 of
     a plain file (see ``parse_matrix_file``), else the content lines after
-    the header.  Its ``_canonical_grid``, checked once by the
-    CommutationMatrix constructor, else the content lines read with ``int``
-    ("00" and "+1" pass) and checked in order (row count, parse, length,
-    range, diagonal, then skew-symmetry) to report the first fault with its
-    line."""
+    the header.  Its n x n ``_canonical_grid``, checked once by the
+    CommutationMatrix constructor, else the content lines checked in order
+    (row count, then ``_rows`` and the diagonal row by row, then
+    skew-symmetry) to report the first fault with its line."""
     raw = isinstance(body, bytes)
     data = body.strip() if raw else "\n".join([line for _, line in body]).encode()
     grid = _canonical_grid(data, n)
-    if grid is not None:
+    if grid is not None and len(grid) == n:
         try:
             return CommutationMatrix(p, grid)
         except ValueError:
@@ -148,13 +155,7 @@ def _explicit_matrix(
             body[-1][0] if body else header_line,
         )
     rows = []
-    for i, (lineno, line) in enumerate(body):
-        row = _ints(line.split(), lineno)
-        if len(row) != n:
-            raise MatrixFormatError(f"row has {len(row)} entries, expected {n}", lineno)
-        for v in row:
-            if not 0 <= v < p:
-                raise MatrixFormatError(f"entry {v} out of range [0, {p})", lineno)
+    for i, (lineno, row) in enumerate(_rows(body, p, n)):
         if row[i]:
             raise MatrixFormatError("diagonal entry must be zero", lineno)
         rows.append(row)
@@ -186,37 +187,34 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
         raise MatrixFormatError("empty matrix file", 1)
     header_line, header = lines[0]
     tokens = header.split()
-    if len(tokens) == 3 and tokens[1] == "toeplitz":
-        p = _modulus(tokens[0], header_line)
-        m = _ints([tokens[2]], header_line)[0]
-        if m < 0:
-            raise MatrixFormatError("pattern length must be nonnegative", header_line)
-        values: list[int] = []
-        for lineno, line in body:
-            for v in _ints(line.split(), lineno):
-                if not 0 <= v < p:
-                    raise MatrixFormatError(
-                        f"pattern value {v} out of range [0, {p})", lineno
-                    )
-                values.append(v)
-            if len(values) > m:
-                raise MatrixFormatError(
-                    f"more than {m} pattern values", lineno
-                )
-        if len(values) != m:
-            raise MatrixFormatError(
-                f"expected {m} pattern values, got {len(values)}", header_line
-            )
-        return ParsedMatrixFile(p, None, tuple(values))
-    if len(tokens) != 2:
+    banded = len(tokens) == 3 and tokens[1] == "toeplitz"
+    if len(tokens) != 2 and not banded:
         raise MatrixFormatError(
             "header must be 'p n' or 'p toeplitz m'", header_line
         )
-    p = _modulus(tokens[0], header_line)
-    n = _ints([tokens[1]], header_line)[0]
-    if n < 1:
+    try:  # the modulus, validated before any int64 arithmetic uses it
+        p = validate_prime(_ints([tokens[0]], header_line)[0])
+    except ValueError as exc:
+        raise MatrixFormatError(str(exc), header_line)
+    size = _ints([tokens[-1]], header_line)[0]
+    if banded:
+        if size < 0:
+            raise MatrixFormatError("pattern length must be nonnegative", header_line)
+        values: list[int] = []
+        for lineno, row in _rows(body, p, None):
+            values += row
+            if len(values) > size:
+                raise MatrixFormatError(
+                    f"more than {size} pattern values", lineno
+                )
+        if len(values) != size:
+            raise MatrixFormatError(
+                f"expected {size} pattern values, got {len(values)}", header_line
+            )
+        return ParsedMatrixFile(p, None, tuple(values))
+    if size < 1:
         raise MatrixFormatError("matrix size must be at least 1", header_line)
-    return ParsedMatrixFile(p, _explicit_matrix(body, p, n, header_line), None)
+    return ParsedMatrixFile(p, _explicit_matrix(body, p, size, header_line), None)
 
 
 def format_matrix_file(mat: CommutationMatrix) -> str:
@@ -226,21 +224,18 @@ def format_matrix_file(mat: CommutationMatrix) -> str:
     return f"{mat.p} {mat.n}\n{rows}\n"
 
 
-def parse_basis_file(text: str, p: int, n: int) -> list[np.ndarray]:
-    """Rows of n integers (comments allowed): basis vectors over GF(p)."""
-    vectors = []
-    for lineno, line in _content_lines(text):
-        row = _ints(line.split(), lineno)
-        if len(row) != n:
-            raise MatrixFormatError(
-                f"vector has {len(row)} entries, expected {n}", lineno
-            )
-        if any(not 0 <= v < p for v in row):
-            raise MatrixFormatError(f"entries out of range [0, {p})", lineno)
-        vectors.append(np.array(row, dtype=np.int64))
-    if not vectors:
+def parse_basis_file(text: str, p: int, n: int) -> np.ndarray:
+    """The basis vectors over GF(p) in ``text``, one per content line, as one
+    (k, n) int64 array: the ``_canonical_grid`` of the content lines if its
+    entries lie in [0, p), else the lines read by ``_rows``, which raises
+    the first fault with its line."""
+    lines = _content_lines(text)
+    if not lines:
         raise MatrixFormatError("basis file contains no vectors", 1)
-    return vectors
+    grid = _canonical_grid("\n".join([line for _, line in lines]).encode(), n)
+    if grid is None or grid.max() >= p:
+        grid = np.array([row for _, row in _rows(lines, p, n)], dtype=np.int64)
+    return grid
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,9 @@ from . import gf
 from .errors import SizeBoundError
 
 # Largest n that the generated families (toeplitz_matrix, clifford_matrix,
-# random_alternating) materialize, checked before anything of size n^2 is
-# built: the n x n matrix, its private copy and its lower triangle take
-# 3 x 32 MB at n = 2048.
+# random_alternating) materialize, checked with n >= 1 by ``_check_size``
+# before anything of size n^2 is built: the n x n matrix, its private copy
+# and its lower triangle take 3 x 32 MB at n = 2048.
 MAX_TOEPLITZ_N = 2048
 
 
@@ -95,22 +95,26 @@ def commutation_matrix(p: int, entries) -> CommutationMatrix:
     return CommutationMatrix(p, entries)
 
 
+def _check_size(n: int, kind: str) -> None:
+    """Refuse n > MAX_TOEPLITZ_N (SizeBoundError) and n < 1 (ValueError)."""
+    if n > MAX_TOEPLITZ_N:
+        raise SizeBoundError(f"{kind} matrix size {n} > bound {MAX_TOEPLITZ_N}")
+    if n < 1:
+        raise ValueError(f"matrix size must be at least 1, got {n}")
+
+
 def toeplitz_matrix(p: int, pattern, n: int) -> CommutationMatrix:
     """Materialize the n x n prefix of a banded commutation matrix.
 
     ``pattern`` lists the values at separations 1..m; separations beyond
     the pattern are zero.  The upper triangle takes the pattern value,
-    the lower triangle its negation mod p.  Raises SizeBoundError for
-    n > MAX_TOEPLITZ_N before allocating anything of size n^2.
+    the lower triangle its negation mod p.
     """
     gf.validate_prime(p)
     pat = gf.as_int_array(pattern)
     if pat.ndim != 1 or ((pat < 0) | (pat >= p)).any():
         raise ValueError(f"pattern values must lie in [0, {p})")
-    if n > MAX_TOEPLITZ_N:
-        raise SizeBoundError(f"banded matrix size {n} > bound {MAX_TOEPLITZ_N}")
-    if n < 1:
-        raise ValueError(f"matrix size must be at least 1, got {n}")
+    _check_size(n, "banded")
     # band[n - 1 + s] is the entry at separation s = j - i, so row i is
     # the window band[n - 1 - i : 2n - 1 - i]; the constructor copies the
     # strided view of those windows into the matrix.
@@ -124,12 +128,10 @@ def toeplitz_matrix(p: int, pattern, n: int) -> CommutationMatrix:
 
 def clifford_matrix(p: int, n: int) -> CommutationMatrix:
     """All-ones off the diagonal: the matrix of n pairwise anticommuting
-    self-adjoint unitaries.  Defined in characteristic 2 only.  Raises
-    SizeBoundError for n > MAX_TOEPLITZ_N before allocating."""
+    self-adjoint unitaries.  Defined in characteristic 2 only."""
     if p != 2:
         raise ValueError("the Clifford matrix is defined for p = 2 only")
-    if n > MAX_TOEPLITZ_N:
-        raise SizeBoundError(f"Clifford matrix size {n} > bound {MAX_TOEPLITZ_N}")
+    _check_size(n, "Clifford")
     ent = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     return CommutationMatrix(2, ent)
 
@@ -156,13 +158,11 @@ def random_alternating(p: int, n: int, seed: int) -> CommutationMatrix:
     to that generator's state.  The bytes so rest on numpy's MT19937 being
     the reference generator too; the tests check them against a
     ``randrange`` loop.
-    Raises SizeBoundError for n > MAX_TOEPLITZ_N before allocating.
     """
     import random
 
     p = gf.validate_prime(p)
-    if n > MAX_TOEPLITZ_N:
-        raise SizeBoundError(f"random matrix size {n} > bound {MAX_TOEPLITZ_N}")
+    _check_size(n, "random")
     upper = np.triu_indices(n, 1)
     words = random.Random(seed).getstate()[1]
     mt = np.random.MT19937()
@@ -386,10 +386,14 @@ def congruence_to_standard(mat: CommutationMatrix) -> np.ndarray:
 def matrix_from_basis(ref: CommutationMatrix, vectors) -> CommutationMatrix:
     """The commutation matrix of a family of vectors under omega_ref:
     entry (i, j) is omega_ref(v_i, v_j).  Alternating by construction;
-    nondegenerate whenever the vectors form a basis and ref does.  More than
-    max(ref.n, MAX_TOEPLITZ_N) vectors raise SizeBoundError before any is read."""
+    nondegenerate whenever the vectors form a basis and ref does.  The
+    family, a (k, n) array or k vectors of length n, is reduced mod p in one
+    array operation; more than max(ref.n, MAX_TOEPLITZ_N) vectors raise
+    SizeBoundError before any is read."""
     if len(vectors) > (bound := max(ref.n, MAX_TOEPLITZ_N)):
         raise SizeBoundError(f"basis family of {len(vectors)} vectors > bound {bound}")
-    v = np.stack([_gf_vector(ref, x) for x in vectors])
+    v = gf.as_gf_array(vectors, ref.p)  # refuses ragged rows
+    if v.ndim != 2 or v.shape[1] != ref.n:
+        raise ValueError(f"basis vectors must have length n={ref.n}")
     ent = gf.matmul(gf.matmul(v, ref.entries, ref.p), v.T, ref.p)
     return CommutationMatrix(ref.p, ent)

@@ -295,10 +295,8 @@ def invariant_square_check(f: StandardInvariant) -> bool:
     """True iff f obeys the p-th power law f(k) = s(k) mod p on every
     stored basis vector, the law of every valid invariant (the square law
     f(k)^2 = (-1)^{Q(k,k)} at p = 2)."""
-    p = f.mat.p
-    k = f.kernel_basis
-    s = _power_exponent((gf.matmul(k, f.mat.lower, p) * k).sum(axis=1), p)
-    return not ((np.array(f.values, dtype=np.int64) - s) % p).any()
+    t, p = f._tables, f.mat.p  # G = K L K^T: its diagonal is Q(k, k) for each k
+    return not ((t.values - _power_exponent(t.gram_diag, p)) % p).any()
 
 
 def phase_shift_invariant(f: StandardInvariant, gamma) -> StandardInvariant:

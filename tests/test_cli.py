@@ -265,8 +265,8 @@ def test_exit_code_2_on_unreadable_invariant_json(capsys, tmp_path, text):
     "argv,message",
     [
         (["generate", "--random", 3, "--seed", 1, "--prime", 4], "modulus must be prime, got 4"),
-        (["generate", "--clifford", 0], "empty commutation matrix"),
-        (["generate", "--random", 0, "--seed", 1], "empty commutation matrix"),
+        (["generate", "--clifford", 0], "matrix size must be at least 1, got 0"),
+        (["generate", "--random", 0, "--seed", 1], "matrix size must be at least 1, got 0"),
         (
             ["basis", FIXTURES / "band.txt", "--n-max", 0],
             "matrix size must be at least 1, got 0",
@@ -276,6 +276,12 @@ def test_exit_code_2_on_unreadable_invariant_json(capsys, tmp_path, text):
             "matrix size must be at least 1, got -2",
         ),
         (["generate", "--random", 4], "--random requires --seed for reproducibility"),
+        (["generate", "--clifford", -1], "matrix size must be at least 1, got -1"),
+        (["generate", "--random", -5, "--seed", 1], "matrix size must be at least 1, got -5"),
+        (
+            ["generate", "--random", -5, "--seed", 1, "--prime", 3],
+            "matrix size must be at least 1, got -5",
+        ),
     ],
 )
 def test_exit_code_2_on_bad_option_values(capsys, argv, message):

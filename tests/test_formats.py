@@ -88,6 +88,26 @@ def test_parse_errors_carry_line_numbers(text, line):
     assert err.value.line == line
 
 
+# Pattern values are read by the same located reader as matrix rows: on
+# each line, parse, then range, then the running count.
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("3 toeplitz 3\n1 2\n0 3\n", "line 3: entry 3 out of range [0, 3)"),
+        ("3 toeplitz 3\n# c\n-1 1 1\n", "line 3: entry -1 out of range [0, 3)"),
+        ("3 toeplitz 2\n1 5 x\n", "line 2: expected an integer, got 'x'"),
+        ("3 toeplitz 3\n1 2\n0 x\n", "line 3: expected an integer, got 'x'"),
+        ("3 toeplitz 2\n1 1.5\n", "line 2: expected an integer, got '1.5'"),
+        ("3 toeplitz 1\n1 5\n", "line 2: entry 5 out of range [0, 3)"),
+        ("3 toeplitz 1\n1 1\nx\n", "line 2: more than 1 pattern values"),
+    ],
+)
+def test_pattern_value_faults_carry_message_and_line(text, message):
+    with pytest.raises(MatrixFormatError) as err:
+        formats.parse_matrix_file(text)
+    assert str(err.value) == message
+
+
 # Each row of these files is checked in the order length, range, diagonal,
 # and the first faulty row is reported.
 @pytest.mark.parametrize(
@@ -355,17 +375,73 @@ def test_parse_basis_file_fuzz(text):
         vectors = formats.parse_basis_file(text, 3, 3)
     except MatrixFormatError:
         return
-    assert vectors and all(v.shape == (3,) and v.dtype == np.int64 for v in vectors)
-    assert all(((v >= 0) & (v < 3)).all() for v in vectors)
+    assert vectors.dtype == np.int64 and vectors.ndim == 2
+    assert len(vectors) >= 1 and vectors.shape[1] == 3
+    assert ((vectors >= 0) & (vectors < 3)).all()
 
 
 def test_parse_basis_file():
-    vectors = formats.parse_basis_file("# basis\n1 0 1\n0 1 1\n", 2, 3)
-    assert [v.tolist() for v in vectors] == [[1, 0, 1], [0, 1, 1]]
-    with pytest.raises(MatrixFormatError):
-        formats.parse_basis_file("1 0\n", 2, 3)
-    with pytest.raises(MatrixFormatError):
-        formats.parse_basis_file("# nothing\n", 2, 3)
+    vectors = formats.parse_basis_file("# basis\n1 0 1\n\n0 1 1  # last\n", 2, 3)
+    assert vectors.dtype == np.int64 and vectors.tolist() == [[1, 0, 1], [0, 1, 1]]
+    for text, message in [
+        ("1 0\n", "line 1: row has 2 entries, expected 3"),
+        ("# a\n1 0 1\n1 2 1\n", "line 3: entry 2 out of range [0, 2)"),
+        ("1 0 1\n\n0 x 1\n", "line 3: expected an integer, got 'x'"),
+        ("# nothing\n", "line 1: basis file contains no vectors"),
+    ]:
+        with pytest.raises(MatrixFormatError) as err:
+            formats.parse_basis_file(text, 2, 3)
+        assert str(err.value) == message
+
+
+# Basis files: k rows of n values in [0, p), each spelled in one of the
+# ways above, between blanks, with comment and blank lines, and at times a
+# short or long row, a value out of range or a token that is not an integer.
+@st.composite
+def _basis_files(draw):
+    p = draw(st.sampled_from([2, 3, 5, 251]))
+    n = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), min_size=1, max_size=6))
+    hows = st.sampled_from(["canonical"] * 8 + ["zero", "plus", "underscore", "arabic"])
+    lines, clean = [], True
+    for row in rows:
+        tokens = [_spelled(v, draw(hows)) for v in row]
+        fault = draw(st.sampled_from(["none"] * 8 + ["short", "long", "range", "token"]))
+        i = draw(st.integers(0, n - 1))
+        if fault == "short":
+            tokens.pop()
+        elif fault == "long":
+            tokens.append("0")
+        elif fault == "range":
+            tokens[i] = str(draw(st.sampled_from([p, 999, 1000, -1])))
+        elif fault == "token":
+            tokens[i] = draw(st.sampled_from(["x", "1.5", "0x1"]))
+        clean &= fault == "none"
+        line = draw(st.sampled_from([" ", "  ", "\t", " \t"])).join(tokens)
+        lines.append(line + draw(st.sampled_from([""] * 4 + [" ", " # note"])))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(["", "# comment", " \t "])))
+    tail = draw(st.sampled_from(["\n"] * 4 + ["", "\n\n"]))
+    return p, n, "\n".join(lines) + tail, rows if clean else None
+
+
+@settings(deadline=None, max_examples=500)
+@given(_basis_files())
+def test_basis_files_read_as_the_per_line_route_reads_them(file):
+    p, n, text, rows = file
+
+    def outcome(text):
+        try:
+            return formats.parse_basis_file(text, p, n).tolist()
+        except MatrixFormatError as exc:
+            return str(exc), exc.line
+
+    got = outcome(text)
+    assert rows is None or got == rows
+    # a closing "#" adds no content line; the located reader alone reads the same
+    assert outcome(text + "#") == got
+    with mock.patch.object(formats, "_canonical_grid", return_value=None):
+        assert outcome(text) == got
 
 
 _int64 = st.integers(0, 2 ** 63 - 1) | st.integers(-(2 ** 63), 2 ** 63 - 1) | st.integers(0, 300)

@@ -770,9 +770,17 @@ def test_matrix_from_basis_bounds_the_family_before_the_product(monkeypatch):
         raise AssertionError("a vector was read or the product formed before the size check")
 
     monkeypatch.setattr(gf, "matmul", refuse)
-    monkeypatch.setattr(forms, "_gf_vector", refuse)
+    monkeypatch.setattr(gf, "as_gf_array", refuse)
     with pytest.raises(SizeBoundError, match="2049 vectors > bound 2048"):
         sl.matrix_from_basis(ref, np.ones((forms.MAX_TOEPLITZ_N + 1, 1), dtype=np.int64))
+
+
+def test_matrix_from_basis_refuses_vectors_of_another_length():
+    for vectors in ([1, 0, 1], [[1, 0]], np.ones((2, 4), dtype=np.int64)):
+        with pytest.raises(ValueError, match="basis vectors must have length n=3"):
+            sl.matrix_from_basis(CLIFF3, vectors)
+    with pytest.raises(ValueError):  # ragged
+        sl.matrix_from_basis(CLIFF3, [[1, 0, 1], [1, 0]])
 
 
 def test_matrix_from_basis_single_vector():
