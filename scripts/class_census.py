@@ -11,7 +11,7 @@ representation and confirming commutant dimension 1.
 import argparse
 from collections import Counter
 
-from spinlab import commutant_dim, form_kernel, irreducible_rep, random_alternating
+from spinlab import commutant_dim, count_classes, form_kernel, irreducible_rep, random_alternating
 
 
 def run(args: argparse.Namespace) -> None:
@@ -21,13 +21,13 @@ def run(args: argparse.Namespace) -> None:
         d = len(form_kernel(mat))
         kernel_dims[d] += 1
         if args.check_reps:
-            rep = irreducible_rep(mat)
-            assert commutant_dim(rep) == 1, f"sample {i} not irreducible"
+            if commutant_dim(irreducible_rep(mat)) != 1:
+                raise SystemExit(f"sample {i} (seed {args.seed + i}) is not irreducible")
     print(f"# {args.samples} random alternating {args.n}x{args.n} matrices over GF(2)")
     print("  d  classes  count  frequency")
     for d in sorted(kernel_dims):
         count = kernel_dims[d]
-        print(f"{d:>3}  {2 ** d:>7}  {count:>5}  {count / args.samples:>9.3f}")
+        print(f"{d:>3}  {count_classes(d, 2):>7}  {count:>5}  {count / args.samples:>9.3f}")
     simple = kernel_dims.get(0, 0)
     print(f"simple (nondegenerate) fraction: {simple / args.samples:.3f}")
     if args.check_reps:

@@ -14,10 +14,10 @@ Basis files (``generate --from-basis``) hold one vector of n integers in
 [0, p) per line, with the same comments.  The integer rows of all three
 are read by ``_canonical_grid``, else line by line by ``_rows``.  Parse
 and validation failures raise MatrixFormatError carrying the offending
-1-based line number.  A file of digits, blanks and newlines
-alone with its header on line 1, as ``format_matrix_file`` writes it,
-has its body read from its raw bytes by numpy; any other file is read
-line by line, to the same matrices and errors.  The CLI writes each JSON
+1-based line number.  A file of digits, blanks and newlines alone
+(a matrix file with its header on line 1, as ``format_matrix_file``
+writes it) has its body read from its raw bytes by numpy; any other
+file is read line by line, to the same rows and errors.  The CLI writes each JSON
 document as one line of compact JSON with a fixed field order: the bytes
 of the standard library encoder with separators "," and ":" and
 non-ASCII text kept, from one encoder pass with integer arrays written
@@ -82,6 +82,12 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _plain_bytes(text: str) -> bytes:
+    """The bytes of ``text`` if each is a digit, space, tab or newline, else b""."""
+    data = text.encode() if text.isascii() else b""
+    return b"" if data.translate(None, b"0123456789 \t\n") else data
+
+
 def _ints(tokens: list[str], lineno: int) -> list[int]:
     try:
         return list(map(int, tokens))
@@ -95,8 +101,8 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
 
 def _canonical_grid(data: bytes, n: int) -> np.ndarray | None:
     """The (k, n) grid in ``data``, raw bytes with no leading or trailing
-    blanks, if each of its k lines holds n canonical decimals of up to three
-    digits between spaces or tabs, else None; callers check k and the range.
+    blanks, if each of its k >= 1 lines holds n canonical decimals of up to
+    three digits between spaces or tabs, else None; callers check k and the range.
     Values are read at each token's last digit and the two bytes before it."""
     b = np.frombuffer(data, dtype=np.uint8)
     digit = b - 48  # uint8: bytes below "0" wrap
@@ -109,7 +115,8 @@ def _canonical_grid(data: bytes, n: int) -> np.ndarray | None:
     bad = ~(dig[3:-1] | (b == 32) | (b == 9) | (b == 10))  # a byte of another kind
     bad |= dig[3:-1] & dig[2:-2] & dig[1:-3] & dig[:-4]  # four digits
     bad |= (b == 48) & ~dig[2:-2] & dig[4:]  # a leading zero
-    if bad.any() or ends.size % n or not np.array_equal(rows, np.arange(n, ends.size, n)):
+    if (not ends.size or bad.any() or ends.size % n
+            or not np.array_equal(rows, np.arange(n, ends.size, n))):
         return None
     hundreds = val[ends] * dig[2:-2][ends]  # if the tens are a digit
     grid = hundreds.astype(np.int64) * 100 + val[1:][ends] * 10 + val[2:][ends]
@@ -172,13 +179,12 @@ def _explicit_matrix(
 def parse_matrix_file(text: str) -> ParsedMatrixFile:
     """Parse matrix file text; raises MatrixFormatError with a line number.
 
-    A plain file, whose every byte is a digit, space, tab or newline and
-    whose line 1 is not blank, has its header on line 1 and its body read
-    from the raw bytes after it; any other file is read as content lines
-    (comments and blank lines dropped), with the same matrices and errors."""
-    data = text.encode() if text.isascii() else b""
-    head, _, rest = data.partition(b"\n")
-    if head.strip() and not data.translate(None, b"0123456789 \t\n"):
+    A plain file (``_plain_bytes``) whose line 1 is not blank has its
+    header on line 1 and its body read from the raw bytes after it; any
+    other file is read as content lines (comments and blank lines
+    dropped), with the same matrices and errors."""
+    head, _, rest = _plain_bytes(text).partition(b"\n")
+    if head.strip():
         lines, body = [(1, head.strip().decode())], rest
     else:
         lines = _content_lines(text)
@@ -226,14 +232,17 @@ def format_matrix_file(mat: CommutationMatrix) -> str:
 
 def parse_basis_file(text: str, p: int, n: int) -> np.ndarray:
     """The basis vectors over GF(p) in ``text``, one per content line, as one
-    (k, n) int64 array: the ``_canonical_grid`` of the content lines if its
-    entries lie in [0, p), else the lines read by ``_rows``, which raises
-    the first fault with its line."""
-    lines = _content_lines(text)
-    if not lines:
+    (k, n) int64 array: the ``_canonical_grid`` of a plain file's raw bytes
+    (``_plain_bytes``), or of any other file's content lines, if its
+    entries lie in [0, p), else the content lines read by ``_rows``, which
+    raises the first fault with its line."""
+    data = _plain_bytes(text).strip()
+    lines = [] if data else _content_lines(text)
+    if not (data or lines):
         raise MatrixFormatError("basis file contains no vectors", 1)
-    grid = _canonical_grid("\n".join([line for _, line in lines]).encode(), n)
+    grid = _canonical_grid(data or "\n".join([line for _, line in lines]).encode(), n)
     if grid is None or grid.max() >= p:
+        lines = lines or _content_lines(text)
         grid = np.array([row for _, row in _rows(lines, p, n)], dtype=np.int64)
     return grid
 

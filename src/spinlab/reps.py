@@ -48,6 +48,7 @@ from .forms import CommutationMatrix, _gf_vector, form_kernel, prefix_ranks, sym
 from .words import (
     StandardInvariant,
     _checked_invariant,
+    _KernelFrame,
     count_classes,
     pair_coordinates,
     realize_invariant,
@@ -375,7 +376,7 @@ def extract_invariant(rep: Representation) -> StandardInvariant:
             "kernel word is not scalar; representation is reducible and "
             "its standard invariant is undefined"
         )
-    return _checked_invariant(rep.mat, kernel, values)
+    return _checked_invariant(_KernelFrame(rep.mat, kernel), values)
 
 
 def irreducible_rep(

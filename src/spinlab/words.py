@@ -20,10 +20,11 @@ the model's phases and the law of a valid invariant.
 Standard invariants live on ker(omega): the scalar values taken by
 central words in an irreducible system, given on any basis of the kernel
 and extended through the product rule.  The basis is one frozen (d, n)
-array, checked once when an invariant is built and shared, not copied,
-by the invariants derived from it; equality evaluates each invariant at
-the other's basis, and retargeting the target at the reference's basis
-(``_values_at``), so neither depends on it.
+array, checked once when an invariant is built, in a ``_KernelFrame``
+that the invariants derived from it share with its coordinate map and
+float64 Gram table, each built once, on first use; equality evaluates
+each invariant at the other's basis, and retargeting the target at the
+reference's basis (``_values_at``), so neither depends on it.
 Multiplying generator k by zeta^{gamma_k} adds p (gamma . x) to the
 invariant at every kernel vector x, so the valid invariants, those with
 f(k) = s(k) mod p, form p^d classes for a d-dimensional kernel.
@@ -146,10 +147,11 @@ class StandardInvariant:
     invariant is evaluated on the other's basis.
 
     The basis, any sequence of length-n integer vectors, is kept reduced
-    mod p as one frozen (d, n) int64 array, which the invariants derived
-    from this one share (``_checked_invariant``).  Values must be integers
-    (``gf.as_int``, as for ``Word``): floats and strings raise ValueError.
-    A dependent basis, or one outside ker(omega), raises InvariantError."""
+    mod p as one frozen (d, n) int64 array in a ``_KernelFrame``, which the
+    invariants derived from this one share (``_checked_invariant``).  Values
+    must be integers (``gf.as_int``, as for ``Word``): floats and strings
+    raise ValueError.  A dependent basis, or one outside ker(omega), raises
+    InvariantError, the first from the frame's one elimination."""
 
     mat: CommutationMatrix
     kernel_basis: np.ndarray
@@ -170,7 +172,8 @@ class StandardInvariant:
         object.__setattr__(self, "values", values)
         if gf.matmul(self.mat.entries, k.T, p).any():
             raise InvariantError("kernel basis vector is not in ker(omega)")
-        self._tables  # built now: its one elimination refuses a dependent basis
+        object.__setattr__(self, "_frame", _KernelFrame(self.mat, k))
+        self._frame.coord_map  # built now: its one elimination refuses a dependent basis
 
     @property
     def d(self) -> int:
@@ -188,64 +191,58 @@ class StandardInvariant:
             return False
         return there == list(self.values) and back == list(other.values)
 
+
+class _KernelFrame:
+    """An independent basis K inside ker(omega) of ``mat``, one frozen (d, n)
+    int64 array with a float64 copy, and the float64 tables of every
+    invariant on K, each built once, on first use: products of these with
+    vectors mod p stay below n (p-1)^2 + p < 2^53, so BLAS makes them exact."""
+
+    def __init__(self, mat: CommutationMatrix, basis: np.ndarray):
+        self.mat, self.basis, self.basis_f = mat, basis, basis.astype(np.float64)
+
     @cached_property
-    def _tables(self) -> "_KernelTables":
-        """Built by the constructor, as its dependence check, and otherwise
-        on first use (``enumerate_invariants`` makes p^d invariants and
-        evaluates none), then kept on the instance."""
-        return _kernel_tables(self)
+    def coord_map(self) -> np.ndarray:
+        """n x d: x in the span of K has coordinates x @ coord_map mod p.  One
+        elimination, rref([K | I_d]) = [R | E]: E K = R, so E at the pivot rows
+        inverts K's pivot minor, and a pivot past column n (or d > n) means
+        K is dependent."""
+        k, p = self.basis, self.mat.p
+        d, n = k.shape
+        if d > n:
+            raise InvariantError("kernel basis vectors are linearly dependent")
+        r, pivots = gf.rref(np.concatenate([k, np.eye(d, dtype=np.int64)], axis=1), p)
+        if pivots and pivots[-1] >= n:
+            raise InvariantError("kernel basis vectors are linearly dependent")
+        coord_map = np.zeros((n, d))
+        coord_map[pivots] = r[:, n:]
+        return coord_map
+
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """triu(G) + triu(G, 1)^T and diag(G) for the Gram matrix G = K L K^T mod p."""
+        p = self.mat.p
+        g = gf.matmul(gf.matmul(self.basis, self.mat.lower, p), self.basis.T, p).astype(np.float64)
+        return np.triu(g) + np.triu(g, 1).T, np.diagonal(g)
 
 
-def _checked_invariant(
-    mat: CommutationMatrix, basis: np.ndarray, values: tuple[int, ...]
-) -> StandardInvariant:
-    """A StandardInvariant on a frozen, reduced, independent (d, n) int64
-    basis inside ker(omega), used as is, and a tuple of ints in [0, p^2),
-    skipping the checks of ``StandardInvariant.__post_init__``."""
+def _checked_invariant(frame: _KernelFrame, values: tuple[int, ...]) -> StandardInvariant:
+    """A StandardInvariant on the frame's basis, shared with its tables,
+    and a tuple of ints in [0, p^2), skipping the checks of
+    ``StandardInvariant.__post_init__``."""
     f = object.__new__(StandardInvariant)
-    f.__dict__.update(mat=mat, kernel_basis=basis, values=values)
+    f.__dict__.update(mat=frame.mat, kernel_basis=frame.basis, values=values, _frame=frame)
     return f
-
-
-class _KernelTables(NamedTuple):
-    """What kernel_coordinates and _values_at need of one invariant on the
-    independent basis K, its ``kernel_basis``: the coordinates of a vector
-    x in the span of K are x @ coord_map mod p."""
-
-    coord_map: np.ndarray  # n x d: the inverse of K's pivot minor, at the pivot rows
-    gram_sym: np.ndarray  # triu(G) + triu(G, 1)^T for G = K L K^T mod p
-    gram_diag: np.ndarray  # diagonal of G
-    values: np.ndarray  # the stored values
-
-
-def _kernel_tables(f: StandardInvariant) -> _KernelTables:
-    """One elimination, rref([K | I_d]) = [R | E]: E K = R, so E inverts K's
-    pivot minor, and a pivot past column n (or d > n, before it) means K is dependent."""
-    k, p = f.kernel_basis, f.mat.p
-    d, n = k.shape
-    if d > n:
-        raise InvariantError("kernel basis vectors are linearly dependent")
-    r, pivots = gf.rref(np.concatenate([k, np.eye(d, dtype=np.int64)], axis=1), p)
-    if pivots and pivots[-1] >= n:
-        raise InvariantError("kernel basis vectors are linearly dependent")
-    coord_map = np.zeros((n, d), dtype=np.int64)
-    coord_map[pivots] = r[:, n:]
-    gram = gf.matmul(gf.matmul(k, f.mat.lower, p), k.T, p)
-    return _KernelTables(
-        coord_map=coord_map,
-        gram_sym=np.triu(gram) + np.triu(gram, 1).T,
-        gram_diag=np.diagonal(gram).copy(),
-        values=np.array(f.values, dtype=np.int64),
-    )
 
 
 def _coordinates(f: StandardInvariant, x: np.ndarray) -> np.ndarray:
     """Coordinates on f's basis of a reduced int64 vector x or of every row
     of an (m, n) int64 x, in one check: raises if one is outside the span."""
-    a = x @ f._tables.coord_map % f.mat.p
-    if (a @ f.kernel_basis % f.mat.p).tobytes() != x.tobytes():  # both int64
+    t, p, xf = f._frame, f.mat.p, x.astype(np.float64)
+    a = xf @ t.coord_map % p
+    if (a @ t.basis_f % p).tobytes() != xf.tobytes():
         raise InvariantError("vector is not in ker(omega) or not in the span of the basis")
-    return a
+    return a.astype(np.int64)
 
 
 def kernel_coordinates(f: StandardInvariant, x) -> np.ndarray:
@@ -261,8 +258,8 @@ def _reordering_exponent(a: np.ndarray, sym: np.ndarray, diag: np.ndarray, p: in
 
     When factors merge with a bilinear phase, F_x F_y = zeta^{B(x,y)}
     F_{x+y}, the ordered product prod_i F_{v_i}^{a_i} is zeta^{E(a; G)}
-    F_{sum_i a_i v_i} with G_ij = B(v_i, v_j).  sym and diag may be
-    float64 for a BLAS product, exact while a @ sym stays below 2^53.
+    F_{sum_i a_i v_i} with G_ij = B(v_i, v_j).  sym and diag are float64,
+    for a BLAS product, exact while a @ sym stays below 2^53.
     """
     s = (a @ sym - diag).astype(np.int64, copy=False)
     return (s @ a if a.ndim == 1 else (s * a).sum(axis=1)) // 2 % p
@@ -277,11 +274,11 @@ def _values_at(f: StandardInvariant, x: np.ndarray) -> np.ndarray:
     W_x = zeta^{-E} prod_i W_{k_i}^{a_i} is sum_i a_i f(k_i) - p E, with
     E = E(a; G) (``_reordering_exponent``) on the Gram matrix
     G_ij = Q(k_i, k_j) of the basis: a few small products once the
-    invariant's tables exist.
+    frame's tables exist.
     """
-    a = _coordinates(f, x)
-    t, p = f._tables, f.mat.p
-    return (a @ t.values - p * _reordering_exponent(a, t.gram_sym, t.gram_diag, p)) % (p * p)
+    a, p = _coordinates(f, x), f.mat.p
+    e = _reordering_exponent(a, *f._frame.gram, p)
+    return (a @ np.array(f.values, dtype=np.int64) - p * e) % (p * p)
 
 
 def evaluate_invariant(f: StandardInvariant, x) -> int:
@@ -295,8 +292,8 @@ def invariant_square_check(f: StandardInvariant) -> bool:
     """True iff f obeys the p-th power law f(k) = s(k) mod p on every
     stored basis vector, the law of every valid invariant (the square law
     f(k)^2 = (-1)^{Q(k,k)} at p = 2)."""
-    t, p = f._tables, f.mat.p  # G = K L K^T: its diagonal is Q(k, k) for each k
-    return not ((t.values - _power_exponent(t.gram_diag, p)) % p).any()
+    q, p = f._frame.gram[1], f.mat.p  # diag(G) = Q(k, k) for each k
+    return not ((np.array(f.values) - _power_exponent(q, p)) % p).any()
 
 
 def phase_shift_invariant(f: StandardInvariant, gamma) -> StandardInvariant:
@@ -307,13 +304,15 @@ def phase_shift_invariant(f: StandardInvariant, gamma) -> StandardInvariant:
     p = f.mat.p
     shift = p * (f.kernel_basis @ _gf_vector(f.mat, gamma) % p)
     values = (np.array(f.values, dtype=np.int64) + shift) % (p * p)
-    return _checked_invariant(f.mat, f.kernel_basis, tuple(values.tolist()))
+    return _checked_invariant(f._frame, tuple(values.tolist()))
 
 
 def gammas_equivalent(gamma1, gamma2, kernel_basis, p: int) -> bool:
     """True iff gamma1 and gamma2 induce the same linear functional on
     the kernel, i.e. (gamma1 - gamma2) . k = 0 for every basis vector k;
-    raises ValueError unless all of these vectors have one length n."""
+    raises ValueError unless p is a supported prime (``gf.validate_prime``)
+    and all of these vectors have one length n."""
+    p = gf.validate_prime(p)
     g1, g2, k = (gf.as_gf_array(a, p) for a in (gamma1, gamma2, kernel_basis))
     if g1.ndim != 1 or g2.shape != g1.shape or k.size and k.shape[1:] != g1.shape:
         raise ValueError("gamma1, gamma2 and the basis vectors need one length n")
@@ -338,21 +337,23 @@ def realize_invariant(
     if target.d != reference.d:
         raise InvariantError("the target's kernel basis does not span the reference kernel")
     p = target.mat.p
-    diff = _values_at(target, reference.kernel_basis) - reference._tables.values
+    diff = _values_at(target, reference.kernel_basis) - reference.values
     theta, rest = np.divmod(diff % (p * p), p)
     if rest.any():
         raise InvariantError(
             "target - reference is not a multiple of p on the kernel "
             "basis; the target violates the p-th power (square) law"
         )
-    return reference._tables.coord_map @ theta % p
+    return (reference._frame.coord_map @ theta % p).astype(np.int64)
 
 
 def count_classes(d: int, p: int) -> int:
     """Number of equivalence classes of irreducible systems with kernel
     dimension d over GF(p): exactly p^d.  (For an infinite-dimensional
     kernel the class count is the cardinality of the continuum; this
-    artifact only handles finite truncations.)"""
+    artifact only handles finite truncations.)  d must be an integer
+    (``gf.as_int``) and p a supported prime, else ValueError."""
+    d, p = gf.as_int(d, "kernel dimension"), gf.validate_prime(p)
     if d < 0:
         raise ValueError("kernel dimension must be nonnegative")
     return p ** d
@@ -391,7 +392,7 @@ def pair_coordinates(mat: CommutationMatrix, basis: SymplecticBasis) -> PairCoor
     k = basis.kernel  # frozen, shared with the invariant
     e = _reordering_exponent(k, np.triu(g) + np.triu(g, 1).T, np.diagonal(g), p)
     values = (k @ mu - p * e) % (p * p)
-    invariant = _checked_invariant(mat, k, tuple(values.tolist()))
+    invariant = _checked_invariant(_KernelFrame(mat, k), tuple(values.tolist()))
     return PairCoordinates(alpha, beta, mu, invariant)
 
 
@@ -416,4 +417,4 @@ def enumerate_invariants(mat: CommutationMatrix) -> list[StandardInvariant]:
     f0 = pair_coordinates(mat, basis).invariant
     theta = np.arange(p ** d)[:, None] // p ** np.arange(d) % p
     values = (np.array(f0.values, dtype=np.int64) + p * theta) % (p * p)
-    return [_checked_invariant(mat, f0.kernel_basis, tuple(v)) for v in values.tolist()]
+    return [_checked_invariant(f0._frame, tuple(v)) for v in values.tolist()]

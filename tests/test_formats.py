@@ -239,6 +239,13 @@ def test_parse_matrix_file_fuzz(text):
     assert mat.p == parsed.p
 
 
+@pytest.mark.parametrize("body", ["", "\n", "#\n"])
+def test_an_empty_body_is_refused_at_any_size(body):
+    # the byte route's empty grid is refused before numpy shapes it 10^30 wide
+    with pytest.raises(MatrixFormatError, match=f"line 1: expected {10 ** 30} matrix rows, got 0"):
+        formats.parse_matrix_file(f"2 {10 ** 30}\n" + body)
+
+
 _ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 
 
@@ -436,9 +443,21 @@ def test_basis_files_read_as_the_per_line_route_reads_them(file):
         except MatrixFormatError as exc:
             return str(exc), exc.line
 
-    got = outcome(text)
+    order = []
+
+    def spy(name):
+        fn = getattr(formats, name)
+        return lambda *args: order.append(name) or fn(*args)
+
+    with mock.patch.object(formats, "_canonical_grid", spy("_canonical_grid")), \
+            mock.patch.object(formats, "_content_lines", spy("_content_lines")):
+        got = outcome(text)
     assert rows is None or got == rows
-    # a closing "#" adds no content line; the located reader alone reads the same
+    # a plain file's raw bytes go to the grid before any content line is made
+    plain = set(text) <= set("0123456789 \t\n") and text.strip() != ""
+    assert order[0] == ("_canonical_grid" if plain else "_content_lines")
+    # a closing "#" adds no content line but sends the file down the per-line
+    # route; the located reader alone reads the same
     assert outcome(text + "#") == got
     with mock.patch.object(formats, "_canonical_grid", return_value=None):
         assert outcome(text) == got

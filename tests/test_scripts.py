@@ -1,9 +1,13 @@
 """Smoke tests of the experiment scripts, run as programs."""
 
+import argparse
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,3 +46,15 @@ def test_class_census_with_rep_checks():
         "simple (nondegenerate) fraction: 0.400",
         "all sampled irreducible representations verified (commutant = 1)",
     ]
+
+
+def test_class_census_refuses_a_reducible_sample(monkeypatch):
+    # the check is an explicit exit, so it holds under python -O too
+    path = ROOT / "scripts" / "class_census.py"
+    spec = importlib.util.spec_from_file_location("class_census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    monkeypatch.setattr(census, "commutant_dim", lambda rep: 2)
+    args = argparse.Namespace(n=4, samples=5, seed=0, check_reps=True)
+    with pytest.raises(SystemExit, match="sample 0 .* not irreducible"):
+        census.run(args)

@@ -260,26 +260,43 @@ def _counting(calls, name, fn):
 
 
 def test_evaluate_invariant_reuses_its_tables(monkeypatch):
-    mat = sl.random_alternating(3, 8, seed=0)
-    kernel = sl.form_kernel(mat)
-    f0 = sl.reference_invariant(mat)  # built unchecked; its tables wait for first use
-    assert f0.d >= 1
+    # every invariant on one basis shares its kernel frame, whose coordinate
+    # map (one gf.rref) and Gram table are each built once, on first use
     calls = []
     monkeypatch.setattr(sl.gf, "rref", _counting(calls, "rref", sl.gf.rref))
+    zero = sl.commutation_matrix(2, np.zeros((6, 6), dtype=int))
+    invariants = sl.enumerate_invariants(zero)
+    assert len(invariants) == 64
+    assert all(g._frame is invariants[0]._frame for g in invariants)
+    assert all(map(sl.invariant_square_check, invariants)) and calls == []
+    for g in invariants:
+        assert [sl.evaluate_invariant(g, k) for k in g.kernel_basis] == list(g.values)
+    assert calls == ["rref"]  # one elimination for all 64
+    calls.clear()
+
+    mat = sl.random_alternating(3, 8, seed=0)
+    rep = sl.irreducible_rep(mat)
+    assert calls == []  # no invariant asked for, none evaluated
+    f0 = sl.reference_invariant(mat)
+    assert f0.d >= 1 and calls == []
+    shifted = sl.phase_shift_invariant(f0, [1] * 8)
+    extracted = sl.extract_invariant(rep)
+    assert shifted._frame is f0._frame and calls == []
     k = f0.kernel_basis[0]
-    sl.evaluate_invariant(f0, k)
-    assert calls == ["rref"]  # one table build: one elimination
+    sl.evaluate_invariant(shifted, k)
+    assert calls == ["rref"]  # built for f0's frame, read by f0 too
     calls.clear()
-    f = sl.StandardInvariant(mat, kernel, (1,) * len(kernel))
-    assert calls == ["rref"]  # the constructor's check is the table build
+    f = sl.StandardInvariant(mat, f0.kernel_basis[::-1], f0.values[::-1])
+    assert calls == ["rref"]  # a foreign basis pays in its constructor
     calls.clear()
-    for g in (f0, f):
+    for g in (f0, f, shifted):
         for a in range(3):
             sl.evaluate_invariant(g, (a * k) % 3)
             sl.words.kernel_coordinates(g, (a * k) % 3)
         with pytest.raises(InvariantError):
             sl.evaluate_invariant(g, np.eye(8, dtype=int)[0] + k)
-    assert f != f0 and calls == []
+    assert f == f0 and f != shifted and calls == []
+    assert extracted == f0 and calls == ["rref"]  # for the extracted invariant's frame
 
 
 def test_pair_coordinates_rebuild_the_generators():
@@ -477,6 +494,13 @@ def test_gammas_equivalent_checks_lengths(gamma1, gamma2, kernel):
         sl.gammas_equivalent(gamma1, gamma2, kernel, 2)
 
 
+@pytest.mark.parametrize("p", [4, 1, 257, 2.0, "2"])
+def test_gammas_equivalent_checks_the_modulus(p):
+    # refused as Word and StandardInvariant refuse a modulus
+    with pytest.raises(ValueError, match="modulus"):
+        sl.gammas_equivalent([1, 0], [0, 0], [[1, 1]], p)
+
+
 def test_realize_invariant_examples():
     f = _invariant(CLIFF3, [1])
     g = _invariant(CLIFF3, [3])
@@ -543,6 +567,21 @@ def test_count_classes():
         sl.count_classes(-1, 2)
 
 
+@pytest.mark.parametrize(
+    "d, p, message",
+    [
+        (1.5, 2, "must be an integer"),
+        ("2", 2, "must be an integer"),
+        (2, 4, "must be prime"),
+        (2, 1, "modulus"),
+        (2, 2.0, "modulus"),
+    ],
+)
+def test_count_classes_refuses(d, p, message):
+    with pytest.raises(ValueError, match=message):
+        sl.count_classes(d, p)
+
+
 def test_reference_invariant_clifford_value():
     # canonical construction gives W_{(1,1,1)} = -i on the Clifford triple
     f0 = sl.reference_invariant(CLIFF3)
@@ -552,8 +591,9 @@ def test_reference_invariant_clifford_value():
 
 @pytest.mark.parametrize("p, r, d", [(251, 20, 20), (2, 90, 20)])
 def test_reference_invariant_on_planted_matrices(p, r, d):
-    # the Gram products of pair_coordinates, _kernel_tables and the square
-    # check run in float64 (BLAS): at a large prime and at a large n
+    # the Gram products of pair_coordinates and the kernel frame, and the
+    # frame's coordinate products, run in float64 (BLAS): at a large prime
+    # and at a large n
     mat = planted_matrix(p, r, d, seed=p)
     f0 = sl.reference_invariant(mat)
     assert f0.d == d
