@@ -85,6 +85,7 @@ class CommutationMatrix:
 
     def prefix(self, k: int) -> "CommutationMatrix":
         """The upper-left k x k corner, keeping the pattern source."""
+        k = gf.as_int(k, "prefix size")
         if not 1 <= k <= self.n:
             raise ValueError(f"prefix size {k} out of range 1..{self.n}")
         return CommutationMatrix(self.p, self.entries[:k, :k].copy(), self.pattern)
@@ -95,12 +96,14 @@ def commutation_matrix(p: int, entries) -> CommutationMatrix:
     return CommutationMatrix(p, entries)
 
 
-def _check_size(n: int, kind: str) -> None:
-    """Refuse n > MAX_TOEPLITZ_N (SizeBoundError) and n < 1 (ValueError)."""
+def _check_size(n: int, kind: str) -> int:
+    """n as an int, refusing n > MAX_TOEPLITZ_N (SizeBoundError) and n < 1 (ValueError)."""
+    n = gf.as_int(n, "matrix size")
     if n > MAX_TOEPLITZ_N:
         raise SizeBoundError(f"{kind} matrix size {n} > bound {MAX_TOEPLITZ_N}")
     if n < 1:
         raise ValueError(f"matrix size must be at least 1, got {n}")
+    return n
 
 
 def toeplitz_matrix(p: int, pattern, n: int) -> CommutationMatrix:
@@ -114,7 +117,7 @@ def toeplitz_matrix(p: int, pattern, n: int) -> CommutationMatrix:
     pat = gf.as_int_array(pattern)
     if pat.ndim != 1 or ((pat < 0) | (pat >= p)).any():
         raise ValueError(f"pattern values must lie in [0, {p})")
-    _check_size(n, "banded")
+    n = _check_size(n, "banded")
     # band[n - 1 + s] is the entry at separation s = j - i, so row i is
     # the window band[n - 1 - i : 2n - 1 - i]; the constructor copies the
     # strided view of those windows into the matrix.
@@ -131,14 +134,18 @@ def clifford_matrix(p: int, n: int) -> CommutationMatrix:
     self-adjoint unitaries.  Defined in characteristic 2 only."""
     if p != 2:
         raise ValueError("the Clifford matrix is defined for p = 2 only")
-    _check_size(n, "Clifford")
+    n = _check_size(n, "Clifford")
     ent = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
     return CommutationMatrix(2, ent)
 
 
 def standard_form(p: int, r: int, d: int = 0) -> CommutationMatrix:
     """Block matrix of r hyperbolic 2x2 blocks [[0,1],[-1,0]] plus a d x d
-    zero block: the standard model of rank 2r and kernel dimension d."""
+    zero block: the standard model of rank 2r and kernel dimension d.
+    p, r and d >= 0 (``gf.as_int``) are checked before anything is allocated."""
+    p, r, d = gf.validate_prime(p), gf.as_int(r, "r"), gf.as_int(d, "d")
+    if r < 0 or d < 0:
+        raise ValueError(f"r and d must be nonnegative, got r={r}, d={d}")
     n = 2 * r + d
     ent = np.zeros((n, n), dtype=np.int64)
     for i in range(r):
@@ -162,7 +169,7 @@ def random_alternating(p: int, n: int, seed: int) -> CommutationMatrix:
     import random
 
     p = gf.validate_prime(p)
-    _check_size(n, "random")
+    n = _check_size(n, "random")
     upper = np.triu_indices(n, 1)
     words = random.Random(seed).getstate()[1]
     mt = np.random.MT19937()

@@ -31,7 +31,7 @@ exponent mu[j]:
 * ``irreducible_rep``: the minimal p^r-dimensional irreducible model
   built from a hyperbolic-pair basis, one clock/shift slot per pair,
   with any prescribed standard invariant.  The invariant of its
-  canonical phases is the closed form of ``words.pair_coordinates``.
+  canonical phases is the closed form of ``words._model_invariant``.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .words import (
     StandardInvariant,
     _checked_invariant,
     _KernelFrame,
+    _model_invariant,
     count_classes,
     pair_coordinates,
     realize_invariant,
@@ -158,6 +159,7 @@ def mono_inverse(a: MonomialMatrix) -> MonomialMatrix:
 
 def mono_pow(a: MonomialMatrix, k: int) -> MonomialMatrix:
     """a^k by repeated squaring, exact because the product is associative."""
+    k = gf.as_int(k, "matrix power")
     if k <= 0:
         return mono_pow(mono_inverse(a), -k) if k else mono_identity(a.dim, a.p)
     half = mono_pow(mono_mul(a, a), k // 2)
@@ -392,7 +394,7 @@ def irreducible_rep(
     standing for e_i and the clock for f_i, so the pair relations come
     out with omega(e_i, f_j) = delta_ij.  A canonical per-generator
     phase makes every generator order p, and the invariant this achieves
-    is the closed form of ``pair_coordinates``.  Generator k is then
+    is the closed form of ``_model_invariant``.  Generator k is then
     multiplied by zeta^{gamma_k}, zeta = e^{2 pi i / p}, with gamma from
     ``realize_invariant``, onto the requested invariant: any valid
     invariant is reachable this way, for every prime (at p = 2 these are
@@ -408,10 +410,11 @@ def irreducible_rep(
     p = mat.p
     basis = symplectic_basis(mat)
     _check_dim(p ** basis.r, mat.n, max_dim, "irreducible representation")
-    pc = pair_coordinates(mat, basis)
-    gamma = 0 if invariant is None else realize_invariant(invariant, pc.invariant)
-    stack = _weyl_stack(pc.alpha, pc.beta, pc.mu + p * gamma, p)
-    return Representation.from_stack(mat, *stack)
+    alpha, beta, mu = pair_coordinates(mat, basis)
+    if invariant is not None:
+        f0 = _model_invariant(mat, basis.kernel, alpha, beta, mu)
+        mu = mu + p * realize_invariant(invariant, f0)
+    return Representation.from_stack(mat, *_weyl_stack(alpha, beta, mu, p))
 
 
 def phase_shift_rep(rep: Representation, gamma) -> Representation:

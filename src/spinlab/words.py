@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -359,48 +358,38 @@ def count_classes(d: int, p: int) -> int:
     return p ** d
 
 
-class PairCoordinates(NamedTuple):
-    """Generator j of a commutation matrix written in its hyperbolic-pair
-    basis: u_j = sum_i alpha[j, i] e_i + beta[j, i] f_i + (kernel part),
-    with the canonical normalizing phase exponent mu[j] = C(p, 2)
-    (alpha_j . beta_j) mod p of the modelled generator, and the standard
-    invariant that these modelled generators achieve."""
-
-    alpha: np.ndarray  # n x r
-    beta: np.ndarray  # n x r
-    mu: np.ndarray  # n
-    invariant: StandardInvariant
-
-
-def pair_coordinates(mat: CommutationMatrix, basis: SymplecticBasis) -> PairCoordinates:
-    """Pair coordinates of every generator on ``basis``, the symplectic
-    basis of ``mat``: alpha_ji = omega(u_j, f_i) and beta_ji = -omega(u_j,
-    e_i) (as omega(e_i, f_j) = delta_ij), and the canonical model's invariant.
-
-    Model j is zeta'^{mu_j} (x)_i S^{alpha_ji} V^{beta_ji}, zeta' =
-    e^{2 pi i / p^2}.  Slot parts merge with the phase zeta^{-beta . alpha'},
-    so (x)_i S^a V^b has p-th power zeta^{-C(p, 2) a . b}, which mu_j
-    cancels, and the ordered product over a kernel vector k is the scalar
-    with exponent k . mu - p E(k; beta alpha^T) mod p^2
-    (``_reordering_exponent``).
-    """
+def pair_coordinates(mat: CommutationMatrix, basis: SymplecticBasis) -> tuple[np.ndarray, ...]:
+    """The tables (alpha, beta, mu) of the Weyl model on ``basis``, the
+    symplectic basis of ``mat``, whose generator j is zeta'^{mu_j} (x)_i
+    S^{alpha_ji} V^{beta_ji}, zeta' = e^{2 pi i / p^2}: alpha_ji = omega(u_j,
+    f_i) and beta_ji = -omega(u_j, e_i) (as omega(e_i, f_j) = delta_ij), and
+    mu_j = C(p, 2) (alpha_j . beta_j) mod p, the canonical normalizing phase."""
     p = mat.p
     alpha = gf.matmul(mat.entries, basis.f.T, p)
     beta = -gf.matmul(mat.entries, basis.e.T, p) % p
-    mu = _power_exponent((alpha * beta).sum(axis=1), p)
+    return alpha, beta, _power_exponent((alpha * beta).sum(axis=1), p)
+
+
+def _model_invariant(mat: CommutationMatrix, kernel, alpha, beta, mu) -> StandardInvariant:
+    """The invariant, on the frozen basis ``kernel`` of ker(omega), of the
+    Weyl model with tables (alpha, beta, mu): slot parts merge with the
+    phase zeta^{-beta . alpha'}, so (x)_i S^a V^b has p-th power
+    zeta^{-C(p, 2) a . b}, which the canonical mu_j cancels, and the ordered
+    product over a kernel vector k is the scalar with exponent k . mu -
+    p E(k; beta alpha^T) mod p^2 (``_reordering_exponent``)."""
+    p = mat.p
     g = gf.matmul(beta, alpha.T, p).astype(np.float64)  # k @ sym < n (p-1)^2 < 2^53
-    k = basis.kernel  # frozen, shared with the invariant
-    e = _reordering_exponent(k, np.triu(g) + np.triu(g, 1).T, np.diagonal(g), p)
-    values = (k @ mu - p * e) % (p * p)
-    invariant = _checked_invariant(_KernelFrame(mat, k), tuple(values.tolist()))
-    return PairCoordinates(alpha, beta, mu, invariant)
+    e = _reordering_exponent(kernel, np.triu(g) + np.triu(g, 1).T, np.diagonal(g), p)
+    values = (kernel @ mu - p * e) % (p * p)
+    return _checked_invariant(_KernelFrame(mat, kernel), tuple(values.tolist()))
 
 
 def reference_invariant(mat: CommutationMatrix) -> StandardInvariant:
     """The invariant achieved by the canonical irreducible construction:
     the exact scalars of the ordered generator products over the kernel
-    basis, in the closed form of ``pair_coordinates``."""
-    return pair_coordinates(mat, symplectic_basis(mat)).invariant
+    basis, in the closed form of ``_model_invariant``."""
+    basis = symplectic_basis(mat)
+    return _model_invariant(mat, basis.kernel, *pair_coordinates(mat, basis))
 
 
 def enumerate_invariants(mat: CommutationMatrix) -> list[StandardInvariant]:
@@ -414,7 +403,7 @@ def enumerate_invariants(mat: CommutationMatrix) -> list[StandardInvariant]:
     if p ** d > 2 ** MAX_KERNEL_DIM:
         bound = len(np.base_repr(2 ** MAX_KERNEL_DIM, p)) - 1  # largest such d
         raise SizeBoundError(f"kernel dimension {d} exceeds the enumeration bound {bound}")
-    f0 = pair_coordinates(mat, basis).invariant
+    f0 = _model_invariant(mat, basis.kernel, *pair_coordinates(mat, basis))
     theta = np.arange(p ** d)[:, None] // p ** np.arange(d) % p
     values = (np.array(f0.values, dtype=np.int64) + p * theta) % (p * p)
     return [_checked_invariant(f0._frame, tuple(v)) for v in values.tolist()]

@@ -335,7 +335,7 @@ def reference_invariant_loop(mat):
     accumulated (a, b) with a factor (alpha', beta') costs zeta^{-b.alpha'}."""
     p = mat.p
     basis = sl.symplectic_basis(mat)
-    pc = sl.words.pair_coordinates(mat, basis)
+    alpha, beta, mu = sl.words.pair_coordinates(mat, basis)
     values = []
     for k in basis.kernel:
         phase = 0
@@ -343,9 +343,9 @@ def reference_invariant_loop(mat):
         acc_b = np.zeros(basis.r, dtype=np.int64)
         for j in range(mat.n):
             for _ in range(int(k[j])):
-                phase += int(pc.mu[j]) - p * int(acc_b @ pc.alpha[j])
-                acc_a = (acc_a + pc.alpha[j]) % p
-                acc_b = (acc_b + pc.beta[j]) % p
+                phase += int(mu[j]) - p * int(acc_b @ alpha[j])
+                acc_a = (acc_a + alpha[j]) % p
+                acc_b = (acc_b + beta[j]) % p
         assert not acc_a.any() and not acc_b.any()
         values.append(phase % (p * p))
     return tuple(values)

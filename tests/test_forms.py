@@ -97,6 +97,13 @@ def test_prefix_size_out_of_range(k):
         sl.toeplitz_matrix(3, [1, 2], 4).prefix(k)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, "2", None])
+def test_prefix_size_must_be_an_integer(k):
+    with pytest.raises(ValueError, match="prefix size must be an integer"):
+        sl.toeplitz_matrix(3, [1, 2], 4).prefix(k)
+    assert sl.toeplitz_matrix(3, [1, 2], 4).prefix(np.int64(2)).n == 2
+
+
 def test_toeplitz_clifford_pattern():
     # an all-ones pattern covering every separation reproduces the Clifford matrix
     assert np.array_equal(
@@ -166,6 +173,45 @@ def test_toeplitz_size_bound_checked_first():
         sl.toeplitz_matrix(2, [1], 0)
     with pytest.raises(ValueError, match=r"\[0, 3\)"):
         sl.toeplitz_matrix(3, [1, 3], 4)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: sl.toeplitz_matrix(2, [1], n),
+        lambda n: sl.clifford_matrix(2, n),
+        lambda n: sl.random_alternating(2, n, 1),
+    ],
+    ids=["banded", "Clifford", "random"],
+)
+def test_generated_sizes_must_be_integers(build):
+    for n in (4.0, 3.5, "3", None):
+        with pytest.raises(ValueError, match="matrix size must be an integer"):
+            build(n)
+    assert build(np.int64(3)) == build(3)
+
+
+@pytest.mark.parametrize(
+    "p, r, d, match",
+    [
+        (2, -1, 3, "nonnegative"),
+        (2, -2, 5, "nonnegative"),
+        (2, 3, -2, "nonnegative"),
+        (2, 1, 0.0, "d must be an integer"),
+        (2, 1.0, 0, "r must be an integer"),
+        (2, "1", 0, "r must be an integer"),
+        (2, 0, 0, "empty"),
+        (4, 2 ** 40, 0, "prime"),  # checked before the n x n allocation
+    ],
+)
+def test_standard_form_checks_its_sizes(p, r, d, match):
+    with pytest.raises(ValueError, match=match):
+        sl.standard_form(p, r, d)
+    assert sl.standard_form(np.int64(3), np.int64(1), np.int64(1)).entries.tolist() == [
+        [0, 1, 0],
+        [2, 0, 0],
+        [0, 0, 0],
+    ]
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,13 @@ def test_mono_scale_rejects_non_integer_exponents(exp):
     assert sl.is_scalar(mono_scale(sl.mono_identity(3, 2), np.int64(5))) == 1
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+def test_mono_pow_rejects_non_integer_powers(k):
+    with pytest.raises(ValueError, match="matrix power must be an integer"):
+        mono_pow(sl.shift(3), k)
+    assert mono_pow(sl.shift(3), np.int64(2)) == mono_pow(sl.shift(3), 2)
+
+
 def test_mono_mul_identity_neutral():
     rng = np.random.default_rng(0)
     a = _random_monomial(3, 5, rng)
@@ -613,13 +620,32 @@ def test_irreducible_odd_p_retargeting(mat, seed):
 
 
 def test_irreducible_size_bound(monkeypatch):
-    # refused on the basis, before the Gram product of pair_coordinates
+    # refused on the basis, before the Gram product of the model's invariant
+    mat = sl.clifford_matrix(2, 10)
+    target = sl.reference_invariant(mat)
+
     def gram_product(*args):
-        raise AssertionError("pair_coordinates ran before the size check")
+        raise AssertionError("the model's invariant was built before the size check")
 
     monkeypatch.setattr(sl.words, "_reordering_exponent", gram_product)
     with pytest.raises(SizeBoundError):
-        sl.irreducible_rep(sl.clifford_matrix(2, 10), max_dim=8)
+        sl.irreducible_rep(mat, target, max_dim=8)
+
+
+@pytest.mark.parametrize("mat", [CLIFF3, sl.random_alternating(3, 7, seed=2)], ids=["p2", "p3"])
+def test_irreducible_without_a_target_builds_no_model_invariant(mat, monkeypatch):
+    # with no target the canonical phases are used as they are: no Gram
+    # product and no kernel frame
+    f0 = sl.reference_invariant(mat)
+
+    def unused(*args):
+        raise AssertionError("the model's invariant was built without a target")
+
+    monkeypatch.setattr(sl.words, "_reordering_exponent", unused)
+    monkeypatch.setattr(sl.words, "_KernelFrame", unused)
+    rep = sl.irreducible_rep(mat)
+    monkeypatch.undo()
+    assert sl.extract_invariant(rep) == f0
 
 
 def test_irreducible_generator_entries_bound():
@@ -632,12 +658,13 @@ def test_irreducible_generator_entries_bound():
 @settings(deadline=None, max_examples=60)
 @given(commutation_matrices(max_n=6), st.integers(0, 2 ** 32 - 1))
 def test_irreducible_matches_mono_tensor_fold(mat, seed):
-    pc = sl.words.pair_coordinates(mat, sl.symplectic_basis(mat))
+    alpha, beta, mu = sl.words.pair_coordinates(mat, sl.symplectic_basis(mat))
+    f0 = sl.reference_invariant(mat)
     gamma = np.random.default_rng(seed).integers(0, mat.p, size=mat.n)
-    target = sl.phase_shift_invariant(pc.invariant, gamma)
-    mu = pc.mu + mat.p * sl.realize_invariant(target, pc.invariant)
+    target = sl.phase_shift_invariant(f0, gamma)
+    mu = mu + mat.p * sl.realize_invariant(target, f0)
     rep = sl.irreducible_rep(mat, target)
-    assert list(rep.generators) == weyl_generators_fold(mat.p, pc.alpha, pc.beta, mu)
+    assert list(rep.generators) == weyl_generators_fold(mat.p, alpha, beta, mu)
 
 
 @settings(deadline=None, max_examples=80)

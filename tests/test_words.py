@@ -302,16 +302,16 @@ def test_evaluate_invariant_reuses_its_tables(monkeypatch):
 def test_pair_coordinates_rebuild_the_generators():
     for mat in (CLIFF3, sl.random_alternating(3, 7, seed=2), sl.random_alternating(2, 9, seed=5)):
         basis = sl.symplectic_basis(mat)
-        pc = sl.words.pair_coordinates(mat, basis)
+        alpha, beta, mu = sl.words.pair_coordinates(mat, basis)
         p, r = mat.p, basis.r
         t = basis.column_matrix()
         for j in range(mat.n):
-            pairs = sum(pc.alpha[j, i] * basis.e[i] + pc.beta[j, i] * basis.f[i] for i in range(r))
+            pairs = sum(alpha[j, i] * basis.e[i] + beta[j, i] * basis.f[i] for i in range(r))
             kernel_part = (np.eye(mat.n, dtype=np.int64)[j] - pairs) % p
             # what is left of u_j lies in the kernel span
             assert gf_solve(t[:, 2 * r :], kernel_part, p) is not None or not kernel_part.any()
-            expected_mu = int(pc.alpha[j] @ pc.beta[j]) % 2 if p == 2 else 0
-            assert pc.mu[j] == expected_mu
+            expected_mu = int(alpha[j] @ beta[j]) % 2 if p == 2 else 0
+            assert mu[j] == expected_mu
 
 
 @settings(deadline=None, max_examples=80)
@@ -319,11 +319,11 @@ def test_pair_coordinates_rebuild_the_generators():
 def test_pair_coordinates_match_the_inverse_basis(mat):
     # row j of T^-1 holds the coordinates of u_j on (e_1, f_1, ..., kernel)
     basis = sl.symplectic_basis(mat)
-    pc = sl.words.pair_coordinates(mat, basis)
+    alpha, beta, _ = sl.words.pair_coordinates(mat, basis)
     r = basis.r
     coords = gf_inverse(basis.column_matrix(), mat.p).T
-    assert np.array_equal(pc.alpha, coords[:, 0 : 2 * r : 2])
-    assert np.array_equal(pc.beta, coords[:, 1 : 2 * r : 2])
+    assert np.array_equal(alpha, coords[:, 0 : 2 * r : 2])
+    assert np.array_equal(beta, coords[:, 1 : 2 * r : 2])
 
 
 def test_square_check():
@@ -591,7 +591,7 @@ def test_reference_invariant_clifford_value():
 
 @pytest.mark.parametrize("p, r, d", [(251, 20, 20), (2, 90, 20)])
 def test_reference_invariant_on_planted_matrices(p, r, d):
-    # the Gram products of pair_coordinates and the kernel frame, and the
+    # the Gram products of the model's invariant and the kernel frame, and the
     # frame's coordinate products, run in float64 (BLAS): at a large prime
     # and at a large n
     mat = planted_matrix(p, r, d, seed=p)
@@ -669,7 +669,7 @@ def _assert_array_basis(f, mat):
 @given(commutation_matrices(primes=(2, 3, 5), max_n=5), st.integers(0, 2 ** 16))
 def test_kernel_basis_is_one_frozen_array_shared_by_derived_invariants(mat, seed):
     basis = sl.symplectic_basis(mat)
-    f0 = sl.words.pair_coordinates(mat, basis).invariant
+    f0 = sl.reference_invariant(mat)
     _assert_array_basis(f0, mat)
     assert f0.kernel_basis.tolist() == [k.tolist() for k in basis.kernel]
     gamma = np.random.default_rng(seed).integers(0, mat.p, size=mat.n)
