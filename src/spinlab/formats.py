@@ -103,24 +103,25 @@ def _canonical_grid(data: bytes, n: int) -> np.ndarray | None:
     """The (k, n) grid in ``data``, raw bytes with no leading or trailing
     blanks, if each of its k >= 1 lines holds n canonical decimals of up to
     three digits between spaces or tabs, else None; callers check k and the range.
-    Values are read at each token's last digit and the two bytes before it."""
-    b = np.frombuffer(data, dtype=np.uint8)
-    digit = b - 48  # uint8: bytes below "0" wrap
-    dig = np.zeros(b.size + 4, dtype=bool)  # dig[i + 3]: byte i is a digit
-    dig[3:-1] = digit < 10
-    val = np.zeros(b.size + 2, dtype=np.uint8)  # val[i + 2]: its value, else 0
-    np.multiply(digit, dig[3:-1], out=val[2:])
-    ends = np.flatnonzero(dig[3:-1] & ~dig[4:])
-    rows = np.searchsorted(ends, np.flatnonzero(b == 10))  # tokens before each newline
-    bad = ~(dig[3:-1] | (b == 32) | (b == 9) | (b == 10))  # a byte of another kind
-    bad |= dig[3:-1] & dig[2:-2] & dig[1:-3] & dig[:-4]  # four digits
-    bad |= (b == 48) & ~dig[2:-2] & dig[4:]  # a leading zero
-    if (not ends.size or bad.any() or ends.size % n
-            or not np.array_equal(rows, np.arange(n, ends.size, n))):
+    Foreign bytes are found by one ``bytes.translate``, the token ends by
+    one ``flatnonzero``, and the values by one ``take`` of the value of the
+    (up to three) digits that end at each byte."""
+    if not data or data.translate(None, b"0123456789 \t\n"):
         return None
-    hundreds = val[ends] * dig[2:-2][ends]  # if the tens are a digit
-    grid = hundreds.astype(np.int64) * 100 + val[1:][ends] * 10 + val[2:][ends]
-    return grid.reshape(-1, n)
+    b = np.frombuffer(data, dtype=np.uint8)
+    dig = np.zeros(b.size + 4, dtype=bool)  # dig[i + 3]: byte i is a digit
+    np.greater_equal(b, np.uint8(48), out=dig[3:-1])
+    ends = np.flatnonzero(dig[3:-1] > dig[4:])
+    rows = np.searchsorted(ends, np.flatnonzero(b == np.uint8(10)))  # tokens before each newline
+    if (not ends.size or ends.size % n or not np.array_equal(rows, np.arange(n, ends.size, n))
+            or (dig[3:-1] & dig[2:-2] & dig[1:-3] & dig[:-4]).any()  # four digits
+            or ((b == np.uint8(48)) & (dig[4:] > dig[2:-2])).any()):  # a leading zero
+        return None
+    val = np.zeros(b.size + 2, dtype=np.uint16)  # val[i + 2]: byte i's digit, 0 for a blank
+    np.multiply(b - np.uint8(48), dig[3:-1], out=val[2:], dtype=np.uint16)
+    three = val[2:] + val[1:-1] * np.uint16(10)
+    three += val[:-2] * dig[2:-2] * np.uint16(100)  # if the tens are a digit
+    return three.take(ends).astype(np.int64).reshape(-1, n)
 
 
 def _rows(lines: list[tuple[int, str]], p: int, n: int | None) -> Iterator[tuple[int, list[int]]]:

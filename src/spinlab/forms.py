@@ -15,7 +15,9 @@ where transposition flips signs.
 
 The constructive basis algorithm splits GF(p)^n into ker(omega) plus
 hyperbolic pairs (e_i, f_i) with omega(e_i, f_j) = delta_ij, in one
-deterministic pass over the coordinates in order.
+deterministic pass over the coordinates in order (``_symplectic_pass``),
+in blocks of 256 with float (BLAS) matrix products that are exact while
+n (p-1)^2 + p < 2^53.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class CommutationMatrix:
             raise ValueError(f"entries must lie in [0, {self.p})")
         if np.diagonal(ent).any():
             raise ValueError("diagonal entries must be zero")
-        s = ent + ent.T  # in [0, 2p - 2]: 0 mod p only at 0 and p
+        small = ent.astype(np.uint8)  # p <= 251
+        s = np.add(small, small.T, dtype=np.uint16)  # in [0, 2p - 2]: 0 mod p only at 0 and p
         if ((s != 0) & (s != self.p)).any():
             raise ValueError("matrix must satisfy c_ji = -c_ij mod p")
         ent.flags.writeable = False
@@ -247,87 +250,220 @@ class SymplecticBasis:
         return np.concatenate([pairs, self.kernel]).T
 
 
+# Coordinates per block of the symplectic pass: one block covers every
+# n <= 256, where the pass is ``_pass_steps`` on C itself.
+_PASS_BLOCK = 256
+
+
+def _pass_steps(gram: np.ndarray, t: int, p: int) -> tuple[np.ndarray, int, list[int], list[int]]:
+    """Steps t..m-1 of the symplectic pass on an m x m alternating integer
+    Gram matrix with entries in [0, p), from the state whose radical is the
+    first t unit vectors; returns (w, r, ranks, joined).
+
+    The state is the m x m float array w, one vector per row: r
+    interleaved pairs (e_i, f_i), then the radical u in the order its
+    vectors joined, joined[j] the step at which u_j joined (j < t for the
+    start).  A second row table holds (f_i, -e_i).  Step k reads
+    omega(e_k, x) for the k state rows x as one product of w with row k of
+    the Gram matrix, from that row's first nonzero column (a zero row costs
+    nothing), reduced in int64.  v = e_k - sum omega(e_k, f_i) e_i
+    + sum omega(e_k, e_i) f_i is one product of those values with the
+    second table; then w_j = omega(u_j, v) = -omega(e_k, u_j).  The first
+    u_j with w_j != 0 pairs with v / w_j and each later u_i loses
+    (w_i / w_j) u_j, one row down; the pairing with the first and only u_j
+    moves no row.  With none, v joins u.  ranks[k - t] is 2r after step k.
+
+    Both products multiply integers below p in absolute value and sum at
+    most m terms, so they are exact in float32 while m (p-1)^2 < 2^24 (every
+    m <= 256 at p <= 251), where its matrix-vector products take about a
+    third less time than float64 ones; else the steps run in float64.
+    """
+    m = len(gram)
+    nonzero = gram != 0
+    lo = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), m).tolist()
+    dtype = np.float32 if m * (p - 1) ** 2 < 2 ** 24 else np.float64
+    gram = gram.astype(dtype)
+    w = np.zeros((m, m), dtype=dtype)
+    w.flat[: t * (m + 1) : m + 1] = 1
+    tw = np.zeros((m, m), dtype=dtype)
+    joined, ranks, r = list(range(t)), [], 0
+    for k in range(t, m):
+        pairs, j = 2 * r, lo[k]
+        row = (w[:k, j:k] @ gram[k, j:k]).astype(np.int64)
+        row %= p
+        v = (row[:pairs].astype(dtype) @ tw[:pairs, : k + 1]).astype(np.int64)
+        v[k] += 1
+        nz = row[pairs:].nonzero()[0]  # omega(e_k, u_j) = -w_j
+        if nz.size:
+            i, ou = int(nz[0]), row[pairs:]
+            inv = pow(int(p - ou[i]), -1, p)  # 1 / w_i
+            ui = w[pairs + i, :k].copy() if i else w[pairs, :k]
+            if i + 1 < ou.size:  # u_j + (-w_j / w_i) u_i for the u_j after u_i
+                w[pairs + i + 2 : k + 1, :k] = (
+                    w[pairs + i + 1 : k, :k] + np.outer(ou[i + 1 :] * inv, ui)
+                ).astype(np.int64) % p
+            if i:  # w_j = 0 before u_i: those rows move down by two
+                w[pairs + 2 : pairs + i + 2, :k] = w[pairs : pairs + i, :k]
+                w[pairs, :k] = ui
+            v *= inv
+            v %= p
+            w[pairs + 1, : k + 1] = tw[pairs, : k + 1] = v
+            np.negative(ui, out=tw[pairs + 1, :k])
+            joined.pop(i)
+            r += 1
+        else:
+            v %= p
+            w[k, : k + 1] = v
+            joined.append(k)
+        ranks.append(2 * r)
+    return w, r, ranks, joined
+
+
+def _pass_block(
+    ent: np.ndarray, w: np.ndarray, joined: np.ndarray, r: int, b0: int, b1: int, p: int
+) -> tuple[int, list[int]]:
+    """Steps b0..b1-1 of ``_symplectic_pass`` on its state w in place: r
+    pairs in rows 0..2r-1, the radical in the other rows below b0, in any
+    order, joined[x] the step at which row x joined.  Returns the new r and
+    the ranks of the steps."""
+    b, pairs = b1 - b0, 2 * r
+    cols = np.flatnonzero((ent[b0:b1, :b0] != 0).any(axis=0))
+    lo = int(cols[0]) if cols.size else b0
+    g = (ent[b0:b1, lo:b0].astype(np.float64) @ w[:b0, lo:b0].T).astype(np.int64)
+    g %= p  # g[s, x] = omega(e_{b0+s}, row x)
+    coef = np.empty((b, pairs))  # y_s = e_{b0+s} + coef[s] @ w[:pairs]
+    coef[:, 0::2] = -g[:, 1:pairs:2]
+    coef[:, 1::2] = g[:, 0:pairs:2]
+    slots = pairs + np.flatnonzero(g[:, pairs:b0].any(axis=0))
+    slots = slots[np.argsort(joined[slots], kind="stable")]  # the touched radical rows
+    t = slots.size
+    gram = np.zeros((t + b, t + b), dtype=np.int64)
+    gram[t:, :t] = g[:, slots]  # omega(y_s, u) = omega(e_{b0+s}, u)
+    gram[:t, t:] = -g[:, slots].T % p
+    yy = (g[:, :pairs].astype(np.float64) @ coef.T).astype(np.int64) + ent[b0:b1, b0:b1]
+    yy %= p
+    gram[t:, t:] = yy
+    del g, yy  # the block's (b, b0) arrays live one or two at a time
+    local, rl, ranks, jl = _pass_steps(gram, t, p)
+    y = (coef @ w[:pairs, :b0]).astype(np.int64)
+    del coef
+    y %= p
+    new = local[:, t:] @ y.astype(np.float64)  # the local vectors, columns 0..b0-1
+    del y
+    if t:
+        new += local[:, :t] @ w[slots, :b0]
+    new = new.astype(np.int64)
+    new %= p
+    labels = np.concatenate([joined[slots], np.arange(b0, b1)])[jl]
+    # The new pairs take rows pairs..top-1: the untouched radical rows
+    # there move to freed rows, and the local radical takes the others.
+    top = pairs + 2 * rl
+    freed = np.sort(np.concatenate([slots, np.arange(b0, b1)]))
+    kept = np.setdiff1d(np.arange(pairs, b0), slots)
+    move, free = kept[kept < top], freed[freed >= top]
+    w[free[: move.size]], joined[free[: move.size]] = w[move], joined[move]
+    rows = np.concatenate([np.arange(pairs, top), free[move.size :]])
+    w[rows, :b0] = new
+    w[rows, b0:b1] = local[:, t:]
+    joined[rows[2 * rl :]] = labels
+    return r + rl, [pairs + x for x in ranks]
+
+
 def _symplectic_pass(
     mat: CommutationMatrix, start: np.ndarray, r: int
 ) -> tuple[SymplecticBasis, list[int]]:
     """Symplectic Gram-Schmidt over the unit vectors in coordinate order.
 
-    The state is a symplectic basis of the leading k x k block, the
-    columns of one float64 n x n array w: r interleaved pairs (e_i, f_i),
-    then a basis u of its radical, from the k columns of ``start`` (a
-    reduced ``column_matrix``, 0 x 0 when fresh).  Step k computes
-    omega(e_k, x) for the k columns x of w, row k of C w, with one
-    product C[k, lo:k] w[lo:k, :k], lo the first nonzero column of row k
-    of C, found once for all rows (so a band of width m costs O(m k)).  It
-    projects e_k to v = e_k - sum omega(e_k, f_i) e_i + sum omega(e_k, e_i) f_i;
-    then w_j = omega(u_j, v) = -omega(e_k, u_j).  The first u_j with
-    w_j != 0 pairs with v / w_j and each later u_i loses (w_i / w_j) u_j,
-    in order; with none, v joins u.  Each O(n^2) step keeps the given
-    pairs and yields the rank of the leading k + 1 block.  The radical
-    comes back in the normal form that defines ``form_kernel``: the
-    reduced echelon form of u with its columns reversed, one vector per
-    free column j of C in increasing order, with 1 at j and 0 at the
-    other free columns (the kernel vector read off the RREF of C at j).
+    The state is a symplectic basis of the leading k x k block, the rows
+    of one n x n float array w: r interleaved pairs (e_i, f_i), then a
+    basis u of its radical, ordered by the step at which each vector joined
+    (``joined``), from the k columns of ``start`` (a reduced
+    ``column_matrix``, 0 x 0 when fresh).  Step k projects e_k to
+    v = e_k - sum omega(e_k, f_i) e_i + sum omega(e_k, e_i) f_i; then
+    w_j = omega(u_j, v) = -omega(e_k, u_j).  The first u_j with w_j != 0
+    pairs with v / w_j and each later u_i loses (w_i / w_j) u_j, in order;
+    with none, v joins u.  Each step keeps the given pairs and yields the
+    rank of the leading k + 1 block.  The radical comes back in the
+    normal form that defines ``form_kernel``: the reduced echelon form of u
+    with its columns reversed, one vector per free column j of C in
+    increasing order, with 1 at j and 0 at the other free columns (the
+    kernel vector read off the RREF of C at j).
 
-    A fresh pass makes no elimination, because its u is already in that
-    form.  Call the pivot of u_j the step at which it joined (its last
-    nonzero coordinate); by induction over the steps, each u_j is 1 at its
-    own pivot and 0 at the other live pivots, and every pair vector is 0
-    at every live pivot: a new v is e_k plus pair vectors, a pairing
-    consumes u_j with its pivot, and it changes only the u_i after u_j,
-    by a multiple of u_j.  A resumed pass (``start`` not empty) inherits
-    old pairs that may be nonzero at the pivots, so it ends with one
-    ``gf.rref`` of u, which also checks that u is independent.
+    The steps run in blocks of ``_PASS_BLOCK`` coordinates b0..b1-1
+    (``_pass_block``) with delayed, level-3 updates (as in Dumas, Giorgi
+    and Pernet, ACM TOMS 35(3), 2008):
 
-    The float64 (BLAS) products are exact in any summation order: w holds
-    integers in [0, p), so every sum has at most n terms below (p-1)^2 and
-    stays below n (p-1)^2 + p < 2^53, which is n < 1.4 x 10^11 at p = 251;
-    the int64 scaling of v then stays below n (p-1)^3 < 2^61.
+    - ``C[b0:b1, lo:b0] @ w[:b0, lo:b0].T`` gives g[s, x] =
+      omega(e_{b0+s}, x) for every state row x, lo the first column below
+      b0 at which a row of the block is nonzero (a band of width m costs
+      O(m k));
+    - ``coef @ w[:2r]``, coef read off the pair columns of g, projects each
+      unit vector of the block off the old pairs, to y_s;
+    - the old radical vectors u that some row of g touches and the y_s span
+      the block's local space, with the Gram matrix omega(y_s, u) = g[s, u]
+      = -omega(u, y_s), 0 among the u, and omega(y_s, y_t) = c_st +
+      (g[:, :2r] @ coef.T)[s, t], one b x 2r x b product;
+    - ``_pass_steps`` runs the block's steps on that Gram matrix, with the
+      touched u, in their order, as its radical, and ``local @ [u; y]``
+      maps its pairs and radical back.
+
+    An untouched u has w_j = 0 at every step of the block, so it neither
+    pairs nor changes, and keeps its place in the order: a row moves only
+    to make room for the new pairs, and ``joined`` keeps the order.  Step
+    k depends only on omega values mod p and every map is linear, so each
+    block gives the vectors of the one-step-at-a-time pass, byte for byte.
+    A fresh pass's first block is C's own leading block, with the identity
+    as its map: for n <= ``_PASS_BLOCK`` the pass is ``_pass_steps`` on C.
+
+    A fresh pass makes no elimination, because its u is already in the
+    normal form.  Call the pivot of u_j the step at which it joined (its
+    last nonzero coordinate); by induction over the steps, each u_j is 1 at
+    its own pivot and 0 at the other live pivots, and every pair vector is
+    0 at every live pivot: a new v is e_k plus pair vectors, a pairing
+    consumes u_j with its pivot, and it changes only the u_i after u_j, by
+    a multiple of u_j.  So the radical rows, ordered by the step at which
+    they joined, are the kernel.  A resumed pass (``start`` not empty)
+    inherits old pairs that may be nonzero at the pivots, so it ends with
+    one ``gf.rref`` of u, which also checks that u is independent.
+
+    The float64 (BLAS) products are exact in any summation order (for its
+    float32 steps ``_pass_steps`` checks a tighter bound).  Every
+    factor is an integer of absolute value below p, because the state, g,
+    the y_s and the local vectors are reduced mod p (in int64) before they
+    are multiplied, and each product sums at most n terms: b0 - lo in g, 2r
+    in the projections and the local Gram matrix, and t + b <= b1 in the
+    map back and the local steps (t touched u, all below b0).  So every sum
+    stays below n (p-1)^2 + p < 2^53, which is n < 1.4 x 10^11 at p = 251.
     """
     n, p = mat.n, mat.p
     if n * (p - 1) ** 2 + p >= 2 ** 53:
         raise SizeBoundError(f"matrix size {n} too large for the exact float64 pass at p={p}")
+    ent = mat.entries
     n_old, k0 = start.shape
-    lo = (mat.entries != 0).argmax(axis=1).tolist()  # 0 for a zero row
-    # v's coefficients on (e_1, f_1, ...) are row[swap] * sign, that is
-    # (-omega(e_k, f_1), omega(e_k, e_1), ...)
-    swap = np.arange(n) ^ 1
-    sign = np.resize(np.array([-1, 1]), n)
-    w = np.zeros((n, n))
-    w[:n_old, :k0] = start  # zero-padded to length n
-    ranks = []
-    for k in range(k0, n):
-        pairs, j = 2 * r, lo[k]
-        row = (mat.entries[k, j:k] @ w[j:k, :k]).astype(np.int64) % p
-        v = w[: k + 1, :pairs] @ (row[swap[:pairs]] * sign[:pairs])
-        v[k] += 1
-        ou = row[pairs:]  # omega(e_k, u_j) = -w_j
-        nz = ou.nonzero()[0]
-        if nz.size:
-            i = int(nz[0])
-            inv = pow(int(p - ou[i]), -1, p)  # 1 / w_i
-            ui = w[:k, pairs + i].copy()
-            if i + 1 < ou.size:  # u_j - (w_j / w_i) u_i = u_j + (-w_j / w_i) u_i after u_i
-                w[:k, pairs + i + 2 : k + 1] = (
-                    w[:k, pairs + i + 1 : k] + ui[:, None] * (ou[i + 1 :] * inv)
-                ).astype(np.int64) % p
-            if i:
-                w[:k, pairs + 2 : pairs + i + 2] = w[:k, pairs : pairs + i]  # w_j = 0 before u_i
-            w[:k, pairs] = ui
-            w[: k + 1, pairs + 1] = v.astype(np.int64) * inv % p
-            r += 1
-        else:
-            w[: k + 1, k] = v.astype(np.int64) % p
-        ranks.append(2 * r)
+    resumed, joined = k0 > 0, np.arange(n)
+    if resumed:
+        w = np.zeros((n, n))
+        w[:k0, :n_old] = start.T  # zero-padded to length n
+        ranks = []
+    else:
+        k0 = min(_PASS_BLOCK, n)
+        w, r, ranks, first = _pass_steps(ent[:k0, :k0], 0, p)
+        if k0 < n:  # the blocks' products need a float64 state
+            w = np.pad(w.astype(np.float64), ((0, n - k0), (0, n - k0)))
+            joined[2 * r : k0] = first
+    for b0 in range(k0, n, _PASS_BLOCK):
+        r, steps = _pass_block(ent, w, joined, r, b0, min(b0 + _PASS_BLOCK, n), p)
+        ranks += steps
+    if k0 < n:  # the blocks leave the radical rows in any order
+        w[2 * r :] = w[2 * r :][np.argsort(joined[2 * r :], kind="stable")]
     w = w.astype(np.int64)  # exact: every entry lies in [0, p)
-    kernel = w[:, 2 * r :].T
-    if k0:
+    kernel = w[2 * r :]
+    if resumed:
         rows, pivots = gf.rref(kernel[:, ::-1], p)
         if len(pivots) != n - 2 * r:
             raise ValueError("existing basis is inconsistent")
         kernel = rows[::-1, ::-1]
-    pairs = w[:, : 2 * r].T
-    return SymplecticBasis(pairs[0::2], pairs[1::2], kernel), ranks
+    return SymplecticBasis(w[0 : 2 * r : 2], w[1 : 2 * r : 2], kernel), ranks
 
 
 def symplectic_basis(mat: CommutationMatrix) -> SymplecticBasis:

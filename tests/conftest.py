@@ -511,6 +511,79 @@ def symplectic_pass_two_arrays(mat, start, r):
     return sl.SymplecticBasis(pairs[0::2], pairs[1::2], rows[::-1, ::-1]), ranks
 
 
+def symplectic_pass_row_at_a_time(mat, start, r):
+    """The symplectic pass with the state vectors as the columns of one
+    float64 n x n array w, and at step k one BLAS product of row k of C
+    (from its first nonzero column) with w: the oracle of the blocked
+    ``forms._symplectic_pass``; returns (SymplecticBasis, ranks) as it does.
+    v is read by a gather and sign flip of row k of C w, the radical
+    columns shift at each pairing, and values are reduced with float ``%``."""
+    n, p = mat.n, mat.p
+    n_old, k0 = start.shape
+    lo = (mat.entries != 0).argmax(axis=1).tolist()  # 0 for a zero row
+    swap = np.arange(n) ^ 1
+    sign = np.resize(np.array([-1, 1]), n)
+    w = np.zeros((n, n))
+    w[:n_old, :k0] = start
+    ranks = []
+    for k in range(k0, n):
+        pairs, j = 2 * r, lo[k]
+        row = (mat.entries[k, j:k] @ w[j:k, :k]).astype(np.int64) % p
+        v = w[: k + 1, :pairs] @ (row[swap[:pairs]] * sign[:pairs])
+        v[k] += 1
+        ou = row[pairs:]  # omega(e_k, u_j) = -w_j
+        nz = ou.nonzero()[0]
+        if nz.size:
+            i = int(nz[0])
+            inv = pow(int(p - ou[i]), -1, p)  # 1 / w_i
+            ui = w[:k, pairs + i].copy()
+            if i + 1 < ou.size:
+                w[:k, pairs + i + 2 : k + 1] = (
+                    w[:k, pairs + i + 1 : k] + ui[:, None] * (ou[i + 1 :] * inv)
+                ).astype(np.int64) % p
+            if i:
+                w[:k, pairs + 2 : pairs + i + 2] = w[:k, pairs : pairs + i]
+            w[:k, pairs] = ui
+            w[: k + 1, pairs + 1] = v.astype(np.int64) * inv % p
+            r += 1
+        else:
+            w[: k + 1, k] = v.astype(np.int64) % p
+        ranks.append(2 * r)
+    w = w.astype(np.int64)
+    kernel = w[:, 2 * r :].T
+    if k0:
+        rows, pivots = sl.gf.rref(kernel[:, ::-1], p)
+        assert len(pivots) == n - 2 * r
+        kernel = rows[::-1, ::-1]
+    pairs = w[:, : 2 * r].T
+    return sl.SymplecticBasis(pairs[0::2], pairs[1::2], kernel), ranks
+
+
+def canonical_grid_masks(data, n):
+    """``formats._canonical_grid`` by whole-array masks over the bytes: a
+    digit mask shifted by up to four places finds foreign bytes, four-digit
+    tokens, leading zeros and token ends, and each value is read at its
+    token's last digit and the two bytes before it.  The oracle of the
+    grid reader."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    digit = b - 48  # uint8: bytes below "0" wrap
+    dig = np.zeros(b.size + 4, dtype=bool)  # dig[i + 3]: byte i is a digit
+    dig[3:-1] = digit < 10
+    val = np.zeros(b.size + 2, dtype=np.uint8)  # val[i + 2]: its value, else 0
+    np.multiply(digit, dig[3:-1], out=val[2:])
+    ends = np.flatnonzero(dig[3:-1] & ~dig[4:])
+    rows = np.searchsorted(ends, np.flatnonzero(b == 10))  # tokens before each newline
+    bad = ~(dig[3:-1] | (b == 32) | (b == 9) | (b == 10))  # a byte of another kind
+    bad |= dig[3:-1] & dig[2:-2] & dig[1:-3] & dig[:-4]  # four digits
+    bad |= (b == 48) & ~dig[2:-2] & dig[4:]  # a leading zero
+    if (not ends.size or bad.any() or ends.size % n
+            or not np.array_equal(rows, np.arange(n, ends.size, n))):
+        return None
+    hundreds = val[ends] * dig[2:-2][ends]  # if the tens are a digit
+    grid = hundreds.astype(np.int64) * 100 + val[1:][ends] * 10 + val[2:][ends]
+    return grid.reshape(-1, n)
+
+
 def explicit_matrix_table(body, p, n, header_line):
     """The body of an explicit matrix file read token by token: a plain
     file's raw bytes after line 1 are split into their nonblank lines, the

@@ -13,7 +13,7 @@ import spinlab as sl
 from spinlab import formats, forms
 from spinlab.errors import InvariantError, MatrixFormatError
 
-from conftest import explicit_matrix_table
+from conftest import canonical_grid_masks, explicit_matrix_table
 
 PAULI = sl.commutation_matrix(2, [[0, 1], [1, 0]])
 CLIFF3 = sl.clifford_matrix(2, 3)
@@ -306,6 +306,38 @@ def test_canonical_grid_reads_every_canonical_grid(p, n, data):
     text = "\n".join(data.draw(st.sampled_from([" ", "  ", "\t", " \t"])).join(map(str, row))
                      for row in rows)
     assert formats._canonical_grid(text.encode(), n).tolist() == rows
+
+
+@st.composite
+def _near_grids(draw):
+    """Lines of n tokens or about n: values 0..999, leading zeros and
+    four-digit tokens, between spaces, tabs and runs of them, with blank
+    lines, and now and then a byte "\\r", "x" or "-" put in."""
+    n = draw(st.integers(1, 5))
+    spell = {"canonical": str, "zero": lambda v: f"0{v}", "four": lambda v: str(1000 + v)}
+    hows = st.sampled_from(["canonical"] * 30 + ["zero", "four"])
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        size = draw(st.sampled_from([n] * 12 + [n - 1, n + 1]))
+        row = [spell[draw(hows)](draw(st.integers(0, 999))) for _ in range(size)]
+        lines.append(draw(st.sampled_from([" ", "  ", "\t", " \t", "   "])).join(row))
+    text = draw(st.sampled_from(["\n"] * 12 + ["\n\n", "\n \n"])).join(lines)
+    if draw(st.integers(0, 7)) == 0:
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from(["\r", "x", "-"])) + text[i:]
+    return text.strip().encode(), n
+
+
+@settings(deadline=None, max_examples=400)
+@given(_near_grids())
+def test_canonical_grid_equals_the_mask_reader(case):
+    # the translate / one-flatnonzero / one-take reader against the
+    # whole-array mask reader it replaced: the same grid, or None
+    data, n = case
+    got, want = formats._canonical_grid(data, n), canonical_grid_masks(data, n)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
 
 
 @settings(deadline=None, max_examples=500)

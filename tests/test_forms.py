@@ -1,11 +1,13 @@
 """Commutation matrices, bilinear forms, and symplectic bases."""
 
 import hashlib
+import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinlab as sl
@@ -28,6 +30,7 @@ from conftest import (
     random_alternating_loop,
     span_set,
     symplectic_pass_loop,
+    symplectic_pass_row_at_a_time,
     symplectic_pass_two_arrays,
 )
 
@@ -652,6 +655,58 @@ def test_symplectic_pass_equals_the_two_array_pass(mat, k):
     old = sl.symplectic_basis(mat.prefix(k)) if k else sl.SymplecticBasis((), (), ())
     want, _ = symplectic_pass_two_arrays(mat, old.column_matrix() % mat.p, old.r)
     assert _same_basis(sl.extend_symplectic_basis(mat, old), want)
+
+
+@st.composite
+def planted_matrices(draw, primes=(2, 3, 5, 251), max_n=24):
+    """B (J_r + 0_d) B^T for a random unit-triangular B: every rank at every n."""
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(1, max_n))
+    r = draw(st.integers(0, n // 2))
+    return planted_matrix(p, r, n - 2 * r, draw(st.integers(0, 2 ** 16)))
+
+
+# At block size 1, step 3 pairs e_3 with u_0 and moves u_1 below u_2 to
+# make room for the pair; step 4 then touches u_2 and u_1, in that row order.
+MOVED_RADICAL = sl.commutation_matrix(
+    2, [[0, 0, 0, 1, 0], [0, 0, 0, 0, 1], [0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [0, 1, 1, 0, 0]]
+)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5, 8])
+@settings(deadline=None, max_examples=40)
+@given(st.one_of(pass_matrices(max_n=24), planted_matrices()))
+@example(MOVED_RADICAL)
+def test_blocked_pass_equals_the_row_and_two_array_passes(block, mat):
+    # blocks of 1..8 coordinates cross many block boundaries at these sizes:
+    # the prefix ranks, the fresh basis and the extension from every prefix
+    # have the bytes of the row-at-a-time pass and of the two-array pass
+    p, empty = mat.p, np.zeros((0, 0), dtype=np.int64)
+    with mock.patch.object(forms, "_PASS_BLOCK", block):
+        basis, ranks = forms.prefix_ranks(mat)
+        fresh = sl.symplectic_basis(mat)
+        olds = [sl.SymplecticBasis((), (), ())] + [sl.symplectic_basis(mat.prefix(k)) for k in range(1, mat.n + 1)]
+        grown = [sl.extend_symplectic_basis(mat, old) for old in olds]
+    for oracle in (symplectic_pass_row_at_a_time, symplectic_pass_two_arrays):
+        want, want_ranks = oracle(mat, empty, 0)
+        assert ranks == want_ranks
+        assert _same_basis(basis, want) and _same_basis(fresh, want)
+        for old, got in zip(olds, grown):
+            assert _same_basis(got, oracle(mat, old.column_matrix() % p, old.r)[0])
+
+
+def test_symplectic_basis_memory_n1024():
+    # the row-at-a-time pass peaked at 16.86 MB here: its n x n float64
+    # state and the int64 copy it ends with; the blocked pass keeps the one
+    # state and a few (256, n) arrays of its current block
+    mat = sl.random_alternating(3, 1024, 1)
+    tracemalloc.start()
+    try:
+        sl.symplectic_basis(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 16.86e6
 
 
 def _digest(*arrays):
