@@ -16,15 +16,23 @@ are read by ``_canonical_grid``, else line by line by ``_rows``.  Parse
 and validation failures raise MatrixFormatError carrying the offending
 1-based line number.  A file of digits, blanks and newlines alone
 (a matrix file with its header on line 1, as ``format_matrix_file``
-writes it) has its body read from its raw bytes by numpy; any other
-file is read line by line, to the same rows and errors.  The CLI writes each JSON
-document as one line of compact JSON with a fixed field order: the bytes
-of the standard library encoder with separators "," and ":" and
-non-ASCII text kept, from one encoder pass with integer arrays written
-by numpy in fixed-width slots (``json_pieces``).  Documents never
-contain floats: phases are always integer exponents mod p^2.  The
-report, basis, classification and grow documents carry ``"schema":
-SCHEMA_VERSION``; the invariant and representation documents do not.
+writes it) has its body read by numpy from its raw bytes, in place: a
+uint8 view of the encoded text.  A body of one-digit tokens between
+single blanks, as in every file written at p <= 7, is read by stride,
+a block of rows at a time: its digits sit at the even offsets.  Other
+bodies go by token ends.  Either way the grid is one int64 array, which
+the CommutationMatrix constructor checks without a copy
+(``forms._owned_matrix``): the range, then the diagonal and
+skew-symmetry on a uint8 copy, the skew sums in uint16 one block of
+rows at a time.  Any other file is read line by line, to the
+same rows and errors.  The CLI writes each JSON document as one line
+of compact JSON with a fixed field order: the bytes of the standard
+library encoder with separators "," and ":" and non-ASCII text kept,
+from one encoder pass with integer arrays written by numpy in
+fixed-width slots (``json_pieces``).  Documents never contain floats:
+phases are always integer exponents mod p^2.  The report, basis,
+classification and grow documents carry ``"schema": SCHEMA_VERSION``;
+the invariant and representation documents do not.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import MatrixFormatError
-from .forms import CommutationMatrix, SymplecticBasis, toeplitz_matrix
+from .forms import CommutationMatrix, SymplecticBasis, _owned_matrix, toeplitz_matrix
 from .gf import as_int_array, validate_prime
 from .reps import Representation, StructureReport
 from .words import StandardInvariant
@@ -82,10 +90,29 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+_PLAIN = b"0123456789 \t\n"
+
+
 def _plain_bytes(text: str) -> bytes:
     """The bytes of ``text`` if each is a digit, space, tab or newline, else b""."""
     data = text.encode() if text.isascii() else b""
-    return b"" if data.translate(None, b"0123456789 \t\n") else data
+    return b"" if data.translate(None, _PLAIN) else data
+
+
+def _body_start(data: bytes) -> int:
+    """The offset just past line 1 of ``data``: after its first newline, else its length."""
+    return data.find(b"\n") + 1 or len(data)
+
+
+def _stripped(data: bytes, lo: int = 0) -> np.ndarray:
+    """``data[lo:]`` without its leading and trailing blanks (space, tab,
+    newline), as a uint8 view of ``data``, not a copy."""
+    hi = len(data)
+    while lo < hi and data[lo] in b" \t\n":
+        lo += 1
+    while hi > lo and data[hi - 1] in b" \t\n":
+        hi -= 1
+    return np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
 
 
 def _ints(tokens: list[str], lineno: int) -> list[int]:
@@ -99,16 +126,61 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
                 raise MatrixFormatError(f"expected an integer, got {tok!r}", lineno)
 
 
-def _canonical_grid(data: bytes, n: int) -> np.ndarray | None:
-    """The (k, n) grid in ``data``, raw bytes with no leading or trailing
-    blanks, if each of its k >= 1 lines holds n canonical decimals of up to
-    three digits between spaces or tabs, else None; callers check k and the range.
-    Foreign bytes are found by one ``bytes.translate``, the token ends by
-    one ``flatnonzero``, and the values by one ``take`` of the value of the
-    (up to three) digits that end at each byte."""
-    if not data or data.translate(None, b"0123456789 \t\n"):
+# Entries per row block of the stride route of ``_canonical_grid``.
+_GRID_CELLS = 1 << 16
+
+
+def _one_digit_grid(b: np.ndarray, n: int, k: int) -> np.ndarray | None:
+    """The (k, n) int64 grid of the 2nk - 1 bytes b if they are k lines of n
+    one-digit tokens between single blanks, else None.  Each (digit,
+    separator) pair of bytes, a little-endian uint16, less the pair ("0",
+    the separator of its slot) is the digit's value, and at most 9 exactly
+    when both bytes are right: bytes below "0" wrap, and a wrong separator
+    adds 256 s for some 0 < |s| < 256.  The values are checked and widened
+    into the grid ``_GRID_CELLS`` at a time, the last line on its own, as
+    its last digit has no separator."""
+    pairs = b[:-1].view("<u2")
+    slots = np.full(n, 48 + 256 * 32, dtype=np.uint16)  # "0" and a blank
+    slots[-1] = 48 + 256 * 10  # "0" and a newline
+    grid = np.empty((k, n), dtype=np.int64)
+    last = np.empty(n, dtype=np.uint16)
+    np.subtract(pairs[(k - 1) * n :], slots[:-1], out=last[:-1])
+    np.subtract(b[-1:], np.uint8(48), out=last[-1:])
+    if last.max() > 9:
         return None
-    b = np.frombuffer(data, dtype=np.uint8)
+    grid[-1] = last
+    m = max(1, _GRID_CELLS // n)
+    for i in range(0, k - 1, m):
+        val = pairs[i * n : min(i + m, k - 1) * n].reshape(-1, n) - slots
+        if val.max() > 9:
+            return None
+        grid[i : i + len(val)] = val
+    return grid
+
+
+def _canonical_grid(data: bytes | np.ndarray, n: int) -> np.ndarray | None:
+    """The (k, n) int64 grid in ``data`` if each of its k >= 1 lines holds n
+    canonical decimals of up to three digits between spaces or tabs, else
+    None; callers check k and the range.  ``data`` has no leading or
+    trailing blanks: raw bytes, or a uint8 view (``_stripped``) of bytes
+    that ``_plain_bytes`` has passed.
+
+    One digit per token and single blanks, the layout of every file that
+    ``format_matrix_file`` writes at p <= 7, make k lines of exactly 2nk - 1
+    bytes: a digit at each even offset and, at each odd one, a blank or,
+    after every n-th digit, a newline.  Such a body is read by stride, in
+    blocks of rows straight into the grid (``_one_digit_grid``).  Any other
+    layout goes by token ends: foreign bytes are found by one
+    ``bytes.translate`` (raw bytes only), the token ends by one
+    ``flatnonzero``, and the values by one ``take`` of the value of the (up
+    to three) digits that end at each byte."""
+    b = data if isinstance(data, np.ndarray) else np.frombuffer(data, dtype=np.uint8)
+    k, extra = divmod(b.size + 1, 2 * n)
+    grid = _one_digit_grid(b, n, k) if k and not extra else None
+    if grid is not None:
+        return grid
+    if not b.size or (isinstance(data, bytes) and data.translate(None, _PLAIN)):
+        return None
     dig = np.zeros(b.size + 4, dtype=bool)  # dig[i + 3]: byte i is a digit
     np.greater_equal(b, np.uint8(48), out=dig[3:-1])
     ends = np.flatnonzero(dig[3:-1] > dig[4:])
@@ -141,22 +213,23 @@ def _rows(lines: list[tuple[int, str]], p: int, n: int | None) -> Iterator[tuple
 def _explicit_matrix(
     body: bytes | list[tuple[int, str]], p: int, n: int, header_line: int
 ) -> CommutationMatrix:
-    """The matrix of an explicit file's body: the raw bytes after line 1 of
-    a plain file (see ``parse_matrix_file``), else the content lines after
-    the header.  Its n x n ``_canonical_grid``, checked once by the
-    CommutationMatrix constructor, else the content lines checked in order
-    (row count, then ``_rows`` and the diagonal row by row, then
-    skew-symmetry) to report the first fault with its line."""
+    """The matrix of an explicit file's body: in the raw bytes of a plain
+    file (see ``parse_matrix_file``), after its header line 1, else the
+    content lines after the header.  Its n x n ``_canonical_grid``, checked
+    once by the CommutationMatrix constructor (``_owned_matrix``: the grid is
+    fresh), else the content lines checked in order (row count, then
+    ``_rows`` and the diagonal row by row, then skew-symmetry) to report
+    the first fault with its line."""
     raw = isinstance(body, bytes)
-    data = body.strip() if raw else "\n".join([line for _, line in body]).encode()
+    data = _stripped(body, _body_start(body)) if raw else "\n".join([ln for _, ln in body]).encode()
     grid = _canonical_grid(data, n)
     if grid is not None and len(grid) == n:
         try:
-            return CommutationMatrix(p, grid)
+            return _owned_matrix(p, grid)
         except ValueError:
             pass  # located below
     if raw:
-        body = [(lineno + 1, line) for lineno, line in _content_lines(body.decode())]
+        body = _content_lines(body.decode())[1:]
     if len(body) != n:
         raise MatrixFormatError(
             f"expected {n} matrix rows, got {len(body)}",
@@ -174,19 +247,20 @@ def _explicit_matrix(
         raise MatrixFormatError(
             f"entry ({i}, {j}) breaks skew-symmetry c_ji = -c_ij", body[i][0]
         )
-    return CommutationMatrix(p, grid)
+    return _owned_matrix(p, grid)
 
 
 def parse_matrix_file(text: str) -> ParsedMatrixFile:
     """Parse matrix file text; raises MatrixFormatError with a line number.
 
     A plain file (``_plain_bytes``) whose line 1 is not blank has its
-    header on line 1 and its body read from the raw bytes after it; any
-    other file is read as content lines (comments and blank lines
-    dropped), with the same matrices and errors."""
-    head, _, rest = _plain_bytes(text).partition(b"\n")
-    if head.strip():
-        lines, body = [(1, head.strip().decode())], rest
+    header on line 1 and its body read from the raw bytes after it, in
+    place; any other file is read as content lines (comments and blank
+    lines dropped), with the same matrices and errors."""
+    data = _plain_bytes(text)
+    head = data[: _body_start(data)].strip()
+    if head:
+        lines, body = [(1, head.decode())], data
     else:
         lines = _content_lines(text)
         body = lines[1:]
@@ -237,11 +311,11 @@ def parse_basis_file(text: str, p: int, n: int) -> np.ndarray:
     (``_plain_bytes``), or of any other file's content lines, if its
     entries lie in [0, p), else the content lines read by ``_rows``, which
     raises the first fault with its line."""
-    data = _plain_bytes(text).strip()
-    lines = [] if data else _content_lines(text)
-    if not (data or lines):
+    data = _stripped(_plain_bytes(text))
+    lines = [] if data.size else _content_lines(text)
+    if not (data.size or lines):
         raise MatrixFormatError("basis file contains no vectors", 1)
-    grid = _canonical_grid(data or "\n".join([line for _, line in lines]).encode(), n)
+    grid = _canonical_grid(data if data.size else "\n".join([ln for _, ln in lines]).encode(), n)
     if grid is None or grid.max() >= p:
         lines = lines or _content_lines(text)
         grid = np.array([row for _, row in _rows(lines, p, n)], dtype=np.int64)

@@ -36,6 +36,10 @@ from .errors import SizeBoundError
 # and its lower triangle take 3 x 32 MB at n = 2048.
 MAX_TOEPLITZ_N = 2048
 
+# Entries per row block of the constructor's skew-symmetry check: one block
+# covers every n <= 512.
+_CHECK_CELLS = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class CommutationMatrix:
@@ -53,21 +57,33 @@ class CommutationMatrix:
     entries: np.ndarray
     pattern: tuple[int, ...] | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", gf.validate_prime(self.p))
-        ent = np.array(gf.as_int_array(self.entries))  # private copy, frozen below
+    def __post_init__(self, copy: bool = True):
+        """Check and freeze the entries: a private copy of them, or with
+        ``copy=False`` (``_owned_matrix``) the int64 array itself.  The
+        diagonal and skew-symmetry are checked on a uint8 copy, the sums
+        c_ij + c_ji taken in uint16 over ``_CHECK_CELLS`` entries at a time:
+        for rows i..i+m-1, against the columns from i on, so each pair is
+        summed once."""
+        p = gf.validate_prime(self.p)
+        object.__setattr__(self, "p", p)
+        ent = gf.as_int_array(self.entries)
+        if copy:
+            ent = np.array(ent)
         if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
             raise ValueError(f"entries must be square, got shape {ent.shape}")
-        if ent.shape[0] == 0:
+        n = ent.shape[0]
+        if n == 0:
             raise ValueError("empty commutation matrix")
-        if ent.min() < 0 or ent.max() >= self.p:
-            raise ValueError(f"entries must lie in [0, {self.p})")
-        if np.diagonal(ent).any():
-            raise ValueError("diagonal entries must be zero")
+        if ent.min() < 0 or ent.max() >= p:
+            raise ValueError(f"entries must lie in [0, {p})")
         small = ent.astype(np.uint8)  # p <= 251
-        s = np.add(small, small.T, dtype=np.uint16)  # in [0, 2p - 2]: 0 mod p only at 0 and p
-        if ((s != 0) & (s != self.p)).any():
-            raise ValueError("matrix must satisfy c_ji = -c_ij mod p")
+        if np.diagonal(small).any():
+            raise ValueError("diagonal entries must be zero")
+        m = max(1, _CHECK_CELLS // n)
+        for i in range(0, n, m):
+            s = np.add(small[i : i + m, i:], small[i:, i : i + m].T, dtype=np.uint16)
+            if ((s != 0) & (s != p)).any():  # s in [0, 2p - 2] is 0 mod p only at 0 and p
+                raise ValueError("matrix must satisfy c_ji = -c_ij mod p")
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
 
@@ -92,6 +108,16 @@ class CommutationMatrix:
         if not 1 <= k <= self.n:
             raise ValueError(f"prefix size {k} out of range 1..{self.n}")
         return CommutationMatrix(self.p, self.entries[:k, :k].copy(), self.pattern)
+
+
+def _owned_matrix(p: int, ent: np.ndarray) -> CommutationMatrix:
+    """A CommutationMatrix that takes over ``ent``, a fresh int64 array that
+    nothing else holds: checked and frozen as the constructor does, with
+    no copy."""
+    mat = object.__new__(CommutationMatrix)
+    mat.__dict__.update(p=p, entries=ent, pattern=None)
+    mat.__post_init__(copy=False)
+    return mat
 
 
 def commutation_matrix(p: int, entries) -> CommutationMatrix:
@@ -248,6 +274,16 @@ class SymplecticBasis:
         """Columns (e_1, f_1, ..., e_r, f_r, k_1, ..., k_d)."""
         pairs = np.hstack([self.e, self.f]).reshape(2 * self.r, self.kernel.shape[1])
         return np.concatenate([pairs, self.kernel]).T
+
+
+def _gathered_basis(rows: np.ndarray, r: int) -> SymplecticBasis:
+    """The SymplecticBasis on a fresh (n, n) int64 array that nothing else
+    holds, its rows e_1..e_r, f_1..f_r, then the kernel: the array is frozen
+    and the three families are its slices, with no copy."""
+    rows.flags.writeable = False
+    basis = object.__new__(SymplecticBasis)
+    basis.__dict__.update(e=rows[:r], f=rows[r : 2 * r], kernel=rows[2 * r :])
+    return basis
 
 
 # Coordinates per block of the symplectic pass: one block covers every
@@ -456,14 +492,15 @@ def _symplectic_pass(
         ranks += steps
     if k0 < n:  # the blocks leave the radical rows in any order
         w[2 * r :] = w[2 * r :][np.argsort(joined[2 * r :], kind="stable")]
-    w = w.astype(np.int64)  # exact: every entry lies in [0, p)
-    kernel = w[2 * r :]
+    rows = np.empty((n, n), dtype=np.int64)  # exact: every entry lies in [0, p)
+    rows[:r], rows[r : 2 * r], rows[2 * r :] = w[0 : 2 * r : 2], w[1 : 2 * r : 2], w[2 * r :]
+    del w
     if resumed:
-        rows, pivots = gf.rref(kernel[:, ::-1], p)
+        kernel, pivots = gf.rref(rows[2 * r :, ::-1], p)
         if len(pivots) != n - 2 * r:
             raise ValueError("existing basis is inconsistent")
-        kernel = rows[::-1, ::-1]
-    return SymplecticBasis(w[0 : 2 * r : 2], w[1 : 2 * r : 2], kernel), ranks
+        rows[2 * r :] = kernel[::-1, ::-1]
+    return _gathered_basis(rows, r), ranks
 
 
 def symplectic_basis(mat: CommutationMatrix) -> SymplecticBasis:

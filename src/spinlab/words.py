@@ -178,6 +178,11 @@ class StandardInvariant:
     def d(self) -> int:
         return len(self.kernel_basis)
 
+    @cached_property
+    def _values_f(self) -> np.ndarray:
+        """The values as float64, for ``_values_at``."""
+        return np.array(self.values, dtype=np.float64)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, StandardInvariant):
             return NotImplemented
@@ -236,32 +241,37 @@ def _checked_invariant(frame: _KernelFrame, values: tuple[int, ...]) -> Standard
 
 def _coordinates(f: StandardInvariant, x: np.ndarray) -> np.ndarray:
     """Coordinates on f's basis of a reduced int64 vector x or of every row
-    of an (m, n) int64 x, in one check: raises if one is outside the span."""
+    of an (m, n) int64 x, in one check: raises if one is outside the span.
+    They come back as exact float64 integers in [0, p)."""
     t, p, xf = f._frame, f.mat.p, x.astype(np.float64)
     a = xf @ t.coord_map % p
     if (a @ t.basis_f % p).tobytes() != xf.tobytes():
         raise InvariantError("vector is not in ker(omega) or not in the span of the basis")
-    return a.astype(np.int64)
+    return a
 
 
 def kernel_coordinates(f: StandardInvariant, x) -> np.ndarray:
     """Coordinates of x in the stored kernel basis; raises InvariantError
     unless x is in its span."""
-    return _coordinates(f, _gf_vector(f.mat, x))
+    return _coordinates(f, _gf_vector(f.mat, x)).astype(np.int64)
 
 
 def _reordering_exponent(a: np.ndarray, sym: np.ndarray, diag: np.ndarray, p: int):
     """E(a; G) = sum_{i<j} a_i a_j G_ij + sum_i C(a_i, 2) G_ii mod p, for a
     vector a or for each row of a matrix a, from 2E = (a S - diag(G)) . a
-    with the symmetric sym = S = triu(G) + triu(G, 1)^T and diag = diag(G).
+    with the symmetric sym = S = triu(G) + triu(G, 1)^T and diag = diag(G),
+    as exact float64 integers.
 
     When factors merge with a bilinear phase, F_x F_y = zeta^{B(x,y)}
     F_{x+y}, the ordered product prod_i F_{v_i}^{a_i} is zeta^{E(a; G)}
     F_{sum_i a_i v_i} with G_ij = B(v_i, v_j).  sym and diag are float64,
-    for a BLAS product, exact while a @ sym stays below 2^53.
+    for a BLAS product.  s = a S - diag(G) is reduced mod 2p before its
+    product with a, which changes s . a = 2E by a multiple of 2p, so
+    E mod p = (s . a mod 2p) / 2.  For rows a of k entries below p, each
+    sum stays below 2 k p^2, exact while k < 7 x 10^10 at p = 251.
     """
-    s = (a @ sym - diag).astype(np.int64, copy=False)
-    return (s @ a if a.ndim == 1 else (s * a).sum(axis=1)) // 2 % p
+    s = (a @ sym - diag) % (2 * p)
+    return (s @ a if a.ndim == 1 else (s * a).sum(axis=1)) % (2 * p) / 2
 
 
 def _values_at(f: StandardInvariant, x: np.ndarray) -> np.ndarray:
@@ -272,12 +282,12 @@ def _values_at(f: StandardInvariant, x: np.ndarray) -> np.ndarray:
     product prod_i W_{k_i}^{a_i} in fixed basis order: the scalar of
     W_x = zeta^{-E} prod_i W_{k_i}^{a_i} is sum_i a_i f(k_i) - p E, with
     E = E(a; G) (``_reordering_exponent``) on the Gram matrix
-    G_ij = Q(k_i, k_j) of the basis: a few small products once the
-    frame's tables exist.
+    G_ij = Q(k_i, k_j) of the basis: a few small float64 products once
+    the frame's tables exist, exact, with the values as float64 integers.
     """
     a, p = _coordinates(f, x), f.mat.p
     e = _reordering_exponent(a, *f._frame.gram, p)
-    return (a @ np.array(f.values, dtype=np.int64) - p * e) % (p * p)
+    return (a @ f._values_f - p * e) % (p * p)
 
 
 def evaluate_invariant(f: StandardInvariant, x) -> int:
@@ -380,7 +390,7 @@ def _model_invariant(mat: CommutationMatrix, kernel, alpha, beta, mu) -> Standar
     p = mat.p
     g = gf.matmul(beta, alpha.T, p).astype(np.float64)  # k @ sym < n (p-1)^2 < 2^53
     e = _reordering_exponent(kernel, np.triu(g) + np.triu(g, 1).T, np.diagonal(g), p)
-    values = (kernel @ mu - p * e) % (p * p)
+    values = (kernel @ mu - p * e.astype(np.int64)) % (p * p)
     return _checked_invariant(_KernelFrame(mat, kernel), tuple(values.tolist()))
 
 

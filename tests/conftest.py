@@ -586,7 +586,7 @@ def canonical_grid_masks(data, n):
 
 def explicit_matrix_table(body, p, n, header_line):
     """The body of an explicit matrix file read token by token: a plain
-    file's raw bytes after line 1 are split into their nonblank lines, the
+    file's raw bytes, after line 1, are split into their nonblank lines, the
     row count is checked, canonical decimals of values in [0, p) map
     through a dict, the grid is checked by the CommutationMatrix
     constructor, and on any failure the rows are read again with ``int``
@@ -594,8 +594,8 @@ def explicit_matrix_table(body, p, n, header_line):
     from spinlab.errors import MatrixFormatError
     from spinlab.formats import _ints
 
-    if isinstance(body, bytes):  # only digits, spaces, tabs and newlines
-        lines = body.decode().split("\n")
+    if isinstance(body, bytes):  # only digits, spaces, tabs and newlines, the header on line 1
+        lines = body.decode().split("\n")[1:]
         body = [(k, line.strip()) for k, line in enumerate(lines, start=2) if line.strip()]
     if len(body) != n:
         raise MatrixFormatError(

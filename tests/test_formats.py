@@ -340,6 +340,54 @@ def test_canonical_grid_equals_the_mask_reader(case):
         assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
 
 
+@st.composite
+def _one_digit_bodies(draw):
+    """k lines of n one-digit tokens between single blanks, the layout read
+    by stride, with its grid; or a near miss of it, with None: a tab, a
+    double blank, a two-digit token, a line one token short, a newline off
+    its slot, or a byte "/" or ":" (one below "0", one above "9") at a
+    digit slot."""
+    n, k = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    rows = [[draw(st.integers(0, 9)) for _ in range(n)] for _ in range(k)]
+    tokens = [list(map(str, row)) for row in rows]
+    miss = draw(st.sampled_from(["none"] * 4 + ["tab", "double", "two", "short", "newline", "/", ":"]))
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, n - 1))
+    if miss == "two":
+        tokens[i][j] = str(draw(st.integers(10, 99)))
+    elif miss == "short":
+        tokens[i].pop(j)
+    elif miss in ("/", ":"):
+        tokens[i][j] = miss
+    text = "\n".join(" ".join(row) for row in tokens)
+    blanks = [s for s, c in enumerate(text) if c == " "]
+    if miss in ("tab", "double", "newline") and blanks:
+        s = draw(st.sampled_from(blanks))
+        text = text[:s] + {"tab": "\t", "double": "  ", "newline": "\n"}[miss] + text[s + 1 :]
+        if miss == "newline" and k > 1:  # moved, not added: a blank takes the place of one
+            t = draw(st.sampled_from([t for t, c in enumerate(text) if c == "\n" and t != s]))
+            text = text[:t] + " " + text[t + 1 :]
+    return text.strip().encode(), n, rows if miss == "none" else None
+
+
+@settings(deadline=None, max_examples=500)
+@given(_one_digit_bodies())
+def test_canonical_grid_reads_one_digit_bodies_as_the_mask_reader(case):
+    # the stride route, and the token-end route it falls through to, against
+    # the mask reader, on raw bytes and on a uint8 view of plain ones, with
+    # the stride route's rows in one block and one row per block
+    data, n, rows = case
+    want = canonical_grid_masks(data, n)
+    assert rows is None or want.tolist() == rows
+    plain = not data.translate(None, b"0123456789 \t\n")
+    for cells in (formats._GRID_CELLS, 1):
+        for given_as in [data] + [np.frombuffer(data, dtype=np.uint8)] * plain:
+            with mock.patch.object(formats, "_GRID_CELLS", cells):
+                got = formats._canonical_grid(given_as, n)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.dtype == np.int64 and got.tolist() == want.tolist()
+
+
 @settings(deadline=None, max_examples=500)
 @given(_spelled_grids())
 def test_parse_matches_the_token_table_oracle(text):

@@ -56,6 +56,42 @@ def test_rejects_out_of_range_entries():
         sl.commutation_matrix(2, [[0, 2], [2, 0]])
 
 
+_SKEW = "matrix must satisfy c_ji = -c_ij mod p"
+
+
+def _skew_faults_raise(good, pairs):
+    # good plus 1 at (i, j) breaks c_ji = -c_ij at that one pair; the copying
+    # constructor and the owned path of the file reader raise the one message
+    for i, j in pairs:
+        bad = good.copy()
+        bad[i, j] = (bad[i, j] + 1) % 3
+        for build in (sl.commutation_matrix, forms._owned_matrix):
+            with pytest.raises(ValueError) as err:
+                build(3, bad.copy())
+            assert str(err.value) == _SKEW
+    assert forms._owned_matrix(3, good.copy()) == sl.commutation_matrix(3, good)
+
+
+def test_skew_faults_are_found_in_every_row_block(monkeypatch):
+    # the skew sums run over blocks of m = _CHECK_CELLS // n rows against
+    # the columns from the block's first row on: with m = 2 at n = 7 (the last
+    # block one row), every off-diagonal pair, within a block or across one
+    monkeypatch.setattr(forms, "_CHECK_CELLS", 14)
+    good = sl.random_alternating(3, 7, seed=4).entries
+    _skew_faults_raise(good, [(i, j) for i in range(7) for j in range(7) if i != j])
+
+
+def test_skew_faults_are_found_at_the_default_block_boundaries():
+    # n = 1024 makes blocks of 256 rows: faults in the last block, in the
+    # corners and in pairs that straddle each boundary
+    n, m = 1024, forms._CHECK_CELLS // 1024
+    assert m == 256
+    good = sl.random_alternating(3, n, seed=5).entries
+    pairs = [(n - 1, n - 2), (n - 2, n - 1), (0, n - 1), (n - 1, 0)]
+    pairs += [(b - 1, b) for b in range(m, n, m)] + [(b, b - 1) for b in range(m, n, m)]
+    _skew_faults_raise(good, pairs)
+
+
 @pytest.mark.parametrize("entries", [[[0, 1, 0], [1, 0, 0]], [0, 1], [[[0]]]])
 def test_rejects_non_square_entries(entries):
     with pytest.raises(ValueError, match="entries must be square"):
@@ -693,6 +729,22 @@ def test_blocked_pass_equals_the_row_and_two_array_passes(block, mat):
         assert _same_basis(basis, want) and _same_basis(fresh, want)
         for old, got in zip(olds, grown):
             assert _same_basis(got, oracle(mat, old.column_matrix() % p, old.r)[0])
+
+
+@pytest.mark.parametrize("n", [200, 300])
+def test_symplectic_basis_families_are_slices_of_one_frozen_array(n):
+    # the pass gathers e, f and the kernel, in that order, into one int64
+    # array and hands out its slices (one block at n = 200, two at n = 300,
+    # and the resumed pass); the public constructor still copies
+    mat = sl.random_alternating(3, n, seed=n)
+    grown = sl.extend_symplectic_basis(mat, sl.symplectic_basis(mat.prefix(150)))
+    for b in (sl.symplectic_basis(mat), grown):
+        rows = b.e.base
+        assert rows.dtype == np.int64 and not rows.flags.writeable
+        assert b.f.base is rows and b.kernel.base is rows
+        assert np.array_equal(rows, np.concatenate([b.e, b.f, b.kernel]))
+        copy = sl.SymplecticBasis(b.e, b.f, b.kernel)
+        assert not any(np.shares_memory(x, rows) for x in (copy.e, copy.f, copy.kernel))
 
 
 def test_symplectic_basis_memory_n1024():
