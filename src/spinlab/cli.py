@@ -58,8 +58,10 @@ def _emit_json(doc: dict, out: str | None) -> None:
     _emit(out, itertools.chain(formats.json_pieces(doc), ["\n"]))
 
 
-def _load_matrix(path: str, n_max: int | None) -> forms.CommutationMatrix:
-    return _from_options(formats.parse_matrix_file(_read(path)).materialize, n_max)
+def _load(path: str, n_max: int | None) -> tuple[formats.ParsedMatrixFile, forms.CommutationMatrix]:
+    """The parsed source in ``path`` and its matrix, materialized at ``n_max``."""
+    source = formats.parse_matrix_file(_read(path))
+    return source, _from_options(source.materialize, n_max)
 
 
 def _max_dim() -> int:
@@ -116,22 +118,22 @@ def _grow_text(doc: dict) -> str:
 
 
 def _cmd_analyze(args) -> None:
-    mat = _load_matrix(args.path, args.n_max)
+    source, mat = _load(args.path, args.n_max)
     report = reps.structure_report(mat)
     if args.json:
-        _emit_json(formats.report_doc(report), args.out)
+        _emit_json(formats.report_doc(report, source.pattern), args.out)
     else:
         _emit(args.out, [_analyze_text(report)])
 
 
 def _cmd_basis(args) -> None:
-    mat = _load_matrix(args.path, args.n_max)
+    _, mat = _load(args.path, args.n_max)
     basis = forms.symplectic_basis(mat)
     _emit_json(formats.basis_doc(mat, basis), args.out)
 
 
 def _cmd_represent(args) -> None:
-    mat = _load_matrix(args.path, args.n_max)
+    _, mat = _load(args.path, args.n_max)
     max_dim = _max_dim()
     if args.kind == "prop11":
         if args.invariant:
@@ -150,7 +152,7 @@ def _cmd_represent(args) -> None:
 
 
 def _cmd_classify(args) -> None:
-    mat = _load_matrix(args.path, args.n_max)
+    _, mat = _load(args.path, args.n_max)
     invariants = words.enumerate_invariants(mat)
     _emit_json(formats.classification_doc(mat, invariants), args.out)
 
@@ -173,17 +175,17 @@ def _cmd_generate(args) -> None:
         mat = _from_options(forms.random_alternating, args.prime, args.random, args.seed)
     else:
         ref_path, basis_path = args.from_basis
-        ref = _load_matrix(ref_path, None)
+        _, ref = _load(ref_path, None)
         vectors = formats.parse_basis_file(_read(basis_path), ref.p, ref.n)
         mat = forms.matrix_from_basis(ref, vectors)
     _emit(args.out, [formats.format_matrix_file(mat)])
 
 
 def _cmd_grow(args) -> None:
-    mat = _load_matrix(args.path, args.n_max)
-    if mat.pattern is None:
+    source, mat = _load(args.path, args.n_max)
+    if source.pattern is None:
         raise MatrixFormatError("grow requires a 'p toeplitz m' matrix file")
-    doc = formats.grow_doc(mat, reps.structure_report(mat))
+    doc = formats.grow_doc(source.pattern, reps.structure_report(mat))
     if args.json:
         _emit_json(doc, args.out)
     else:

@@ -59,9 +59,11 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class ParsedMatrixFile:
-    """Parsed header and body of a matrix file.  An explicit file holds
-    its validated matrix; a banded one holds the pattern, materialized
-    on request, and no matrix."""
+    """Parsed header and body of a matrix file, the source of its matrices.
+    An explicit file holds its validated matrix; a banded one holds p and
+    the pattern (pattern[k-1] the entry at separation k above the
+    diagonal, negated below), materialized on request, and no matrix.
+    Only the source keeps a pattern; ``report_doc`` and ``grow_doc`` take it."""
 
     p: int
     matrix: CommutationMatrix | None
@@ -299,8 +301,7 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
 
 
 def format_matrix_file(mat: CommutationMatrix) -> str:
-    """Explicit matrix file text; parses back to an equal matrix.
-    (A banded source is written out in materialized form.)"""
+    """Explicit matrix file text; parses back to an equal matrix."""
     rows = _int_array_json(mat.entries)[2:-2].replace("],[", "\n").replace(",", " ")
     return f"{mat.p} {mat.n}\n{rows}\n"
 
@@ -448,7 +449,8 @@ def representation_from_dict(doc: dict, mat: CommutationMatrix) -> Representatio
         raise MatrixFormatError(f"bad representation document: {exc}")
 
 
-def report_doc(report: StructureReport) -> dict:
+def report_doc(report: StructureReport, pattern: tuple[int, ...] | None = None) -> dict:
+    """The report document; a band's ``pattern`` adds the band fields."""
     doc = {
         "schema": SCHEMA_VERSION,
         "tool": "spinlab",
@@ -463,10 +465,10 @@ def report_doc(report: StructureReport) -> dict:
         "descriptor": report.descriptor,
         "simple": report.simple,
         "class_count": report.class_count,
-        "source": "toeplitz" if report.pattern is not None else "explicit",
+        "source": "toeplitz" if pattern is not None else "explicit",
     }
-    if report.pattern is not None:
-        doc["pattern"] = report.pattern
+    if pattern is not None:
+        doc["pattern"] = pattern
         doc["prefix_ranks"] = report.prefix_ranks
         doc["infinite_rank_conjectured"] = report.infinite_rank_conjectured
     return doc
@@ -483,12 +485,12 @@ def classification_doc(mat: CommutationMatrix, invariants: list[StandardInvarian
     }
 
 
-def grow_doc(mat: CommutationMatrix, report: StructureReport) -> dict:
+def grow_doc(pattern: tuple[int, ...], report: StructureReport) -> dict:
     return {
         "schema": SCHEMA_VERSION,
-        "p": mat.p,
-        "pattern": report.pattern,
-        "n_max": mat.n,
+        "p": report.p,
+        "pattern": pattern,
+        "n_max": report.n,
         "ranks": [{"n": k + 1, "rank": r} for k, r in enumerate(report.prefix_ranks)],
         "infinite_rank_conjectured": report.infinite_rank_conjectured,
     }

@@ -43,19 +43,14 @@ _CHECK_CELLS = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class CommutationMatrix:
-    """An n x n alternating matrix over GF(p).
-
-    ``pattern`` records the banded (Toeplitz) source when the matrix was
-    materialized from one, as provenance that ``==`` does not compare:
-    pattern[k-1] is the entry at separation k on the upper triangle, the
-    lower triangle carrying the negated mirror.
+    """An n x n alternating matrix over GF(p), equal to another exactly
+    when ``p`` and ``entries`` are.
     ``lower`` is the strict lower triangle L of ``entries`` (the matrix
     of q_form), computed on first read and frozen like ``entries``.
     """
 
     p: int
     entries: np.ndarray
-    pattern: tuple[int, ...] | None = None
 
     def __post_init__(self, copy: bool = True):
         """Check and freeze the entries: a private copy of them, or with
@@ -103,11 +98,11 @@ class CommutationMatrix:
         return self.p == other.p and np.array_equal(self.entries, other.entries)
 
     def prefix(self, k: int) -> "CommutationMatrix":
-        """The upper-left k x k corner, keeping the pattern source."""
+        """The upper-left k x k corner."""
         k = gf.as_int(k, "prefix size")
         if not 1 <= k <= self.n:
             raise ValueError(f"prefix size {k} out of range 1..{self.n}")
-        return CommutationMatrix(self.p, self.entries[:k, :k].copy(), self.pattern)
+        return CommutationMatrix(self.p, self.entries[:k, :k].copy())
 
 
 def _owned_matrix(p: int, ent: np.ndarray) -> CommutationMatrix:
@@ -115,7 +110,7 @@ def _owned_matrix(p: int, ent: np.ndarray) -> CommutationMatrix:
     nothing else holds: checked and frozen as the constructor does, with
     no copy."""
     mat = object.__new__(CommutationMatrix)
-    mat.__dict__.update(p=p, entries=ent, pattern=None)
+    mat.__dict__.update(p=p, entries=ent)
     mat.__post_init__(copy=False)
     return mat
 
@@ -155,7 +150,7 @@ def toeplitz_matrix(p: int, pattern, n: int) -> CommutationMatrix:
     band[n : n + k] = pat[:k]
     band[n - 1 - k : n - 1] = (-pat[:k][::-1]) % p
     rows = np.lib.stride_tricks.sliding_window_view(band, n)[::-1]
-    return CommutationMatrix(p, rows, pattern=tuple(pat.tolist()))
+    return CommutationMatrix(p, rows)
 
 
 def clifford_matrix(p: int, n: int) -> CommutationMatrix:

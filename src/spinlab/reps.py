@@ -536,7 +536,8 @@ def matrix_units(v: MonomialMatrix, w: MonomialMatrix) -> list[np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class StructureReport:
     """Shape of the algebra generated by a truncated spin system; its
-    kernel basis is one frozen (d, n) int64 array (``form_kernel``)."""
+    kernel basis is one frozen (d, n) int64 array (``form_kernel``), and
+    ``prefix_ranks`` the form rank of each leading k x k block, k = 1..n."""
 
     p: int
     n: int
@@ -548,9 +549,8 @@ class StructureReport:
     descriptor: str
     simple: bool
     class_count: int | None
-    pattern: tuple[int, ...] | None
-    prefix_ranks: tuple[int, ...] | None
-    infinite_rank_conjectured: bool | None
+    prefix_ranks: tuple[int, ...]
+    infinite_rank_conjectured: bool
 
 
 def structure_report(mat: CommutationMatrix) -> StructureReport:
@@ -560,19 +560,15 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
     matrix factor is M_{p^r} with 2r the form rank, and the algebra is
     simple iff the kernel is trivial.  The class count p^d is set at
     p = 2 and left None at odd p (``enumerate_invariants`` lists the
-    classes at every p).  For a banded source the rank-growth table over
-    all prefixes is included, with a heuristic flag set when the rank
-    rose over the last two rows.  The rank is in fact unbounded: with M
-    the last nonzero separation, a kernel vector is fixed by its first M
+    classes at every p).  The rank-growth table over all prefixes is
+    included, with a heuristic flag set when the rank rose over the last
+    two rows.  For a band the rank is in fact unbounded: with M the last
+    nonzero separation, a kernel vector is fixed by its first M
     coordinates, so d(n) <= M and rank(n) >= n - M.  One symplectic pass
-    gives the table and the kernel, ``form_kernel``, for every matrix.
+    gives the table and the kernel, ``form_kernel``.
     """
     basis, table = prefix_ranks(mat)
-    ranks = conjectured = None
-    if mat.pattern is not None:
-        ranks = tuple(table)
-        tail = ranks[-3] if len(ranks) >= 3 else ranks[0]
-        conjectured = ranks[-1] > tail
+    ranks = tuple(table)
     r, d = basis.r, basis.d
     descriptor_parts = []
     if d > 0:
@@ -590,7 +586,6 @@ def structure_report(mat: CommutationMatrix) -> StructureReport:
         descriptor=" ⊗ ".join(descriptor_parts),
         simple=d == 0,
         class_count=count_classes(d, mat.p) if mat.p == 2 else None,
-        pattern=mat.pattern,
         prefix_ranks=ranks,
-        infinite_rank_conjectured=conjectured,
+        infinite_rank_conjectured=ranks[-1] > ranks[max(len(ranks) - 3, 0)],
     )

@@ -518,6 +518,26 @@ def test_grow_rejects_explicit_files(capsys):
     assert "toeplitz" in err
 
 
+def test_a_band_and_its_explicit_copy_differ_only_in_provenance(capsys, tmp_path):
+    band = FIXTURES / "band.txt"
+    copy = tmp_path / "band_copy.txt"
+    copy.write_text(formats.format_matrix_file(
+        formats.parse_matrix_file(band.read_text()).materialize(6)))
+    for argv in (["basis"], ["classify"], ["represent", "--kind", "irr"], ["analyze"]):
+        outs = [run(capsys, argv[0], path, "--n-max", 6, *argv[1:]) for path in (band, copy)]
+        assert outs[0] == outs[1] and outs[0][0] == 0, argv
+    docs = []
+    for path in (band, copy):
+        code, out, err = run(capsys, "analyze", path, "--n-max", 6, "--json")
+        assert code == 0 and err == ""
+        docs.append(json.loads(out))
+    band_fields = {"source", "pattern", "prefix_ranks", "infinite_rank_conjectured"}
+    assert {k: v for k, v in docs[0].items() if k not in band_fields} == {
+        k: v for k, v in docs[1].items() if k not in band_fields}
+    assert (docs[0]["source"], docs[1]["source"]) == ("toeplitz", "explicit")
+    assert set(docs[0]) - set(docs[1]) == band_fields - {"source"}
+
+
 def _peak_bytes(call):
     tracemalloc.start()
     try:

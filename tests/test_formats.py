@@ -761,11 +761,13 @@ def test_report_dict_fields():
     assert doc["descriptor"] == "C(X_2) ⊗ M_2"
     assert doc["class_count"] == 2
     assert doc["source"] == "explicit"
-    band = formats.report_to_dict(
-        sl.structure_report(sl.toeplitz_matrix(2, [1] * 5, 6))
-    )
+    assert not {"pattern", "prefix_ranks", "infinite_rank_conjectured"} & set(doc)
+    source = formats.parse_matrix_file("2 toeplitz 5\n1 1 1 1 1\n")
+    band = formats.report_to_dict(sl.structure_report(source.materialize(6)), source.pattern)
     assert band["source"] == "toeplitz"
+    assert band["pattern"] == [1, 1, 1, 1, 1]
     assert band["prefix_ranks"] == [0, 2, 2, 4, 4, 6]
+    assert band["infinite_rank_conjectured"] is True
 
 
 @pytest.mark.parametrize(

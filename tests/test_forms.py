@@ -1,5 +1,6 @@
 """Commutation matrices, bilinear forms, and symplectic bases."""
 
+import dataclasses
 import hashlib
 import tracemalloc
 from types import SimpleNamespace
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spinlab as sl
-from spinlab import forms, gf
+from spinlab import formats, forms, gf
 from spinlab.errors import SizeBoundError
 
 from conftest import (
@@ -126,7 +127,10 @@ def test_toeplitz_materialization():
         [1, 2, 0, 1],
         [0, 1, 2, 0],
     ]
-    assert mat.pattern == (1, 2)
+    # a matrix is p and entries; the band's pattern stays on its parsed source
+    assert [f.name for f in dataclasses.fields(mat)] == ["p", "entries"]
+    parsed = formats.parse_matrix_file("3 toeplitz 2\n1 2\n")
+    assert parsed.pattern == (1, 2) and parsed.materialize(4) == mat
     assert mat.prefix(2).entries.tolist() == [[0, 1], [2, 0]]
 
 
@@ -201,7 +205,9 @@ def test_toeplitz_matches_double_loop(p, pattern, n):
     pattern = [v % p for v in pattern]
     mat = sl.toeplitz_matrix(p, pattern, n)
     assert np.array_equal(mat.entries, _toeplitz_loop(p, pattern, n))
-    assert mat.entries.flags.c_contiguous and mat.pattern == tuple(pattern)
+    assert mat.entries.flags.c_contiguous
+    parsed = formats.parse_matrix_file(f"{p} toeplitz {len(pattern)}\n{' '.join(map(str, pattern))}\n")
+    assert parsed.pattern == tuple(pattern) and parsed.materialize(n) == mat
 
 
 def test_toeplitz_size_bound_checked_first():
@@ -526,7 +532,6 @@ def test_extend_matches_from_scratch_dimensions(mat):
     if mat.n < 2:
         return
     small = mat.prefix(mat.n - 1)
-    small = sl.commutation_matrix(small.p, small.entries)  # drop pattern field
     grown = sl.extend_symplectic_basis(mat, sl.symplectic_basis(small))
     scratch = sl.symplectic_basis(mat)
     assert (grown.r, grown.d) == (scratch.r, scratch.d)

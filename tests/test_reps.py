@@ -1,5 +1,6 @@
 """Monomial matrices, representations, and verification oracles."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -549,10 +550,11 @@ def test_irreducible_rep_takes_an_invariant_of_an_equal_matrix(p, pattern, n, ba
     rep = sl.irreducible_rep(target, f)
     assert sl.verify_relations(rep).ok and sl.commutant_dim(rep) == 1
     assert sl.extract_invariant(rep) == f and f == sl.extract_invariant(rep)
-    # the report keeps the provenance that equality ignores
-    assert sl.structure_report(band).pattern == tuple(pattern)
-    assert sl.structure_report(band).prefix_ranks == tuple(forms.prefix_ranks(copy)[1])
-    assert sl.structure_report(copy).pattern is None
+    # equal matrices give equal reports, the rank table included
+    band_report, copy_report = sl.structure_report(band), sl.structure_report(copy)
+    assert band_report.prefix_ranks == copy_report.prefix_ranks == tuple(forms.prefix_ranks(copy)[1])
+    assert band_report.infinite_rank_conjectured == copy_report.infinite_rank_conjectured
+    assert band_report.kernel_basis.tobytes() == copy_report.kernel_basis.tobytes()
 
 
 def test_irreducible_scalar_rep():
@@ -1078,17 +1080,36 @@ def test_structure_report_toeplitz_growth():
 
 
 def test_structure_report_banded_eliminates_no_kernel(monkeypatch):
-    # a banded source and its explicit copy each take one pass, which
-    # gives the kernel (and the rank table of the banded one)
+    # a band and its explicit copy each take one pass, which gives the
+    # kernel and the rank table
     banded = [sl.toeplitz_matrix(p, pat, n) for p, pat, n in
               ((2, [1, 0, 1, 1], 24), (3, [1, 2], 13), (5, [0, 3, 0, 1], 17))]
     calls = _count_passes(monkeypatch)
     for mat in banded:
-        kernel = sl.form_kernel(mat)
+        kernel, ranks = sl.form_kernel(mat), tuple(forms.prefix_ranks(mat)[1])
         for source in (mat, sl.commutation_matrix(mat.p, mat.entries)):
             calls.clear()
             report = sl.structure_report(source)
             assert calls == [1]
             assert report.kernel_basis.tobytes() == kernel.tobytes()
             assert report.kernel_basis.shape == kernel.shape
-            assert (report.prefix_ranks is None) == (source.pattern is None)
+            assert report.prefix_ranks == ranks
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from([2, 3, 5]), st.lists(st.integers(0, 4), max_size=6), st.integers(1, 24))
+def test_structure_report_of_a_band_equals_that_of_its_explicit_copy(p, pattern, n):
+    # a report depends on the matrix alone: the band's pattern is on its parsed source
+    pattern = [v % p for v in pattern]
+    band = sl.toeplitz_matrix(p, pattern, n)
+    source = formats.parse_matrix_file(f"{p} toeplitz {len(pattern)}\n{' '.join(map(str, pattern))}\n")
+    assert source.pattern == tuple(pattern) and source.materialize(n) == band
+    a = sl.structure_report(band)
+    b = sl.structure_report(sl.commutation_matrix(p, band.entries))
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "kernel_basis":
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        else:
+            assert x == y and type(x) is type(y), field.name
+    assert a.prefix_ranks[-1] == a.rank and len(a.prefix_ranks) == n
