@@ -16,8 +16,8 @@ where transposition flips signs.
 The constructive basis algorithm splits GF(p)^n into ker(omega) plus
 hyperbolic pairs (e_i, f_i) with omega(e_i, f_j) = delta_ij, in one
 deterministic pass over the coordinates in order (``_symplectic_pass``),
-in blocks of 256 with float (BLAS) matrix products that are exact while
-n (p-1)^2 + p < 2^53.
+in blocks of 256 with float (BLAS) matrix products in the one type that
+``gf.exact_float(n, p)`` gives.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from .errors import SizeBoundError
 # and its lower triangle take 3 x 32 MB at n = 2048.
 MAX_TOEPLITZ_N = 2048
 
-# Entries per row block of the constructor's skew-symmetry check: one block
-# covers every n <= 512.
+# Entries per row block of the constructor's skew-symmetry check (one for n <= 512).
 _CHECK_CELLS = 1 << 18
 
 
@@ -53,12 +52,10 @@ class CommutationMatrix:
     entries: np.ndarray
 
     def __post_init__(self, copy: bool = True):
-        """Check and freeze the entries: a private copy of them, or with
-        ``copy=False`` (``_owned_matrix``) the int64 array itself.  The
-        diagonal and skew-symmetry are checked on a uint8 copy, the sums
-        c_ij + c_ji taken in uint16 over ``_CHECK_CELLS`` entries at a time:
-        for rows i..i+m-1, against the columns from i on, so each pair is
-        summed once."""
+        """Check and freeze the entries: a private copy, or with ``copy=False``
+        (``_owned_matrix``) the int64 array itself.  Skew-symmetry is checked
+        by row blocks of ``_CHECK_CELLS`` entries (rows i..i+m-1 against the
+        columns from i on, each pair once), summed in uint16 from uint8 casts."""
         p = gf.validate_prime(self.p)
         object.__setattr__(self, "p", p)
         ent = gf.as_int_array(self.entries)
@@ -71,12 +68,13 @@ class CommutationMatrix:
             raise ValueError("empty commutation matrix")
         if ent.min() < 0 or ent.max() >= p:
             raise ValueError(f"entries must lie in [0, {p})")
-        small = ent.astype(np.uint8)  # p <= 251
-        if np.diagonal(small).any():
+        if np.diagonal(ent).any():
             raise ValueError("diagonal entries must be zero")
         m = max(1, _CHECK_CELLS // n)
-        for i in range(0, n, m):
-            s = np.add(small[i : i + m, i:], small[i:, i : i + m].T, dtype=np.uint16)
+        for i in range(0, n, m):  # p <= 251: the entries fit in uint8
+            rows = ent[i : i + m, i:].astype(np.uint8)  # the last block's columns too
+            cols = rows if i + m >= n else ent[i:, i : i + m].astype(np.uint8)
+            s = np.add(rows, cols.T, dtype=np.uint16)
             if ((s != 0) & (s != p)).any():  # s in [0, 2p - 2] is 0 mod p only at 0 and p
                 raise ValueError("matrix must satisfy c_ji = -c_ij mod p")
         ent.flags.writeable = False
@@ -286,36 +284,31 @@ def _gathered_basis(rows: np.ndarray, r: int) -> SymplecticBasis:
 _PASS_BLOCK = 256
 
 
-def _pass_steps(gram: np.ndarray, t: int, p: int) -> tuple[np.ndarray, int, list[int], list[int]]:
+def _pass_steps(gram: np.ndarray, w: np.ndarray, t: int, p: int) -> tuple[int, list, list]:
     """Steps t..m-1 of the symplectic pass on an m x m alternating integer
     Gram matrix with entries in [0, p), from the state whose radical is the
-    first t unit vectors; returns (w, r, ranks, joined).
+    first t unit vectors; returns (r, ranks, joined).
 
-    The state is the m x m float array w, one vector per row: r
-    interleaved pairs (e_i, f_i), then the radical u in the order its
-    vectors joined, joined[j] the step at which u_j joined (j < t for the
-    start).  A second row table holds (f_i, -e_i).  Step k reads
-    omega(e_k, x) for the k state rows x as one product of w with row k of
-    the Gram matrix, from that row's first nonzero column (a zero row costs
-    nothing), reduced in int64.  v = e_k - sum omega(e_k, f_i) e_i
-    + sum omega(e_k, e_i) f_i is one product of those values with the
-    second table; then w_j = omega(u_j, v) = -omega(e_k, u_j).  The first
-    u_j with w_j != 0 pairs with v / w_j and each later u_i loses
+    The state is written in place into w, a zero m x m float array or
+    view, one vector per row: r interleaved pairs (e_i, f_i), then the
+    radical u in the order its vectors joined, joined[j] the step at which
+    u_j joined (j < t for the start).  A second row table holds (f_i, -e_i).
+    Step k reads omega(e_k, x) for the k state rows x as one product of w
+    with row k of the Gram matrix, from that row's first nonzero column (a
+    zero row costs nothing), reduced in int64.  v = e_k - sum omega(e_k,
+    f_i) e_i + sum omega(e_k, e_i) f_i is one product of those values with
+    the second table; then w_j = omega(u_j, v) = -omega(e_k, u_j).  The
+    first u_j with w_j != 0 pairs with v / w_j and each later u_i loses
     (w_i / w_j) u_j, one row down; the pairing with the first and only u_j
     moves no row.  With none, v joins u.  ranks[k - t] is 2r after step k.
-
-    Both products multiply integers below p in absolute value and sum at
-    most m terms, so they are exact in float32 while m (p-1)^2 < 2^24 (every
-    m <= 256 at p <= 251), where its matrix-vector products take about a
-    third less time than float64 ones; else the steps run in float64.
+    Both products sum at most m terms, in w's type: the caller takes it
+    from ``gf.exact_float`` for at least m terms.
     """
-    m = len(gram)
+    m, dtype = len(gram), w.dtype
     nonzero = gram != 0
     lo = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), m).tolist()
-    dtype = np.float32 if m * (p - 1) ** 2 < 2 ** 24 else np.float64
     gram = gram.astype(dtype)
-    w = np.zeros((m, m), dtype=dtype)
-    w.flat[: t * (m + 1) : m + 1] = 1
+    np.fill_diagonal(w[:t, :t], 1)
     tw = np.zeros((m, m), dtype=dtype)
     joined, ranks, r = list(range(t)), [], 0
     for k in range(t, m):
@@ -347,7 +340,7 @@ def _pass_steps(gram: np.ndarray, t: int, p: int) -> tuple[np.ndarray, int, list
             w[k, : k + 1] = v
             joined.append(k)
         ranks.append(2 * r)
-    return w, r, ranks, joined
+    return r, ranks, joined
 
 
 def _pass_block(
@@ -357,12 +350,12 @@ def _pass_block(
     pairs in rows 0..2r-1, the radical in the other rows below b0, in any
     order, joined[x] the step at which row x joined.  Returns the new r and
     the ranks of the steps."""
-    b, pairs = b1 - b0, 2 * r
+    b, pairs, dtype = b1 - b0, 2 * r, w.dtype
     cols = np.flatnonzero((ent[b0:b1, :b0] != 0).any(axis=0))
     lo = int(cols[0]) if cols.size else b0
-    g = (ent[b0:b1, lo:b0].astype(np.float64) @ w[:b0, lo:b0].T).astype(np.int64)
+    g = (ent[b0:b1, lo:b0].astype(dtype) @ w[:b0, lo:b0].T).astype(np.int64)
     g %= p  # g[s, x] = omega(e_{b0+s}, row x)
-    coef = np.empty((b, pairs))  # y_s = e_{b0+s} + coef[s] @ w[:pairs]
+    coef = np.empty((b, pairs), dtype=dtype)  # y_s = e_{b0+s} + coef[s] @ w[:pairs]
     coef[:, 0::2] = -g[:, 1:pairs:2]
     coef[:, 1::2] = g[:, 0:pairs:2]
     slots = pairs + np.flatnonzero(g[:, pairs:b0].any(axis=0))
@@ -371,15 +364,16 @@ def _pass_block(
     gram = np.zeros((t + b, t + b), dtype=np.int64)
     gram[t:, :t] = g[:, slots]  # omega(y_s, u) = omega(e_{b0+s}, u)
     gram[:t, t:] = -g[:, slots].T % p
-    yy = (g[:, :pairs].astype(np.float64) @ coef.T).astype(np.int64) + ent[b0:b1, b0:b1]
+    yy = (g[:, :pairs].astype(dtype) @ coef.T).astype(np.int64) + ent[b0:b1, b0:b1]
     yy %= p
     gram[t:, t:] = yy
     del g, yy  # the block's (b, b0) arrays live one or two at a time
-    local, rl, ranks, jl = _pass_steps(gram, t, p)
+    local = np.zeros((t + b, t + b), dtype=dtype)
+    rl, ranks, jl = _pass_steps(gram, local, t, p)
     y = (coef @ w[:pairs, :b0]).astype(np.int64)
     del coef
     y %= p
-    new = local[:, t:] @ y.astype(np.float64)  # the local vectors, columns 0..b0-1
+    new = local[:, t:] @ y.astype(dtype)  # the local vectors, columns 0..b0-1
     del y
     if t:
         new += local[:, :t] @ w[slots, :b0]
@@ -457,31 +451,25 @@ def _symplectic_pass(
     inherits old pairs that may be nonzero at the pivots, so it ends with
     one ``gf.rref`` of u, which also checks that u is independent.
 
-    The float64 (BLAS) products are exact in any summation order (for its
-    float32 steps ``_pass_steps`` checks a tighter bound).  Every
-    factor is an integer of absolute value below p, because the state, g,
-    the y_s and the local vectors are reduced mod p (in int64) before they
-    are multiplied, and each product sums at most n terms: b0 - lo in g, 2r
-    in the projections and the local Gram matrix, and t + b <= b1 in the
-    map back and the local steps (t touched u, all below b0).  So every sum
-    stays below n (p-1)^2 + p < 2^53, which is n < 1.4 x 10^11 at p = 251.
+    The state and every (BLAS) product take the float type
+    ``gf.exact_float(n, p)``, chosen before the entries are read, which is
+    exact in any summation order: each product sums at most n terms (b0 - lo
+    in g, 2r in the projections and the local Gram matrix, t + b <= b1 in
+    the map back and the local steps) of integers below p in absolute value,
+    as the state, g, the y_s and the local vectors are reduced mod p first.
     """
     n, p = mat.n, mat.p
-    if n * (p - 1) ** 2 + p >= 2 ** 53:
-        raise SizeBoundError(f"matrix size {n} too large for the exact float64 pass at p={p}")
-    ent = mat.entries
+    dtype, ent = gf.exact_float(n, p), mat.entries  # the bound is checked first
+    w = np.zeros((n, n), dtype=dtype)
     n_old, k0 = start.shape
     resumed, joined = k0 > 0, np.arange(n)
     if resumed:
-        w = np.zeros((n, n))
         w[:k0, :n_old] = start.T  # zero-padded to length n
         ranks = []
     else:
         k0 = min(_PASS_BLOCK, n)
-        w, r, ranks, first = _pass_steps(ent[:k0, :k0], 0, p)
-        if k0 < n:  # the blocks' products need a float64 state
-            w = np.pad(w.astype(np.float64), ((0, n - k0), (0, n - k0)))
-            joined[2 * r : k0] = first
+        r, ranks, first = _pass_steps(ent[:k0, :k0], w[:k0, :k0], 0, p)
+        joined[2 * r : k0] = first
     for b0 in range(k0, n, _PASS_BLOCK):
         r, steps = _pass_block(ent, w, joined, r, b0, min(b0 + _PASS_BLOCK, n), p)
         ranks += steps

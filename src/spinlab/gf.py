@@ -9,13 +9,13 @@ this.  Columns and rows are 0-indexed.
 one vectorised rank-1 update per pivot.  Reduction mod p is deferred:
 the working array is reduced only where a value is read (the pivot
 column and the pivot row) and once at the end.  There is no null-space,
-solve or inverse routine: the kernel of a commutation matrix comes from
-the symplectic pass (``forms.form_kernel``), which makes no elimination
-when it starts fresh and one ``rref`` of its radical when it resumes
-(``forms.extend_symplectic_basis``).
+solve or inverse routine: ker(omega) comes from the symplectic pass
+(``forms.form_kernel``).
 
 Primes are restricted to 2 <= p <= 251 so that the unreduced
 intermediate values stay far inside int64 (see ``rref`` for the bound).
+Float (BLAS) products of reduced integers are exact only below a size
+bound; ``exact_float`` is the one rule that picks their type.
 Input must be integer-typed: floats, complex numbers and non-integer
 objects raise ValueError rather than being truncated.
 """
@@ -25,6 +25,8 @@ from __future__ import annotations
 import operator
 
 import numpy as np
+
+from .errors import SizeBoundError
 
 _MAX_PRIME = 251
 
@@ -72,12 +74,22 @@ def as_gf_array(a, p: int) -> np.ndarray:
     return as_int_array(a) % p
 
 
+def exact_float(terms: int, p: int) -> type:
+    """The float type in which a sum of ``terms`` products of integers below p
+    in absolute value, plus one such integer, is exact in any order: float32
+    while terms (p-1)^2 + p < 2^24, float64 while below 2^53, else SizeBoundError."""
+    for dtype, bits in ((np.float32, 24), (np.float64, 53)):
+        if terms * (p - 1) ** 2 + p < 2 ** bits:
+            return dtype
+    raise SizeBoundError(f"{terms} terms at p={p} are too many for an exact float64 product")
+
+
 def matmul(a, b, p: int) -> np.ndarray:
-    """a @ b mod p as a new int64 array: a float64 (BLAS) product of the
-    operands reduced mod p, exact in any summation order while k (p-1)^2 + p
-    < 2^53 for inner dimension k, which at p <= 251 allows k < 1.4 x 10^11."""
-    x, y = ((as_int_array(m) % p).astype(np.float64) for m in (a, b))
-    return (x @ y).astype(np.int64) % p
+    """a @ b mod p as a new int64 array: a BLAS product of the operands
+    reduced mod p, in the type ``exact_float`` gives for the inner dimension."""
+    x, y = (as_int_array(m) % p for m in (a, b))
+    dtype = exact_float(x.shape[-1], p)
+    return (x.astype(dtype) @ y.astype(dtype)).astype(np.int64) % p
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -660,6 +660,27 @@ def test_symplectic_pass_checks_float64_bound():
         forms._symplectic_pass(SimpleNamespace(n=n - 1, p=251), empty, 0)
 
 
+@pytest.mark.parametrize("n, dtype", [(268, np.float32), (269, np.float64)])
+def test_symplectic_pass_on_both_sides_of_the_float32_bound(n, dtype):
+    # at p = 251 the state is float32 up to n = 268 and float64 from 269, and
+    # both sizes cross the block boundary at 256: the prefix ranks, the fresh
+    # basis and an extension from a prefix equal the row-at-a-time pass
+    mat, empty = sl.random_alternating(251, n, seed=n), np.zeros((0, 0), dtype=np.int64)
+    with (
+        mock.patch.object(gf, "exact_float", wraps=gf.exact_float) as rule,
+        mock.patch.object(forms, "_pass_block", wraps=forms._pass_block) as block,
+    ):
+        basis, ranks = forms.prefix_ranks(mat)
+    rule.assert_called_once_with(n, 251)
+    assert [call.args[1].dtype for call in block.call_args_list] == [dtype]
+    want, want_ranks = symplectic_pass_row_at_a_time(mat, empty, 0)
+    assert ranks == want_ranks
+    assert _same_basis(basis, want) and _same_basis(sl.symplectic_basis(mat), want)
+    old = sl.symplectic_basis(mat.prefix(130))
+    grown = sl.extend_symplectic_basis(mat, old)
+    assert _same_basis(grown, symplectic_pass_row_at_a_time(mat, old.column_matrix() % 251, old.r)[0])
+
+
 @st.composite
 def pass_matrices(draw, primes=(2, 3, 5, 7, 251), max_n=40):
     """Dense and Toeplitz matrices, explicit banded ones with no pattern,
@@ -753,9 +774,9 @@ def test_symplectic_basis_families_are_slices_of_one_frozen_array(n):
 
 
 def test_symplectic_basis_memory_n1024():
-    # the row-at-a-time pass peaked at 16.86 MB here: its n x n float64
-    # state and the int64 copy it ends with; the blocked pass keeps the one
-    # state and a few (256, n) arrays of its current block
+    # 12.63 MB measured: the pass's n x n float32 state (gf.exact_float at
+    # p = 3), the int64 rows it ends with and a few (256, n) arrays of its
+    # current block; a float64 state, as before, peaked at 16.86 MB
     mat = sl.random_alternating(3, 1024, 1)
     tracemalloc.start()
     try:
@@ -763,7 +784,7 @@ def test_symplectic_basis_memory_n1024():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 16.86e6
+    assert peak <= 1.25 * 12.63e6
 
 
 def _digest(*arrays):

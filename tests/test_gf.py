@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinlab import gf
+from spinlab.errors import SizeBoundError
 
 from conftest import brute_rank, enum_vectors, gf_inverse, gf_solve, rref_stepwise
 
@@ -233,3 +234,25 @@ def test_matmul_is_exact_at_p251_with_long_inner_dimension():
     # all entries p - 1: sums of k (p-1)^2 = 2.5e9, beyond int32
     a = np.full((3, 40000), 250)
     assert np.array_equal(gf.matmul(a, a.T, 251), a @ a.T % 251)
+
+
+def test_exact_float_is_float32_then_float64_then_refused():
+    # terms (p-1)^2 + p: 268 * 250^2 + 251 < 2^24 <= 269 * 250^2 + 251
+    assert gf.exact_float(268, 251) is np.float32
+    assert gf.exact_float(269, 251) is np.float64
+    n = -(-(2 ** 53 - 251) // 250 ** 2)  # the least n with n 250^2 + 251 >= 2^53
+    assert gf.exact_float(n - 1, 251) is np.float64
+    with pytest.raises(SizeBoundError, match="float64"):
+        gf.exact_float(n, 251)
+
+
+@pytest.mark.parametrize("k", [268, 269])
+def test_matmul_is_exact_on_both_sides_of_the_float32_bound(k):
+    # entries p - 1, so the sums reach k (p-1)^2, the most the inner
+    # dimension allows: float32 at k = 268, float64 at k = 269.  One 249 makes
+    # a sum odd, which float32 cannot hold above 2^24 in any summation order
+    a = np.full((2, k), 250)
+    a[1, -1] = 249
+    rows = a.tolist()
+    want = [[sum(x * y for x, y in zip(u, v)) % 251 for v in rows] for u in rows]
+    assert gf.matmul(a, a.T, 251).tolist() == want
