@@ -22,13 +22,13 @@ single blanks, as in every file written at p <= 7, is read by stride,
 a block of rows at a time: its digits sit at the even offsets.  Other
 bodies go by token ends.  Either way the grid is one int64 array, which
 the CommutationMatrix constructor checks without a copy
-(``forms._owned_matrix``): the range, then the diagonal and
-skew-symmetry on a uint8 copy, the skew sums in uint16 one block of
-rows at a time.  Any other file is read line by line, to the
-same rows and errors.  The CLI writes each JSON document as one line
-of compact JSON with a fixed field order: the bytes of the standard
-library encoder with separators "," and ":" and non-ASCII text kept,
-from one encoder pass with integer arrays written by numpy in
+(``forms._owned_matrix``): the range and the diagonal on the grid, then
+skew-symmetry a block of ``gf.BLOCK_CELLS`` entries at a time, each
+block cast to uint8 and summed in uint16.  Any other file is read line
+by line, to the same rows and errors.  The CLI writes each JSON document
+as one line of compact JSON with a fixed field order: the bytes of the
+standard library encoder with separators "," and ":" and non-ASCII text
+kept, from one encoder pass with integer arrays written by numpy in
 fixed-width slots (``json_pieces``).  Documents never contain floats:
 phases are always integer exponents mod p^2.  The report, basis,
 classification and grow documents carry ``"schema": SCHEMA_VERSION``;
@@ -43,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf
 from ._version import __version__
 from .errors import MatrixFormatError
 from .forms import CommutationMatrix, SymplecticBasis, _owned_matrix, toeplitz_matrix
-from .gf import as_int_array, validate_prime
 from .reps import Representation, StructureReport
 from .words import StandardInvariant
 
@@ -128,10 +128,6 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
                 raise MatrixFormatError(f"expected an integer, got {tok!r}", lineno)
 
 
-# Entries per row block of the stride route of ``_canonical_grid``.
-_GRID_CELLS = 1 << 16
-
-
 def _one_digit_grid(b: np.ndarray, n: int, k: int) -> np.ndarray | None:
     """The (k, n) int64 grid of the 2nk - 1 bytes b if they are k lines of n
     one-digit tokens between single blanks, else None.  Each (digit,
@@ -139,7 +135,7 @@ def _one_digit_grid(b: np.ndarray, n: int, k: int) -> np.ndarray | None:
     the separator of its slot) is the digit's value, and at most 9 exactly
     when both bytes are right: bytes below "0" wrap, and a wrong separator
     adds 256 s for some 0 < |s| < 256.  The values are checked and widened
-    into the grid ``_GRID_CELLS`` at a time, the last line on its own, as
+    into the grid ``gf.BLOCK_CELLS`` at a time, the last line on its own, as
     its last digit has no separator."""
     pairs = b[:-1].view("<u2")
     slots = np.full(n, 48 + 256 * 32, dtype=np.uint16)  # "0" and a blank
@@ -151,7 +147,7 @@ def _one_digit_grid(b: np.ndarray, n: int, k: int) -> np.ndarray | None:
     if last.max() > 9:
         return None
     grid[-1] = last
-    m = max(1, _GRID_CELLS // n)
+    m = max(1, gf.BLOCK_CELLS // n)
     for i in range(0, k - 1, m):
         val = pairs[i * n : min(i + m, k - 1) * n].reshape(-1, n) - slots
         if val.max() > 9:
@@ -276,7 +272,7 @@ def parse_matrix_file(text: str) -> ParsedMatrixFile:
             "header must be 'p n' or 'p toeplitz m'", header_line
         )
     try:  # the modulus, validated before any int64 arithmetic uses it
-        p = validate_prime(_ints([tokens[0]], header_line)[0])
+        p = gf.validate_prime(_ints([tokens[0]], header_line)[0])
     except ValueError as exc:
         raise MatrixFormatError(str(exc), header_line)
     size = _ints([tokens[-1]], header_line)[0]
@@ -355,16 +351,16 @@ def _plain(doc):
 
 def _int_array_json(a) -> str:
     """``json.dumps(a.tolist(), separators=(",", ":"))`` of an integer array,
-    2^16 entries at a time in fixed uint8 slots: a "-" place if some entry of
-    the chunk is negative, one place per digit of its largest magnitude and
-    the "," or ";" (later "],[") after the entry.  The places an entry does
-    not use stay NUL, and one ``bytes.translate`` deletes them."""
-    a = as_int_array(a)
+    ``gf.BLOCK_CELLS`` entries at a time in fixed uint8 slots: a "-" place if
+    some entry of the chunk is negative, one place per digit of its largest
+    magnitude and the "," or ";" (later "],[") after the entry.  The places
+    an entry does not use stay NUL, and one ``bytes.translate`` deletes them."""
+    a = gf.as_int_array(a)
     if a.ndim not in (1, 2) or not a.size:
         return json.dumps(a.tolist(), separators=(",", ":"))
-    n, flat, pieces = a.shape[-1], a.reshape(-1), []
-    for lo in range(0, flat.size, 1 << 16):
-        v = flat[lo : lo + (1 << 16)]
+    n, flat, pieces, step = a.shape[-1], a.reshape(-1), [], gf.BLOCK_CELLS
+    for lo in range(0, flat.size, step):
+        v = flat[lo : lo + step]
         mag = np.abs(v).view(np.uint64)  # |-2^63| = 2^63
         s, d = int(v.min() < 0), len(str(mag.max()))
         buf = np.zeros((v.size, s + d + 1), dtype=np.uint8)

@@ -32,12 +32,9 @@ from .errors import SizeBoundError
 
 # Largest n that the generated families (toeplitz_matrix, clifford_matrix,
 # random_alternating) materialize, checked with n >= 1 by ``_check_size``
-# before anything of size n^2 is built: the n x n matrix, its private copy
-# and its lower triangle take 3 x 32 MB at n = 2048.
+# before anything of size n^2 is built: the n x n matrix and its lower
+# triangle take 2 x 32 MB at n = 2048.
 MAX_TOEPLITZ_N = 2048
-
-# Entries per row block of the constructor's skew-symmetry check (one for n <= 512).
-_CHECK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +51,7 @@ class CommutationMatrix:
     def __post_init__(self, copy: bool = True):
         """Check and freeze the entries: a private copy, or with ``copy=False``
         (``_owned_matrix``) the int64 array itself.  Skew-symmetry is checked
-        by row blocks of ``_CHECK_CELLS`` entries (rows i..i+m-1 against the
+        by row blocks of ``gf.BLOCK_CELLS`` entries (rows i..i+m-1 against the
         columns from i on, each pair once), summed in uint16 from uint8 casts."""
         p = gf.validate_prime(self.p)
         object.__setattr__(self, "p", p)
@@ -70,7 +67,7 @@ class CommutationMatrix:
             raise ValueError(f"entries must lie in [0, {p})")
         if np.diagonal(ent).any():
             raise ValueError("diagonal entries must be zero")
-        m = max(1, _CHECK_CELLS // n)
+        m = max(1, gf.BLOCK_CELLS // n)
         for i in range(0, n, m):  # p <= 251: the entries fit in uint8
             rows = ent[i : i + m, i:].astype(np.uint8)  # the last block's columns too
             cols = rows if i + m >= n else ent[i:, i : i + m].astype(np.uint8)
@@ -100,7 +97,7 @@ class CommutationMatrix:
         k = gf.as_int(k, "prefix size")
         if not 1 <= k <= self.n:
             raise ValueError(f"prefix size {k} out of range 1..{self.n}")
-        return CommutationMatrix(self.p, self.entries[:k, :k].copy())
+        return _owned_matrix(self.p, self.entries[:k, :k].copy())
 
 
 def _owned_matrix(p: int, ent: np.ndarray) -> CommutationMatrix:
@@ -157,8 +154,9 @@ def clifford_matrix(p: int, n: int) -> CommutationMatrix:
     if p != 2:
         raise ValueError("the Clifford matrix is defined for p = 2 only")
     n = _check_size(n, "Clifford")
-    ent = np.ones((n, n), dtype=np.int64) - np.eye(n, dtype=np.int64)
-    return CommutationMatrix(2, ent)
+    ent = np.ones((n, n), dtype=np.int64)
+    np.fill_diagonal(ent, 0)
+    return _owned_matrix(2, ent)
 
 
 def standard_form(p: int, r: int, d: int = 0) -> CommutationMatrix:
@@ -173,7 +171,7 @@ def standard_form(p: int, r: int, d: int = 0) -> CommutationMatrix:
     for i in range(r):
         ent[2 * i, 2 * i + 1] = 1
         ent[2 * i + 1, 2 * i] = (-1) % p
-    return CommutationMatrix(p, ent)
+    return _owned_matrix(p, ent)
 
 
 def random_alternating(p: int, n: int, seed: int) -> CommutationMatrix:
@@ -207,7 +205,7 @@ def random_alternating(p: int, n: int, seed: int) -> CommutationMatrix:
     ent = np.zeros((n, n), dtype=np.int64)
     ent[upper] = vals
     ent[upper[::-1]] = (-vals) % p
-    return CommutationMatrix(p, ent)
+    return _owned_matrix(p, ent)
 
 
 def _gf_vector(mat: CommutationMatrix, x) -> np.ndarray:
@@ -558,5 +556,4 @@ def matrix_from_basis(ref: CommutationMatrix, vectors) -> CommutationMatrix:
     v = gf.as_gf_array(vectors, ref.p)  # refuses ragged rows
     if v.ndim != 2 or v.shape[1] != ref.n:
         raise ValueError(f"basis vectors must have length n={ref.n}")
-    ent = gf.matmul(gf.matmul(v, ref.entries, ref.p), v.T, ref.p)
-    return CommutationMatrix(ref.p, ent)
+    return _owned_matrix(ref.p, gf.matmul(gf.matmul(v, ref.entries, ref.p), v.T, ref.p))

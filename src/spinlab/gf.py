@@ -30,6 +30,10 @@ from .errors import SizeBoundError
 
 _MAX_PRIME = 251
 
+# Entries that one block of a blocked pass over a large array holds at once,
+# read at call time by every such pass in the package.
+BLOCK_CELLS = 1 << 16
+
 
 def as_int(value, what: str) -> int:
     """``value`` as an exact int (``operator.index``): floats and strings

@@ -14,8 +14,8 @@ one phase stack, handled whole by the builder, the loader and the
 relation check.  Each stack from outside or from the builder gets one
 permutation check; products, powers and tensor products of validated
 matrices get none.  ``verify_relations`` takes U_i against a block of at
-most max(1, WORD_TABLE_ENTRIES // dim) generators per step, so its
-working set stays a small multiple of one generator.  A word product
+most max(1, gf.BLOCK_CELLS // dim) generators per step, so its working
+set stays a small multiple of one generator.  A word product
 U_1^{x_1} ... U_n^{x_n} reads one row per chunk, by index, of a word
 table cached on the representation (the products of every exponent
 pattern on a few chunks of consecutive generators); a word that one
@@ -158,17 +158,20 @@ def mono_inverse(a: MonomialMatrix) -> MonomialMatrix:
 
 
 def mono_pow(a: MonomialMatrix, k: int) -> MonomialMatrix:
-    """a^k by repeated squaring, exact because the product is associative."""
+    """a^k by square-and-multiply over the bits of |k| (of the inverse if
+    k < 0), exact because the product is associative."""
     k = gf.as_int(k, "matrix power")
-    if k <= 0:
-        return mono_pow(mono_inverse(a), -k) if k else mono_identity(a.dim, a.p)
-    half = mono_pow(mono_mul(a, a), k // 2)
-    return mono_mul(half, a) if k & 1 else half
+    if k < 0:
+        a, k = mono_inverse(a), -k
+    out = mono_identity(a.dim, a.p)
+    while k:
+        out, a, k = mono_mul(out, a) if k & 1 else out, mono_mul(a, a), k >> 1
+    return out
 
 
 def mono_scale(a: MonomialMatrix, exp: int) -> MonomialMatrix:
     """Multiply by the p^2-th root of unity with integer exponent exp."""
-    return _composed(a.p, a.perm, a.phases + gf.as_int(exp, "phase exponent"))
+    return _composed(a.p, a.perm, a.phases + gf.as_int(exp, "phase exponent") % a.p ** 2)
 
 
 def is_scalar(a: MonomialMatrix) -> int | None:
@@ -447,7 +450,7 @@ def verify_relations(rep: Representation) -> RelationReport:
     the orders block by block (blocks as in the module docstring)."""
     p, n, dim, p2 = rep.mat.p, rep.mat.n, rep.dim, rep.mat.p ** 2
     perm, phases = rep.perm, rep.phases
-    block = max(1, WORD_TABLE_ENTRIES // dim)
+    block = max(1, gf.BLOCK_CELLS // dim)
     pair_failures = []
     for i, (pi, fi) in enumerate(zip(perm[:-1], phases[:-1])):
         for lo in range(i + 1, n, block):
@@ -476,7 +479,7 @@ def commutant_dim(rep: Representation) -> int:
 
     Pair u = a dim + b has a root root[u] <= u, with X[u] = zeta^pot[u]
     X[root[u]] (pots are below p^2 <= 251^2, so int32 holds their sums).  For
-    each block of max(1, WORD_TABLE_ENTRIES // dim^2) generators, every link
+    each block of max(1, gf.BLOCK_CELLS // dim^2) generators, every link
     between two roots offers the larger one the key smaller root 2^s + pot,
     p^2 <= 2^s.  A scatter-min hooks each root under its least offer and
     pointer jumping flattens the trees (Shiloach and Vishkin, J. Algorithms
@@ -486,7 +489,7 @@ def commutant_dim(rep: Representation) -> int:
     dim, n, p2 = rep.dim, rep.mat.n, rep.mat.p ** 2
     _check_dim(dim, 1, COMMUTANT_MAX_DIM, "commutant computation")  # dim^2 arrays for any n
     nodes, s = dim * dim, (p2 - 1).bit_length()
-    block = max(1, WORD_TABLE_ENTRIES // nodes)
+    block = max(1, gf.BLOCK_CELLS // nodes)
     root, pot, broken = np.arange(nodes), np.zeros(nodes, np.int32), np.zeros(nodes, bool)
     for lo in range(0, n, block):
         perm, ph = rep.perm[lo:lo + block], rep.phases[lo:lo + block].astype(np.int32)

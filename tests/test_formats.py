@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import spinlab as sl
-from spinlab import formats, forms
+from spinlab import formats, forms, gf
 from spinlab.errors import InvariantError, MatrixFormatError
 
 from conftest import canonical_grid_masks, explicit_matrix_table
@@ -379,9 +379,9 @@ def test_canonical_grid_reads_one_digit_bodies_as_the_mask_reader(case):
     want = canonical_grid_masks(data, n)
     assert rows is None or want.tolist() == rows
     plain = not data.translate(None, b"0123456789 \t\n")
-    for cells in (formats._GRID_CELLS, 1):
+    for cells in (gf.BLOCK_CELLS, 1):
         for given_as in [data] + [np.frombuffer(data, dtype=np.uint8)] * plain:
-            with mock.patch.object(formats, "_GRID_CELLS", cells):
+            with mock.patch.object(gf, "BLOCK_CELLS", cells):
                 got = formats._canonical_grid(given_as, n)
             assert (got is None) == (want is None)
             if got is not None:
@@ -569,8 +569,8 @@ def test_compact_json_writes_arrays_as_json_dumps(a):
     assert "".join(formats.json_pieces(a)) == json.dumps(a.tolist(), separators=(",", ":"))
 
 
-# Arrays of one or more 2^16-entry chunks of the writer, with rows across
-# chunk ends.
+# Arrays of one or more gf.BLOCK_CELLS = 2^16-entry chunks of the writer,
+# with rows across chunk ends.
 @pytest.mark.parametrize(
     "shape", [(140000,), (65535,), (65536,), (65537,), (3, 30001), (65537, 1), (32768, 2), (2, 40000)]
 )
@@ -578,6 +578,19 @@ def test_compact_json_writes_large_arrays_as_json_dumps(shape):
     rng = np.random.default_rng(len(shape) * 10 ** 6 + shape[0])
     a = rng.integers(-(10 ** 6), 10 ** 6, shape) // rng.integers(1, 10 ** 6, shape)
     assert "".join(formats.json_pieces(a)) == json.dumps(a.tolist(), separators=(",", ":"))
+
+
+# Chunks of 1 and 7 entries put a chunk end inside rows, at their ends and
+# past the last entry, each chunk with its own sign and width.
+@settings(deadline=None, max_examples=300)
+@given(
+    arrays(np.int64, st.tuples(st.integers(0, 5), st.integers(0, 8)) | st.integers(0, 40), elements=_int64),
+    st.sampled_from([1, 7]),
+)
+def test_json_pieces_equal_json_dumps_in_small_chunks(a, cells):
+    with mock.patch.object(gf, "BLOCK_CELLS", cells):
+        text = "".join(formats.json_pieces({"a": a, "b": [a[:1], 0]}))
+    assert text == json.dumps({"a": a.tolist(), "b": [a[:1].tolist(), 0]}, separators=(",", ":"))
 
 
 def test_compact_json_writes_a_shared_array_once():

@@ -74,19 +74,19 @@ def _skew_faults_raise(good, pairs):
 
 
 def test_skew_faults_are_found_in_every_row_block(monkeypatch):
-    # the skew sums run over blocks of m = _CHECK_CELLS // n rows against
+    # the skew sums run over blocks of m = gf.BLOCK_CELLS // n rows against
     # the columns from the block's first row on: with m = 2 at n = 7 (the last
     # block one row), every off-diagonal pair, within a block or across one
-    monkeypatch.setattr(forms, "_CHECK_CELLS", 14)
+    monkeypatch.setattr(gf, "BLOCK_CELLS", 14)
     good = sl.random_alternating(3, 7, seed=4).entries
     _skew_faults_raise(good, [(i, j) for i in range(7) for j in range(7) if i != j])
 
 
 def test_skew_faults_are_found_at_the_default_block_boundaries():
-    # n = 1024 makes blocks of 256 rows: faults in the last block, in the
+    # n = 1024 makes blocks of 64 rows: faults in the last block, in the
     # corners and in pairs that straddle each boundary
-    n, m = 1024, forms._CHECK_CELLS // 1024
-    assert m == 256
+    n, m = 1024, gf.BLOCK_CELLS // 1024
+    assert m == 64
     good = sl.random_alternating(3, n, seed=5).entries
     pairs = [(n - 1, n - 2), (n - 2, n - 1), (0, n - 1), (n - 1, 0)]
     pairs += [(b - 1, b) for b in range(m, n, m)] + [(b, b - 1) for b in range(m, n, m)]
@@ -785,6 +785,28 @@ def test_symplectic_basis_memory_n1024():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * 12.63e6
+
+
+def test_the_constructor_copies_outside_input():
+    src = np.array(CLIFF3.entries)
+    mat = sl.commutation_matrix(2, src)
+    assert not np.shares_memory(mat.entries, src)
+    assert not np.shares_memory(mat.prefix(2).entries, mat.entries)
+
+
+def test_builders_hand_their_one_fresh_array_to_the_matrix():
+    # clifford_matrix, standard_form and prefix each build one n x n int64
+    # array, which the matrix takes over: no second copy (about 2x before)
+    big = sl.clifford_matrix(2, 1024)
+    for build in (lambda: sl.clifford_matrix(2, 1024), lambda: sl.standard_form(3, 512),
+                  lambda: big.prefix(1000)):
+        tracemalloc.start()
+        try:
+            mat = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * mat.entries.nbytes
 
 
 def _digest(*arrays):

@@ -152,14 +152,20 @@ def test_mono_pow_matches_the_loop(p, dim, seed):
     for k in range(3 * p + 1):
         assert mono_pow(a, k) == mono_pow_loop(a, k)
         assert mono_pow(a, -k) == mono_pow_loop(sl.mono_inverse(a), k)
-    # repeated squaring reaches a huge exponent: the clock has order p
-    assert mono_pow(sl.clock(p), 10 ** 18) == mono_pow(sl.clock(p), 10 ** 18 % p)
+    # square-and-multiply, a loop over the bits of |k|, reaches huge
+    # exponents of either sign: the clock and the shift have order p
+    for g in (sl.clock(p), sl.shift(p)):
+        for k in (10 ** 18, 2 ** 1200, -(2 ** 1200)):
+            assert mono_pow(g, k) == mono_pow(g, k % p)
 
 
 def test_is_scalar():
     ident = sl.mono_identity(3, 3)
     assert sl.is_scalar(ident) == 0
     assert sl.is_scalar(mono_scale(ident, 4)) == 4
+    # the exponent is reduced mod p^2 before the int64 add
+    assert sl.is_scalar(mono_scale(ident, 2 ** 70)) == 2 ** 70 % 9
+    assert sl.is_scalar(mono_scale(ident, -(2 ** 70))) == -(2 ** 70) % 9
     assert sl.is_scalar(sl.shift(3)) is None
     mixed = sl.MonomialMatrix(2, [0, 1], [0, 2])
     assert sl.is_scalar(mixed) is None
@@ -830,11 +836,11 @@ def corrupted_representations(draw):
 
 
 @settings(deadline=None, max_examples=150)
-@given(corrupted_representations(), st.sampled_from([1, 64, sl.reps.WORD_TABLE_ENTRIES]))
+@given(corrupted_representations(), st.sampled_from([1, 64, sl.gf.BLOCK_CELLS]))
 def test_verify_relations_matches_pairwise_oracle(rep, budget):
     # Budget 1 checks one generator per block; the others block several.
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sl.reps, "WORD_TABLE_ENTRIES", budget)
+        mp.setattr(sl.gf, "BLOCK_CELLS", budget)
         report = sl.verify_relations(rep)
     assert (report.pair_failures, report.order_failures) == verify_relations_pairwise(rep)
 
@@ -981,9 +987,14 @@ def loaded_representations(draw):
 
 
 @settings(deadline=None, max_examples=200)
-@given(loaded_representations())
-def test_commutant_matches_union_find_oracle(rep):
-    assert sl.commutant_dim(rep) == commutant_dim_union_find(rep)
+@given(loaded_representations(), st.sampled_from([1, sl.gf.BLOCK_CELLS]))
+def test_commutant_matches_union_find_oracle(rep, budget):
+    # Budget 1 joins one generator's links per block; the default joins all
+    # of them (dim <= 64) in one.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sl.gf, "BLOCK_CELLS", budget)
+        got = sl.commutant_dim(rep)
+    assert got == commutant_dim_union_find(rep)
 
 
 # The slot tables [I | triu(C, 1)^T] of prop11_rep have rank n, so the
