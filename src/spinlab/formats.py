@@ -20,19 +20,19 @@ writes it) has its body read by numpy from its raw bytes, in place: a
 uint8 view of the encoded text.  A body of one-digit tokens between
 single blanks, as in every file written at p <= 7, is read by stride,
 a block of rows at a time: its digits sit at the even offsets.  Other
-bodies go by token ends.  Either way the grid is one int64 array, which
-the CommutationMatrix constructor checks without a copy
-(``forms._owned_matrix``): the range and the diagonal on the grid, then
-skew-symmetry a block of ``gf.BLOCK_CELLS`` entries at a time, each
-block cast to uint8 and summed in uint16.  Any other file is read line
-by line, to the same rows and errors.  The CLI writes each JSON document
-as one line of compact JSON with a fixed field order: the bytes of the
-standard library encoder with separators "," and ":" and non-ASCII text
-kept, from one encoder pass with integer arrays written by numpy in
-fixed-width slots (``json_pieces``).  Documents never contain floats:
-phases are always integer exponents mod p^2.  The report, basis,
-classification and grow documents carry ``"schema": SCHEMA_VERSION``;
-the invariant and representation documents do not.
+bodies go by token ends.  Either way the grid is one uint16 array, whose
+range the CommutationMatrix constructor checks before it makes the
+matrix's one uint8 copy, on which it checks the diagonal and then
+skew-symmetry a block of ``gf.BLOCK_CELLS`` entries at a time, summed in
+uint16.  Any other file is read line by line, to the same rows and
+errors.  The CLI writes each JSON document as one line of compact JSON
+with a fixed field order: the bytes of the standard library encoder with
+separators "," and ":" and non-ASCII text kept, from one encoder pass
+with integer arrays written by numpy in fixed-width slots
+(``json_pieces``).  Documents never contain floats: phases are always
+integer exponents mod p^2.  The report, basis, classification and grow
+documents carry ``"schema": SCHEMA_VERSION``; the invariant and
+representation documents do not.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 from . import gf
 from ._version import __version__
 from .errors import MatrixFormatError
-from .forms import CommutationMatrix, SymplecticBasis, _owned_matrix, toeplitz_matrix
+from .forms import CommutationMatrix, SymplecticBasis, toeplitz_matrix
 from .reps import Representation, StructureReport
 from .words import StandardInvariant
 
@@ -129,18 +129,18 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
 
 
 def _one_digit_grid(b: np.ndarray, n: int, k: int) -> np.ndarray | None:
-    """The (k, n) int64 grid of the 2nk - 1 bytes b if they are k lines of n
+    """The (k, n) uint16 grid of the 2nk - 1 bytes b if they are k lines of n
     one-digit tokens between single blanks, else None.  Each (digit,
     separator) pair of bytes, a little-endian uint16, less the pair ("0",
     the separator of its slot) is the digit's value, and at most 9 exactly
     when both bytes are right: bytes below "0" wrap, and a wrong separator
-    adds 256 s for some 0 < |s| < 256.  The values are checked and widened
+    adds 256 s for some 0 < |s| < 256.  The values are checked and copied
     into the grid ``gf.BLOCK_CELLS`` at a time, the last line on its own, as
     its last digit has no separator."""
     pairs = b[:-1].view("<u2")
     slots = np.full(n, 48 + 256 * 32, dtype=np.uint16)  # "0" and a blank
     slots[-1] = 48 + 256 * 10  # "0" and a newline
-    grid = np.empty((k, n), dtype=np.int64)
+    grid = np.empty((k, n), dtype=np.uint16)
     last = np.empty(n, dtype=np.uint16)
     np.subtract(pairs[(k - 1) * n :], slots[:-1], out=last[:-1])
     np.subtract(b[-1:], np.uint8(48), out=last[-1:])
@@ -157,7 +157,7 @@ def _one_digit_grid(b: np.ndarray, n: int, k: int) -> np.ndarray | None:
 
 
 def _canonical_grid(data: bytes | np.ndarray, n: int) -> np.ndarray | None:
-    """The (k, n) int64 grid in ``data`` if each of its k >= 1 lines holds n
+    """The (k, n) uint16 grid in ``data`` if each of its k >= 1 lines holds n
     canonical decimals of up to three digits between spaces or tabs, else
     None; callers check k and the range.  ``data`` has no leading or
     trailing blanks: raw bytes, or a uint8 view (``_stripped``) of bytes
@@ -191,7 +191,7 @@ def _canonical_grid(data: bytes | np.ndarray, n: int) -> np.ndarray | None:
     np.multiply(b - np.uint8(48), dig[3:-1], out=val[2:], dtype=np.uint16)
     three = val[2:] + val[1:-1] * np.uint16(10)
     three += val[:-2] * dig[2:-2] * np.uint16(100)  # if the tens are a digit
-    return three.take(ends).astype(np.int64).reshape(-1, n)
+    return three.take(ends).reshape(-1, n)
 
 
 def _rows(lines: list[tuple[int, str]], p: int, n: int | None) -> Iterator[tuple[int, list[int]]]:
@@ -214,16 +214,15 @@ def _explicit_matrix(
     """The matrix of an explicit file's body: in the raw bytes of a plain
     file (see ``parse_matrix_file``), after its header line 1, else the
     content lines after the header.  Its n x n ``_canonical_grid``, checked
-    once by the CommutationMatrix constructor (``_owned_matrix``: the grid is
-    fresh), else the content lines checked in order (row count, then
-    ``_rows`` and the diagonal row by row, then skew-symmetry) to report
-    the first fault with its line."""
+    once by the CommutationMatrix constructor, else the content lines checked
+    in order (row count, then ``_rows`` and the diagonal row by row, then
+    skew-symmetry) to report the first fault with its line."""
     raw = isinstance(body, bytes)
     data = _stripped(body, _body_start(body)) if raw else "\n".join([ln for _, ln in body]).encode()
     grid = _canonical_grid(data, n)
     if grid is not None and len(grid) == n:
         try:
-            return _owned_matrix(p, grid)
+            return CommutationMatrix(p, grid)
         except ValueError:
             pass  # located below
     if raw:
@@ -245,7 +244,7 @@ def _explicit_matrix(
         raise MatrixFormatError(
             f"entry ({i}, {j}) breaks skew-symmetry c_ji = -c_ij", body[i][0]
         )
-    return _owned_matrix(p, grid)
+    return CommutationMatrix(p, grid)
 
 
 def parse_matrix_file(text: str) -> ParsedMatrixFile:
@@ -316,7 +315,7 @@ def parse_basis_file(text: str, p: int, n: int) -> np.ndarray:
     if grid is None or grid.max() >= p:
         lines = lines or _content_lines(text)
         grid = np.array([row for _, row in _rows(lines, p, n)], dtype=np.int64)
-    return grid
+    return gf.as_int_array(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +350,18 @@ def _plain(doc):
 
 def _int_array_json(a) -> str:
     """``json.dumps(a.tolist(), separators=(",", ":"))`` of an integer array,
-    ``gf.BLOCK_CELLS`` entries at a time in fixed uint8 slots: a "-" place if
+    ``gf.BLOCK_CELLS`` entries at a time, each chunk widened to int64
+    (``gf.as_int_array``) on its own, in fixed uint8 slots: a "-" place if
     some entry of the chunk is negative, one place per digit of its largest
     magnitude and the "," or ";" (later "],[") after the entry.  The places
     an entry does not use stay NUL, and one ``bytes.translate`` deletes them."""
-    a = gf.as_int_array(a)
+    a = np.asarray(a)
     if a.ndim not in (1, 2) or not a.size:
-        return json.dumps(a.tolist(), separators=(",", ":"))
+        return json.dumps(gf.as_int_array(a).tolist(), separators=(",", ":"))
     n, flat, pieces, step = a.shape[-1], a.reshape(-1), [], gf.BLOCK_CELLS
     for lo in range(0, flat.size, step):
         v = flat[lo : lo + step]
-        mag = np.abs(v).view(np.uint64)  # |-2^63| = 2^63
+        mag = np.abs(gf.as_int_array(v)).view(np.uint64)  # |-2^63| = 2^63
         s, d = int(v.min() < 0), len(str(mag.max()))
         buf = np.zeros((v.size, s + d + 1), dtype=np.uint8)
         buf[:, -1] = ord(",")

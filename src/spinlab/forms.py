@@ -32,8 +32,8 @@ from .errors import SizeBoundError
 
 # Largest n that the generated families (toeplitz_matrix, clifford_matrix,
 # random_alternating) materialize, checked with n >= 1 by ``_check_size``
-# before anything of size n^2 is built: the n x n matrix and its lower
-# triangle take 2 x 32 MB at n = 2048.
+# before anything of size n^2 is built: the n x n uint8 matrix and its int64
+# lower triangle take 4 and 32 MB at n = 2048.
 MAX_TOEPLITZ_N = 2048
 
 
@@ -41,36 +41,39 @@ MAX_TOEPLITZ_N = 2048
 class CommutationMatrix:
     """An n x n alternating matrix over GF(p), equal to another exactly
     when ``p`` and ``entries`` are.
-    ``lower`` is the strict lower triangle L of ``entries`` (the matrix
-    of q_form), computed on first read and frozen like ``entries``.
+    ``entries`` is uint8, so arithmetic on it widens first.  ``lower`` is
+    the strict lower triangle L of ``entries`` (the matrix of q_form) in
+    int64, the word layer's table, computed on first read and frozen.
     """
 
     p: int
     entries: np.ndarray
 
-    def __post_init__(self, copy: bool = True):
-        """Check and freeze the entries: a private copy, or with ``copy=False``
-        (``_owned_matrix``) the int64 array itself.  Skew-symmetry is checked
-        by row blocks of ``gf.BLOCK_CELLS`` entries (rows i..i+m-1 against the
-        columns from i on, each pair once), summed in uint16 from uint8 casts."""
+    def __post_init__(self):
+        """Check integer input for range, diagonal and skew-symmetry, and keep
+        the matrix's own copy, one frozen uint8 array (p <= 251), whatever the
+        source.  Skew-symmetry is checked on that copy by row blocks of
+        ``gf.BLOCK_CELLS`` entries (rows i..i+m-1 against the columns from i
+        on, each pair once), summed in uint16."""
         p = gf.validate_prime(self.p)
         object.__setattr__(self, "p", p)
-        ent = gf.as_int_array(self.entries)
-        if copy:
-            ent = np.array(ent)
-        if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
-            raise ValueError(f"entries must be square, got shape {ent.shape}")
-        n = ent.shape[0]
+        src = np.asarray(self.entries)
+        if src.dtype.kind not in "biu":
+            src = gf.as_int_array(src)  # raises ValueError unless empty
+        if src.ndim != 2 or src.shape[0] != src.shape[1]:
+            raise ValueError(f"entries must be square, got shape {src.shape}")
+        n = src.shape[0]
         if n == 0:
             raise ValueError("empty commutation matrix")
-        if ent.min() < 0 or ent.max() >= p:
+        if src.min() < 0 or src.max() >= p:
             raise ValueError(f"entries must lie in [0, {p})")
+        ent = src.astype(np.uint8)
         if np.diagonal(ent).any():
             raise ValueError("diagonal entries must be zero")
         m = max(1, gf.BLOCK_CELLS // n)
-        for i in range(0, n, m):  # p <= 251: the entries fit in uint8
-            rows = ent[i : i + m, i:].astype(np.uint8)  # the last block's columns too
-            cols = rows if i + m >= n else ent[i:, i : i + m].astype(np.uint8)
+        for i in range(0, n, m):
+            rows = ent[i : i + m, i:]  # the last block's columns too
+            cols = rows if i + m >= n else ent[i:, i : i + m]
             s = np.add(rows, cols.T, dtype=np.uint16)
             if ((s != 0) & (s != p)).any():  # s in [0, 2p - 2] is 0 mod p only at 0 and p
                 raise ValueError("matrix must satisfy c_ji = -c_ij mod p")
@@ -79,7 +82,7 @@ class CommutationMatrix:
 
     @cached_property
     def lower(self) -> np.ndarray:
-        lower = np.tril(self.entries, -1)
+        lower = np.tril(self.entries, -1).astype(np.int64)
         lower.flags.writeable = False
         return lower
 
@@ -97,17 +100,7 @@ class CommutationMatrix:
         k = gf.as_int(k, "prefix size")
         if not 1 <= k <= self.n:
             raise ValueError(f"prefix size {k} out of range 1..{self.n}")
-        return _owned_matrix(self.p, self.entries[:k, :k].copy())
-
-
-def _owned_matrix(p: int, ent: np.ndarray) -> CommutationMatrix:
-    """A CommutationMatrix that takes over ``ent``, a fresh int64 array that
-    nothing else holds: checked and frozen as the constructor does, with
-    no copy."""
-    mat = object.__new__(CommutationMatrix)
-    mat.__dict__.update(p=p, entries=ent)
-    mat.__post_init__(copy=False)
-    return mat
+        return CommutationMatrix(self.p, self.entries[:k, :k])
 
 
 def commutation_matrix(p: int, entries) -> CommutationMatrix:
@@ -141,7 +134,7 @@ def toeplitz_matrix(p: int, pattern, n: int) -> CommutationMatrix:
     # the window band[n - 1 - i : 2n - 1 - i]; the constructor copies the
     # strided view of those windows into the matrix.
     k = min(pat.size, n - 1)
-    band = np.zeros(2 * n - 1, dtype=np.int64)
+    band = np.zeros(2 * n - 1, dtype=np.uint8)
     band[n : n + k] = pat[:k]
     band[n - 1 - k : n - 1] = (-pat[:k][::-1]) % p
     rows = np.lib.stride_tricks.sliding_window_view(band, n)[::-1]
@@ -154,9 +147,9 @@ def clifford_matrix(p: int, n: int) -> CommutationMatrix:
     if p != 2:
         raise ValueError("the Clifford matrix is defined for p = 2 only")
     n = _check_size(n, "Clifford")
-    ent = np.ones((n, n), dtype=np.int64)
+    ent = np.ones((n, n), dtype=np.uint8)
     np.fill_diagonal(ent, 0)
-    return _owned_matrix(2, ent)
+    return CommutationMatrix(2, ent)
 
 
 def standard_form(p: int, r: int, d: int = 0) -> CommutationMatrix:
@@ -167,11 +160,11 @@ def standard_form(p: int, r: int, d: int = 0) -> CommutationMatrix:
     if r < 0 or d < 0:
         raise ValueError(f"r and d must be nonnegative, got r={r}, d={d}")
     n = 2 * r + d
-    ent = np.zeros((n, n), dtype=np.int64)
+    ent = np.zeros((n, n), dtype=np.uint8)
     for i in range(r):
         ent[2 * i, 2 * i + 1] = 1
         ent[2 * i + 1, 2 * i] = (-1) % p
-    return _owned_matrix(p, ent)
+    return CommutationMatrix(p, ent)
 
 
 def random_alternating(p: int, n: int, seed: int) -> CommutationMatrix:
@@ -190,22 +183,25 @@ def random_alternating(p: int, n: int, seed: int) -> CommutationMatrix:
 
     p = gf.validate_prime(p)
     n = _check_size(n, "random")
-    upper = np.triu_indices(n, 1)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    size = n * (n - 1) // 2
     words = random.Random(seed).getstate()[1]
     mt = np.random.MT19937()
     mt.state = {
         "bit_generator": "MT19937",
         "state": {"key": np.array(words[:-1], dtype=np.uint32), "pos": words[-1]},
     }
-    k, vals = p.bit_length(), np.zeros(0, dtype=np.uint64)
-    while vals.size < upper[0].size:  # about 2^k / p draws per value
-        draws = mt.random_raw(((upper[0].size - vals.size) << k) // p + 64) >> (32 - k)
+    k, vals = p.bit_length(), np.zeros(0, dtype=np.uint8)
+    while vals.size < size:  # about 2^k / p draws per value
+        draws = mt.random_raw(((size - vals.size) << k) // p + 64)
+        draws >>= 32 - k
+        draws = draws.astype(np.uint8)  # below 2^k <= 256
         vals = np.concatenate([vals, draws[draws < p]])
-    vals = vals[: upper[0].size].astype(np.int64)
-    ent = np.zeros((n, n), dtype=np.int64)
-    ent[upper] = vals
-    ent[upper[::-1]] = (-vals) % p
-    return _owned_matrix(p, ent)
+    vals = vals[:size]
+    ent = np.zeros((n, n), dtype=np.uint8)
+    ent[upper] = vals  # row-major, as the mask is read
+    ent.T[upper] = (p - vals) % p  # entry (j, i) of each (i, j) above, in the same order
+    return CommutationMatrix(p, ent)
 
 
 def _gf_vector(mat: CommutationMatrix, x) -> np.ndarray:
@@ -556,4 +552,4 @@ def matrix_from_basis(ref: CommutationMatrix, vectors) -> CommutationMatrix:
     v = gf.as_gf_array(vectors, ref.p)  # refuses ragged rows
     if v.ndim != 2 or v.shape[1] != ref.n:
         raise ValueError(f"basis vectors must have length n={ref.n}")
-    return _owned_matrix(ref.p, gf.matmul(gf.matmul(v, ref.entries, ref.p), v.T, ref.p))
+    return CommutationMatrix(ref.p, gf.matmul(gf.matmul(v, ref.entries, ref.p), v.T, ref.p))

@@ -66,7 +66,7 @@ def as_int_array(a) -> np.ndarray:
         return arr
     kind = arr.dtype.kind
     if arr.size and (
-        kind not in "biu" or (kind == "u" and arr.max() > np.iinfo(np.int64).max)
+        kind not in "biu" or (arr.dtype == np.uint64 and arr.max() > np.iinfo(np.int64).max)
     ):
         raise ValueError(f"expected integer input within int64, got {arr.dtype} values")
     return arr.astype(np.int64)

@@ -329,7 +329,7 @@ def prop11_rep(mat: CommutationMatrix, max_dim: int = DEFAULT_MAX_DIM) -> Repres
     p, n = mat.p, mat.n
     _check_dim(p ** n, n, max_dim, "prop11 representation")
     eye, zero = np.eye(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-    stack = _weyl_stack(eye, np.triu(mat.entries, 1).T, zero, p)
+    stack = _weyl_stack(eye, np.triu(mat.entries, 1).T.astype(np.int64), zero, p)
     return Representation.from_stack(mat, *stack)
 
 
@@ -455,7 +455,7 @@ def verify_relations(rep: Representation) -> RelationReport:
     for i, (pi, fi) in enumerate(zip(perm[:-1], phases[:-1])):
         for lo in range(i + 1, n, block):
             pj, fj = perm[lo:lo + block], phases[lo:lo + block]
-            c = p * rep.mat.entries[i, lo:lo + block, None]
+            c = p * rep.mat.entries[i, lo:lo + block, None].astype(np.int64)
             bad = (pi[pj] != pj[:, pi]).any(axis=1)
             bad |= ((fj + fi[pj] - fi - fj[:, pi] - c) % p2).any(axis=1)
             pair_failures += [(i, lo + int(j)) for j in np.flatnonzero(bad)]

@@ -488,7 +488,7 @@ def symplectic_pass_two_arrays(mat, start, r):
         c[0::2] *= -1
         v = w[: k + 1, :pairs] @ c
         v[k] += 1
-        cv = cw[:, :pairs] @ c + mat.entries[:, k]
+        cv = cw[:, :pairs] @ c + mat.entries[:, k].astype(np.int64)
         wu = -cw[k, pairs:k] % p
         nz = np.flatnonzero(wu)
         if nz.size:

@@ -551,18 +551,18 @@ def test_parse_and_emit_memory_n192(tmp_path):
     # a planted p = 2 matrix of rank 160 and kernel dimension 32 (B S B^T,
     # B unit lower times unit upper triangular), the largest dense-basis
     # shape; its file is 74 KB and its basis document 74 KB.  Then an
-    # n = 2048, p = 3 file, at most 1.4 times its int64 entries (1.30 measured)
+    # n = 2048, p = 3 file, at most 0.8 times 8 n^2 bytes (0.63 measured)
     rng = np.random.default_rng(192)
     n, eye = 192, np.eye(192, dtype=np.int64)
     b = (np.tril(rng.integers(0, 2, (n, n)), -1) + eye) @ (np.triu(rng.integers(0, 2, (n, n)), 1) + eye) % 2
     mat = sl.commutation_matrix(2, b @ forms.standard_form(2, 80, 32).entries @ b.T % 2)
     text = formats.format_matrix_file(mat)
     assert _peak_bytes(lambda: formats.parse_matrix_file(text)) <= 0.8e6
-    # a one-digit body read by stride: the encoded 8.4 MB text, its digits
-    # and one int64 grid, checked by the constructor in uint8 row blocks
+    # a one-digit body read by stride: the encoded 8.4 MB text, its digits,
+    # one uint16 grid and the constructor's uint8 copy
     upper = np.triu(rng.integers(0, 3, (2048, 2048)), 1)
     big = formats.format_matrix_file(sl.commutation_matrix(3, (upper - upper.T) % 3))
-    assert _peak_bytes(lambda: formats.parse_matrix_file(big)) <= 1.4 * 2048 * 2048 * 8
+    assert _peak_bytes(lambda: formats.parse_matrix_file(big)) <= 0.8 * 2048 * 2048 * 8
     basis = sl.symplectic_basis(mat)
     out = str(tmp_path / "basis.json")
     assert _peak_bytes(lambda: cli._emit_json(formats.basis_doc(mat, basis), out)) < 1e6

@@ -337,7 +337,7 @@ def test_canonical_grid_equals_the_mask_reader(case):
     got, want = formats._canonical_grid(data, n), canonical_grid_masks(data, n)
     assert (got is None) == (want is None)
     if got is not None:
-        assert got.dtype == want.dtype == np.int64 and got.tolist() == want.tolist()
+        assert got.dtype == np.uint16 and got.tolist() == want.tolist()
 
 
 @st.composite
@@ -385,7 +385,7 @@ def test_canonical_grid_reads_one_digit_bodies_as_the_mask_reader(case):
                 got = formats._canonical_grid(given_as, n)
             assert (got is None) == (want is None)
             if got is not None:
-                assert got.dtype == np.int64 and got.tolist() == want.tolist()
+                assert got.dtype == np.uint16 and got.tolist() == want.tolist()
 
 
 @settings(deadline=None, max_examples=500)

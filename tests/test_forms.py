@@ -61,16 +61,17 @@ _SKEW = "matrix must satisfy c_ji = -c_ij mod p"
 
 
 def _skew_faults_raise(good, pairs):
-    # good plus 1 at (i, j) breaks c_ji = -c_ij at that one pair; the copying
-    # constructor and the owned path of the file reader raise the one message
+    # good plus 1 at (i, j) breaks c_ji = -c_ij at that one pair; the
+    # constructor raises the one message from uint8 input (the builders') and
+    # from int64 input (the file reader's grid)
     for i, j in pairs:
-        bad = good.copy()
+        bad = good.astype(np.int64)
         bad[i, j] = (bad[i, j] + 1) % 3
-        for build in (sl.commutation_matrix, forms._owned_matrix):
+        for src in (bad.astype(np.uint8), bad):
             with pytest.raises(ValueError) as err:
-                build(3, bad.copy())
+                sl.commutation_matrix(3, src)
             assert str(err.value) == _SKEW
-    assert forms._owned_matrix(3, good.copy()) == sl.commutation_matrix(3, good)
+    assert sl.commutation_matrix(3, good.astype(np.int64)) == sl.commutation_matrix(3, good)
 
 
 def test_skew_faults_are_found_in_every_row_block(monkeypatch):
@@ -107,6 +108,7 @@ def test_entries_frozen():
 def test_lower_triangle_cached_and_frozen():
     mat = sl.random_alternating(5, 6, seed=1)
     assert np.array_equal(mat.lower, np.tril(mat.entries, -1))
+    assert mat.lower.dtype == np.int64  # the word layer's table stays int64
     with pytest.raises(ValueError):
         mat.lower[1, 0] = 0
 
@@ -795,8 +797,10 @@ def test_the_constructor_copies_outside_input():
 
 
 def test_builders_hand_their_one_fresh_array_to_the_matrix():
-    # clifford_matrix, standard_form and prefix each build one n x n int64
-    # array, which the matrix takes over: no second copy (about 2x before)
+    # clifford_matrix and standard_form build one n x n uint8 array and prefix
+    # none; the constructor's uint8 copy is the matrix's one array: below
+    # 2.5 n^2 bytes at the peak (2.31 n^2 measured, with the skew check's
+    # uint16 blocks), where int64 entries alone take 8 n^2
     big = sl.clifford_matrix(2, 1024)
     for build in (lambda: sl.clifford_matrix(2, 1024), lambda: sl.standard_form(3, 512),
                   lambda: big.prefix(1000)):
@@ -806,7 +810,44 @@ def test_builders_hand_their_one_fresh_array_to_the_matrix():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * mat.entries.nbytes
+        assert mat.entries.dtype == np.uint8
+        assert peak < 2.5 * mat.n ** 2
+
+
+def test_every_construction_route_makes_one_uint8_array():
+    ref = sl.random_alternating(5, 4, seed=2)
+    routes = [
+        sl.commutation_matrix(5, ref.entries.astype(np.int64)),
+        sl.commutation_matrix(2, [[False, True], [True, False]]),
+        sl.clifford_matrix(2, 3),
+        sl.standard_form(5, 1, 1),
+        ref,
+        sl.toeplitz_matrix(5, [1, 4], 5),
+        ref.prefix(3),
+        sl.matrix_from_basis(ref, np.eye(4, dtype=np.int64)[::-1]),
+        formats.parse_matrix_file(formats.format_matrix_file(ref)).matrix,  # the grid reader
+        formats.parse_matrix_file("5 2\n0 01\n4 0\n").matrix,  # "01": read line by line
+    ]
+    for mat in routes:
+        assert mat.entries.dtype == np.uint8 and mat.entries.flags.owndata
+        assert not mat.entries.flags.writeable
+
+
+def test_random_alternating_and_its_file_text_stay_small():
+    # n = 2048, p = 3: 4.2 MB of entries.  The draws are narrowed to uint8 as
+    # they come and the triangle is filled through a bool mask (np.triu_indices
+    # and int64 values take 118 MB); the file text widens one gf.BLOCK_CELLS
+    # chunk at a time (an int64 copy of the entries takes 60 MB).  Bounds are
+    # 1.25 x the 30.1 MB and 26.4 MB measured
+    peaks = []
+    for build in (lambda: sl.random_alternating(3, 2048, 7), lambda: formats.format_matrix_file(mat)):
+        tracemalloc.start()
+        try:
+            mat = build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.25 * 30.14e6 and peaks[1] <= 1.25 * 26.36e6
 
 
 def _digest(*arrays):

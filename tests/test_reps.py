@@ -845,6 +845,26 @@ def test_verify_relations_matches_pairwise_oracle(rep, budget):
     assert (report.pair_failures, report.order_failures) == verify_relations_pairwise(rep)
 
 
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from([131, 251]), st.integers(1, 8), st.integers(1, 4), st.integers(0, 2 ** 32))
+def test_readers_widen_the_uint8_entries_at_large_primes(p, n, k, seed):
+    # at p in {131, 251} the uint8 entries wrap in c_ij + c_ji, p c_ij and
+    # p d c_ij, so every reader widens first.  The representations have p^n
+    # and p^r dimensions: prop11_rep on the 2 x 2 prefix, irreducible_rep on
+    # a random alternating matrix of rank 2r <= 4 (k random vectors under a
+    # random k x k form)
+    rng = np.random.default_rng(seed)
+    mat = sl.random_alternating(p, n, seed)
+    e = mat.entries.astype(np.int64)
+    x, y = rng.integers(0, p, (2, n))
+    assert sl.omega(mat, x, y) == x @ e @ y % p
+    assert sl.q_form(mat, x, y) == x @ np.tril(e, -1) @ y % p
+    assert formats.parse_matrix_file(formats.format_matrix_file(mat)).matrix == mat
+    assert sl.verify_relations(sl.prop11_rep(mat.prefix(min(n, 2)))).ok
+    low = sl.matrix_from_basis(sl.random_alternating(p, k, seed + 1), rng.integers(0, p, (n, k)))
+    assert sl.verify_relations(sl.irreducible_rep(low)).ok
+
+
 def test_verify_relations_reports_failures():
     x_tensor_eye = mono_tensor(sl.shift(2), sl.mono_identity(2, 2))
     bad = sl.Representation(PAULI, (x_tensor_eye, x_tensor_eye))

@@ -129,7 +129,7 @@ def test_commutation_phase_examples():
     eye = np.eye(3, dtype=np.int64)
     for i, j in itertools.product(range(3), repeat=2):
         assert sl.commutation_phase(eye[i], eye[j], CLIFF3) == (
-            2 * CLIFF3.entries[i, j]
+            2 * int(CLIFF3.entries[i, j])
         ) % 4
     # central vector commutes with everything
     for y in enum_vectors(2, 3):
