@@ -17,16 +17,17 @@ and validation failures raise MatrixFormatError carrying the offending
 1-based line number.  A file of digits, blanks and newlines alone
 (a matrix file with its header on line 1, as ``format_matrix_file``
 writes it) has its body read by numpy from its raw bytes, in place: a
-uint8 view of the encoded text.  A body of one-digit tokens between
-single blanks, as in every file written at p <= 7, is read by stride,
-a block of rows at a time: its digits sit at the even offsets.  Other
-bodies go by token ends.  Either way the grid is one uint16 array, whose
-range the CommutationMatrix constructor checks before it makes the
-matrix's one uint8 copy, on which it checks the diagonal and then
-skew-symmetry a block of ``gf.BLOCK_CELLS`` entries at a time, summed in
-uint16.  Any other file is read line by line, to the same rows and
-errors.  The CLI writes each JSON document as one line of compact JSON
-with a fixed field order: the bytes of the standard library encoder with
+uint8 view of the encoded text; any other file has its content lines
+joined.  A body of one-digit tokens between single blanks, as in every
+file written at p <= 7, is read by stride, a block of rows at a time:
+its digits sit at the even offsets.  Other bodies go by token ends.
+Either way the grid is one uint16 array, whose range the
+CommutationMatrix constructor checks before it makes the matrix's one
+uint8 copy, on which it checks the diagonal and then skew-symmetry
+(``forms._skew_fault``).  Only a body that the grid reader or the
+constructor refuses is read line by line, to the same rows and errors.
+The CLI writes each JSON document as one line of compact JSON with a
+fixed field order: the bytes of the standard library encoder with
 separators "," and ":" and non-ASCII text kept, from one encoder pass
 with integer arrays written by numpy in fixed-width slots
 (``json_pieces``).  Documents never contain floats: phases are always
@@ -46,7 +47,7 @@ import numpy as np
 from . import gf
 from ._version import __version__
 from .errors import MatrixFormatError
-from .forms import CommutationMatrix, SymplecticBasis, toeplitz_matrix
+from .forms import CommutationMatrix, SymplecticBasis, _skew_fault, toeplitz_matrix
 from .reps import Representation, StructureReport
 from .words import StandardInvariant
 
@@ -216,7 +217,8 @@ def _explicit_matrix(
     content lines after the header.  Its n x n ``_canonical_grid``, checked
     once by the CommutationMatrix constructor, else the content lines checked
     in order (row count, then ``_rows`` and the diagonal row by row, then
-    skew-symmetry) to report the first fault with its line."""
+    ``forms._skew_fault`` on the rows, one uint8 array each, stacked once
+    the last has passed) to report the first fault with its line."""
     raw = isinstance(body, bytes)
     data = _stripped(body, _body_start(body)) if raw else "\n".join([ln for _, ln in body]).encode()
     grid = _canonical_grid(data, n)
@@ -225,6 +227,7 @@ def _explicit_matrix(
             return CommutationMatrix(p, grid)
         except ValueError:
             pass  # located below
+    del data, grid
     if raw:
         body = _content_lines(body.decode())[1:]
     if len(body) != n:
@@ -236,15 +239,15 @@ def _explicit_matrix(
     for i, (lineno, row) in enumerate(_rows(body, p, n)):
         if row[i]:
             raise MatrixFormatError("diagonal entry must be zero", lineno)
-        rows.append(row)
-    grid = np.array(rows, dtype=np.int64)
-    bad = np.argwhere((grid + grid.T) % p)
-    if bad.size:
-        i, j = bad[0].tolist()
+        rows.append(np.array(row, dtype=np.uint8))
+    ent = np.stack(rows)
+    fault = _skew_fault(ent, p)
+    if fault is not None:
+        i, j = fault
         raise MatrixFormatError(
             f"entry ({i}, {j}) breaks skew-symmetry c_ji = -c_ij", body[i][0]
         )
-    return CommutationMatrix(p, grid)
+    return CommutationMatrix(p, ent)
 
 
 def parse_matrix_file(text: str) -> ParsedMatrixFile:

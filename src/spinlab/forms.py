@@ -11,7 +11,8 @@ oriented so that omega(u_i, u_j) = c_ij on standard unit vectors and
 omega = q_form - q_form^T holds identically.  With this orientation the
 word and matrix layers of the package reproduce the generator relation
 u_i u_j = zeta^{c_ij} u_j u_i exactly for every prime, including odd p
-where transposition flips signs.
+where transposition flips signs.  The constructor and the file parser
+check c_ji = -c_ij by one routine, ``_skew_fault``, in square tiles.
 
 The constructive basis algorithm splits GF(p)^n into ker(omega) plus
 hyperbolic pairs (e_i, f_i) with omega(e_i, f_j) = delta_ij, in one
@@ -22,6 +23,7 @@ in blocks of 256 with float (BLAS) matrix products in the one type that
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,9 +54,7 @@ class CommutationMatrix:
     def __post_init__(self):
         """Check integer input for range, diagonal and skew-symmetry, and keep
         the matrix's own copy, one frozen uint8 array (p <= 251), whatever the
-        source.  Skew-symmetry is checked on that copy by row blocks of
-        ``gf.BLOCK_CELLS`` entries (rows i..i+m-1 against the columns from i
-        on, each pair once), summed in uint16."""
+        source.  Skew-symmetry is checked on that copy by ``_skew_fault``."""
         p = gf.validate_prime(self.p)
         object.__setattr__(self, "p", p)
         src = np.asarray(self.entries)
@@ -70,13 +70,8 @@ class CommutationMatrix:
         ent = src.astype(np.uint8)
         if np.diagonal(ent).any():
             raise ValueError("diagonal entries must be zero")
-        m = max(1, gf.BLOCK_CELLS // n)
-        for i in range(0, n, m):
-            rows = ent[i : i + m, i:]  # the last block's columns too
-            cols = rows if i + m >= n else ent[i:, i : i + m]
-            s = np.add(rows, cols.T, dtype=np.uint16)
-            if ((s != 0) & (s != p)).any():  # s in [0, 2p - 2] is 0 mod p only at 0 and p
-                raise ValueError("matrix must satisfy c_ji = -c_ij mod p")
+        if _skew_fault(ent, p) is not None:
+            raise ValueError("matrix must satisfy c_ji = -c_ij mod p")
         ent.flags.writeable = False
         object.__setattr__(self, "entries", ent)
 
@@ -101,6 +96,29 @@ class CommutationMatrix:
         if not 1 <= k <= self.n:
             raise ValueError(f"prefix size {k} out of range 1..{self.n}")
         return CommutationMatrix(self.p, self.entries[:k, :k])
+
+
+def _skew_fault(ent: np.ndarray, p: int) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order with c_ij + c_ji != 0 mod p, as
+    ``np.argwhere((ent + ent.T) % p)[0]``, else None, for square uint8
+    entries below p with a zero diagonal.  Square tiles of side
+    isqrt(``gf.BLOCK_CELLS``) are summed in uint16, tile (I, J) with tile
+    (J, I)^T for each J >= I; a sum in [0, 2p - 2] is 0 mod p only at 0
+    and p.  The faults are symmetric and off the diagonal, so the first
+    one is the least of the first faults of the tiles of the first row
+    band with a fault."""
+    n, t = ent.shape[0], math.isqrt(gf.BLOCK_CELLS)
+    for i in range(0, n, t):
+        faults = []
+        for j in range(i, n, t):
+            s = np.add(ent[i : i + t, j : j + t], ent[j : j + t, i : i + t].T, dtype=np.uint16)
+            bad = (s != 0) & (s != p)
+            if bad.any():
+                r, c = divmod(int(bad.argmax()), bad.shape[1])
+                faults.append((i + r, j + c))
+        if faults:
+            return min(faults)
+    return None
 
 
 def commutation_matrix(p: int, entries) -> CommutationMatrix:

@@ -1,6 +1,7 @@
 """Matrix file parsing/formatting and JSON document round trips."""
 
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -244,6 +245,42 @@ def test_an_empty_body_is_refused_at_any_size(body):
     # the byte route's empty grid is refused before numpy shapes it 10^30 wide
     with pytest.raises(MatrixFormatError, match=f"line 1: expected {10 ** 30} matrix rows, got 0"):
         formats.parse_matrix_file(f"2 {10 ** 30}\n" + body)
+
+
+def _traced_parse_error(text):
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixFormatError) as err:
+            formats.parse_matrix_file(text)
+        return str(err.value), err.value.line, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_located_skew_fault_keeps_one_byte_per_entry():
+    # a canonical body with one skew fault is refused by the constructor and
+    # read again line by line, its rows one uint8 array each, stacked once and
+    # checked by forms._skew_fault: the peak is below 12 n^2 bytes (6.6 n^2
+    # measured, the body's bytes and content lines included; an int64 grid
+    # and its sum with its transpose peaked at 36.7 n^2)
+    n = 1024
+    lines = formats.format_matrix_file(sl.random_alternating(3, n, 1)).split("\n")
+    row = lines[6].split()
+    row[700] = str((int(row[700]) + 1) % 3)
+    lines[6] = " ".join(row)
+    message, line, peak = _traced_parse_error("\n".join(lines))
+    assert (message, line) == ("line 7: entry (5, 700) breaks skew-symmetry c_ji = -c_ij", 7)
+    assert peak <= 12 * n * n
+
+
+def test_a_short_row_is_refused_before_an_n_squared_array():
+    # n = 10^5 rows, the second of one token: the fault is raised from the
+    # first two rows, with nothing of n^2 = 10^10 entries made (11.3 MB measured)
+    n = 100_000
+    text = f"2 {n}\n" + " ".join(["0"] * n) + "\n" + "0\n" * (n - 1)
+    message, line, peak = _traced_parse_error(text)
+    assert (message, line) == (f"line 3: row has 1 entries, expected {n}", 3)
+    assert peak < 500 * n
 
 
 _ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -62,8 +63,8 @@ _SKEW = "matrix must satisfy c_ji = -c_ij mod p"
 
 def _skew_faults_raise(good, pairs):
     # good plus 1 at (i, j) breaks c_ji = -c_ij at that one pair; the
-    # constructor raises the one message from uint8 input (the builders') and
-    # from int64 input (the file reader's grid)
+    # constructor raises the one message from uint8 input (the builders' and
+    # the file reader's fallback) and from int64 input
     for i, j in pairs:
         bad = good.astype(np.int64)
         bad[i, j] = (bad[i, j] + 1) % 3
@@ -74,24 +75,68 @@ def _skew_faults_raise(good, pairs):
     assert sl.commutation_matrix(3, good.astype(np.int64)) == sl.commutation_matrix(3, good)
 
 
-def test_skew_faults_are_found_in_every_row_block(monkeypatch):
-    # the skew sums run over blocks of m = gf.BLOCK_CELLS // n rows against
-    # the columns from the block's first row on: with m = 2 at n = 7 (the last
-    # block one row), every off-diagonal pair, within a block or across one
+def test_skew_faults_are_found_in_every_tile(monkeypatch):
+    # the skew sums run over square tiles of side isqrt(gf.BLOCK_CELLS), each
+    # tile (I, J) with J >= I against tile (J, I): with side 3 at n = 7 (the
+    # last tiles one row or column), every off-diagonal pair, within a tile or
+    # across two
     monkeypatch.setattr(gf, "BLOCK_CELLS", 14)
     good = sl.random_alternating(3, 7, seed=4).entries
     _skew_faults_raise(good, [(i, j) for i in range(7) for j in range(7) if i != j])
 
 
+def _first_skew_fault(ent, p):
+    # the oracle of forms._skew_fault: the first row of the int64 argwhere
+    bad = np.argwhere((ent.astype(np.int64) + ent.T) % p)
+    return tuple(bad[0].tolist()) if bad.size else None
+
+
 def test_skew_faults_are_found_at_the_default_block_boundaries():
-    # n = 1024 makes blocks of 64 rows: faults in the last block, in the
-    # corners and in pairs that straddle each boundary
-    n, m = 1024, gf.BLOCK_CELLS // 1024
-    assert m == 64
+    # n = 1024 makes 4 x 4 tiles of side 256: one fault in the corners, or
+    # at a pair that straddles a tile edge, is found, and it is the first one
+    n, t = 1024, math.isqrt(gf.BLOCK_CELLS)
+    assert t == 256
     good = sl.random_alternating(3, n, seed=5).entries
     pairs = [(n - 1, n - 2), (n - 2, n - 1), (0, n - 1), (n - 1, 0)]
-    pairs += [(b - 1, b) for b in range(m, n, m)] + [(b, b - 1) for b in range(m, n, m)]
+    pairs += [(b - 1, b) for b in range(t, n, t)] + [(b, b - 1) for b in range(t, n, t)]
+    pairs += [(b - 1, b - 1 + t) for b in range(t, n - t, t)] + [(b + t, b) for b in range(t, n - t, t)]
     _skew_faults_raise(good, pairs)
+    for i, j in pairs:
+        bad = good.copy()
+        bad[i, j] = (bad[i, j] + 1) % 3
+        assert forms._skew_fault(bad, 3) == (min(i, j), max(i, j))
+    # faults at (10, 900) and (20, 300): the first faulty row's fault lies in
+    # the band's last tile, after the one that holds the other fault
+    bad = good.copy()
+    bad[10, 900] = (bad[10, 900] + 1) % 3
+    bad[300, 20] = (bad[300, 20] + 2) % 3
+    assert forms._skew_fault(bad, 3) == _first_skew_fault(bad, 3) == (10, 900)
+    assert forms._skew_fault(good, 3) is None
+
+
+@st.composite
+def _planted_skew_faults(draw):
+    # an alternating matrix with 0 to 3 entries changed, maybe breaking
+    # c_ji = -c_ij there (two changes may cancel)
+    p, n = draw(st.sampled_from([2, 3, 5, 251])), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(rng.integers(0, p, (n, n)), 1)
+    ent = ((upper - upper.T) % p).astype(np.uint8)
+    if n > 1:
+        for _ in range(draw(st.integers(0, 3))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 2))
+            j += j >= i  # off the diagonal
+            ent[i, j] = (int(ent[i, j]) + draw(st.integers(1, p - 1))) % p
+    return p, ent
+
+
+@pytest.mark.parametrize("cells", [1, 4, 14, 64, None])
+@settings(deadline=None, max_examples=150)
+@given(_planted_skew_faults())
+def test_skew_fault_is_the_first_row_of_argwhere(cells, case):
+    p, ent = case
+    with mock.patch.object(gf, "BLOCK_CELLS", cells or gf.BLOCK_CELLS):
+        assert forms._skew_fault(ent, p) == _first_skew_fault(ent, p)
 
 
 @pytest.mark.parametrize("entries", [[[0, 1, 0], [1, 0, 0]], [0, 1], [[[0]]]])
