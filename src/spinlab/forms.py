@@ -17,7 +17,7 @@ check c_ji = -c_ij by one routine, ``_skew_fault``, in square tiles.
 The constructive basis algorithm splits GF(p)^n into ker(omega) plus
 hyperbolic pairs (e_i, f_i) with omega(e_i, f_j) = delta_ij, in one
 deterministic pass over the coordinates in order (``_symplectic_pass``),
-in blocks of 256 with float (BLAS) matrix products in the one type that
+in blocks of 256, every product a ``gf._mulmod`` in the one type that
 ``gf.exact_float(n, p)`` gives.
 """
 
@@ -307,14 +307,14 @@ def _pass_steps(gram: np.ndarray, w: np.ndarray, t: int, p: int) -> tuple[int, l
     u_j joined (j < t for the start).  A second row table holds (f_i, -e_i).
     Step k reads omega(e_k, x) for the k state rows x as one product of w
     with row k of the Gram matrix, from that row's first nonzero column (a
-    zero row costs nothing), reduced in int64.  v = e_k - sum omega(e_k,
+    zero row costs nothing).  v = e_k - sum omega(e_k,
     f_i) e_i + sum omega(e_k, e_i) f_i is one product of those values with
     the second table; then w_j = omega(u_j, v) = -omega(e_k, u_j).  The
     first u_j with w_j != 0 pairs with v / w_j and each later u_i loses
     (w_i / w_j) u_j, one row down; the pairing with the first and only u_j
     moves no row.  With none, v joins u.  ranks[k - t] is 2r after step k.
-    Both products sum at most m terms, in w's type: the caller takes it
-    from ``gf.exact_float`` for at least m terms.
+    Both products are ``gf._mulmod`` in w's type, which the caller picks
+    for at least m terms.
     """
     m, dtype = len(gram), w.dtype
     nonzero = gram != 0
@@ -322,13 +322,13 @@ def _pass_steps(gram: np.ndarray, w: np.ndarray, t: int, p: int) -> tuple[int, l
     gram = gram.astype(dtype)
     np.fill_diagonal(w[:t, :t], 1)
     tw = np.zeros((m, m), dtype=dtype)
+    red = np.tile(np.arange(p, dtype=dtype), p)  # red[x] = x mod p for 0 <= x < p^2
     joined, ranks, r = list(range(t)), [], 0
     for k in range(t, m):
         pairs, j = 2 * r, lo[k]
-        row = (w[:k, j:k] @ gram[k, j:k]).astype(np.int64)
-        row %= p
-        v = (row[:pairs].astype(dtype) @ tw[:pairs, : k + 1]).astype(np.int64)
-        v[k] += 1
+        row = gf._mulmod(w[:k, j:k], gram[k, j:k], p)
+        v = gf._mulmod(row[:pairs].astype(dtype), tw[:pairs, : k + 1], p)
+        v[k] = 1  # tw is 0 in column k
         nz = row[pairs:].nonzero()[0]  # omega(e_k, u_j) = -w_j
         if nz.size:
             i, ou = int(nz[0]), row[pairs:]
@@ -341,14 +341,11 @@ def _pass_steps(gram: np.ndarray, w: np.ndarray, t: int, p: int) -> tuple[int, l
             if i:  # w_j = 0 before u_i: those rows move down by two
                 w[pairs + 2 : pairs + i + 2, :k] = w[pairs : pairs + i, :k]
                 w[pairs, :k] = ui
-            v *= inv
-            v %= p
-            w[pairs + 1, : k + 1] = tw[pairs, : k + 1] = v
+            w[pairs + 1, : k + 1] = tw[pairs, : k + 1] = red[v * inv]  # v / w_i
             np.negative(ui, out=tw[pairs + 1, :k])
             joined.pop(i)
             r += 1
         else:
-            v %= p
             w[k, : k + 1] = v
             joined.append(k)
         ranks.append(2 * r)
@@ -365,8 +362,7 @@ def _pass_block(
     b, pairs, dtype = b1 - b0, 2 * r, w.dtype
     cols = np.flatnonzero((ent[b0:b1, :b0] != 0).any(axis=0))
     lo = int(cols[0]) if cols.size else b0
-    g = (ent[b0:b1, lo:b0].astype(dtype) @ w[:b0, lo:b0].T).astype(np.int64)
-    g %= p  # g[s, x] = omega(e_{b0+s}, row x)
+    g = gf._mulmod(ent[b0:b1, lo:b0].astype(dtype), w[:b0, lo:b0].T, p)  # omega(e_{b0+s}, row x)
     coef = np.empty((b, pairs), dtype=dtype)  # y_s = e_{b0+s} + coef[s] @ w[:pairs]
     coef[:, 0::2] = -g[:, 1:pairs:2]
     coef[:, 1::2] = g[:, 0:pairs:2]
@@ -376,21 +372,15 @@ def _pass_block(
     gram = np.zeros((t + b, t + b), dtype=np.int64)
     gram[t:, :t] = g[:, slots]  # omega(y_s, u) = omega(e_{b0+s}, u)
     gram[:t, t:] = -g[:, slots].T % p
-    yy = (g[:, :pairs].astype(dtype) @ coef.T).astype(np.int64) + ent[b0:b1, b0:b1]
-    yy %= p
-    gram[t:, t:] = yy
-    del g, yy  # the block's (b, b0) arrays live one or two at a time
+    np.add(gf._mulmod(g[:, :pairs].astype(dtype), coef.T, p), ent[b0:b1, b0:b1], out=gram[t:, t:])
+    gram[t:, t:] %= p
+    del g  # the block's (b, b0) arrays live one or two at a time
     local = np.zeros((t + b, t + b), dtype=dtype)
     rl, ranks, jl = _pass_steps(gram, local, t, p)
-    y = (coef @ w[:pairs, :b0]).astype(np.int64)
+    uy = np.concatenate([w[slots, :b0], gf._mulmod(coef, w[:pairs, :b0], p)], dtype=dtype)
     del coef
-    y %= p
-    new = local[:, t:] @ y.astype(dtype)  # the local vectors, columns 0..b0-1
-    del y
-    if t:
-        new += local[:, :t] @ w[slots, :b0]
-    new = new.astype(np.int64)
-    new %= p
+    new = gf._mulmod(local, uy, p)  # the local vectors, columns 0..b0-1
+    del uy
     labels = np.concatenate([joined[slots], np.arange(b0, b1)])[jl]
     # The new pairs take rows pairs..top-1: the untouched radical rows
     # there move to freed rows, and the local radical takes the others.
@@ -463,12 +453,10 @@ def _symplectic_pass(
     inherits old pairs that may be nonzero at the pivots, so it ends with
     one ``gf.rref`` of u, which also checks that u is independent.
 
-    The state and every (BLAS) product take the float type
-    ``gf.exact_float(n, p)``, chosen before the entries are read, which is
-    exact in any summation order: each product sums at most n terms (b0 - lo
-    in g, 2r in the projections and the local Gram matrix, t + b <= b1 in
-    the map back and the local steps) of integers below p in absolute value,
-    as the state, g, the y_s and the local vectors are reduced mod p first.
+    The state and every product, each a ``gf._mulmod``, take the float type
+    ``gf.exact_float(n, p)``, chosen before the entries are read: no product
+    has more than n terms (b0 - lo in g, 2r in the projections and the local
+    Gram matrix, t + b <= b1 in the map back and the local steps).
     """
     n, p = mat.n, mat.p
     dtype, ent = gf.exact_float(n, p), mat.entries  # the bound is checked first

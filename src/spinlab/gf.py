@@ -14,8 +14,8 @@ solve or inverse routine: ker(omega) comes from the symplectic pass
 
 Primes are restricted to 2 <= p <= 251 so that the unreduced
 intermediate values stay far inside int64 (see ``rref`` for the bound).
-Float (BLAS) products of reduced integers are exact only below a size
-bound; ``exact_float`` is the one rule that picks their type.
+Every float (BLAS) product that the package reduces into int64 is
+``_mulmod``, in the type that ``exact_float``, the one rule, picks.
 Input must be integer-typed: floats, complex numbers and non-integer
 objects raise ValueError rather than being truncated.
 """
@@ -88,12 +88,23 @@ def exact_float(terms: int, p: int) -> type:
     raise SizeBoundError(f"{terms} terms at p={p} are too many for an exact float64 product")
 
 
+def _mulmod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p as a new int64 array, for operands of one float type that
+    ``exact_float`` gave for at least the inner dimension, holding integers
+    below p in absolute value: then every sum of the product is exact in
+    any summation order, and so is its widening to int64.  The caller
+    picks the type and reduces the operands; nothing is checked here."""
+    out = (a @ b).astype(np.int64)
+    out %= p
+    return out
+
+
 def matmul(a, b, p: int) -> np.ndarray:
-    """a @ b mod p as a new int64 array: a BLAS product of the operands
-    reduced mod p, in the type ``exact_float`` gives for the inner dimension."""
+    """a @ b mod p as a new int64 array: ``_mulmod`` of the operands reduced
+    mod p, in the type ``exact_float`` gives for the inner dimension."""
     x, y = (as_int_array(m) % p for m in (a, b))
     dtype = exact_float(x.shape[-1], p)
-    return (x.astype(dtype) @ y.astype(dtype)).astype(np.int64) % p
+    return _mulmod(x.astype(dtype), y.astype(dtype), p)
 
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

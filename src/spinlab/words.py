@@ -353,7 +353,7 @@ def realize_invariant(
             "target - reference is not a multiple of p on the kernel "
             "basis; the target violates the p-th power (square) law"
         )
-    return (reference._frame.coord_map @ theta % p).astype(np.int64)
+    return gf._mulmod(reference._frame.coord_map, theta, p)
 
 
 def count_classes(d: int, p: int) -> int:

@@ -480,7 +480,7 @@ def symplectic_pass_two_arrays(mat, start, r):
     cw = np.zeros((n, n), dtype=np.int32)
     w[:n_old, :k0] = start
     if k0:
-        cw[:, :k0] = sl.gf.matmul(mat.entries, w[:, :k0], p)
+        cw[:, :k0] = mat.entries.astype(np.int64) @ w[:, :k0] % p
     ranks = []
     for k in range(k0, n):
         pairs = 2 * r

@@ -728,6 +728,35 @@ def test_symplectic_pass_on_both_sides_of_the_float32_bound(n, dtype):
     assert _same_basis(grown, symplectic_pass_row_at_a_time(mat, old.column_matrix() % 251, old.r)[0])
 
 
+@pytest.mark.parametrize("p, n, kind", [(251, 268, "random"), (251, 600, "random"),
+                                        (3, 600, "random"), (2, 600, "bipartite")])
+def test_every_product_of_the_pass_meets_the_precondition_of_mulmod(p, n, kind):
+    # gf._mulmod checks nothing, so every product of the pass, fresh and
+    # resumed (and the extension's Gram check, whose prefix takes the same
+    # type here), must hand it two operands of the state's float type, exact
+    # for their inner dimension, with entries below p in absolute value
+    if kind == "random":
+        mat = sl.random_alternating(p, n, seed=n)
+    else:  # [[0, A], [-A^T, 0]]
+        a = np.random.default_rng(1).integers(0, p, (n // 2, n // 2))
+        mat = sl.commutation_matrix(p, np.block([[0 * a, a], [-a.T % p, 0 * a]]))
+    dtype, mulmod, inner = gf.exact_float(n, p), gf._mulmod, []
+    old = sl.symplectic_basis(mat.prefix(n // 2))
+
+    def checked(x, y, q):
+        assert q == p and x.dtype == y.dtype == dtype
+        assert np.dtype(gf.exact_float(x.shape[-1], p)).itemsize <= np.dtype(dtype).itemsize
+        assert np.abs(x).max(initial=0) < p and np.abs(y).max(initial=0) < p
+        inner.append(x.shape[-1])
+        return mulmod(x, y, q)
+
+    with mock.patch.object(gf, "_mulmod", checked):
+        basis = forms.prefix_ranks(mat)[0]
+        grown = sl.extend_symplectic_basis(mat, old)
+    assert len(inner) > 2 * n  # two per step of the fresh pass, and the rest
+    assert grown.r == basis.r and grown.kernel.tobytes() == basis.kernel.tobytes()
+
+
 @st.composite
 def pass_matrices(draw, primes=(2, 3, 5, 7, 251), max_n=40):
     """Dense and Toeplitz matrices, explicit banded ones with no pattern,

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinlab import gf
@@ -256,3 +256,34 @@ def test_matmul_is_exact_on_both_sides_of_the_float32_bound(k):
     rows = a.tolist()
     want = [[sum(x * y for x, y in zip(u, v)) % 251 for v in rows] for u in rows]
     assert gf.matmul(a, a.T, 251).tolist() == want
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from([2, 3, 5, 251]), st.sampled_from([np.float32, np.float64]),
+       st.sampled_from([(1, 2), (2, 1), (2, 2)]), st.integers(0, 6), st.booleans(),
+       st.integers(0, 2 ** 32))
+@example(251, np.float32, (2, 2), 0, True, 1)
+@example(251, np.float64, (2, 2), 0, True, 1)
+def test_mulmod_equals_python_int_sums(p, dtype, ndims, k, edge, seed):
+    # operands of one float type with entries in (-p, p), 1-D @ 2-D, 2-D @ 1-D
+    # or 2-D @ 2-D, inner dimension from 0.  At the edge, p = 251, entries
+    # +-250 and inner dimension 268 in float32, 269 in float64, the most that
+    # gf.exact_float allows: the first row of a and column of b are 250 but
+    # for one 249 each, so one sum is odd and near the largest
+    rng = np.random.default_rng(seed)
+    if edge:
+        p, k = 251, 268 if dtype is np.float32 else 269
+    a_shape, b_shape = (3, k)[2 - ndims[0]:], (k, 2)[: ndims[1]]
+    if edge:
+        a, b = (250 * rng.choice([-1, 1], s) for s in (a_shape, b_shape))
+    else:
+        a, b = (rng.integers(1 - p, p, s) for s in (a_shape, b_shape))
+    a2, b2 = np.atleast_2d(a), b[:, None] if b.ndim == 1 else b  # views
+    if edge:
+        a2[0], b2[:, 0] = 250, 250
+        a2[0, -1] = b2[-1, 0] = 249
+    rows, cols = a2.tolist(), b2.T.tolist()
+    want = [sum(x * y for x, y in zip(u, v)) % p for u in rows for v in cols]
+    out = gf._mulmod(a.astype(dtype), b.astype(dtype), p)
+    assert out.dtype == np.int64 and out.shape == a_shape[:-1] + b_shape[1:]
+    assert out.ravel().tolist() == want
