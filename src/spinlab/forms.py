@@ -249,8 +249,8 @@ class SymplecticBasis:
 
     omega(e_i, e_j) = omega(f_i, f_j) = 0 and omega(e_i, f_j) = delta_ij;
     the kernel vectors span ker(omega) and e + f + kernel is a basis.  Each
-    family, any sequence of integer vectors of length n = 2r + d (``()``
-    if empty), is kept as one frozen int64 array, (r, n) or (d, n).
+    family, integer vectors of length n = 2r + d in [0, 256) (``()`` if
+    empty), is a slice of one frozen (n, n) uint8 array: widen to compute.
     """
 
     e: np.ndarray
@@ -261,11 +261,11 @@ class SymplecticBasis:
         if len(self.f) != len(self.e):
             raise ValueError(f"expected one f per e, got {len(self.e)} e and {len(self.f)} f")
         n = 2 * len(self.e) + len(self.kernel)
-        for name in ("e", "f", "kernel"):
-            vs = getattr(self, name)  # ragged rows or a length other than n raise
-            rows = gf.as_int_array(vs).reshape(len(vs), n).copy()
-            rows.flags.writeable = False
-            object.__setattr__(self, name, rows)
+        families = (self.e, self.f, self.kernel)  # ragged rows or a length other than n raise
+        rows = np.concatenate([gf.as_int_array(vs).reshape(len(vs), n) for vs in families])
+        if ((rows < 0) | (rows > 255)).any():
+            raise ValueError("basis entries must lie in [0, 256)")
+        self.__dict__.update(vars(_gathered_basis(rows.astype(np.uint8), len(self.e))))
 
     @property
     def r(self) -> int:
@@ -276,13 +276,13 @@ class SymplecticBasis:
         return len(self.kernel)
 
     def column_matrix(self) -> np.ndarray:
-        """Columns (e_1, f_1, ..., e_r, f_r, k_1, ..., k_d)."""
+        """Columns (e_1, f_1, ..., e_r, f_r, k_1, ..., k_d), one new int64 array."""
         pairs = np.hstack([self.e, self.f]).reshape(2 * self.r, self.kernel.shape[1])
-        return np.concatenate([pairs, self.kernel]).T
+        return np.concatenate([pairs, self.kernel], dtype=np.int64).T
 
 
 def _gathered_basis(rows: np.ndarray, r: int) -> SymplecticBasis:
-    """The SymplecticBasis on a fresh (n, n) int64 array that nothing else
+    """The SymplecticBasis on a fresh (n, n) uint8 array that nothing else
     holds, its rows e_1..e_r, f_1..f_r, then the kernel: the array is frozen
     and the three families are its slices, with no copy."""
     rows.flags.writeable = False
@@ -473,11 +473,11 @@ def _symplectic_pass(
     for b0 in range(k0, n, _PASS_BLOCK):
         r, steps = _pass_block(ent, w, joined, r, b0, min(b0 + _PASS_BLOCK, n), p)
         ranks += steps
-    if k0 < n:  # the blocks leave the radical rows in any order
-        w[2 * r :] = w[2 * r :][np.argsort(joined[2 * r :], kind="stable")]
-    rows = np.empty((n, n), dtype=np.int64)  # exact: every entry lies in [0, p)
+    rows = np.empty((n, n), dtype=np.uint8)  # exact: every entry lies in [0, p)
     rows[:r], rows[r : 2 * r], rows[2 * r :] = w[0 : 2 * r : 2], w[1 : 2 * r : 2], w[2 * r :]
     del w
+    if k0 < n:  # the blocks leave the radical rows in any order
+        rows[2 * r :] = rows[2 * r :][np.argsort(joined[2 * r :], kind="stable")]
     if resumed:
         kernel, pivots = gf.rref(rows[2 * r :, ::-1], p)
         if len(pivots) != n - 2 * r:
@@ -494,7 +494,7 @@ def symplectic_basis(mat: CommutationMatrix) -> SymplecticBasis:
 
 def form_kernel(mat: CommutationMatrix) -> np.ndarray:
     """Deterministic basis of ker(omega) = {x : Cx = 0}, one frozen (d, n)
-    int64 array: the kernel of ``symplectic_basis``."""
+    uint8 array: the kernel of ``symplectic_basis``."""
     return symplectic_basis(mat).kernel
 
 

@@ -1,9 +1,9 @@
 """Exact dense linear algebra over the prime fields Z_p.
 
-Matrices and vectors are numpy int64 arrays with entries reduced mod p.
-All pivoting is deterministic (first nonzero entry scanning top-left), so
-every routine returns the same answer on every run; golden tests rely on
-this.  Columns and rows are 0-indexed.
+``matmul`` and ``rref`` widen integer input (uint8 too) to int64 and return
+int64 arrays reduced mod p.  Pivoting is deterministic (first nonzero entry
+scanning top-left), so every routine gives the same answer on every run;
+golden tests rely on this.  Columns and rows are 0-indexed.
 
 ``rref`` is the single elimination kernel: O(m n rank) arithmetic, with
 one vectorised rank-1 update per pivot.  Reduction mod p is deferred:

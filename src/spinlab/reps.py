@@ -539,7 +539,7 @@ def matrix_units(v: MonomialMatrix, w: MonomialMatrix) -> list[np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class StructureReport:
     """Shape of the algebra generated by a truncated spin system; its
-    kernel basis is one frozen (d, n) int64 array (``form_kernel``), and
+    kernel basis is one frozen (d, n) uint8 array (``form_kernel``), and
     ``prefix_ranks`` the form rank of each leading k x k block, k = 1..n."""
 
     p: int

@@ -20,7 +20,7 @@ the model's phases and the law of a valid invariant.
 Standard invariants live on ker(omega): the scalar values taken by
 central words in an irreducible system, given on any basis of the kernel
 and extended through the product rule.  The basis is one frozen (d, n)
-array, checked once when an invariant is built, in a ``_KernelFrame``
+uint8 array, checked once when an invariant is built, in a ``_KernelFrame``
 that the invariants derived from it share with its coordinate map and
 float64 Gram table, each built once, on first use; equality evaluates
 each invariant at the other's basis, and retargeting the target at the
@@ -146,7 +146,7 @@ class StandardInvariant:
     invariant is evaluated on the other's basis.
 
     The basis, any sequence of length-n integer vectors, is kept reduced
-    mod p as one frozen (d, n) int64 array in a ``_KernelFrame``, which the
+    mod p as one frozen (d, n) uint8 array in a ``_KernelFrame``, which the
     invariants derived from this one share (``_checked_invariant``).  Values
     must be integers (``gf.as_int``, as for ``Word``): floats and strings
     raise ValueError.  A dependent basis, or one outside ker(omega), raises
@@ -158,7 +158,7 @@ class StandardInvariant:
 
     def __post_init__(self):
         n, p = self.mat.n, self.mat.p
-        k = gf.as_gf_array(self.kernel_basis, p)  # refuses ragged rows
+        k = gf.as_gf_array(self.kernel_basis, p).astype(np.uint8)  # refuses ragged rows
         if k.shape == (0,):
             k = k.reshape(0, n)  # the empty basis
         if k.ndim != 2 or k.shape[1] != n:
@@ -198,7 +198,7 @@ class StandardInvariant:
 
 class _KernelFrame:
     """An independent basis K inside ker(omega) of ``mat``, one frozen (d, n)
-    int64 array with a float64 copy, and the float64 tables of every
+    uint8 array with a float64 copy, and the float64 tables of every
     invariant on K, each built once, on first use: products of these with
     vectors mod p stay below n (p-1)^2 + p < 2^53, so BLAS makes them exact."""
 

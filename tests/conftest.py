@@ -160,7 +160,7 @@ def check_symplectic_relations(mat, basis):
     for a in basis.f:
         for b in basis.f:
             assert sl.omega(mat, a, b) == 0
-    for k in basis.kernel:
+    for k in basis.kernel.astype(np.int64):
         assert not ((mat.entries @ k) % mat.p).any()
 
 

@@ -36,13 +36,13 @@ def _pair_relations_hold(mat, basis):
     p, ent = mat.p, mat.entries
     r = basis.r
     if r:
-        e = np.stack(basis.e, axis=0)
-        f = np.stack(basis.f, axis=0)
+        e = np.stack(basis.e, axis=0).astype(np.int64)
+        f = np.stack(basis.f, axis=0).astype(np.int64)
         if ((e @ ent @ e.T) % p).any() or ((f @ ent @ f.T) % p).any():
             return False
         if not np.array_equal((e @ ent @ f.T) % p, np.eye(r, dtype=np.int64)):
             return False
-    for k in basis.kernel:
+    for k in basis.kernel.astype(np.int64):
         if ((ent @ k) % p).any():
             return False
     return True

@@ -655,7 +655,7 @@ def _same(xs, ys):
 def _same_basis(a, b):
     # the same dtype, shapes and bytes, family by family
     return all(
-        x.dtype == y.dtype == np.int64 and x.shape == y.shape and x.tobytes() == y.tobytes()
+        x.dtype == y.dtype == np.uint8 and x.shape == y.shape and x.tobytes() == y.tobytes()
         for x, y in [(a.e, b.e), (a.f, b.f), (a.kernel, b.kernel)]
     )
 
@@ -835,24 +835,24 @@ def test_blocked_pass_equals_the_row_and_two_array_passes(block, mat):
 
 @pytest.mark.parametrize("n", [200, 300])
 def test_symplectic_basis_families_are_slices_of_one_frozen_array(n):
-    # the pass gathers e, f and the kernel, in that order, into one int64
+    # the pass gathers e, f and the kernel, in that order, into one uint8
     # array and hands out its slices (one block at n = 200, two at n = 300,
-    # and the resumed pass); the public constructor still copies
+    # and the resumed pass); the public constructor gathers a copy the same way
     mat = sl.random_alternating(3, n, seed=n)
     grown = sl.extend_symplectic_basis(mat, sl.symplectic_basis(mat.prefix(150)))
     for b in (sl.symplectic_basis(mat), grown):
-        rows = b.e.base
-        assert rows.dtype == np.int64 and not rows.flags.writeable
-        assert b.f.base is rows and b.kernel.base is rows
-        assert np.array_equal(rows, np.concatenate([b.e, b.f, b.kernel]))
         copy = sl.SymplecticBasis(b.e, b.f, b.kernel)
-        assert not any(np.shares_memory(x, rows) for x in (copy.e, copy.f, copy.kernel))
+        for basis in (b, copy):
+            rows = basis.e.base
+            assert rows.dtype == np.uint8 and rows.shape == (n, n) and not rows.flags.writeable
+            assert basis.f.base is rows and basis.kernel.base is rows
+            assert np.array_equal(rows, np.concatenate([b.e, b.f, b.kernel]))
+        assert not np.shares_memory(copy.e.base, b.e.base)
 
 
 def test_symplectic_basis_memory_n1024():
-    # 12.63 MB measured: the pass's n x n float32 state (gf.exact_float at
-    # p = 3), the int64 rows it ends with and a few (256, n) arrays of its
-    # current block; a float64 state, as before, peaked at 16.86 MB
+    # 9.81 MB measured: the pass's n x n float32 state (gf.exact_float at
+    # p = 3) and a few (256, n) arrays of its current block
     mat = sl.random_alternating(3, 1024, 1)
     tracemalloc.start()
     try:
@@ -860,7 +860,21 @@ def test_symplectic_basis_memory_n1024():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 12.63e6
+    assert peak <= 1.25 * 9.81e6
+
+
+def test_symplectic_basis_memory_n2048():
+    # the float32 state's 4 n^2 bytes and the uint8 basis's n^2 dominate:
+    # 6.09 n^2 bytes measured
+    n = 2048
+    mat = sl.random_alternating(3, n, 7)
+    tracemalloc.start()
+    try:
+        basis = sl.symplectic_basis(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.e.dtype == np.uint8 and peak <= 6.5 * n ** 2
 
 
 def test_the_constructor_copies_outside_input():
@@ -973,14 +987,14 @@ def test_form_kernel_digest_planted_n512_d32(p, digest):
 
 @settings(deadline=None, max_examples=60)
 @given(commutation_matrices(primes=(2, 3, 5, 251), max_n=14), st.integers(1, 14))
-def test_vector_families_are_int64_arrays(mat, k):
-    # each family is one (k, n) int64 array whose rows are the vectors
+def test_vector_families_are_uint8_arrays(mat, k):
+    # each family is one (k, n) uint8 array whose rows are the vectors
     # the list-of-vectors loops give
     p, n = mat.p, mat.n
     k = min(k, n)
 
     def same_rows(got, want):
-        assert got.dtype == np.int64 and got.shape == (len(want), n)
+        assert got.dtype == np.uint8 and got.shape == (len(want), n)
         assert got.tolist() == [v.tolist() for v in want]
 
     kernel = kernel_rows_loop(mat.entries, p)
@@ -1029,6 +1043,16 @@ def test_symplectic_basis_refuses_unequal_pairs(e, f, message):
     # hyperbolic pairs: one f for each e, checked before any vector is read
     with pytest.raises(ValueError, match=f"expected one f per e, {message}"):
         sl.SymplecticBasis(e, f, [[0, 0, 1]])
+
+
+@pytest.mark.parametrize("bad", [-1, 256])
+def test_symplectic_basis_refuses_entries_outside_one_byte(bad):
+    # the families share one uint8 array: an entry it cannot hold is
+    # refused, in any family, not wrapped
+    assert sl.SymplecticBasis((), (), [[255]]).kernel.tolist() == [[255]]
+    for families in ([[bad, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]), ([[1, 0, 0]], [[0, 1, 0]], [[0, 0, bad]]):
+        with pytest.raises(ValueError, match=r"basis entries must lie in \[0, 256\)"):
+            sl.SymplecticBasis(*families)
 
 
 def test_extend_rejects_dependent_kernel():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -863,6 +864,34 @@ def test_readers_widen_the_uint8_entries_at_large_primes(p, n, k, seed):
     assert sl.verify_relations(sl.prop11_rep(mat.prefix(min(n, 2)))).ok
     low = sl.matrix_from_basis(sl.random_alternating(p, k, seed + 1), rng.integers(0, p, (n, k)))
     assert sl.verify_relations(sl.irreducible_rep(low)).ok
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([131, 251]), st.integers(1, 8), st.integers(1, 2), st.integers(0, 2 ** 32))
+def test_readers_widen_the_uint8_bases_at_large_primes(p, n, k, seed):
+    # bases, kernels and invariant bases are uint8, so at p in {131, 251} a
+    # product of one with the entries, a basis or exponents wraps unless the
+    # reader widens first.  The matrix has rank 2r <= 2 (k random vectors
+    # under a random k x k form), so irreducible_rep has p^r dimensions and
+    # the kernel at least n - 2 vectors
+    rng = np.random.default_rng(seed)
+    mat = sl.matrix_from_basis(sl.random_alternating(p, k, seed + 1), rng.integers(0, p, (n, k)))
+    basis = sl.symplectic_basis(mat)
+    old = sl.symplectic_basis(mat.prefix(1 + seed % n))
+    grown = sl.extend_symplectic_basis(mat, old)
+    assert old.e.dtype == np.uint8 and grown.kernel.tobytes() == basis.kernel.tobytes()
+    assert np.array_equal(grown.e[: old.r, : old.e.shape[1]], old.e)
+    for b in (basis, grown):
+        t = b.column_matrix()
+        assert t.dtype == np.int64
+        assert np.array_equal(t.T @ mat.entries @ t % p, sl.standard_form(p, b.r, b.d).entries)
+    rep, f = sl.irreducible_rep(mat), sl.reference_invariant(mat)
+    assert f.kernel_basis.dtype == np.uint8
+    assert f == sl.extract_invariant(rep) == sl.StandardInvariant(mat, f.kernel_basis, f.values)
+    gamma = rng.integers(0, p, n)
+    assert sl.phase_shift_invariant(f, gamma) == sl.extract_invariant(sl.phase_shift_rep(rep, gamma))
+    doc = json.loads("".join(formats.json_pieces(formats.basis_doc(mat, basis))))
+    assert [doc["e"], doc["f"], doc["kernel"]] == [basis.e.tolist(), basis.f.tolist(), basis.kernel.tolist()]
 
 
 def test_verify_relations_reports_failures():

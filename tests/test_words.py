@@ -659,7 +659,7 @@ def test_phase_shift_equality_iff_gamma_trivial_on_kernel(mat, seed):
 
 def _assert_array_basis(f, mat):
     k = f.kernel_basis
-    assert isinstance(k, np.ndarray) and k.dtype == np.int64
+    assert isinstance(k, np.ndarray) and k.dtype == np.uint8
     assert k.shape == (f.d, mat.n) and not k.flags.writeable
     # the public constructor, from a list of row vectors, gives an equal invariant
     assert f == sl.StandardInvariant(mat, list(k), f.values)
