@@ -314,12 +314,13 @@ def _pass_steps(gram: np.ndarray, w: np.ndarray, t: int, p: int) -> tuple[int, l
     (w_i / w_j) u_j, one row down; the pairing with the first and only u_j
     moves no row.  With none, v joins u.  ranks[k - t] is 2r after step k.
     Both products are ``gf._mulmod`` in w's type, which the caller picks
-    for at least m terms.
+    for at least m terms.  The Gram matrix comes in any integer type, or
+    in w's float type, and then it is read in place, not copied.
     """
     m, dtype = len(gram), w.dtype
     nonzero = gram != 0
     lo = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), m).tolist()
-    gram = gram.astype(dtype)
+    gram = gram.astype(dtype, copy=False)
     np.fill_diagonal(w[:t, :t], 1)
     tw = np.zeros((m, m), dtype=dtype)
     red = np.tile(np.arange(p, dtype=dtype), p)  # red[x] = x mod p for 0 <= x < p^2
@@ -369,11 +370,10 @@ def _pass_block(
     slots = pairs + np.flatnonzero(g[:, pairs:b0].any(axis=0))
     slots = slots[np.argsort(joined[slots], kind="stable")]  # the touched radical rows
     t = slots.size
-    gram = np.zeros((t + b, t + b), dtype=np.int64)
+    gram = np.zeros((t + b, t + b), dtype=dtype)  # integers in [0, p), exact in w's type
     gram[t:, :t] = g[:, slots]  # omega(y_s, u) = omega(e_{b0+s}, u)
     gram[:t, t:] = -g[:, slots].T % p
-    np.add(gf._mulmod(g[:, :pairs].astype(dtype), coef.T, p), ent[b0:b1, b0:b1], out=gram[t:, t:])
-    gram[t:, t:] %= p
+    gram[t:, t:] = (gf._mulmod(g[:, :pairs].astype(dtype), coef.T, p) + ent[b0:b1, b0:b1]) % p
     del g  # the block's (b, b0) arrays live one or two at a time
     local = np.zeros((t + b, t + b), dtype=dtype)
     rl, ranks, jl = _pass_steps(gram, local, t, p)
@@ -427,9 +427,9 @@ def _symplectic_pass(
     - ``coef @ w[:2r]``, coef read off the pair columns of g, projects each
       unit vector of the block off the old pairs, to y_s;
     - the old radical vectors u that some row of g touches and the y_s span
-      the block's local space, with the Gram matrix omega(y_s, u) = g[s, u]
-      = -omega(u, y_s), 0 among the u, and omega(y_s, y_t) = c_st +
-      (g[:, :2r] @ coef.T)[s, t], one b x 2r x b product;
+      the block's local space; its Gram matrix, built once in the state's
+      type, is omega(y_s, u) = g[s, u] = -omega(u, y_s), 0 among the u, and
+      omega(y_s, y_t) = c_st + (g[:, :2r] @ coef.T)[s, t] (b x 2r x b);
     - ``_pass_steps`` runs the block's steps on that Gram matrix, with the
       touched u, in their order, as its radical, and ``local @ [u; y]``
       maps its pairs and radical back.

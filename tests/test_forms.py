@@ -712,19 +712,25 @@ def test_symplectic_pass_on_both_sides_of_the_float32_bound(n, dtype):
     # at p = 251 the state is float32 up to n = 268 and float64 from 269, and
     # both sizes cross the block boundary at 256: the prefix ranks, the fresh
     # basis and an extension from a prefix equal the row-at-a-time pass
+    # (the fresh first block hands _pass_steps C's own uint8 block, and every
+    # later block, fresh or resumed, its local Gram matrix in the state's type)
     mat, empty = sl.random_alternating(251, n, seed=n), np.zeros((0, 0), dtype=np.int64)
     with (
         mock.patch.object(gf, "exact_float", wraps=gf.exact_float) as rule,
         mock.patch.object(forms, "_pass_block", wraps=forms._pass_block) as block,
+        mock.patch.object(forms, "_pass_steps", wraps=forms._pass_steps) as steps,
     ):
         basis, ranks = forms.prefix_ranks(mat)
     rule.assert_called_once_with(n, 251)
     assert [call.args[1].dtype for call in block.call_args_list] == [dtype]
+    assert [call.args[0].dtype for call in steps.call_args_list] == [np.uint8, dtype]
     want, want_ranks = symplectic_pass_row_at_a_time(mat, empty, 0)
     assert ranks == want_ranks
     assert _same_basis(basis, want) and _same_basis(sl.symplectic_basis(mat), want)
     old = sl.symplectic_basis(mat.prefix(130))
-    grown = sl.extend_symplectic_basis(mat, old)
+    with mock.patch.object(forms, "_pass_steps", wraps=forms._pass_steps) as steps:
+        grown = sl.extend_symplectic_basis(mat, old)
+    assert [call.args[0].dtype for call in steps.call_args_list] == [dtype]
     assert _same_basis(grown, symplectic_pass_row_at_a_time(mat, old.column_matrix() % 251, old.r)[0])
 
 
@@ -760,16 +766,21 @@ def test_every_product_of_the_pass_meets_the_precondition_of_mulmod(p, n, kind):
 @st.composite
 def pass_matrices(draw, primes=(2, 3, 5, 7, 251), max_n=40):
     """Dense and Toeplitz matrices, explicit banded ones with no pattern,
-    and ones whose leading block and some whole rows are zero, so that
-    the first nonzero column of a row lies at or past its own index."""
+    ones whose leading block and some whole rows are zero, so that the
+    first nonzero column of a row lies at or past its own index, and
+    bipartite ones [[0, A], [-A^T, 0]], whose later blocks touch many old
+    radical rows."""
     p = draw(st.sampled_from(primes))
     n = draw(st.integers(1, max_n))
-    kind = draw(st.sampled_from(["dense", "toeplitz", "band", "zero-lead"]))
+    kind = draw(st.sampled_from(["dense", "toeplitz", "band", "zero-lead", "bipartite"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if kind == "toeplitz":
         return sl.toeplitz_matrix(p, rng.integers(0, p, draw(st.integers(0, 6))), n)
     upper = np.triu(rng.integers(0, p, (n, n)), 1)
-    if kind == "band":
+    if kind == "bipartite":
+        h = draw(st.integers(0, n))
+        upper[:h, :h] = upper[h:, h:] = 0
+    elif kind == "band":
         upper = np.tril(upper, draw(st.integers(1, 6)))
     elif kind == "zero-lead":
         z = draw(st.integers(1, n))
@@ -875,6 +886,22 @@ def test_symplectic_basis_memory_n2048():
     finally:
         tracemalloc.stop()
     assert basis.e.dtype == np.uint8 and peak <= 6.5 * n ** 2
+
+
+def test_symplectic_basis_memory_bipartite_n1024():
+    # [[0, A], [-A^T, 0]]: each later block touches up to n/2 old radical
+    # rows, so its (t + b)^2 local arrays outgrow the state; with the local
+    # Gram matrix built once in the state's type, 15.37 n^2 bytes measured
+    n = 1024
+    a = np.random.default_rng(1).integers(0, 2, (n // 2, n // 2))
+    mat = sl.commutation_matrix(2, np.block([[0 * a, a], [-a.T % 2, 0 * a]]))
+    tracemalloc.start()
+    try:
+        sl.symplectic_basis(mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * n ** 2
 
 
 def test_the_constructor_copies_outside_input():
