@@ -18,14 +18,15 @@ and validation failures raise MatrixFormatError carrying the offending
 (a matrix file with its header on line 1, as ``format_matrix_file``
 writes it) has its body read by numpy from its raw bytes, in place: a
 uint8 view of the encoded text; any other file has its content lines
-joined.  A body of one-digit tokens between single blanks, as in every
-file written at p <= 7, is read by stride, a block of rows at a time:
-its digits sit at the even offsets.  Other bodies go by token ends.
-Either way the grid is one uint16 array, whose range the
-CommutationMatrix constructor checks before it makes the matrix's one
-uint8 copy, on which it checks the diagonal and then skew-symmetry
-(``forms._skew_fault``).  Only a body that the grid reader or the
-constructor refuses is read line by line, to the same rows and errors.
+joined.  The body is read a block of lines at a time, each block
+straight into its rows of one uint16 grid: by stride if its tokens are
+one digit between single blanks, as in every file written at p <= 7
+(the digits sit at the even offsets), else by token ends.  The
+CommutationMatrix constructor checks the grid's range before it makes
+the matrix's one uint8 copy, on which it checks the diagonal and then
+skew-symmetry (``forms._skew_fault``).  Only a body that the grid reader
+or the constructor refuses is read line by line, to the same rows and
+errors.
 The CLI writes each JSON document as one line of compact JSON with a
 fixed field order: the bytes of the standard library encoder with
 separators "," and ":" and non-ASCII text kept, from one encoder pass
@@ -129,34 +130,6 @@ def _ints(tokens: list[str], lineno: int) -> list[int]:
                 raise MatrixFormatError(f"expected an integer, got {tok!r}", lineno)
 
 
-def _one_digit_grid(b: np.ndarray, n: int, k: int) -> np.ndarray | None:
-    """The (k, n) uint16 grid of the 2nk - 1 bytes b if they are k lines of n
-    one-digit tokens between single blanks, else None.  Each (digit,
-    separator) pair of bytes, a little-endian uint16, less the pair ("0",
-    the separator of its slot) is the digit's value, and at most 9 exactly
-    when both bytes are right: bytes below "0" wrap, and a wrong separator
-    adds 256 s for some 0 < |s| < 256.  The values are checked and copied
-    into the grid ``gf.BLOCK_CELLS`` at a time, the last line on its own, as
-    its last digit has no separator."""
-    pairs = b[:-1].view("<u2")
-    slots = np.full(n, 48 + 256 * 32, dtype=np.uint16)  # "0" and a blank
-    slots[-1] = 48 + 256 * 10  # "0" and a newline
-    grid = np.empty((k, n), dtype=np.uint16)
-    last = np.empty(n, dtype=np.uint16)
-    np.subtract(pairs[(k - 1) * n :], slots[:-1], out=last[:-1])
-    np.subtract(b[-1:], np.uint8(48), out=last[-1:])
-    if last.max() > 9:
-        return None
-    grid[-1] = last
-    m = max(1, gf.BLOCK_CELLS // n)
-    for i in range(0, k - 1, m):
-        val = pairs[i * n : min(i + m, k - 1) * n].reshape(-1, n) - slots
-        if val.max() > 9:
-            return None
-        grid[i : i + len(val)] = val
-    return grid
-
-
 def _canonical_grid(data: bytes | np.ndarray, n: int) -> np.ndarray | None:
     """The (k, n) uint16 grid in ``data`` if each of its k >= 1 lines holds n
     canonical decimals of up to three digits between spaces or tabs, else
@@ -164,35 +137,61 @@ def _canonical_grid(data: bytes | np.ndarray, n: int) -> np.ndarray | None:
     trailing blanks: raw bytes, or a uint8 view (``_stripped``) of bytes
     that ``_plain_bytes`` has passed.
 
-    One digit per token and single blanks, the layout of every file that
-    ``format_matrix_file`` writes at p <= 7, make k lines of exactly 2nk - 1
-    bytes: a digit at each even offset and, at each odd one, a blank or,
-    after every n-th digit, a newline.  Such a body is read by stride, in
-    blocks of rows straight into the grid (``_one_digit_grid``).  Any other
-    layout goes by token ends: foreign bytes are found by one
-    ``bytes.translate`` (raw bytes only), the token ends by one
-    ``flatnonzero``, and the values by one ``take`` of the value of the (up
+    One reader, by blocks of max(1, ``gf.BLOCK_CELLS`` // n) lines, each
+    decoded straight into its rows of the grid.  The line ends are
+    arithmetic if the body is k lines of 2n - 1 bytes (one strided check of
+    the newline slots), else one newline index, found ``gf.BLOCK_CELLS``
+    bytes at a time; more lines than (size + 1) // 2n, the most that lines
+    of n tokens fit in, are refused first.  A block of r lines in 2nr - 1
+    bytes is tried by stride, as one-digit tokens between single blanks
+    (every file ``format_matrix_file`` writes at p <= 7): each (digit,
+    separator) pair of bytes, a little-endian uint16, less the pair ("0",
+    the separator of its slot) is the digit's value, and at most 9 exactly
+    when both bytes are right (bytes below "0" wrap, and a wrong separator
+    adds 256 s for some 0 < |s| < 256); the last digit has no separator.
+    Any other block goes by token ends, on its own bytes: foreign bytes by
+    one ``bytes.translate`` of raw bytes at the first such block, the token
+    ends by one ``flatnonzero``, and the values by one ``take`` of the (up
     to three) digits that end at each byte."""
     b = data if isinstance(data, np.ndarray) else np.frombuffer(data, dtype=np.uint8)
-    k, extra = divmod(b.size + 1, 2 * n)
-    grid = _one_digit_grid(b, n, k) if k and not extra else None
-    if grid is not None:
-        return grid
-    if not b.size or (isinstance(data, bytes) and data.translate(None, _PLAIN)):
+    size, step = b.size, gf.BLOCK_CELLS
+    cuts = np.arange(-1, size + 1, 2 * n) if (size + 1) % (2 * n) == 0 else None
+    if cuts is None or (b[cuts[1:-1]] != 10).any():  # line i is b[cuts[i] + 1 : cuts[i + 1]]
+        cuts = np.concatenate([[-1], *(np.flatnonzero(b[lo : lo + step] == 10) + lo
+                                       for lo in range(0, size, step)), [size]])
+    k = cuts.size - 1
+    if k > (size + 1) // (2 * n):
         return None
-    dig = np.zeros(b.size + 4, dtype=bool)  # dig[i + 3]: byte i is a digit
-    np.greater_equal(b, np.uint8(48), out=dig[3:-1])
-    ends = np.flatnonzero(dig[3:-1] > dig[4:])
-    rows = np.searchsorted(ends, np.flatnonzero(b == np.uint8(10)))  # tokens before each newline
-    if (not ends.size or ends.size % n or not np.array_equal(rows, np.arange(n, ends.size, n))
-            or (dig[3:-1] & dig[2:-2] & dig[1:-3] & dig[:-4]).any()  # four digits
-            or ((b == np.uint8(48)) & (dig[4:] > dig[2:-2])).any()):  # a leading zero
-        return None
-    val = np.zeros(b.size + 2, dtype=np.uint16)  # val[i + 2]: byte i's digit, 0 for a blank
-    np.multiply(b - np.uint8(48), dig[3:-1], out=val[2:], dtype=np.uint16)
-    three = val[2:] + val[1:-1] * np.uint16(10)
-    three += val[:-2] * dig[2:-2] * np.uint16(100)  # if the tens are a digit
-    return three.take(ends).reshape(-1, n)
+    m = min(k, max(1, step // n))
+    slots = np.full(m * n, 48 + 256 * 32, dtype=np.uint16)  # "0" and a blank
+    slots[n - 1 :: n] = 48 + 256 * 10  # "0" and a newline
+    grid = np.empty((k, n), dtype=np.uint16)
+    unchecked = isinstance(data, bytes)
+    for i in range(0, k, m):
+        r = min(m, k - i)
+        block, out = b[cuts[i] + 1 : cuts[i + r]], grid[i : i + r].reshape(-1)
+        if block.size == 2 * n * r - 1:
+            np.subtract(block[:-1].view("<u2"), slots[: r * n - 1], out=out[:-1])
+            np.subtract(block[-1:], np.uint8(48), out=out[-1:])
+            if out.max() <= 9:
+                continue
+        if unchecked and data.translate(None, _PLAIN):
+            return None
+        unchecked = False
+        dig = np.zeros(block.size + 4, dtype=bool)  # dig[j + 3]: byte j is a digit
+        np.greater_equal(block, np.uint8(48), out=dig[3:-1])
+        ends = np.flatnonzero(dig[3:-1] > dig[4:])
+        rows = np.searchsorted(ends, np.flatnonzero(block == 10))  # tokens before each newline
+        if (ends.size != r * n or not np.array_equal(rows, np.arange(n, r * n, n))
+                or (dig[3:-1] & dig[2:-2] & dig[1:-3] & dig[:-4]).any()  # four digits
+                or ((block == np.uint8(48)) & (dig[4:] > dig[2:-2])).any()):  # a leading zero
+            return None
+        val = np.zeros(block.size + 2, dtype=np.uint16)  # val[j + 2]: byte j's digit, 0 for a blank
+        np.multiply(block - np.uint8(48), dig[3:-1], out=val[2:], dtype=np.uint16)
+        three = val[2:] + val[1:-1] * np.uint16(10)
+        three += val[:-2] * dig[2:-2] * np.uint16(100)  # if the tens are a digit
+        out[:] = three.take(ends)
+    return grid
 
 
 def _rows(lines: list[tuple[int, str]], p: int, n: int | None) -> Iterator[tuple[int, list[int]]]:

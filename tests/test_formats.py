@@ -283,6 +283,26 @@ def test_a_short_row_is_refused_before_an_n_squared_array():
     assert peak < 500 * n
 
 
+@pytest.mark.parametrize("p", [11, 251])
+def test_parse_memory_multi_digit(p):
+    # a multi-digit body is read by token ends a block of lines at a time,
+    # straight into the uint16 grid: the encoded text, the grid, the
+    # matrix's uint8 copy and one block's temporaries stay below 10 n^2
+    # bytes (6.01 and 8.03 n^2 measured; one token pass over the whole body
+    # peaked at 24.75 and 36.51 n^2)
+    n = 1024
+    mat = sl.random_alternating(p, n, 1)
+    text = formats.format_matrix_file(mat)
+    tracemalloc.start()
+    try:
+        parsed = formats.parse_matrix_file(text).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == mat
+    assert peak <= 10 * n * n
+
+
 _ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
 
 
@@ -349,13 +369,18 @@ def test_canonical_grid_reads_every_canonical_grid(p, n, data):
 def _near_grids(draw):
     """Lines of n tokens or about n: values 0..999, leading zeros and
     four-digit tokens, between spaces, tabs and runs of them, with blank
-    lines, and now and then a byte "\\r", "x" or "-" put in."""
+    lines, and now and then a byte "\\r", "x" or "-" put in.  Some lines
+    are one-digit tokens between single blanks, the layout read by stride,
+    so one body mixes blocks read by stride and by token ends."""
     n = draw(st.integers(1, 5))
     spell = {"canonical": str, "zero": lambda v: f"0{v}", "four": lambda v: str(1000 + v)}
     hows = st.sampled_from(["canonical"] * 30 + ["zero", "four"])
     lines = []
     for _ in range(draw(st.integers(1, 4))):
         size = draw(st.sampled_from([n] * 12 + [n - 1, n + 1]))
+        if draw(st.integers(0, 2)) == 0:
+            lines.append(" ".join(str(draw(st.integers(0, 9))) for _ in range(size)))
+            continue
         row = [spell[draw(hows)](draw(st.integers(0, 999))) for _ in range(size)]
         lines.append(draw(st.sampled_from([" ", "  ", "\t", " \t", "   "])).join(row))
     text = draw(st.sampled_from(["\n"] * 12 + ["\n\n", "\n \n"])).join(lines)
@@ -368,13 +393,17 @@ def _near_grids(draw):
 @settings(deadline=None, max_examples=400)
 @given(_near_grids())
 def test_canonical_grid_equals_the_mask_reader(case):
-    # the translate / one-flatnonzero / one-take reader against the
-    # whole-array mask reader it replaced: the same grid, or None
+    # the block reader against the whole-array mask reader: the same grid,
+    # or None, with its lines in one block, one line per block, and blocks
+    # of 8 // n lines whose edges fall between stride and token-end blocks
     data, n = case
-    got, want = formats._canonical_grid(data, n), canonical_grid_masks(data, n)
-    assert (got is None) == (want is None)
-    if got is not None:
-        assert got.dtype == np.uint16 and got.tolist() == want.tolist()
+    want = canonical_grid_masks(data, n)
+    for cells in (gf.BLOCK_CELLS, 1, 8):
+        with mock.patch.object(gf, "BLOCK_CELLS", cells):
+            got = formats._canonical_grid(data, n)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.dtype == np.uint16 and got.tolist() == want.tolist()
 
 
 @st.composite
