@@ -24,9 +24,9 @@ one digit between single blanks, as in every file written at p <= 7
 (the digits sit at the even offsets), else by token ends.  The
 CommutationMatrix constructor checks the grid's range before it makes
 the matrix's one uint8 copy, on which it checks the diagonal and then
-skew-symmetry (``forms._skew_fault``).  Only a body that the grid reader
-or the constructor refuses is read line by line, to the same rows and
-errors.
+skew-symmetry (``forms._skew_fault``).  A grid it refuses, and a basis
+grid's first entry >= p, have the first fault located on the grid; only a
+body the grid reader refuses is read line by line, with the same errors.
 The CLI writes each JSON document as one line of compact JSON with a
 fixed field order: the bytes of the standard library encoder with
 separators "," and ":" and non-ASCII text kept, from one encoder pass
@@ -108,15 +108,16 @@ def _body_start(data: bytes) -> int:
     return data.find(b"\n") + 1 or len(data)
 
 
-def _stripped(data: bytes, lo: int = 0) -> np.ndarray:
-    """``data[lo:]`` without its leading and trailing blanks (space, tab,
-    newline), as a uint8 view of ``data``, not a copy."""
+def _stripped(data: bytes, lo: int = 0) -> tuple[int, np.ndarray]:
+    """The line of the first nonblank byte of ``data[lo:]`` (1 + the newlines
+    of ``data`` before it), and ``data[lo:]`` without its leading and trailing
+    blanks (space, tab, newline), as a uint8 view of ``data``, not a copy."""
     hi = len(data)
     while lo < hi and data[lo] in b" \t\n":
         lo += 1
     while hi > lo and data[hi - 1] in b" \t\n":
         hi -= 1
-    return np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
+    return data.count(b"\n", 0, lo) + 1, np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo)
 
 
 def _ints(tokens: list[str], lineno: int) -> list[int]:
@@ -208,45 +209,53 @@ def _rows(lines: list[tuple[int, str]], p: int, n: int | None) -> Iterator[tuple
         yield lineno, row
 
 
+def _range_fault(grid: np.ndarray, p: int, lines) -> None:
+    """Raise the first entry >= p of a read grid, in the first row that has
+    one, with that row's line (``lines[i]`` for row i), as ``_rows`` would."""
+    over = grid.max(axis=1) >= p
+    if over.any():
+        i = int(over.argmax())
+        raise MatrixFormatError(f"entry {grid[i][grid[i] >= p][0]} out of range [0, {p})", lines[i])
+
+
 def _explicit_matrix(
     body: bytes | list[tuple[int, str]], p: int, n: int, header_line: int
 ) -> CommutationMatrix:
     """The matrix of an explicit file's body: in the raw bytes of a plain
     file (see ``parse_matrix_file``), after its header line 1, else the
-    content lines after the header.  Its n x n ``_canonical_grid``, checked
-    once by the CommutationMatrix constructor, else the content lines checked
-    in order (row count, then ``_rows`` and the diagonal row by row, then
-    ``forms._skew_fault`` on the rows, one uint8 array each, stacked once
-    the last has passed) to report the first fault with its line."""
-    raw = isinstance(body, bytes)
-    data = _stripped(body, _body_start(body)) if raw else "\n".join([ln for _, ln in body]).encode()
+    content lines after the header.  Its n x n ``_canonical_grid`` (rows on
+    consecutive lines), else its content lines read in order (row count, then
+    ``_rows`` and the diagonal row by row) into one uint8 array, is checked
+    once, by the CommutationMatrix constructor; a grid it refuses has its
+    first fault located on it in row order (the first row with an entry >= p
+    or a nonzero diagonal entry, else ``forms._skew_fault``) and raised."""
+    first, data = (_stripped(body, _body_start(body)) if isinstance(body, bytes)
+                   else (1, "\n".join([ln for _, ln in body]).encode()))
     grid = _canonical_grid(data, n)
-    if grid is not None and len(grid) == n:
-        try:
-            return CommutationMatrix(p, grid)
-        except ValueError:
-            pass  # located below
-    del data, grid
-    if raw:
-        body = _content_lines(body.decode())[1:]
-    if len(body) != n:
-        raise MatrixFormatError(
-            f"expected {n} matrix rows, got {len(body)}",
-            body[-1][0] if body else header_line,
-        )
-    rows = []
-    for i, (lineno, row) in enumerate(_rows(body, p, n)):
-        if row[i]:
-            raise MatrixFormatError("diagonal entry must be zero", lineno)
-        rows.append(np.array(row, dtype=np.uint8))
-    ent = np.stack(rows)
-    fault = _skew_fault(ent, p)
-    if fault is not None:
-        i, j = fault
-        raise MatrixFormatError(
-            f"entry ({i}, {j}) breaks skew-symmetry c_ji = -c_ij", body[i][0]
-        )
-    return CommutationMatrix(p, ent)
+    del data
+    if grid is None or len(grid) != n:
+        if isinstance(body, bytes):
+            body = _content_lines(body.decode())[1:]
+        if len(body) != n:
+            raise MatrixFormatError(f"expected {n} matrix rows, got {len(body)}",
+                                    body[-1][0] if body else header_line)
+        rows = []
+        for i, (lineno, row) in enumerate(_rows(body, p, n)):
+            if row[i]:
+                raise MatrixFormatError("diagonal entry must be zero", lineno)
+            rows.append(np.array(row, dtype=np.uint8))
+        grid = np.stack(rows)
+    try:
+        return CommutationMatrix(p, grid)
+    except ValueError:
+        pass  # located below
+    lines = range(first, first + n) if isinstance(body, bytes) else [lineno for lineno, _ in body]
+    d = int(np.flatnonzero(np.append(np.diagonal(grid), 1))[0])  # the first nonzero diagonal entry, else n
+    _range_fault(grid[: d + 1], p, lines)
+    if d < n:
+        raise MatrixFormatError("diagonal entry must be zero", lines[d])
+    i, j = _skew_fault(grid, p)
+    raise MatrixFormatError(f"entry ({i}, {j}) breaks skew-symmetry c_ji = -c_ij", lines[i])
 
 
 def parse_matrix_file(text: str) -> ParsedMatrixFile:
@@ -306,17 +315,19 @@ def format_matrix_file(mat: CommutationMatrix) -> str:
 def parse_basis_file(text: str, p: int, n: int) -> np.ndarray:
     """The basis vectors over GF(p) in ``text``, one per content line, as one
     (k, n) int64 array: the ``_canonical_grid`` of a plain file's raw bytes
-    (``_plain_bytes``), or of any other file's content lines, if its
-    entries lie in [0, p), else the content lines read by ``_rows``, which
-    raises the first fault with its line."""
-    data = _stripped(_plain_bytes(text))
+    (``_plain_bytes``; rows on consecutive lines), or of any other file's
+    content lines, its first entry >= p located on it, else the content
+    lines read by ``_rows``.  The first fault raises with its line."""
+    first, data = _stripped(_plain_bytes(text))
     lines = [] if data.size else _content_lines(text)
     if not (data.size or lines):
         raise MatrixFormatError("basis file contains no vectors", 1)
     grid = _canonical_grid(data if data.size else "\n".join([ln for _, ln in lines]).encode(), n)
-    if grid is None or grid.max() >= p:
+    if grid is None:
         lines = lines or _content_lines(text)
         grid = np.array([row for _, row in _rows(lines, p, n)], dtype=np.int64)
+    else:
+        _range_fault(grid, p, range(first, first + len(grid)) if data.size else [k for k, _ in lines])
     return gf.as_int_array(grid)
 
 

@@ -100,8 +100,8 @@ class CommutationMatrix:
 
 def _skew_fault(ent: np.ndarray, p: int) -> tuple[int, int] | None:
     """The first (i, j) in row-major order with c_ij + c_ji != 0 mod p, as
-    ``np.argwhere((ent + ent.T) % p)[0]``, else None, for square uint8
-    entries below p with a zero diagonal.  Square tiles of side
+    ``np.argwhere((ent + ent.T) % p)[0]``, else None, for square uint8 or
+    uint16 entries below p with a zero diagonal.  Square tiles of side
     isqrt(``gf.BLOCK_CELLS``) are summed in uint16, tile (I, J) with tile
     (J, I)^T for each J >= I; a sum in [0, 2p - 2] is 0 mod p only at 0
     and p.  The faults are symmetric and off the diagonal, so the first

@@ -259,10 +259,11 @@ def _traced_parse_error(text):
 
 def test_the_located_skew_fault_keeps_one_byte_per_entry():
     # a canonical body with one skew fault is refused by the constructor and
-    # read again line by line, its rows one uint8 array each, stacked once and
-    # checked by forms._skew_fault: the peak is below 12 n^2 bytes (6.6 n^2
-    # measured, the body's bytes and content lines included; an int64 grid
-    # and its sum with its transpose peaked at 36.7 n^2)
+    # the fault is located on the uint16 grid it was read into, by
+    # forms._skew_fault's tiles: the peak is below 8 n^2 bytes (5.38 n^2
+    # measured: the encoded text and the grid, 2 n^2 each, and the
+    # constructor's uint8 copy; an int64 grid and its sum with its
+    # transpose peaked at 36.7 n^2)
     n = 1024
     lines = formats.format_matrix_file(sl.random_alternating(3, n, 1)).split("\n")
     row = lines[6].split()
@@ -270,7 +271,7 @@ def test_the_located_skew_fault_keeps_one_byte_per_entry():
     lines[6] = " ".join(row)
     message, line, peak = _traced_parse_error("\n".join(lines))
     assert (message, line) == ("line 7: entry (5, 700) breaks skew-symmetry c_ji = -c_ij", 7)
-    assert peak <= 12 * n * n
+    assert peak <= 8 * n * n
 
 
 def test_a_short_row_is_refused_before_an_n_squared_array():
@@ -321,31 +322,36 @@ def _spelled(v: int, how: str) -> str:
 # Explicit files whose body mixes spellings of each value (canonical,
 # "00", "+1", "-0", "1_0", Arabic-Indic digits), blanks (spaces, tabs,
 # "\x0b", which splitlines ends a line at), comment and blank lines, short
-# and long rows, out-of-range values, nonzero diagonals and asymmetry.
+# and long rows, out-of-range values, nonzero diagonals and asymmetry: up
+# to two faults, in one row or in two.  A third of the bodies are canonical
+# full rows, which the grid reader reads and the grid locator checks.
 @st.composite
 def _spelled_grids(draw):
     p = draw(st.sampled_from([2, 3, 5, 251]))
     n = draw(st.integers(1, 5))
     upper = np.triu(np.random.default_rng(draw(st.integers(0, 2 ** 16))).integers(0, p, (n, n)), 1)
     grid = ((upper - upper.T) % p).tolist()
-    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    fault = draw(st.sampled_from(["none", "none", "none", "diagonal", "asymmetry", "range"]))
-    if fault == "diagonal":
-        grid[i][i] = draw(st.integers(1, p - 1))
-    elif fault == "asymmetry":
-        grid[i][j] = (grid[i][j] + 1) % p
-    elif fault == "range":
-        grid[i][j] = draw(st.sampled_from([p, p + 1, 999, 1000, 10 ** 20]))
-    hows = st.sampled_from(["canonical"] * 8 + ["zero", "plus", "minus", "underscore", "arabic"])
+    i = draw(st.integers(0, n - 1))
+    for _ in range(2):  # up to two faults, in one row or in two
+        i, j = draw(st.sampled_from([i, draw(st.integers(0, n - 1))])), draw(st.integers(0, n - 1))
+        fault = draw(st.sampled_from(["none", "none", "none", "diagonal", "asymmetry", "range"]))
+        if fault == "diagonal":
+            grid[i][i] = draw(st.integers(1, p - 1))
+        elif fault == "asymmetry":
+            grid[i][j] = (grid[i][j] + 1) % p
+        elif fault == "range":
+            grid[i][j] = draw(st.sampled_from([p, p + 1, 999, 1000, 10 ** 20]))
+    read = draw(st.integers(0, 2)) == 0
+    hows = st.sampled_from(["canonical"] * 8 + ["zero", "plus", "minus", "underscore", "arabic"] * (not read))
     lines = [f"{p} {n}"]
     for row in grid:
         tokens = [_spelled(v, draw(hows) if v == 0 or draw(st.booleans()) else "canonical") for v in row]
-        length = draw(st.sampled_from(["same"] * 6 + ["short", "long"]))
+        length = draw(st.sampled_from(["same"] * 6 + ["short", "long"] * (not read)))
         if length == "short":
             tokens.pop()
         elif length == "long":
             tokens.append(_spelled(draw(st.integers(0, p - 1)), draw(hows)))
-        line = draw(st.sampled_from([" "] * 4 + ["  ", "\t", " \t", " \x0b "])).join(tokens)
+        line = draw(st.sampled_from([" "] * 4 + ["  ", "\t", " \t"] + [" \x0b "] * (not read))).join(tokens)
         if draw(st.integers(0, 4)) == 0:
             line += " # note"
         lines.append(line)
@@ -607,6 +613,55 @@ def test_basis_files_read_as_the_per_line_route_reads_them(file):
     assert outcome(text + "#") == got
     with mock.patch.object(formats, "_canonical_grid", return_value=None):
         assert outcome(text) == got
+
+
+@pytest.mark.parametrize("n", [7, 300])
+@pytest.mark.parametrize("p", [3, 11, 251])
+def test_a_refused_canonical_body_is_read_once(p, n):
+    # a canonical body with one range, diagonal or skew fault in its first, a
+    # middle or its last row has the fault located on the grid it was read
+    # into, with no second read by _rows, on the raw route (after a blank
+    # line too) and the content-lines route; its error is the token-table
+    # oracle's.  So is the error of a middle row's fault with a last row's
+    # fault of another kind.  A basis file with one entry >= p has the
+    # per-line route's error, also without _rows.
+    upper = np.triu(np.random.default_rng(p * n).integers(0, p, (n, n)), 1)
+    good = (upper - upper.T) % p
+    once = {"_rows": mock.Mock(side_effect=AssertionError("a canonical body is read twice"))}
+
+    def planted(*faults):
+        bad = good.copy()
+        for fault, i in faults:
+            j = n - 1 if i < n - 1 else n - 2
+            if fault == "range":
+                bad[i, j] = 999 if i else p
+            elif fault == "diagonal":
+                bad[i, i] = 1 + i % (p - 1)
+            else:
+                bad[i, j] = (bad[i, j] + 1) % p
+        return "\n".join(" ".join(map(str, row)) for row in bad.tolist()) + "\n"
+
+    def error(parse, text, **patches):
+        with mock.patch.multiple(formats, **patches), pytest.raises(MatrixFormatError) as err:
+            parse(text)
+        return str(err.value), err.value.line
+
+    def basis(text):
+        return formats.parse_basis_file(text, p, n)
+
+    kinds = ("range", "diagonal", "skew")
+    cases = [[(fault, i)] for i in (0, n // 2, n - 1) for fault in kinds]
+    cases += [[(a, n // 2), (b, n - 1)] for a in kinds for b in kinds if a != b]
+    for faults in cases:
+        body = planted(*faults)
+        heads = [f"{p} {n}\n"] + [f"{p} {n}\n\n", f"# c\n{p} {n}\n"] * (len(faults) == 1)
+        for text in [head + body for head in heads]:
+            want = error(formats.parse_matrix_file, text, _explicit_matrix=explicit_matrix_table)
+            assert error(formats.parse_matrix_file, text, **once) == want
+        if faults[0][0] == "range" and len(faults) == 1:
+            for text in (body, "\n" + body, "# c\n" + body):
+                want = error(basis, text, _canonical_grid=mock.Mock(return_value=None))
+                assert error(basis, text, **once) == want
 
 
 _int64 = st.integers(0, 2 ** 63 - 1) | st.integers(-(2 ** 63), 2 ** 63 - 1) | st.integers(0, 300)
